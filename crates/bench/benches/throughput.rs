@@ -46,25 +46,5 @@ fn bench_by_d(c: &mut Criterion) {
     group.finish();
 }
 
-/// The segment-tree First Fit vs the scanning First Fit at growing open-bin
-/// counts (1-D; identical placements, different query structure).
-fn bench_indexed_ff(c: &mut Criterion) {
-    let mut group = c.benchmark_group("indexed_first_fit");
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.sample_size(20);
-    for &n in &[400usize, 1600, 6400] {
-        // Long durations keep many bins open simultaneously.
-        let inst = bench_instance(1, n, (n as u64) / 4, 13);
-        group.throughput(Throughput::Elements(n as u64));
-        for kind in [PolicyKind::FirstFit, PolicyKind::IndexedFirstFit] {
-            group.bench_with_input(BenchmarkId::new(kind.name(), n), &inst, |b, inst| {
-                b.iter(|| black_box(PackRequest::new(kind.clone()).run(inst).unwrap().cost()))
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_by_n, bench_by_d, bench_indexed_ff);
+criterion_group!(benches, bench_by_n, bench_by_d);
 criterion_main!(benches);

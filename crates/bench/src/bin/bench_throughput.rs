@@ -19,12 +19,9 @@
 
 use dvbp_bench::bench_instance;
 use dvbp_bench::seed_engine::{pack_seed, SeedSelect};
-use dvbp_core::policy::best_fit::BestFit;
-use dvbp_core::policy::first_fit::FirstFit;
-use dvbp_core::policy::last_fit::LastFit;
-use dvbp_core::policy::worst_fit::WorstFit;
 use dvbp_core::{
-    live_ops, Engine, Instance, LiveOp, LoadMeasure, Policy, PolicyKind, TimeMode, TraceMode,
+    live_ops, Engine, FitPath, Instance, LiveOp, LoadMeasure, Policy, PolicyKind, TimeMode,
+    TraceMode,
 };
 use dvbp_obs::SyncPolicy;
 use dvbp_serve::client::item_id;
@@ -80,11 +77,13 @@ struct Report {
 ///   the "before" of the before/after comparison.
 /// * `scalar` — the same O(m·d) per-bin selection loop running inside
 ///   the optimized engine (isolates selection cost from engine-loop
-///   cost). The before-side of the simd-vs-scalar ablation.
+///   cost), pinned by [`FitPath::Scalar`]. The before-side of the
+///   simd-vs-scalar ablation.
 /// * `simd` — the vectorized block scan over the engine's SoA residual
-///   mirror (8 bins per mask step). Same asymptotics as `scalar`,
-///   lane-parallel constants.
-/// * `indexed` — fit-index candidate enumeration in the optimized engine.
+///   mirror (8 bins per mask step), pinned by [`FitPath::Block`]. Same
+///   asymptotics as `scalar`, lane-parallel constants.
+/// * `indexed` — the shipped default, [`FitPath::Auto`]: the block scan
+///   below the measured crossover, fit-index queries above it.
 ///
 /// All four produce identical placements; only the per-arrival cost
 /// differs.
@@ -149,31 +148,25 @@ fn seed_select(policy: &str) -> SeedSelect {
     }
 }
 
-fn build_policy(policy: &str, variant: &str) -> Box<dyn Policy> {
-    match (policy, variant) {
-        ("FirstFit", "indexed") => Box::new(FirstFit::new()),
-        ("FirstFit", "simd") => Box::new(FirstFit::scanning()),
-        ("FirstFit", "scalar") => Box::new(FirstFit::scanning_scalar()),
-        ("BestFit", "indexed") => Box::new(BestFit::new(LoadMeasure::Linf)),
-        ("BestFit", "simd") => Box::new(BestFit::scanning(LoadMeasure::Linf)),
-        ("BestFit", "scalar") => Box::new(BestFit::scanning_scalar(LoadMeasure::Linf)),
-        ("WorstFit", "indexed") => Box::new(WorstFit::new(LoadMeasure::Linf)),
-        ("WorstFit", "simd") => Box::new(WorstFit::scanning(LoadMeasure::Linf)),
-        ("WorstFit", "scalar") => Box::new(WorstFit::scanning_scalar(LoadMeasure::Linf)),
-        ("LastFit", "indexed") => Box::new(LastFit::new()),
-        ("LastFit", "simd") => Box::new(LastFit::scanning()),
-        ("LastFit", "scalar") => Box::new(LastFit::scanning_scalar()),
-        ("NextFit", _) => PolicyKind::NextFit.build(),
-        ("MoveToFront", _) => PolicyKind::MoveToFront.build(),
-        other => panic!("unknown policy row {other:?}"),
+/// The engine path a row's variant pins (`-` rows take the default).
+fn fit_path(variant: &str) -> FitPath {
+    match variant {
+        "simd" => FitPath::Block,
+        "scalar" => FitPath::Scalar,
+        _ => FitPath::Auto,
     }
 }
 
-/// Times repeated warm `CostOnly` runs of `policy` over `inst` until
-/// `budget` elapses (at least 3 reps), returning items/sec and the run's
-/// invariant outputs.
-fn measure(inst: &Instance, policy: &mut dyn Policy, budget: Duration) -> (f64, usize, u64, u32) {
-    let mut engine = Engine::new();
+/// Times repeated warm `CostOnly` runs of `policy` over `inst` on `path`
+/// until `budget` elapses (at least 3 reps), returning items/sec and the
+/// run's invariant outputs.
+fn measure(
+    inst: &Instance,
+    policy: &mut dyn Policy,
+    path: FitPath,
+    budget: Duration,
+) -> (f64, usize, u64, u32) {
+    let mut engine = Engine::new().with_fit_path(path);
     // Warm run: grows the engine arenas and fit index; also the one place
     // the per-config outputs (cost, concurrency) are taken from.
     let warm = engine.pack(inst, policy, TraceMode::CostOnly);
@@ -440,8 +433,9 @@ fn run_grid(scale: &str) -> Report {
             let (ips, max_conc, cost, reps) = if variant == "seed" {
                 measure_seed(&inst, seed_select(policy), budget)
             } else {
-                let mut p = build_policy(policy, variant);
-                measure(&inst, p.as_mut(), budget)
+                // Bare `BestFit`/`WorstFit` parse to the paper's `L∞`.
+                let kind: PolicyKind = policy.parse().expect("grid policy names parse");
+                measure(&inst, kind.build().as_mut(), fit_path(variant), budget)
             };
             eprintln!("{policy}/{variant} d={d} n={n} mu={mu}: {ips:.0} items/s (m={max_conc})");
             entries.push(Entry {

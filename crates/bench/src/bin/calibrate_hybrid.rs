@@ -16,25 +16,26 @@
 
 use dvbp_bench::bench_instance;
 use dvbp_core::policy::first_fit::FirstFit;
-use dvbp_core::{Engine, Instance, Policy, TraceMode};
+use dvbp_core::{Engine, FitPath, Instance, TraceMode};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 1;
 const BUDGET: Duration = Duration::from_millis(250);
 
-/// Minimum-time estimator over warm repetitions (same protocol as
-/// `bench_throughput`); returns (items/sec, max concurrent bins).
-fn measure(inst: &Instance, policy: &mut dyn Policy) -> (f64, usize) {
-    let mut engine = Engine::new();
-    let warm = engine.pack(inst, policy, TraceMode::CostOnly);
+/// Minimum-time estimator over warm repetitions of First Fit pinned to
+/// `path` (same protocol as `bench_throughput`); returns (items/sec, max
+/// concurrent bins).
+fn measure(inst: &Instance, path: FitPath) -> (f64, usize) {
+    let mut engine = Engine::new().with_fit_path(path);
+    let warm = engine.pack(inst, &mut FirstFit, TraceMode::CostOnly);
     let max_conc = warm.max_concurrent_bins();
     let start = Instant::now();
     let mut reps = 0u32;
     let mut fastest = Duration::MAX;
     loop {
         let t0 = Instant::now();
-        black_box(engine.pack(inst, policy, TraceMode::CostOnly).cost());
+        black_box(engine.pack(inst, &mut FirstFit, TraceMode::CostOnly).cost());
         fastest = fastest.min(t0.elapsed());
         reps += 1;
         if reps >= 3 && start.elapsed() >= BUDGET {
@@ -58,8 +59,8 @@ fn main() {
                 .expect("grid n fits usize")
                 .max(2000);
             let inst = bench_instance(d, n, mu, SEED);
-            let (scan_ips, m) = measure(&inst, &mut FirstFit::scanning());
-            let (index_ips, _) = measure(&inst, &mut FirstFit::indexed());
+            let (scan_ips, m) = measure(&inst, FitPath::Block);
+            let (index_ips, _) = measure(&inst, FitPath::Index);
             let winner = if index_ips > scan_ips {
                 "index"
             } else {

@@ -4,8 +4,9 @@
 //! Two kinds of entries live in the corpus:
 //!
 //! * **seed entries** (this module) — hand-built and generator-derived
-//!   instances targeting the engine's sharpest edges: segment-tree growth
-//!   and closure in `IndexedFirstFit`, equal-tick departure/arrival
+//!   instances targeting the engine's sharpest edges: fit-index growth
+//!   and closure (reached at any open-bin count through the
+//!   forced-index differential pass), equal-tick departure/arrival
 //!   races, and the §6 adversarial tie-breaking sequences. Regenerate
 //!   the files with `dvbp-conformance --write-seed-corpus`;
 //! * **shrunk reproducers** — written automatically by the fuzzer when a
@@ -24,10 +25,10 @@ fn item(size: &[u64], a: u64, e: u64) -> Item {
     Item::new(DimVec::from_slice(size), a, e)
 }
 
-/// Forces the `IndexedFirstFit` residual tree through two capacity
-/// doublings (1 → 2 → 4 → 8 leaves) while bins fill, drain, and close,
-/// then packs into the survivors — the exact paths a stale tree node
-/// would corrupt.
+/// Drives the fit index's residual tree (pinned on by the forced-index
+/// differential pass) through two capacity doublings (1 → 2 → 4 → 8
+/// leaves) while bins fill, drain, and close, then packs into the
+/// survivors — the exact paths a stale tree node would corrupt.
 fn residual_tree_growth() -> Instance {
     let mut items = Vec::new();
     // Five 6-unit blockers open five bins (6 + 6 > 10): the tree must
@@ -405,7 +406,7 @@ mod tests {
     #[test]
     fn growth_case_really_opens_five_concurrent_bins() {
         let inst = residual_tree_growth();
-        let p = PackRequest::new(dvbp_core::PolicyKind::IndexedFirstFit)
+        let p = PackRequest::new(dvbp_core::PolicyKind::FirstFit)
             .run(&inst)
             .unwrap();
         assert!(p.max_concurrent_bins() >= 5, "{}", p.max_concurrent_bins());

@@ -10,8 +10,12 @@
 //!    dimension and a single contiguous usage interval per bin;
 //! 3. **Any Fit** — [`Packing::verify_any_fit`] for every full-candidate
 //!    policy (all but Next Fit and the class-restricted clairvoyant);
-//! 4. **placement identity** — `IndexedFirstFit` must equal `FirstFit`
-//!    item for item (the fit index is a data-structure change only);
+//! 4. **forced index** — every kind whose bins come from the engine's
+//!    feasibility queries (First, Best, Worst, Last and Random Fit) is
+//!    packed again on an [`Engine`] pinned to [`FitPath::Index`], and
+//!    the full packing must equal the default run: the fit index is a
+//!    data-structure change only, and pinning it exercises the tree at
+//!    every open-bin count, not just above the crossover;
 //! 5. **cost-only identity** — re-running under
 //!    [`TraceMode::CostOnly`] must reproduce the `Full` run's assignment,
 //!    cost, and max concurrency (the mode skips bookkeeping, never
@@ -57,7 +61,7 @@
 //!     Clairvoyant kinds are exempt (live candidates must be servable).
 
 use crate::reference;
-use dvbp_core::{Instance, PackRequest, Packing, PolicyKind, TraceMode};
+use dvbp_core::{Engine, FitPath, Instance, PackRequest, Packing, PolicyKind, TraceMode};
 use dvbp_offline::lower_bounds::{lb_load, lb_span};
 use std::fmt;
 
@@ -156,22 +160,21 @@ pub fn check_policy(instance: &Instance, kind: &PolicyKind) -> Result<(), Diverg
             return Err(Divergence::new(kind, format!("any-fit: {e}")));
         }
     }
-    if *kind == PolicyKind::IndexedFirstFit {
-        let plain = PackRequest::new(PolicyKind::FirstFit)
-            .run(instance)
-            .unwrap();
-        if fast.assignment != plain.assignment {
-            let i = (0..fast.assignment.len())
-                .find(|&i| fast.assignment[i] != plain.assignment[i])
-                .unwrap_or(0);
-            return Err(Divergence::new(
-                kind,
-                format!(
-                    "placement identity: item {i} goes to {} under IndexedFirstFit \
-                     but {} under FirstFit",
-                    fast.assignment[i], plain.assignment[i]
-                ),
-            ));
+    if matches!(
+        kind,
+        PolicyKind::FirstFit
+            | PolicyKind::BestFit(_)
+            | PolicyKind::WorstFit(_)
+            | PolicyKind::LastFit
+            | PolicyKind::RandomFit { .. }
+    ) {
+        let indexed = Engine::new().with_fit_path(FitPath::Index).pack(
+            instance,
+            kind.build().as_mut(),
+            TraceMode::Full,
+        );
+        if let Some(diff) = first_difference(&indexed, &fast) {
+            return Err(Divergence::new(kind, format!("forced index: {diff}")));
         }
     }
 
@@ -370,7 +373,6 @@ pub fn kinds_for(instance: &Instance, random_fit_seed: u64) -> Vec<PolicyKind> {
         PolicyKind::RandomFit {
             seed: random_fit_seed,
         },
-        PolicyKind::IndexedFirstFit,
     ];
     if instance
         .items
@@ -440,8 +442,8 @@ mod tests {
     fn clairvoyant_kinds_gated_on_announcements() {
         let bare =
             Instance::new(DimVec::scalar(10), vec![Item::new(DimVec::scalar(5), 0, 4)]).unwrap();
-        assert_eq!(kinds_for(&bare, 0).len(), 9);
+        assert_eq!(kinds_for(&bare, 0).len(), 8);
         let announced = dvbp_workloads::predictions::announce_exact(&bare);
-        assert_eq!(kinds_for(&announced, 0).len(), 11);
+        assert_eq!(kinds_for(&announced, 0).len(), 10);
     }
 }

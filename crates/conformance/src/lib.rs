@@ -1,9 +1,9 @@
 //! Differential conformance harness for the DVBP engine.
 //!
 //! The optimized engine (`dvbp-core`) earns its speed from incremental
-//! state — cached loads, a maintained open-bin list, a segment tree for
-//! `IndexedFirstFit`. This crate checks that none of that machinery ever
-//! changes an answer:
+//! state — cached loads, a maintained open-bin list, a vectorized
+//! residual mirror, a fit-index segment tree. This crate checks that none
+//! of that machinery ever changes an answer:
 //!
 //! * [`mod@reference`] — a slow simulator that recomputes feasibility, loads,
 //!   and openness from scratch at every event and re-implements each
@@ -11,7 +11,7 @@
 //! * [`diff`] — the differential runner: engine vs. reference must agree
 //!   on the full [`dvbp_core::Packing`] (assignment, usage records,
 //!   trace, cost), layered with the invariant suite (feasibility, the
-//!   Any Fit property, `IndexedFirstFit ≡ FirstFit`, and the Lemma 1
+//!   Any Fit property, forced fit index ≡ default path, and the Lemma 1
 //!   bound chain `lb_span ≤ lb_load ≤ cost`);
 //! * [`mod@serve`] — layer 8, the serving path: a one-shard `dvbp-serve`
 //!   service must be bit-identical to the batch engine, crash recovery

@@ -2,8 +2,8 @@
 //!
 //! The optimized engine in `dvbp-core` keeps incremental state: cached
 //! per-bin load vectors, a sorted open-bin list maintained by binary
-//! search, and (for [`PolicyKind::IndexedFirstFit`]) a segment tree over
-//! residual capacities. This module re-derives every answer from first
+//! search, a vectorized residual mirror and a segment tree over residual
+//! capacities. This module re-derives every answer from first
 //! principles instead, so that the two implementations can be compared
 //! event by event:
 //!
@@ -92,8 +92,7 @@ fn duration_class(item: &Item) -> u32 {
 enum RefPolicy {
     /// MRU order, front first; receiving bin moves to the front.
     MoveToFront { order: Vec<usize> },
-    /// Earliest-opened open bin that fits. Also the reference for
-    /// `IndexedFirstFit`, which must be placement-identical to First Fit.
+    /// Earliest-opened open bin that fits.
     FirstFit,
     /// Single current bin; a new bin releases the old one forever.
     NextFit { current: Option<usize> },
@@ -117,7 +116,7 @@ impl RefPolicy {
     fn new(kind: &PolicyKind) -> Self {
         match *kind {
             PolicyKind::MoveToFront => RefPolicy::MoveToFront { order: Vec::new() },
-            PolicyKind::FirstFit | PolicyKind::IndexedFirstFit => RefPolicy::FirstFit,
+            PolicyKind::FirstFit => RefPolicy::FirstFit,
             PolicyKind::NextFit => RefPolicy::NextFit { current: None },
             PolicyKind::BestFit(measure) => RefPolicy::BestFit { measure },
             PolicyKind::WorstFit(measure) => RefPolicy::WorstFit { measure },

@@ -20,8 +20,8 @@ fn bounded_fuzz_finds_no_divergence() {
             .map(|f| format!("{} seed {}: {}", f.family.name(), f.seed, f.divergence))
             .collect::<Vec<_>>()
     );
-    // 12 seeds × families × 11 policies (all instances are announced).
-    assert_eq!(report.runs, 12 * fuzz::FAMILIES.len() * 11);
+    // 12 seeds × families × 10 policies (all instances are announced).
+    assert_eq!(report.runs, 12 * fuzz::FAMILIES.len() * 10);
 }
 
 /// The paper's own Table 2 corner (d = 1, μ = 200, n = 1000) through the

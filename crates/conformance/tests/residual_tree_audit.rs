@@ -1,20 +1,40 @@
-//! Targeted audit of the `IndexedFirstFit` residual-tree update/query
-//! paths, via the differential harness.
+//! Targeted audit of the fit index's update and query paths.
 //!
-//! The segment tree has three mutation sites — `after_pack` (subtract),
-//! `on_departure` (add back), `on_close` (zero) — and one growth path
-//! (`ensure`, which rebuilds on leaf-count doubling). Each test shapes an
-//! instance family so one of those paths dominates, then requires exact
-//! agreement with both the reference simulator and plain First Fit.
+//! The engine updates the index's segment tree at four sites — a bin
+//! opens (`open`, which grows the leaf level by doubling), an item packs
+//! (subtract), an item departs (add back) and a bin closes (zero). Each
+//! test shapes an instance family so one of those paths dominates, runs
+//! every Any-Fit query kind on an engine pinned to the fit index (the
+//! default crossover would scan at these open-bin counts), and requires
+//! exact agreement with both the scalar-scan run and the reference
+//! simulator.
 
-use dvbp_conformance::diff;
-use dvbp_core::{Instance, Item, PolicyKind};
+use dvbp_conformance::reference;
+use dvbp_core::{Engine, FitPath, Instance, Item, LoadMeasure, Packing, PolicyKind, TraceMode};
 use dvbp_dimvec::DimVec;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-fn check(inst: &Instance) {
-    diff::check_policy(inst, &PolicyKind::IndexedFirstFit).unwrap();
+fn pack_on(inst: &Instance, kind: &PolicyKind, path: FitPath) -> Packing {
+    Engine::new()
+        .with_fit_path(path)
+        .pack(inst, kind.build().as_mut(), TraceMode::Full)
+}
+
+fn check(inst: &Instance, case: &str) {
+    for kind in [
+        PolicyKind::FirstFit,
+        PolicyKind::LastFit,
+        PolicyKind::BestFit(LoadMeasure::Linf),
+        PolicyKind::WorstFit(LoadMeasure::Linf),
+        PolicyKind::RandomFit { seed: 3 },
+    ] {
+        let indexed = pack_on(inst, &kind, FitPath::Index);
+        let scalar = pack_on(inst, &kind, FitPath::Scalar);
+        assert_eq!(indexed, scalar, "{case}: {kind:?} index vs scalar");
+        let slow = reference::simulate(inst, &kind);
+        assert_eq!(indexed, slow, "{case}: {kind:?} index vs reference");
+    }
 }
 
 /// Growth path: every item blocks sharing, so the bin count (and the
@@ -25,7 +45,7 @@ fn tree_growth_across_many_doublings() {
         .map(|t| Item::new(DimVec::scalar(6), t, t + 200))
         .collect();
     let inst = Instance::new(DimVec::scalar(10), items).unwrap();
-    check(&inst);
+    check(&inst, "growth");
 }
 
 /// Departure path: long-lived slivers keep bins open while large items
@@ -43,7 +63,7 @@ fn residual_oscillation_under_churn() {
         }
     }
     let inst = Instance::new(DimVec::scalar(10), items).unwrap();
-    check(&inst);
+    check(&inst, "churn");
 }
 
 /// Close path: waves of bins all close at once, then a new wave arrives
@@ -58,7 +78,7 @@ fn mass_closure_then_same_tick_arrivals() {
         }
     }
     let inst = Instance::new(DimVec::scalar(10), items).unwrap();
-    check(&inst);
+    check(&inst, "closure");
 }
 
 /// Randomized sweep over the whole surface: many seeds, sizes spanning
@@ -77,7 +97,6 @@ fn randomized_audit_sweep() {
             })
             .collect();
         let inst = Instance::new(DimVec::scalar(cap), items).unwrap();
-        diff::check_policy(&inst, &PolicyKind::IndexedFirstFit)
-            .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
+        check(&inst, &format!("seed {seed}"));
     }
 }

@@ -43,7 +43,7 @@ const INITIAL_STRIDE: usize = 64;
 /// Dimension-major residual mirror with lane-padded stride.
 ///
 /// Maintained unconditionally by the engine (unlike the lazily-built
-/// [`FitIndex`](crate::FitIndex)): updates are O(d) plain stores per
+/// fit index): updates are O(d) plain stores per
 /// event, so there is nothing to latch. The arena is kept across runs
 /// of the owning [`Engine`](crate::Engine) — `ResidualBlocks::reset`
 /// zeroes in place when the dimensionality is unchanged, preserving the

@@ -14,11 +14,15 @@
 //!
 //! Bin state lives in flat structure-of-arrays buffers (loads in one
 //! `u64` arena with stride `d`, per-bin items as an intrusive linked list
-//! over a flat `next` array), and the engine additionally maintains a
-//! [`FitIndex`] — per-dimension max-residual segment trees — that
-//! policies query through the view for O(log m) bin selection. A reusable
-//! [`Engine`] keeps these buffers across runs, so the steady-state hot
-//! loop performs **zero heap allocations per arrival**.
+//! over a flat `next` array). The view's feasibility queries
+//! ([`EngineView::first_fit`], [`EngineView::last_fit`],
+//! [`EngineView::for_each_feasible`]) are the one place that decides how
+//! feasible bins are found: a vectorized block scan over a residual
+//! mirror, the scalar per-bin loop, or an O(log m) fit index
+//! (per-dimension max-residual segment trees) built on the run's first
+//! query at or above the measured crossover. A reusable [`Engine`] keeps
+//! these buffers across runs, so the steady-state hot loop performs
+//! **zero heap allocations per arrival**.
 //!
 //! In [`TraceMode::Full`] the engine records a full decision
 //! [`trace`](Packing::trace) so that analyses (e.g. the Move To Front
@@ -39,7 +43,7 @@ use dvbp_obs::{NoopObserver, Observer};
 use dvbp_sim::timeline::{Event, OnlineTimeline};
 use dvbp_sim::{sweep, Cost, Interval, Time};
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 
 /// Sentinel for "no item" in the flat per-bin item chains.
 const NO_ITEM: usize = usize::MAX;
@@ -95,6 +99,38 @@ pub enum TraceMode {
     CostOnly,
 }
 
+/// How [`EngineView`]'s feasibility queries find feasible bins.
+///
+/// Every path yields the same bins in the same order and reports the
+/// same scan counts and probes, so the choice changes speed, never a
+/// placement or an event stream. Runs use [`FitPath::Auto`]; the other
+/// variants pin one path for differential tests and benchmarks through
+/// [`Engine::with_fit_path`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum FitPath {
+    /// The measured choice: the fit index once the open-bin count
+    /// reaches the crossover for the run's dimensionality, the block
+    /// scan below it, and the scalar loop where the block kernel cannot
+    /// pay (a sparse open-id span) or cannot report per-bin probes.
+    #[default]
+    Auto,
+    /// The fit index on every query.
+    Index,
+    /// A scan on every query: the block kernel, or the scalar loop
+    /// wherever [`FitPath::Auto`] would fall back to it.
+    Block,
+    /// The scalar per-bin loop on every query.
+    Scalar,
+}
+
+/// The structure one query runs on, resolved from [`FitPath`] and the
+/// current engine state.
+enum Route {
+    Index,
+    Block,
+    Scalar,
+}
+
 /// One candidate-bin examination, buffered per arrival when the run's
 /// observer opts into provenance (`Observer::WANTS_PROBES`).
 #[derive(Clone, Copy, Debug)]
@@ -116,13 +152,16 @@ pub struct EngineView<'a> {
     active: &'a [u32],
     opened: &'a [Time],
     open: &'a [BinId],
-    /// `None` when the policy declined index maintenance for this arrival
-    /// (see [`Policy::wants_index`](crate::Policy::wants_index)).
-    index: Option<&'a FitIndex>,
+    /// Max-residual segment trees over all bins (closed bins pinned to
+    /// residual 0). Current only once `index_live` is set: the first
+    /// index query of a run builds it, and the engine maintains it from
+    /// then on.
+    index: &'a RefCell<FitIndex>,
+    index_live: &'a Cell<bool>,
     /// Dimension-major residual mirror, maintained unconditionally —
-    /// the vectorized backend of the [`EngineView::scan_first_fit`]
-    /// family of scan helpers.
+    /// the block-scan backend.
     blocks: &'a ResidualBlocks,
+    fit_path: FitPath,
     /// Candidate bins the policy reported examining (see
     /// [`EngineView::note_scanned`]).
     scanned: Cell<u64>,
@@ -180,25 +219,10 @@ impl EngineView<'_> {
         self.now
     }
 
-    /// The engine's [`FitIndex`] over all bins (closed bins pinned to
-    /// residual 0): the O(log m) selection path for the Any Fit family.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy's [`wants_index`](crate::Policy::wants_index)
-    /// returned `false` for this arrival — the engine then skipped index
-    /// maintenance and the tree would be stale.
-    #[must_use]
-    pub fn index(&self) -> &FitIndex {
-        self.index
-            .expect("policy queried the fit index without declaring wants_index")
-    }
-
     /// `true` iff `size` fits into `bin`'s residual capacity.
     ///
-    /// Checked against the load arena, independently of the
-    /// [`FitIndex`] — the engine uses the same predicate to assert every
-    /// [`Decision::Existing`].
+    /// Checked against the load arena — the engine uses the same
+    /// predicate to assert every [`Decision::Existing`].
     #[must_use]
     pub fn fits(&self, bin: BinId, size: &DimVec) -> bool {
         let load = self.load(bin);
@@ -254,10 +278,10 @@ impl EngineView<'_> {
         rejected.is_none()
     }
 
-    /// Counts a bin delivered by a [`FitIndex`] query as one successful
+    /// Counts a bin delivered by a fit-index query as one successful
     /// probe, without re-running the O(d) capacity check the index
     /// already performed.
-    pub fn probe_known_feasible(&self, bin: BinId) {
+    fn probe_known_feasible(&self, bin: BinId) {
         self.scanned.set(self.scanned.get() + 1);
         if let Some(log) = self.probes {
             log.borrow_mut().push(ProbeRec {
@@ -293,10 +317,13 @@ impl EngineView<'_> {
         self.score.set(Some(key));
     }
 
-    /// `true` when a scan over the open bins must take the scalar
-    /// per-bin probe loop instead of the block kernel:
+    /// Picks the structure for one feasibility query — the engine's only
+    /// scan-vs-index decision. Under [`FitPath::Auto`] the fit index
+    /// answers at or above the per-`d` crossover
+    /// ([`hybrid::use_index`]); a scan takes the scalar per-bin loop
+    /// instead of the block kernel when:
     ///
-    /// * the caller forced it (`scalar` bench ablation variant);
+    /// * [`FitPath::Scalar`] pins it (the bench ablation's before-side);
     /// * the `scalar-scan` cargo feature is on (CI fallback leg);
     /// * a probe sink is attached (`Observer::WANTS_PROBES`) — the
     ///   provenance stream records one `ProbeRec` per candidate with
@@ -305,15 +332,52 @@ impl EngineView<'_> {
     ///   byte-compared provenance corpus exact;
     /// * the open-bin id span is too sparse for block scanning to pay
     ///   ([`hybrid::block_scan_pays`]).
-    fn use_scalar_scan(&self, force_scalar: bool) -> bool {
-        if force_scalar || cfg!(feature = "scalar-scan") || self.probes.is_some() {
-            return true;
+    fn route(&self) -> Route {
+        let index = match self.fit_path {
+            FitPath::Auto => hybrid::use_index(self.open.len(), self.dims),
+            FitPath::Index => true,
+            FitPath::Block | FitPath::Scalar => false,
+        };
+        if index {
+            return Route::Index;
+        }
+        if self.fit_path == FitPath::Scalar
+            || cfg!(feature = "scalar-scan")
+            || self.probes.is_some()
+        {
+            return Route::Scalar;
         }
         match self.open {
-            [] => true,
-            [first, .., last] => !hybrid::block_scan_pays(last.0 - first.0 + 1, self.open.len()),
-            [_] => false,
+            [] => Route::Scalar,
+            [first, .., last]
+                if !hybrid::block_scan_pays(last.0 - first.0 + 1, self.open.len()) =>
+            {
+                Route::Scalar
+            }
+            _ => Route::Block,
         }
+    }
+
+    /// The fit index, current as of this arrival. The run's first call
+    /// builds it from the load arena; the engine keeps it current for
+    /// the rest of the run, so runs that never query it pay nothing.
+    fn fit_index(&self) -> Ref<'_, FitIndex> {
+        if !self.index_live.get() {
+            let (cap, d) = (self.capacity, self.dims);
+            self.index
+                .borrow_mut()
+                .rebuild(self.active.len(), |b, out| {
+                    if self.active[b] > 0 {
+                        for (j, slot) in out.iter_mut().enumerate() {
+                            *slot = cap[j] - self.loads[b * d + j];
+                        }
+                    } else {
+                        out.fill(0);
+                    }
+                });
+            self.index_live.set(true);
+        }
+        self.index.borrow()
     }
 
     /// Number of open bins with id ≤ `hit` — what a scalar First-Fit
@@ -322,84 +386,115 @@ impl EngineView<'_> {
         self.open.partition_point(|b| b.0 <= hit) as u64
     }
 
-    /// First (earliest-opened) open bin that fits `size`, via the block
-    /// kernel when profitable; result and observable scan count are
-    /// identical to probing each open bin in order. `force_scalar`
-    /// pins the scalar loop (the bench ablation's `scalar` variant).
+    /// Open-id range `[lo, hi]` a block scan covers (non-empty `open`).
+    fn span(&self) -> (usize, usize) {
+        (self.open[0].0, self.open[self.open.len() - 1].0)
+    }
+
+    /// First (earliest-opened) open bin that fits `size` — First Fit's
+    /// choice. The scan paths count the open bins a scalar scan probes
+    /// up to the hit (all of them on a miss); the index path counts the
+    /// one bin it returns.
     #[must_use]
-    pub fn scan_first_fit(&self, size: &DimVec, force_scalar: bool) -> Option<BinId> {
-        if self.use_scalar_scan(force_scalar) {
-            return self.open.iter().copied().find(|&b| self.probe(b, size));
-        }
-        let (lo, hi) = (self.open[0].0, self.open[self.open.len() - 1].0);
-        match self.blocks.first_feasible_in(size.as_slice(), lo, hi) {
-            Some(b) => {
-                let bin = BinId(b);
-                // Exact per-bin confirm against the load arena: a
-                // desynchronized mirror must never change a packing.
-                assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
-                self.note_scanned(self.open_upto(b));
+    pub fn first_fit(&self, size: &DimVec) -> Option<BinId> {
+        match self.route() {
+            Route::Index => {
+                let bin = BinId(self.fit_index().first_fit(size.as_slice())?);
+                debug_assert!(self.fits(bin, size));
+                self.probe_known_feasible(bin);
                 Some(bin)
             }
-            None => {
-                self.note_scanned(self.open.len() as u64);
-                None
+            Route::Scalar => self.open.iter().copied().find(|&b| self.probe(b, size)),
+            Route::Block => {
+                let (lo, hi) = self.span();
+                match self.blocks.first_feasible_in(size.as_slice(), lo, hi) {
+                    Some(b) => {
+                        let bin = BinId(b);
+                        // Exact per-bin confirm against the load arena: a
+                        // desynchronized mirror must never change a packing.
+                        assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
+                        self.note_scanned(self.open_upto(b));
+                        Some(bin)
+                    }
+                    None => {
+                        self.note_scanned(self.open.len() as u64);
+                        None
+                    }
+                }
             }
         }
     }
 
-    /// Last (latest-opened) open bin that fits `size`; the block-kernel
-    /// twin of the reverse scalar scan, with identical scan counts.
+    /// Last (latest-opened) open bin that fits `size` — Last Fit's
+    /// choice, counted like [`EngineView::first_fit`] with the scan
+    /// running from the newest bin down.
     #[must_use]
-    pub fn scan_last_fit(&self, size: &DimVec, force_scalar: bool) -> Option<BinId> {
-        if self.use_scalar_scan(force_scalar) {
-            return self
+    pub fn last_fit(&self, size: &DimVec) -> Option<BinId> {
+        match self.route() {
+            Route::Index => {
+                let bin = BinId(self.fit_index().last_fit(size.as_slice())?);
+                debug_assert!(self.fits(bin, size));
+                self.probe_known_feasible(bin);
+                Some(bin)
+            }
+            Route::Scalar => self
                 .open
                 .iter()
                 .rev()
                 .copied()
-                .find(|&b| self.probe(b, size));
-        }
-        let (lo, hi) = (self.open[0].0, self.open[self.open.len() - 1].0);
-        match self.blocks.last_feasible_in(size.as_slice(), lo, hi) {
-            Some(b) => {
-                let bin = BinId(b);
-                assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
-                // A reverse scalar scan probes every open bin with
-                // id ≥ the hit.
-                self.note_scanned(
-                    self.open.len() as u64 - self.open.partition_point(|x| x.0 < b) as u64,
-                );
-                Some(bin)
-            }
-            None => {
-                self.note_scanned(self.open.len() as u64);
-                None
+                .find(|&b| self.probe(b, size)),
+            Route::Block => {
+                let (lo, hi) = self.span();
+                match self.blocks.last_feasible_in(size.as_slice(), lo, hi) {
+                    Some(b) => {
+                        let bin = BinId(b);
+                        assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
+                        // A reverse scalar scan probes every open bin with
+                        // id ≥ the hit.
+                        self.note_scanned(
+                            self.open.len() as u64 - self.open.partition_point(|x| x.0 < b) as u64,
+                        );
+                        Some(bin)
+                    }
+                    None => {
+                        self.note_scanned(self.open.len() as u64);
+                        None
+                    }
+                }
             }
         }
     }
 
     /// Calls `f` for every open bin that fits `size`, in ascending bin
     /// id (the order the scalar scan visits open bins — Best/Worst Fit
-    /// tie-breaking and Random Fit's RNG stream depend on it). Both
-    /// paths count every open bin as scanned.
-    pub fn scan_feasible(&self, size: &DimVec, force_scalar: bool, mut f: impl FnMut(BinId)) {
-        if self.use_scalar_scan(force_scalar) {
-            for &b in self.open {
-                if self.probe(b, size) {
-                    f(b);
+    /// tie-breaking and Random Fit's RNG stream depend on it). The scan
+    /// paths count every open bin as scanned; the index path counts
+    /// each bin it yields.
+    pub fn for_each_feasible(&self, size: &DimVec, mut f: impl FnMut(BinId)) {
+        match self.route() {
+            Route::Index => self.fit_index().for_each_feasible(size.as_slice(), |b| {
+                let bin = BinId(b);
+                self.probe_known_feasible(bin);
+                f(bin);
+            }),
+            Route::Scalar => {
+                for &b in self.open {
+                    if self.probe(b, size) {
+                        f(b);
+                    }
                 }
             }
-            return;
+            Route::Block => {
+                let (lo, hi) = self.span();
+                self.blocks
+                    .for_each_feasible_in(size.as_slice(), lo, hi, |b| {
+                        let bin = BinId(b);
+                        debug_assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
+                        f(bin);
+                    });
+                self.note_scanned(self.open.len() as u64);
+            }
         }
-        let (lo, hi) = (self.open[0].0, self.open[self.open.len() - 1].0);
-        self.blocks
-            .for_each_feasible_in(size.as_slice(), lo, hi, |b| {
-                let bin = BinId(b);
-                debug_assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
-                f(bin);
-            });
-        self.note_scanned(self.open.len() as u64);
     }
 }
 
@@ -585,7 +680,7 @@ impl Packing {
 /// A reusable packing engine.
 ///
 /// All per-run scratch — the SoA bin state, the open-bin list, the
-/// [`FitIndex`] arena, the flat item chains — is kept between runs, so
+/// fit-index arena, the flat item chains — is kept between runs, so
 /// repeated packing of similarly-sized instances (the experiment sweeps)
 /// allocates nothing in the hot loop. A fresh engine per run behaves
 /// identically; reuse is purely an optimization.
@@ -610,8 +705,9 @@ pub struct Engine {
     assignment: Vec<BinId>,
     /// Currently open bins, sorted by id.
     open: Vec<BinId>,
-    /// Max-residual segment trees over all bins.
-    index: FitIndex,
+    /// Max-residual segment trees over all bins. Behind a `RefCell`
+    /// because the view builds it on the run's first index query.
+    index: RefCell<FitIndex>,
     /// Dimension-major residual mirror for vectorized scans. Unlike the
     /// latched `index`, it is maintained unconditionally: updates are a
     /// handful of plain stores per event, and keeping it always current
@@ -619,10 +715,12 @@ pub struct Engine {
     /// WAL recovery) sees the same state.
     blocks: ResidualBlocks,
     /// Whether `index` is current. Maintenance is skipped (and this stays
-    /// `false`) until the first arrival whose policy
-    /// [`wants_index`](Policy::wants_index); the index is then rebuilt
-    /// from the load arena and maintained for the rest of the run.
-    index_live: bool,
+    /// `false`) until the first query the view routes to the index; the
+    /// index is then rebuilt from the load arena and maintained for the
+    /// rest of the run.
+    index_live: Cell<bool>,
+    /// How the view's feasibility queries run; kept across runs.
+    fit_path: FitPath,
     /// `dims`-sized scratch for a freshly opened bin's initial residual.
     scratch: Vec<u64>,
     /// Per-arrival probe buffer, reused across arrivals; only touched
@@ -636,6 +734,16 @@ impl Engine {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Pins how this engine's feasibility queries find feasible bins
+    /// (default [`FitPath::Auto`]). Placements and event streams are
+    /// identical on every path; differential tests and benchmarks pin
+    /// one to compare them.
+    #[must_use]
+    pub fn with_fit_path(mut self, path: FitPath) -> Self {
+        self.fit_path = path;
+        self
     }
 
     fn reset(&mut self, instance: &Instance) {
@@ -657,8 +765,8 @@ impl Engine {
         self.head.clear();
         self.tail.clear();
         self.open.clear();
-        self.index.reset(self.dims);
-        self.index_live = false;
+        self.index.get_mut().reset(self.dims);
+        *self.index_live.get_mut() = false;
         self.blocks.reset(self.dims);
         self.scratch.clear();
         self.scratch.resize(self.dims, 0);
@@ -827,8 +935,8 @@ impl Engine {
         if !closing {
             // A closing bin skips this: `close` below pins the
             // residual to zero anyway, so one update suffices.
-            if self.index_live {
-                self.index.unpack(bin.0, size.as_slice());
+            if self.index_live.get() {
+                self.index.get_mut().unpack(bin.0, size.as_slice());
             }
             self.blocks.unpack(bin.0, size.as_slice());
         }
@@ -845,8 +953,8 @@ impl Engine {
                 .binary_search(&bin)
                 .expect("closing a non-open bin");
             self.open.remove(idx);
-            if self.index_live {
-                self.index.close(bin.0);
+            if self.index_live.get() {
+                self.index.get_mut().close(bin.0);
             }
             self.blocks.close(bin.0);
             policy.on_close(bin);
@@ -916,8 +1024,8 @@ impl Engine {
         self.active[from.0] -= 1;
         let closing = self.active[from.0] == 0;
         if !closing {
-            if self.index_live {
-                self.index.unpack(from.0, size.as_slice());
+            if self.index_live.get() {
+                self.index.get_mut().unpack(from.0, size.as_slice());
             }
             self.blocks.unpack(from.0, size.as_slice());
         }
@@ -927,8 +1035,8 @@ impl Engine {
         for j in 0..d {
             self.loads[to_base + j] += size[j];
         }
-        if self.index_live {
-            self.index.pack(to.0, size.as_slice());
+        if self.index_live.get() {
+            self.index.get_mut().pack(to.0, size.as_slice());
         }
         self.blocks.pack(to.0, size.as_slice());
         self.active[to.0] += 1;
@@ -966,8 +1074,8 @@ impl Engine {
                 .binary_search(&from)
                 .expect("closing a non-open bin");
             self.open.remove(idx);
-            if self.index_live {
-                self.index.close(from.0);
+            if self.index_live.get() {
+                self.index.get_mut().close(from.0);
             }
             self.blocks.close(from.0);
             policy.on_close(from);
@@ -1042,22 +1150,6 @@ impl Engine {
             item,
             size: item_ref.size.as_slice(),
         });
-        if !self.index_live && policy.wants_index(self.open.len(), d) {
-            // First arrival that queries the index: build it
-            // from the load arena, then keep it current.
-            let loads = &self.loads;
-            let active = &self.active;
-            self.index.rebuild(active.len(), |b, out| {
-                if active[b] > 0 {
-                    for (j, slot) in out.iter_mut().enumerate() {
-                        *slot = capacity[j] - loads[b * d + j];
-                    }
-                } else {
-                    out.fill(0);
-                }
-            });
-            self.index_live = true;
-        }
         if O::WANTS_PROBES {
             self.probe_log.borrow_mut().clear();
         }
@@ -1069,8 +1161,10 @@ impl Engine {
                 active: &self.active,
                 opened: &self.opened,
                 open: &self.open,
-                index: self.index_live.then_some(&self.index),
+                index: &self.index,
+                index_live: &self.index_live,
                 blocks: &self.blocks,
+                fit_path: self.fit_path,
                 scanned: Cell::new(0),
                 probes: if O::WANTS_PROBES {
                     Some(&self.probe_log)
@@ -1129,8 +1223,8 @@ impl Engine {
                     self.scratch[j] = capacity[j] - item_ref.size[j];
                 }
                 self.blocks.open(bin.0, &self.scratch);
-                if self.index_live {
-                    self.index.open(bin.0, &self.scratch);
+                if self.index_live.get() {
+                    self.index.get_mut().open(bin.0, &self.scratch);
                 }
                 observer.on_bin_open(time, bin.0);
                 (bin, true)
@@ -1141,8 +1235,8 @@ impl Engine {
             self.loads[base + j] += item_ref.size[j];
         }
         if !opened_new {
-            if self.index_live {
-                self.index.pack(bin.0, item_ref.size.as_slice());
+            if self.index_live.get() {
+                self.index.get_mut().pack(bin.0, item_ref.size.as_slice());
             }
             self.blocks.pack(bin.0, item_ref.size.as_slice());
         }
@@ -1293,6 +1387,8 @@ pub fn pack(instance: &Instance, policy: &mut dyn Policy) -> Packing {
 mod tests {
     use super::*;
     use crate::policy::first_fit::FirstFit;
+    use crate::policy::move_to_front::MoveToFront;
+    use crate::{LoadMeasure, PolicyKind};
     use dvbp_dimvec::DimVec;
 
     fn item(size: &[u64], a: Time, e: Time) -> Item {
@@ -1435,6 +1531,59 @@ mod tests {
         let fresh = pack(&instance, &mut FirstFit::new());
         assert_eq!(a, fresh);
         assert_eq!(b, fresh);
+    }
+
+    #[test]
+    fn every_fit_path_is_placement_identical() {
+        // Small enough that `Auto` always scans; the pinned paths force
+        // the tree and the scalar loop on the same decisions.
+        let instance = inst(
+            &[10, 10],
+            vec![
+                item(&[6, 2], 0, 9),
+                item(&[2, 6], 0, 9),
+                item(&[4, 4], 1, 5),
+                item(&[8, 0], 1, 9),
+                item(&[3, 3], 2, 7),
+                item(&[1, 1], 2, 5),
+                item(&[8, 8], 6, 12),
+                item(&[2, 2], 7, 10),
+            ],
+        );
+        let measures = [LoadMeasure::Linf, LoadMeasure::L1, LoadMeasure::Lp(4)];
+        let kinds = [PolicyKind::FirstFit, PolicyKind::LastFit]
+            .into_iter()
+            .chain(measures.map(PolicyKind::BestFit))
+            .chain(measures.map(PolicyKind::WorstFit))
+            .chain((0..8).map(|seed| PolicyKind::RandomFit { seed }));
+        for kind in kinds {
+            let auto = pack(&instance, kind.build().as_mut());
+            for path in [FitPath::Index, FitPath::Block, FitPath::Scalar] {
+                let pinned = Engine::new().with_fit_path(path).pack(
+                    &instance,
+                    kind.build().as_mut(),
+                    TraceMode::Full,
+                );
+                assert_eq!(pinned, auto, "{} on {path:?}", kind.name());
+            }
+        }
+    }
+
+    #[test]
+    fn fit_index_is_built_only_by_a_query_at_the_crossover() {
+        // Each 6-unit item blocks sharing, so bin `t` opens at tick `t`
+        // and all stay open: arrival `t` sees `t` open bins.
+        let crossover = hybrid::index_crossover(1);
+        let run = |n: usize, policy: &mut dyn Policy| {
+            let items = (0..n as Time).map(|t| item(&[6], t, 1000)).collect();
+            let mut engine = Engine::new();
+            engine.pack(&inst(&[10], items), policy, TraceMode::CostOnly);
+            engine.index_live.get()
+        };
+        assert!(!run(crossover, &mut FirstFit::new()));
+        assert!(run(crossover + 1, &mut FirstFit::new()));
+        // Move To Front never queries, so it never pays for the index.
+        assert!(!run(crossover + 1, &mut MoveToFront::new()));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! `FitIndex`: per-dimension max-residual segment trees over bins, the
 //! engine's O(log m) bin-selection structure.
 //!
-//! Generalizes the d = 1 residual tree prototyped in the original
-//! `IndexedFirstFit` policy to arbitrary dimension. One implicit-heap
-//! segment tree is kept per dimension, stored **node-major** in a single
+//! Generalizes the classic d = 1 max-residual tree to arbitrary
+//! dimension. One implicit-heap segment tree is kept per dimension, stored **node-major** in a single
 //! flat `u64` arena: node `i` owns `tree[i*d .. (i+1)*d]`, where entry `j`
 //! is the maximum residual capacity in dimension `j` over the leaves
 //! below `i`. Leaves are bins in opening order (leaf `b` = node
@@ -41,7 +40,10 @@ pub struct FitIndex {
 }
 
 impl FitIndex {
-    /// Creates an empty index for `dims`-dimensional residuals.
+    /// Creates an empty index for `dims`-dimensional residuals (the
+    /// engine starts from `Default` and sizes it with
+    /// [`FitIndex::reset`]).
+    #[cfg(test)]
     #[must_use]
     pub fn new(dims: usize) -> Self {
         FitIndex {
@@ -67,6 +69,7 @@ impl FitIndex {
     }
 
     /// Number of bins registered via [`FitIndex::open`].
+    #[cfg(test)]
     #[must_use]
     pub fn num_bins(&self) -> usize {
         self.bins
@@ -141,8 +144,8 @@ impl FitIndex {
     /// Bulk-(re)builds the index over `bins` bins in O(bins · d),
     /// reading each leaf's residual through `residual_of` (closed bins
     /// must be written as all-zero). Used by the engine to bring a
-    /// deliberately-stale index up to date the first time a policy asks
-    /// for it mid-run; a warmed arena of sufficient size is reused
+    /// deliberately-stale index up to date the first time a query is
+    /// routed to it mid-run; a warmed arena of sufficient size is reused
     /// without allocating.
     pub fn rebuild(&mut self, bins: usize, mut residual_of: impl FnMut(usize, &mut [u64])) {
         let d = self.dims;
@@ -218,18 +221,6 @@ impl FitIndex {
         let leaf = (self.leaves + bin) * d;
         self.tree[leaf..leaf + d].fill(0);
         self.update_path(bin);
-    }
-
-    /// `bin`'s current residual vector.
-    #[must_use]
-    pub fn residual(&self, bin: usize) -> &[u64] {
-        self.node(self.leaves + bin)
-    }
-
-    /// `true` iff `bin`'s residual covers `need` in every dimension.
-    #[must_use]
-    pub fn fits(&self, bin: usize, need: &[u64]) -> bool {
-        Self::covers(self.residual(bin), need)
     }
 
     #[inline]
@@ -315,25 +306,22 @@ impl FitIndex {
         }
     }
 
-    /// Calls `f(bin, residual)` for every bin whose residual covers
-    /// `need`, in ascending bin-id order (pruned in-order traversal).
-    /// The residual slice is the cache-hot leaf just tested, so callers
-    /// ranking candidates (Best/Worst Fit) need no second lookup into the
-    /// load arena: O(log m + feasible · d) instead of the scan's O(m · d).
-    pub fn for_each_feasible(&self, need: &[u64], mut f: impl FnMut(usize, &[u64])) {
+    /// Calls `f(bin)` for every bin whose residual covers `need`, in
+    /// ascending bin-id order (pruned in-order traversal):
+    /// O(log m + feasible · d) instead of the scan's O(m · d).
+    pub fn for_each_feasible(&self, need: &[u64], mut f: impl FnMut(usize)) {
         if self.bins == 0 {
             return;
         }
         self.visit(1, need, &mut f);
     }
 
-    fn visit(&self, i: usize, need: &[u64], f: &mut impl FnMut(usize, &[u64])) {
-        let node = self.node(i);
-        if !Self::covers(node, need) {
+    fn visit(&self, i: usize, need: &[u64], f: &mut impl FnMut(usize)) {
+        if !Self::covers(self.node(i), need) {
             return;
         }
         if i >= self.leaves {
-            f(i - self.leaves, node);
+            f(i - self.leaves);
             return;
         }
         self.visit(2 * i, need, f);
@@ -415,10 +403,7 @@ mod tests {
             idx.open(b, r);
         }
         let mut seen = Vec::new();
-        idx.for_each_feasible(&[2, 2], |b, res| {
-            assert_eq!(res, &residuals[b][..]);
-            seen.push(b);
-        });
+        idx.for_each_feasible(&[2, 2], |b| seen.push(b));
         assert_eq!(seen, vec![0, 2, 3]);
     }
 
@@ -474,10 +459,7 @@ mod tests {
                         .rposition(|r| r.iter().zip(&need).all(|(a, b)| a >= b));
                     assert_eq!(idx.last_fit(&need), last, "d={d} step={step}");
                     let mut enumerated = Vec::new();
-                    idx.for_each_feasible(&need, |b, res| {
-                        assert_eq!(res, &naive[b][..], "d={d} step={step} bin={b}");
-                        enumerated.push(b);
-                    });
+                    idx.for_each_feasible(&need, |b| enumerated.push(b));
                     let expected: Vec<usize> = naive
                         .iter()
                         .enumerate()

@@ -1,10 +1,11 @@
-//! Centralized scan-vs-index decision logic for the Any-Fit hybrid.
+//! Centralized scan-vs-index decision logic for the engine's
+//! feasibility queries; `EngineView` is the only caller.
 //!
-//! Two independent choices are made per arrival, both pure functions of
+//! Two independent choices are made per query, both pure functions of
 //! cheap engine state so every replay (batch, live, stream, WAL
 //! recovery) decides identically:
 //!
-//! 1. **scan vs [`FitIndex`](crate::FitIndex)** — [`use_index`] compares
+//! 1. **scan vs [`FitIndex`](crate::fit_index::FitIndex)** — [`use_index`] compares
 //!    the open-bin count against a per-dimension crossover. Before the
 //!    block-scan kernel, the crossover was a flat 64 bins; vectorized
 //!    scans retire [`LANES`](crate::block_scan::LANES) bins per step,
@@ -44,7 +45,7 @@ pub(crate) fn index_crossover(dims: usize) -> usize {
 }
 
 /// `true` iff an arrival with `open_bins` open bins in `dims` dimensions
-/// should use the [`FitIndex`](crate::FitIndex) rather than a scan.
+/// should use the [`FitIndex`](crate::fit_index::FitIndex) rather than a scan.
 #[must_use]
 pub(crate) fn use_index(open_bins: usize, dims: usize) -> bool {
     open_bins >= index_crossover(dims)

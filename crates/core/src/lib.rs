@@ -60,8 +60,7 @@ pub use billing::BillingModel;
 pub use bin::{BinId, BinUsage};
 pub use block_scan::{ResidualBlocks, LANES};
 pub use dvbp_obs::{NoopObserver, Observer};
-pub use engine::{Engine, EngineView, Packing, TraceEvent, TraceMode};
-pub use fit_index::FitIndex;
+pub use engine::{Engine, EngineView, FitPath, Packing, TraceEvent, TraceMode};
 pub use item::{Instance, InstanceError, Item};
 pub use live::{
     live_ops, LiveDeparture, LiveDriveStats, LiveEngine, LiveError, LiveMigration, LiveOp,

@@ -1223,7 +1223,6 @@ mod tests {
         let instance = sample();
         for kind in [
             PolicyKind::FirstFit,
-            PolicyKind::IndexedFirstFit,
             PolicyKind::MoveToFront,
             PolicyKind::NextFit,
             PolicyKind::LastFit,

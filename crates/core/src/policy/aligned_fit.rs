@@ -80,10 +80,6 @@ impl Policy for AlignedFit {
         best.map_or(Decision::OpenNew, |(b, _)| Decision::Existing(b))
     }
 
-    fn wants_index(&self, _open_bins: usize, _dims: usize) -> bool {
-        false
-    }
-
     fn after_pack(&mut self, item: &Item, _item_idx: usize, bin: BinId, newly_opened: bool) {
         let dep = Self::announced_departure(item);
         if newly_opened {

@@ -6,21 +6,13 @@
 //! average-case performance in §7 is nearly as good as First Fit's —
 //! the paper's "theory vs practice" discussion.
 //!
-//! Candidate enumeration is a hybrid: below the measured per-`(m, d)`
-//! crossover the open bins are block-scanned through the engine's
-//! vectorized residual mirror; above it, the [`FitIndex`]'s pruned
-//! in-order traversal visits only the *feasible* open bins (ascending
-//! id, so ties still resolve to the earliest bin) in
-//! O(log m + feasible·d). [`BestFit::scanning`] pins the block scan and
-//! [`BestFit::scanning_scalar`] the per-bin scalar loop for
-//! differential tests and the throughput ablation.
-//!
-//! [`FitIndex`]: crate::FitIndex
+//! [`EngineView::for_each_feasible`] enumerates the feasible open bins
+//! in ascending id (block scan, scalar loop or fit index — the engine's
+//! choice), so ties resolve to the earliest bin on every path.
 
-use super::{Decision, LoadKey, LoadMeasure, Policy};
+use super::{Decision, LoadMeasure, Policy};
 use crate::bin::BinId;
 use crate::engine::EngineView;
-use crate::hybrid;
 use crate::item::Item;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -29,85 +21,13 @@ use std::cmp::Ordering;
 #[derive(Clone, Copy, Debug)]
 pub struct BestFit {
     measure: LoadMeasure,
-    scan: bool,
-    scalar: bool,
-    /// Explicit scan-vs-index crossover; `None` uses the measured
-    /// per-`(m, d)` table of the `hybrid` module.
-    threshold: Option<usize>,
 }
 
 impl BestFit {
-    /// Creates a Best Fit policy using `measure` to rank bins, on the
-    /// hybrid path: block-scans below the measured per-`(m, d)`
-    /// crossover, indexed candidate enumeration above it.
+    /// Creates a Best Fit policy using `measure` to rank bins.
     #[must_use]
     pub fn new(measure: LoadMeasure) -> Self {
-        BestFit {
-            measure,
-            scan: false,
-            scalar: false,
-            threshold: None,
-        }
-    }
-
-    /// Creates the always-scanning variant (vectorized block kernel) —
-    /// placement-identical to [`BestFit::new`].
-    #[must_use]
-    pub fn scanning(measure: LoadMeasure) -> Self {
-        BestFit {
-            measure,
-            scan: true,
-            scalar: false,
-            threshold: None,
-        }
-    }
-
-    /// Creates the scalar per-bin scan variant — placement-identical to
-    /// [`BestFit::scanning`], O(m·d) per arrival. The before-side of
-    /// the `simd`-vs-`scalar` throughput ablation.
-    #[must_use]
-    pub fn scanning_scalar(measure: LoadMeasure) -> Self {
-        BestFit {
-            measure,
-            scan: true,
-            scalar: true,
-            threshold: None,
-        }
-    }
-
-    /// Creates the always-indexed variant (pruned tree enumeration
-    /// regardless of `m`) — placement-identical to [`BestFit::new`].
-    /// Used by the crossover calibration bench to time the pure index
-    /// path.
-    #[must_use]
-    pub fn indexed(measure: LoadMeasure) -> Self {
-        BestFit {
-            measure,
-            scan: false,
-            scalar: false,
-            threshold: Some(0),
-        }
-    }
-
-    /// Indexed variant with an explicit scan-fallback threshold; tests use
-    /// 0 to force the tree enumeration even on tiny instances.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_scan_threshold(measure: LoadMeasure, threshold: usize) -> Self {
-        BestFit {
-            measure,
-            scan: false,
-            scalar: false,
-            threshold: Some(threshold),
-        }
-    }
-
-    fn use_index(&self, open_bins: usize, dims: usize) -> bool {
-        !self.scan
-            && match self.threshold {
-                Some(t) => open_bins >= t,
-                None => hybrid::use_index(open_bins, dims),
-            }
+        BestFit { measure }
     }
 
     /// The configured load measure.
@@ -123,47 +43,10 @@ impl Policy for BestFit {
     }
 
     fn choose(&mut self, view: &EngineView<'_>, item: &Item, _item_idx: usize) -> Decision {
-        let cap = view.capacity().as_slice();
-        let measure = self.measure;
-        // Each candidate's measure is evaluated once into a key; the
-        // incumbent's key rides along. Strictly-greater keeps the
-        // earliest-opened bin on ties; both enumerations visit candidates
-        // in ascending bin id.
-        let mut best: Option<(BinId, LoadKey)> = None;
-        let mut consider = |b: BinId, key: LoadKey| {
-            best = Some(match best {
-                None => (b, key),
-                Some((cur, cur_key)) => match key.compare(&cur_key) {
-                    Ordering::Greater => (b, key),
-                    _ => (cur, cur_key),
-                },
-            });
-        };
-        if !self.use_index(view.open_bins().len(), view.dim()) {
-            // Block-path candidates rank by `measure.key` over the
-            // bin-major load arena — the same `LoadKey` the index arm
-            // derives from residuals, so placements are identical.
-            view.scan_feasible(&item.size, self.scalar, |b| {
-                consider(b, measure.key(view.load(b), cap));
-            });
-        } else {
-            view.index()
-                .for_each_feasible(item.size.as_slice(), |b, res| {
-                    view.probe_known_feasible(BinId(b));
-                    consider(BinId(b), measure.key_from_residual(res, cap));
-                });
-        }
-        best.map_or(Decision::OpenNew, |(b, key)| {
-            view.note_score(key);
-            Decision::Existing(b)
-        })
+        super::pick_by_load(view, item, self.measure, Ordering::Greater)
     }
 
     fn after_pack(&mut self, _item: &Item, _item_idx: usize, _bin: BinId, _newly_opened: bool) {}
-
-    fn wants_index(&self, open_bins: usize, dims: usize) -> bool {
-        self.use_index(open_bins, dims)
-    }
 }
 
 #[cfg(test)]
@@ -239,31 +122,5 @@ mod tests {
             Instance::new(DimVec::scalar(10), vec![item(&[9], 0, 9), item(&[9], 1, 9)]).unwrap();
         let p = pack(&inst, &mut BestFit::new(LoadMeasure::Linf));
         assert_eq!(p.num_bins(), 2);
-    }
-
-    #[test]
-    fn scanning_variant_is_placement_identical() {
-        let inst = Instance::new(
-            DimVec::from_slice(&[10, 10]),
-            vec![
-                item(&[8, 0], 0, 9),
-                item(&[5, 5], 1, 9),
-                item(&[1, 1], 2, 5),
-                item(&[2, 2], 3, 6),
-                item(&[9, 9], 7, 12),
-            ],
-        )
-        .unwrap();
-        for m in [
-            LoadMeasure::Linf,
-            LoadMeasure::L1,
-            LoadMeasure::L2,
-            LoadMeasure::Lp(4),
-        ] {
-            // Threshold 0 forces the tree enumeration on this small case.
-            let indexed = pack(&inst, &mut BestFit::with_scan_threshold(m, 0));
-            let scanned = pack(&inst, &mut BestFit::scanning(m));
-            assert_eq!(indexed, scanned, "{m}");
-        }
     }
 }

@@ -74,10 +74,6 @@ impl Policy for DurationClassFirstFit {
         Decision::OpenNew
     }
 
-    fn wants_index(&self, _open_bins: usize, _dims: usize) -> bool {
-        false
-    }
-
     fn after_pack(&mut self, item: &Item, _item_idx: usize, bin: BinId, newly_opened: bool) {
         if newly_opened {
             debug_assert_eq!(bin.0, self.class_of.len());

@@ -3,109 +3,25 @@
 //! CR bounds from the paper: at most `(μ+2)d + 1` (Thm 3), at least
 //! `(μ+1)d` (Thm 5).
 //!
-//! Selection is a hybrid: below the measured per-`(m, d)` crossover the
-//! open bins are block-scanned through the engine's vectorized residual
-//! mirror ([`ResidualBlocks`](crate::ResidualBlocks)); above it, the
-//! [`FitIndex`] — the leftmost feasible leaf of the per-dimension
-//! max-residual segment trees — answers in O(log m) expected time.
-//! [`FirstFit::scanning`] pins the block scan and
-//! [`FirstFit::scanning_scalar`] the per-bin scalar loop (the
-//! throughput ablation's before-side); all three produce identical
-//! placements.
-//!
-//! [`FitIndex`]: crate::FitIndex
+//! The engine's [`EngineView::first_fit`] query finds the bin; how (block
+//! scan, scalar loop or fit index) is the engine's choice.
 
 use super::{Decision, Policy};
 use crate::bin::BinId;
 use crate::engine::EngineView;
-use crate::hybrid;
 use crate::item::Item;
 use std::borrow::Cow;
 
-/// The First Fit policy. Stateless: the engine's open-bin list and fit
-/// index are already ordered by opening time.
-#[derive(Clone, Copy, Debug)]
-pub struct FirstFit {
-    scan: bool,
-    scalar: bool,
-    /// Explicit scan-vs-index crossover; `None` uses the measured
-    /// per-`(m, d)` table of the `hybrid` module.
-    threshold: Option<usize>,
-}
-
-impl Default for FirstFit {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The First Fit policy. Stateless: the engine's open-bin list is
+/// already ordered by opening time.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FirstFit;
 
 impl FirstFit {
-    /// Creates a First Fit policy on the hybrid path: block-scans the
-    /// open bins below the measured per-`(m, d)` crossover, and uses
-    /// the indexed O(log m) query above it.
+    /// Creates a First Fit policy.
     #[must_use]
     pub fn new() -> Self {
-        FirstFit {
-            scan: false,
-            scalar: false,
-            threshold: None,
-        }
-    }
-
-    /// Creates a First Fit policy that always scans the open bins (via
-    /// the vectorized block kernel) — placement-identical to
-    /// [`FirstFit::new`], O(m·d / LANES) per arrival.
-    #[must_use]
-    pub fn scanning() -> Self {
-        FirstFit {
-            scan: true,
-            scalar: false,
-            threshold: None,
-        }
-    }
-
-    /// Creates the scalar per-bin scan variant — placement-identical to
-    /// [`FirstFit::scanning`], O(m·d) per arrival. The before-side of
-    /// the `simd`-vs-`scalar` throughput ablation.
-    #[must_use]
-    pub fn scanning_scalar() -> Self {
-        FirstFit {
-            scan: true,
-            scalar: true,
-            threshold: None,
-        }
-    }
-
-    /// Creates the always-indexed variant (fit-index descent regardless
-    /// of `m`) — placement-identical to [`FirstFit::new`]. Used by the
-    /// crossover calibration bench to time the pure index path.
-    #[must_use]
-    pub fn indexed() -> Self {
-        FirstFit {
-            scan: false,
-            scalar: false,
-            threshold: Some(0),
-        }
-    }
-
-    /// Indexed variant with an explicit scan-fallback threshold; tests use
-    /// 0 to force the tree descent even on tiny instances.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_scan_threshold(threshold: usize) -> Self {
-        FirstFit {
-            scan: false,
-            scalar: false,
-            threshold: Some(threshold),
-        }
-    }
-
-    fn use_index(&self, open_bins: usize, dims: usize) -> bool {
-        !self.scan
-            && match self.threshold {
-                Some(t) => open_bins >= t,
-                None => hybrid::use_index(open_bins, dims),
-            }
+        FirstFit
     }
 }
 
@@ -115,28 +31,11 @@ impl Policy for FirstFit {
     }
 
     fn choose(&mut self, view: &EngineView<'_>, item: &Item, _item_idx: usize) -> Decision {
-        if !self.use_index(view.open_bins().len(), view.dim()) {
-            return match view.scan_first_fit(&item.size, self.scalar) {
-                Some(bin) => Decision::Existing(bin),
-                None => Decision::OpenNew,
-            };
-        }
-        match view.index().first_fit(item.size.as_slice()) {
-            Some(b) => {
-                let bin = BinId(b);
-                view.probe_known_feasible(bin);
-                debug_assert!(view.fits(bin, &item.size));
-                Decision::Existing(bin)
-            }
-            None => Decision::OpenNew,
-        }
+        view.first_fit(&item.size)
+            .map_or(Decision::OpenNew, Decision::Existing)
     }
 
     fn after_pack(&mut self, _item: &Item, _item_idx: usize, _bin: BinId, _newly_opened: bool) {}
-
-    fn wants_index(&self, open_bins: usize, dims: usize) -> bool {
-        self.use_index(open_bins, dims)
-    }
 }
 
 #[cfg(test)]
@@ -211,24 +110,5 @@ mod tests {
         .unwrap();
         let p = pack(&inst, &mut FirstFit::new());
         assert_eq!(p.assignment, vec![BinId(0), BinId(1), BinId(0), BinId(1)]);
-    }
-
-    #[test]
-    fn scanning_variant_is_placement_identical() {
-        let inst = Instance::new(
-            DimVec::from_slice(&[10, 10]),
-            vec![
-                item(&[6, 2], 0, 9),
-                item(&[2, 6], 0, 9),
-                item(&[4, 4], 1, 5),
-                item(&[3, 3], 2, 7),
-                item(&[8, 8], 6, 12),
-            ],
-        )
-        .unwrap();
-        // Threshold 0 forces the tree descent on this small case.
-        let indexed = pack(&inst, &mut FirstFit::with_scan_threshold(0));
-        let scanned = pack(&inst, &mut FirstFit::scanning());
-        assert_eq!(indexed, scanned);
     }
 }

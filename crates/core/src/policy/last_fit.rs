@@ -3,104 +3,24 @@
 //! The mirror image of First Fit, included in the paper's experimental
 //! study. No competitive-ratio bound is claimed for it.
 //!
-//! Selection is a hybrid: below the measured per-`(m, d)` crossover the
-//! open bins are block-scanned (highest feasible id) through the
-//! engine's vectorized residual mirror; above it, the [`FitIndex`]
-//! right-first descent (rightmost feasible leaf) answers in O(log m)
-//! expected time. [`LastFit::scanning`] pins the block scan,
-//! [`LastFit::scanning_scalar`] the reverse per-bin scalar loop.
-//!
-//! [`FitIndex`]: crate::FitIndex
+//! The engine's [`EngineView::last_fit`] query finds the bin; how (block
+//! scan, scalar loop or fit index) is the engine's choice.
 
 use super::{Decision, Policy};
 use crate::bin::BinId;
 use crate::engine::EngineView;
-use crate::hybrid;
 use crate::item::Item;
 use std::borrow::Cow;
 
 /// The Last Fit policy. Stateless.
-#[derive(Clone, Copy, Debug)]
-pub struct LastFit {
-    scan: bool,
-    scalar: bool,
-    /// Explicit scan-vs-index crossover; `None` uses the measured
-    /// per-`(m, d)` table of the `hybrid` module.
-    threshold: Option<usize>,
-}
-
-impl Default for LastFit {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LastFit;
 
 impl LastFit {
-    /// Creates a Last Fit policy on the hybrid path: block-scans below
-    /// the measured per-`(m, d)` crossover, indexed O(log m) query
-    /// above it.
+    /// Creates a Last Fit policy.
     #[must_use]
     pub fn new() -> Self {
-        LastFit {
-            scan: false,
-            scalar: false,
-            threshold: None,
-        }
-    }
-
-    /// Creates the always-scanning variant (vectorized block kernel,
-    /// highest feasible id) — placement-identical to [`LastFit::new`].
-    #[must_use]
-    pub fn scanning() -> Self {
-        LastFit {
-            scan: true,
-            scalar: false,
-            threshold: None,
-        }
-    }
-
-    /// Creates the scalar reverse-scan variant — placement-identical to
-    /// [`LastFit::scanning`], O(m·d) per arrival. The before-side of
-    /// the `simd`-vs-`scalar` throughput ablation.
-    #[must_use]
-    pub fn scanning_scalar() -> Self {
-        LastFit {
-            scan: true,
-            scalar: true,
-            threshold: None,
-        }
-    }
-
-    /// Creates the always-indexed variant (fit-index descent regardless
-    /// of `m`) — placement-identical to [`LastFit::new`]. Used by the
-    /// crossover calibration bench to time the pure index path.
-    #[must_use]
-    pub fn indexed() -> Self {
-        LastFit {
-            scan: false,
-            scalar: false,
-            threshold: Some(0),
-        }
-    }
-
-    /// Indexed variant with an explicit scan-fallback threshold; tests use
-    /// 0 to force the tree descent even on tiny instances.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_scan_threshold(threshold: usize) -> Self {
-        LastFit {
-            scan: false,
-            scalar: false,
-            threshold: Some(threshold),
-        }
-    }
-
-    fn use_index(&self, open_bins: usize, dims: usize) -> bool {
-        !self.scan
-            && match self.threshold {
-                Some(t) => open_bins >= t,
-                None => hybrid::use_index(open_bins, dims),
-            }
+        LastFit
     }
 }
 
@@ -110,28 +30,11 @@ impl Policy for LastFit {
     }
 
     fn choose(&mut self, view: &EngineView<'_>, item: &Item, _item_idx: usize) -> Decision {
-        if !self.use_index(view.open_bins().len(), view.dim()) {
-            return match view.scan_last_fit(&item.size, self.scalar) {
-                Some(bin) => Decision::Existing(bin),
-                None => Decision::OpenNew,
-            };
-        }
-        match view.index().last_fit(item.size.as_slice()) {
-            Some(b) => {
-                let bin = BinId(b);
-                view.probe_known_feasible(bin);
-                debug_assert!(view.fits(bin, &item.size));
-                Decision::Existing(bin)
-            }
-            None => Decision::OpenNew,
-        }
+        view.last_fit(&item.size)
+            .map_or(Decision::OpenNew, Decision::Existing)
     }
 
     fn after_pack(&mut self, _item: &Item, _item_idx: usize, _bin: BinId, _newly_opened: bool) {}
-
-    fn wants_index(&self, open_bins: usize, dims: usize) -> bool {
-        self.use_index(open_bins, dims)
-    }
 }
 
 #[cfg(test)]
@@ -170,24 +73,5 @@ mod tests {
         assert_eq!(p.assignment[2], BinId(0));
         assert_eq!(p.num_bins(), 2);
         p.verify_any_fit(&inst).unwrap();
-    }
-
-    #[test]
-    fn scanning_variant_is_placement_identical() {
-        let inst = Instance::new(
-            DimVec::from_slice(&[10, 10]),
-            vec![
-                item(&[6, 2], 0, 9),
-                item(&[2, 6], 1, 9),
-                item(&[4, 4], 2, 5),
-                item(&[3, 3], 3, 7),
-                item(&[8, 8], 6, 12),
-            ],
-        )
-        .unwrap();
-        // Threshold 0 forces the tree descent on this small case.
-        let indexed = pack(&inst, &mut LastFit::with_scan_threshold(0));
-        let scanned = pack(&inst, &mut LastFit::scanning());
-        assert_eq!(indexed, scanned);
     }
 }

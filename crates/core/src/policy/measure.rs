@@ -90,53 +90,6 @@ impl LoadMeasure {
             LoadMeasure::Lp(p) => LoadKey::Value(lp_slices(load, cap, f64::from(*p))),
         }
     }
-
-    /// The ranking key computed from a bin's *residual* vector (the form
-    /// the engine's fit index hands to enumeration callbacks): the load in
-    /// dimension `j` is exactly `cap[j] - residual[j]`, so this produces
-    /// bit-identical keys to [`LoadMeasure::key`] on the materialized load
-    /// without touching the load arena.
-    #[must_use]
-    pub fn key_from_residual(&self, residual: &[u64], cap: &[u64]) -> LoadKey {
-        match self {
-            LoadMeasure::Linf => {
-                // Mirrors `ratio_linf_slices` with load[j] = cap[j] - res[j].
-                assert_eq!(residual.len(), cap.len(), "dimension mismatch");
-                assert!(cap[0] > 0, "capacity component must be positive");
-                let mut num = cap[0] - residual[0];
-                let mut den = cap[0];
-                for j in 1..residual.len() {
-                    assert!(cap[j] > 0, "capacity component must be positive");
-                    let load = cap[j] - residual[j];
-                    if u128::from(load) * u128::from(den) > u128::from(num) * u128::from(cap[j]) {
-                        num = load;
-                        den = cap[j];
-                    }
-                }
-                LoadKey::Frac { num, den }
-            }
-            LoadMeasure::L1 => LoadKey::Value(Self::lp_from_residual(residual, cap, 1.0)),
-            LoadMeasure::L2 => LoadKey::Value(Self::lp_from_residual(residual, cap, 2.0)),
-            LoadMeasure::Lp(p) => {
-                LoadKey::Value(Self::lp_from_residual(residual, cap, f64::from(*p)))
-            }
-        }
-    }
-
-    /// Mirrors `lp_slices` (same operation order, so bit-identical `f64`s)
-    /// with `load[j] = cap[j] - residual[j]`.
-    fn lp_from_residual(residual: &[u64], cap: &[u64], p: f64) -> f64 {
-        assert_eq!(residual.len(), cap.len(), "dimension mismatch");
-        let sum: f64 = residual
-            .iter()
-            .zip(cap.iter())
-            .map(|(&r, &c)| {
-                assert!(c > 0, "capacity component must be positive");
-                ((c - r) as f64 / c as f64).powf(p)
-            })
-            .sum();
-        sum.powf(1.0 / p)
-    }
 }
 
 impl fmt::Display for LoadMeasure {
@@ -205,29 +158,6 @@ mod tests {
             LoadMeasure::Lp(4).cmp_loads(&[5, 5], &[6, 0], &cap),
             Ordering::Less
         );
-    }
-
-    #[test]
-    fn key_from_residual_matches_key_on_load() {
-        // The fit index hands residuals to callbacks; keys derived from
-        // them must rank identically to keys from materialized loads.
-        let cap = [10, 100, 7];
-        let loads: [[u64; 3]; 4] = [[0, 0, 0], [3, 60, 2], [10, 1, 7], [5, 50, 3]];
-        for m in [
-            LoadMeasure::Linf,
-            LoadMeasure::L1,
-            LoadMeasure::L2,
-            LoadMeasure::Lp(4),
-        ] {
-            for a in &loads {
-                for b in &loads {
-                    let res_a: Vec<u64> = cap.iter().zip(a).map(|(c, l)| c - l).collect();
-                    let direct = m.key(a, &cap).compare(&m.key(b, &cap));
-                    let via_res = m.key_from_residual(&res_a, &cap).compare(&m.key(b, &cap));
-                    assert_eq!(direct, via_res, "{m} {a:?} vs {b:?}");
-                }
-            }
-        }
     }
 
     #[test]

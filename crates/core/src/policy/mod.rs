@@ -28,7 +28,6 @@ pub mod aligned_fit;
 pub mod best_fit;
 pub mod clairvoyant;
 pub mod first_fit;
-pub mod indexed_first_fit;
 pub mod last_fit;
 pub mod move_to_front;
 pub mod next_fit;
@@ -44,6 +43,7 @@ use crate::engine::EngineView;
 use crate::item::Item;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// A policy's verdict for an arriving item.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,27 +68,6 @@ pub trait Policy: Send {
     /// Non-clairvoyant policies must not read `item.departure`; the
     /// clairvoyant extension reads `item.announced_duration`.
     fn choose(&mut self, view: &EngineView<'_>, item: &Item, item_idx: usize) -> Decision;
-
-    /// Whether [`choose`](Policy::choose) will query
-    /// [`EngineView::index`](crate::EngineView::index) on an arrival with
-    /// `open_bins` bins currently open in a `dims`-dimensional run.
-    ///
-    /// The engine performs **no** fit-index maintenance until the first
-    /// arrival for which this returns `true`; it then rebuilds the index
-    /// from the load arena once and keeps it current for the rest of the
-    /// run. Policies that never touch the index (pure scans, Next Fit,
-    /// Move To Front) return `false` and make every run index-free.
-    /// Querying the index after returning `false` panics.
-    ///
-    /// The Any-Fit hybrids answer with the centralized per-`(m, d)`
-    /// crossover of the `hybrid` module — the same predicate `choose`
-    /// uses to pick its path, so the index is live exactly when queried.
-    ///
-    /// Defaults to `true` (always maintained) — the safe choice for
-    /// custom policies.
-    fn wants_index(&self, _open_bins: usize, _dims: usize) -> bool {
-        true
-    }
 
     /// Notification that the item was packed (after loads are updated).
     fn after_pack(&mut self, item: &Item, item_idx: usize, bin: BinId, newly_opened: bool);
@@ -117,6 +96,32 @@ pub trait Policy: Send {
     fn on_adopt(&mut self, _open_bins: &[BinId]) {
         self.reset();
     }
+}
+
+/// Best/Worst Fit's shared selection: the feasible open bin whose load
+/// key under `measure` beats every other candidate's by `wins`
+/// (`Greater` for Best Fit, `Less` for Worst Fit). Candidates arrive in
+/// ascending bin id and only a strict win replaces the incumbent, so
+/// ties keep the earliest bin. The winner's key is reported to the view
+/// as the decision's score.
+fn pick_by_load(
+    view: &EngineView<'_>,
+    item: &Item,
+    measure: LoadMeasure,
+    wins: Ordering,
+) -> Decision {
+    let cap = view.capacity().as_slice();
+    let mut best: Option<(BinId, LoadKey)> = None;
+    view.for_each_feasible(&item.size, |b| {
+        let key = measure.key(view.load(b), cap);
+        if best.is_none_or(|(_, cur)| key.compare(&cur) == wins) {
+            best = Some((b, key));
+        }
+    });
+    best.map_or(Decision::OpenNew, |(b, key)| {
+        view.note_score(key);
+        Decision::Existing(b)
+    })
 }
 
 /// Value-level policy descriptor: buildable, serializable, hashable.
@@ -148,9 +153,6 @@ pub enum PolicyKind {
     /// Clairvoyant departure-aligned Any Fit (extension; §7's alignment
     /// notion made into a policy).
     AlignedFit,
-    /// First Fit with an O(log m) segment-tree query path for d = 1;
-    /// placement-identical to [`FirstFit`](PolicyKind::FirstFit).
-    IndexedFirstFit,
 }
 
 impl PolicyKind {
@@ -169,7 +171,6 @@ impl PolicyKind {
                 Box::new(clairvoyant::DurationClassFirstFit::new())
             }
             PolicyKind::AlignedFit => Box::new(aligned_fit::AlignedFit::new()),
-            PolicyKind::IndexedFirstFit => Box::new(indexed_first_fit::IndexedFirstFit::new()),
         }
     }
 
@@ -186,7 +187,6 @@ impl PolicyKind {
             PolicyKind::RandomFit { .. } => "RandomFit".into(),
             PolicyKind::DurationClassFirstFit => "DurationClassFF".into(),
             PolicyKind::AlignedFit => "AlignedFit".into(),
-            PolicyKind::IndexedFirstFit => "IndexedFirstFit".into(),
         }
     }
 
@@ -283,7 +283,6 @@ impl std::str::FromStr for PolicyKind {
             "RandomFit" => return Ok(PolicyKind::RandomFit { seed: 0 }),
             "DurationClassFF" => return Ok(PolicyKind::DurationClassFirstFit),
             "AlignedFit" => return Ok(PolicyKind::AlignedFit),
-            "IndexedFirstFit" => return Ok(PolicyKind::IndexedFirstFit),
             _ => {}
         }
         if let Some(m) = bracketed("BestFit").and_then(measure) {
@@ -353,7 +352,6 @@ mod tests {
         use std::str::FromStr;
         let mut kinds = PolicyKind::paper_suite(99);
         kinds.extend([
-            PolicyKind::IndexedFirstFit,
             PolicyKind::DurationClassFirstFit,
             PolicyKind::AlignedFit,
             PolicyKind::BestFit(LoadMeasure::Lp(4)),

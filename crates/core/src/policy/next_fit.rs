@@ -55,10 +55,6 @@ impl Policy for NextFit {
         }
     }
 
-    fn wants_index(&self, _open_bins: usize, _dims: usize) -> bool {
-        false
-    }
-
     fn after_pack(&mut self, _item: &Item, _item_idx: usize, bin: BinId, _newly_opened: bool) {
         self.current = Some(bin);
     }

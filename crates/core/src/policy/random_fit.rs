@@ -8,7 +8,6 @@
 use super::{Decision, Policy};
 use crate::bin::BinId;
 use crate::engine::EngineView;
-use crate::hybrid;
 use crate::item::Item;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -19,44 +18,18 @@ use std::borrow::Cow;
 pub struct RandomFit {
     seed: u64,
     rng: StdRng,
-    /// Explicit scan-vs-index crossover; `None` uses the measured
-    /// per-`(m, d)` table of the `hybrid` module.
-    threshold: Option<usize>,
     /// Scratch buffer of feasible candidates, reused across arrivals.
     candidates: Vec<BinId>,
 }
 
 impl RandomFit {
-    /// Creates a Random Fit policy with a private RNG seeded by `seed`,
-    /// on the hybrid path: block-scans below the measured per-`(m, d)`
-    /// crossover, indexed candidate enumeration above it.
+    /// Creates a Random Fit policy with a private RNG seeded by `seed`.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         RandomFit {
             seed,
             rng: StdRng::seed_from_u64(seed),
-            threshold: None,
             candidates: Vec::new(),
-        }
-    }
-
-    /// Variant with an explicit scan-fallback threshold; tests use 0 to
-    /// force the tree enumeration even on tiny instances.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_scan_threshold(seed: u64, threshold: usize) -> Self {
-        RandomFit {
-            seed,
-            rng: StdRng::seed_from_u64(seed),
-            threshold: Some(threshold),
-            candidates: Vec::new(),
-        }
-    }
-
-    fn use_index(&self, open_bins: usize, dims: usize) -> bool {
-        match self.threshold {
-            Some(t) => open_bins >= t,
-            None => hybrid::use_index(open_bins, dims),
         }
     }
 }
@@ -68,21 +41,10 @@ impl Policy for RandomFit {
 
     fn choose(&mut self, view: &EngineView<'_>, item: &Item, _item_idx: usize) -> Decision {
         self.candidates.clear();
-        // Both enumerations yield candidates in ascending bin id — the
-        // scan trivially, the pruned traversal by construction — so RNG
-        // draws land on the same bins and the placement stream is
-        // independent of which path ran.
-        let use_index = self.use_index(view.open_bins().len(), view.dim());
+        // Candidates arrive in ascending bin id on every query path, so
+        // RNG draws land on the same bins whichever path ran.
         let candidates = &mut self.candidates;
-        if !use_index {
-            view.scan_feasible(&item.size, false, |b| candidates.push(b));
-        } else {
-            view.index()
-                .for_each_feasible(item.size.as_slice(), |b, _res| {
-                    view.probe_known_feasible(BinId(b));
-                    candidates.push(BinId(b));
-                });
-        }
+        view.for_each_feasible(&item.size, |b| candidates.push(b));
         match self.candidates.len() {
             0 => Decision::OpenNew,
             1 => Decision::Existing(self.candidates[0]),
@@ -91,10 +53,6 @@ impl Policy for RandomFit {
     }
 
     fn after_pack(&mut self, _item: &Item, _item_idx: usize, _bin: BinId, _newly_opened: bool) {}
-
-    fn wants_index(&self, open_bins: usize, dims: usize) -> bool {
-        self.use_index(open_bins, dims)
-    }
 
     fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.seed);
@@ -152,19 +110,6 @@ mod tests {
         let a = pack(&inst, &mut policy);
         let b = pack(&inst, &mut policy); // engine resets the policy
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn tree_enumeration_matches_scan() {
-        // Threshold 0 forces the pruned traversal; the default always
-        // scans on an instance this small. Same candidate order, same RNG
-        // stream, same packing.
-        let inst = three_bin_instance();
-        for seed in 0..20 {
-            let scan = pack(&inst, &mut RandomFit::new(seed));
-            let tree = pack(&inst, &mut RandomFit::with_scan_threshold(seed, 0));
-            assert_eq!(scan, tree, "seed {seed}");
-        }
     }
 
     #[test]

@@ -4,18 +4,13 @@
 //! Fit; it spreads load thin and, as §7 observes, has the worst average
 //! performance of the seven algorithms.
 //!
-//! Like [`BestFit`](super::best_fit::BestFit), candidates come from the
-//! vectorized block scan below the per-`(m, d)` crossover and from the
-//! engine's [`FitIndex`] pruned enumeration above it (ascending bin id,
-//! earliest bin on ties); [`WorstFit::scanning`] pins the block scan,
-//! [`WorstFit::scanning_scalar`] the per-bin scalar loop.
-//!
-//! [`FitIndex`]: crate::FitIndex
+//! Like [`BestFit`](super::best_fit::BestFit), it ranks the candidates
+//! of [`EngineView::for_each_feasible`] (ascending bin id, earliest bin
+//! on ties).
 
-use super::{Decision, LoadKey, LoadMeasure, Policy};
+use super::{Decision, LoadMeasure, Policy};
 use crate::bin::BinId;
 use crate::engine::EngineView;
-use crate::hybrid;
 use crate::item::Item;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -24,85 +19,13 @@ use std::cmp::Ordering;
 #[derive(Clone, Copy, Debug)]
 pub struct WorstFit {
     measure: LoadMeasure,
-    scan: bool,
-    scalar: bool,
-    /// Explicit scan-vs-index crossover; `None` uses the measured
-    /// per-`(m, d)` table of the `hybrid` module.
-    threshold: Option<usize>,
 }
 
 impl WorstFit {
-    /// Creates a Worst Fit policy using `measure` to rank bins, on the
-    /// hybrid path: block-scans below the measured per-`(m, d)`
-    /// crossover, indexed candidate enumeration above it.
+    /// Creates a Worst Fit policy using `measure` to rank bins.
     #[must_use]
     pub fn new(measure: LoadMeasure) -> Self {
-        WorstFit {
-            measure,
-            scan: false,
-            scalar: false,
-            threshold: None,
-        }
-    }
-
-    /// Creates the always-scanning variant (vectorized block kernel) —
-    /// placement-identical to [`WorstFit::new`].
-    #[must_use]
-    pub fn scanning(measure: LoadMeasure) -> Self {
-        WorstFit {
-            measure,
-            scan: true,
-            scalar: false,
-            threshold: None,
-        }
-    }
-
-    /// Creates the scalar per-bin scan variant — placement-identical to
-    /// [`WorstFit::scanning`], O(m·d) per arrival. The before-side of
-    /// the `simd`-vs-`scalar` throughput ablation.
-    #[must_use]
-    pub fn scanning_scalar(measure: LoadMeasure) -> Self {
-        WorstFit {
-            measure,
-            scan: true,
-            scalar: true,
-            threshold: None,
-        }
-    }
-
-    /// Creates the always-indexed variant (pruned tree enumeration
-    /// regardless of `m`) — placement-identical to [`WorstFit::new`].
-    /// Used by the crossover calibration bench to time the pure index
-    /// path.
-    #[must_use]
-    pub fn indexed(measure: LoadMeasure) -> Self {
-        WorstFit {
-            measure,
-            scan: false,
-            scalar: false,
-            threshold: Some(0),
-        }
-    }
-
-    /// Indexed variant with an explicit scan-fallback threshold; tests use
-    /// 0 to force the tree enumeration even on tiny instances.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_scan_threshold(measure: LoadMeasure, threshold: usize) -> Self {
-        WorstFit {
-            measure,
-            scan: false,
-            scalar: false,
-            threshold: Some(threshold),
-        }
-    }
-
-    fn use_index(&self, open_bins: usize, dims: usize) -> bool {
-        !self.scan
-            && match self.threshold {
-                Some(t) => open_bins >= t,
-                None => hybrid::use_index(open_bins, dims),
-            }
+        WorstFit { measure }
     }
 }
 
@@ -112,43 +35,10 @@ impl Policy for WorstFit {
     }
 
     fn choose(&mut self, view: &EngineView<'_>, item: &Item, _item_idx: usize) -> Decision {
-        let cap = view.capacity().as_slice();
-        let measure = self.measure;
-        // Each candidate's measure is evaluated once into a key; the
-        // incumbent's key rides along. Strictly-less keeps the
-        // earliest-opened bin on ties.
-        let mut best: Option<(BinId, LoadKey)> = None;
-        let mut consider = |b: BinId, key: LoadKey| {
-            best = Some(match best {
-                None => (b, key),
-                Some((cur, cur_key)) => match key.compare(&cur_key) {
-                    Ordering::Less => (b, key),
-                    _ => (cur, cur_key),
-                },
-            });
-        };
-        if !self.use_index(view.open_bins().len(), view.dim()) {
-            view.scan_feasible(&item.size, self.scalar, |b| {
-                consider(b, measure.key(view.load(b), cap));
-            });
-        } else {
-            view.index()
-                .for_each_feasible(item.size.as_slice(), |b, res| {
-                    view.probe_known_feasible(BinId(b));
-                    consider(BinId(b), measure.key_from_residual(res, cap));
-                });
-        }
-        best.map_or(Decision::OpenNew, |(b, key)| {
-            view.note_score(key);
-            Decision::Existing(b)
-        })
+        super::pick_by_load(view, item, self.measure, Ordering::Less)
     }
 
     fn after_pack(&mut self, _item: &Item, _item_idx: usize, _bin: BinId, _newly_opened: bool) {}
-
-    fn wants_index(&self, open_bins: usize, dims: usize) -> bool {
-        self.use_index(open_bins, dims)
-    }
 }
 
 #[cfg(test)]
@@ -198,26 +88,5 @@ mod tests {
         .unwrap();
         let p = pack(&inst, &mut WorstFit::new(LoadMeasure::Linf));
         assert_eq!(p.assignment[2], BinId(0));
-    }
-
-    #[test]
-    fn scanning_variant_is_placement_identical() {
-        let inst = Instance::new(
-            DimVec::from_slice(&[10, 10]),
-            vec![
-                item(&[4, 1], 0, 9),
-                item(&[7, 3], 1, 9),
-                item(&[3, 3], 2, 5),
-                item(&[1, 6], 3, 8),
-                item(&[2, 2], 4, 6),
-            ],
-        )
-        .unwrap();
-        for m in [LoadMeasure::Linf, LoadMeasure::L1, LoadMeasure::L2] {
-            // Threshold 0 forces the tree enumeration on this small case.
-            let indexed = pack(&inst, &mut WorstFit::with_scan_threshold(m, 0));
-            let scanned = pack(&inst, &mut WorstFit::scanning(m));
-            assert_eq!(indexed, scanned, "{m}");
-        }
     }
 }

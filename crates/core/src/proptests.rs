@@ -1,10 +1,8 @@
 //! Property tests over randomly generated instances for every policy.
 
-use crate::engine::pack;
-use crate::policy::{
-    best_fit::BestFit, first_fit::FirstFit, last_fit::LastFit, worst_fit::WorstFit,
+use crate::{
+    Engine, FitPath, Instance, Item, LoadMeasure, PackRequest, Packing, PolicyKind, TraceMode,
 };
-use crate::{Instance, Item, LoadMeasure, PackRequest, Packing, PolicyKind, TraceMode};
 use dvbp_dimvec::DimVec;
 use proptest::prelude::*;
 
@@ -61,44 +59,49 @@ fn instances_hd() -> impl Strategy<Value = Instance> {
     })
 }
 
-/// Packs `inst` with both variants of every indexed/scan policy pair and
-/// asserts full `Packing` equality.
-fn assert_indexed_matches_scan(inst: &Instance) -> Result<(), TestCaseError> {
-    // Threshold 0 forces the tree path — the default hybrid would scan on
-    // instances this small and the comparison would be vacuous.
-    let indexed = pack(inst, &mut FirstFit::with_scan_threshold(0));
-    let scanned = pack(inst, &mut FirstFit::scanning());
-    prop_assert_eq!(indexed, scanned, "FirstFit");
-
-    let indexed = pack(inst, &mut LastFit::with_scan_threshold(0));
-    let scanned = pack(inst, &mut LastFit::scanning());
-    prop_assert_eq!(indexed, scanned, "LastFit");
-
+/// The Any-Fit kinds whose bins come from the engine's feasibility
+/// queries, with every load measure for Best/Worst Fit.
+fn query_kinds() -> Vec<PolicyKind> {
+    let mut kinds = vec![
+        PolicyKind::FirstFit,
+        PolicyKind::LastFit,
+        PolicyKind::RandomFit { seed: 5 },
+    ];
     for m in [
         LoadMeasure::Linf,
         LoadMeasure::L1,
         LoadMeasure::L2,
         LoadMeasure::Lp(3),
     ] {
-        // Threshold 0 forces the tree enumeration (the default hybrid
-        // would scan on instances this small).
-        let indexed = pack(inst, &mut BestFit::with_scan_threshold(m, 0));
-        let scanned = pack(inst, &mut BestFit::scanning(m));
-        prop_assert_eq!(indexed, scanned, "BestFit[{}]", m);
+        kinds.push(PolicyKind::BestFit(m));
+        kinds.push(PolicyKind::WorstFit(m));
+    }
+    kinds
+}
 
-        let indexed = pack(inst, &mut WorstFit::with_scan_threshold(m, 0));
-        let scanned = pack(inst, &mut WorstFit::scanning(m));
-        prop_assert_eq!(indexed, scanned, "WorstFit[{}]", m);
+/// Packs `inst` with every query kind on the fit index and on the block
+/// scan and asserts full `Packing` equality. The index is pinned: the
+/// default crossover would scan on instances this small and the
+/// comparison would be vacuous.
+fn assert_indexed_matches_scan(inst: &Instance) -> Result<(), TestCaseError> {
+    for kind in query_kinds() {
+        let [indexed, scanned] = [FitPath::Index, FitPath::Block].map(|path| {
+            Engine::new()
+                .with_fit_path(path)
+                .pack(inst, kind.build().as_mut(), TraceMode::Full)
+        });
+        prop_assert_eq!(indexed, scanned, "{}", kind.name());
     }
     Ok(())
 }
 
-/// Records the full observer event stream of one run (no probe sink, so
-/// the block-scan kernel stays active).
-fn record_events(inst: &Instance, policy: &mut dyn crate::Policy) -> Vec<dvbp_obs::ObsEvent> {
+/// Records the full observer event stream of one run on `path` (no
+/// probe sink, so the block-scan kernel stays active).
+fn record_events(inst: &Instance, kind: &PolicyKind, path: FitPath) -> Vec<dvbp_obs::ObsEvent> {
     let mut rec = dvbp_obs::Recorder::new();
-    crate::Engine::new()
-        .run(inst, policy, TraceMode::CostOnly, &mut rec)
+    Engine::new()
+        .with_fit_path(path)
+        .run(inst, kind.build().as_mut(), TraceMode::CostOnly, &mut rec)
         .expect("generated instance valid");
     rec.events
 }
@@ -108,22 +111,10 @@ fn record_events(inst: &Instance, policy: &mut dyn crate::Policy) -> Vec<dvbp_ob
 /// provenance layer's `Σ scanned == #Probe` currency) are reproduced
 /// from the hit position, so the whole event streams must match.
 fn assert_block_scan_events_match_scalar(inst: &Instance) -> Result<(), TestCaseError> {
-    let block = record_events(inst, &mut FirstFit::scanning());
-    let scalar = record_events(inst, &mut FirstFit::scanning_scalar());
-    prop_assert_eq!(block, scalar, "FirstFit");
-
-    let block = record_events(inst, &mut LastFit::scanning());
-    let scalar = record_events(inst, &mut LastFit::scanning_scalar());
-    prop_assert_eq!(block, scalar, "LastFit");
-
-    for m in [LoadMeasure::Linf, LoadMeasure::L1] {
-        let block = record_events(inst, &mut BestFit::scanning(m));
-        let scalar = record_events(inst, &mut BestFit::scanning_scalar(m));
-        prop_assert_eq!(block, scalar, "BestFit[{}]", m);
-
-        let block = record_events(inst, &mut WorstFit::scanning(m));
-        let scalar = record_events(inst, &mut WorstFit::scanning_scalar(m));
-        prop_assert_eq!(block, scalar, "WorstFit[{}]", m);
+    for kind in query_kinds() {
+        let block = record_events(inst, &kind, FitPath::Block);
+        let scalar = record_events(inst, &kind, FitPath::Scalar);
+        prop_assert_eq!(block, scalar, "{}", kind.name());
     }
     Ok(())
 }
@@ -326,22 +317,18 @@ proptest! {
         }
     }
 
-    /// `IndexedFirstFit` is an exact drop-in for `FirstFit` on d = 1: the
-    /// segment-tree search must return the same (lowest-index) open bin as
-    /// the linear scan at every decision, so the whole packings coincide.
-    #[test]
-    fn indexed_first_fit_matches_first_fit_on_1d(inst in instances_1d()) {
-        let indexed = pack_with(&inst, &PolicyKind::IndexedFirstFit);
-        let plain = pack_with(&inst, &PolicyKind::FirstFit);
-        prop_assert_eq!(&indexed.assignment, &plain.assignment);
-        prop_assert_eq!(indexed, plain);
-    }
-
     /// The fit-index query path is a pure data-structure change: for every
-    /// retrofit policy the indexed and scanning variants produce identical
+    /// query policy the indexed and scanning runs produce identical
     /// packings (assignment, trace, and cost).
     #[test]
     fn indexed_matches_scan(inst in instances()) {
+        assert_indexed_matches_scan(&inst)?;
+    }
+
+    /// Same identity on high-churn d = 1 instances, where bins fill,
+    /// close and reopen often and the tree's update paths do real work.
+    #[test]
+    fn indexed_matches_scan_1d(inst in instances_1d()) {
         assert_indexed_matches_scan(&inst)?;
     }
 

@@ -540,7 +540,6 @@ mod tests {
         let instance = sample();
         for kind in [
             PolicyKind::FirstFit,
-            PolicyKind::IndexedFirstFit,
             PolicyKind::MoveToFront,
             PolicyKind::NextFit,
             PolicyKind::LastFit,

@@ -57,8 +57,8 @@ pub use dvbp_core::{
     LiveRequest, ParseRepackError, RepackPolicy, TimeMode,
 };
 pub use dvbp_core::{
-    BillingModel, BinId, BinUsage, Decision, Engine, EngineView, FitIndex, Instance, InstanceError,
-    Item, LoadMeasure, NoopObserver, Observer, PackError, PackRequest, Packing, Policy, PolicyKind,
+    BillingModel, BinId, BinUsage, Decision, Engine, EngineView, Instance, InstanceError, Item,
+    LoadMeasure, NoopObserver, Observer, PackError, PackRequest, Packing, Policy, PolicyKind,
     TraceEvent, TraceMode,
 };
 pub use dvbp_core::{

@@ -31,7 +31,6 @@ fn corpus_files() -> Vec<PathBuf> {
 fn every_corpus_wal_boundary_is_a_verified_recovery_point() {
     let kinds = [
         PolicyKind::FirstFit,
-        PolicyKind::IndexedFirstFit,
         PolicyKind::BestFit(LoadMeasure::Linf),
         PolicyKind::NextFit,
     ];
