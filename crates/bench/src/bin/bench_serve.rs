@@ -30,13 +30,12 @@
 
 use dvbp_core::{PolicyKind, RepackPolicy, TimeMode, TraceMode};
 use dvbp_dimvec::DimVec;
+use dvbp_obs::expo::{http_get, http_post, merge_histograms};
 use dvbp_obs::{LogHistogram, Stage, SyncPolicy};
 use dvbp_serve::router::RouterKind;
 use dvbp_serve::server::{serve, ServeState};
-use dvbp_serve::spans::parse_histograms;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -177,18 +176,6 @@ fn grid() -> Vec<(usize, &'static str, &'static str)> {
     cells
 }
 
-/// POST to a service route (the shutdown nudge).
-fn http_post(addr: &str, path: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    write!(
-        stream,
-        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )?;
-    let mut text = String::new();
-    BufReader::new(stream).read_to_string(&mut text)?;
-    Ok(text)
-}
-
 /// Drives one config and returns its results row.
 fn run_config(
     shards: usize,
@@ -300,26 +287,16 @@ fn run_config(
     let requests = rtts.len() as u64;
 
     // Server-side view, scraped before shutdown.
-    let metrics = dvbp_serve::http_get(&addr, "/metrics").expect("scrape /metrics");
-    let spans_dump = dvbp_serve::http_get(&addr, "/spans").expect("fetch /spans");
+    let metrics = http_get(&addr, "/metrics").expect("scrape /metrics");
+    let spans_dump = http_get(&addr, "/spans").expect("fetch /spans");
     let _ = http_post(&addr, "/shutdown");
     server.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&wal_dir);
 
-    let merge = |family: &str, by: &str| -> BTreeMap<String, LogHistogram> {
-        let mut out: BTreeMap<String, LogHistogram> = BTreeMap::new();
-        for sh in parse_histograms(&metrics, family) {
-            out.entry(sh.label(by).to_string())
-                .or_default()
-                .merge(&sh.hist);
-        }
-        out
-    };
-    let stage_hists = merge("dvbp_serve_stage_latency_ns", "stage");
-    let mut server_e2e = LogHistogram::new();
-    for h in merge("dvbp_serve_request_latency_ns", "").values() {
-        server_e2e.merge(h);
-    }
+    let stage_hists = merge_histograms(&metrics, "dvbp_serve_stage_latency_ns", "stage");
+    let server_e2e = merge_histograms(&metrics, "dvbp_serve_request_latency_ns", "")
+        .remove("")
+        .unwrap_or_default();
     let stage_sum_ns: u64 = stage_hists.values().map(LogHistogram::sum).sum();
     let e2e_sum_ns = server_e2e.sum();
     let slow_total = metrics

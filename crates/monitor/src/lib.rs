@@ -22,10 +22,14 @@
 //!   exposition format (version 0.0.4);
 //! * [`server`] — serves `/metrics`, `/status` (JSON), `/healthz`, and
 //!   `/shutdown` over a plain [`std::net::TcpListener`] — no HTTP
-//!   framework, no extra threads per connection, graceful stop;
+//!   framework, one scoped thread per connection (a stalled client
+//!   cannot hold up other scrapes or `/shutdown`), graceful stop;
 //! * [`scrape`] — the other direction: pull `/status` / `/metrics` from
 //!   a running `dvbp-serve` dispatch service and re-render it
 //!   (`dvbp-monitor --scrape HOST:PORT`).
+//!
+//! Exposition, HTTP framing and the HTTP client are `dvbp-obs`'s
+//! [`dvbp_obs::expo`], shared with `dvbp-serve`.
 //!
 //! The binary (`dvbp-monitor`) runs the driver on one thread and the
 //! accept loop on the main thread; `GET /shutdown` (or the driver
@@ -43,5 +47,5 @@ pub use driver::{
     observe_repack_run, observe_repack_source_run, observe_run, observe_source_run,
     reconstruct_instance, Workload,
 };
-pub use scrape::{http_get, render_stage_latencies, scrape_serve_status};
+pub use scrape::{render_stage_latencies, scrape_serve_status};
 pub use server::{Monitor, MonitorServer, RepackSlot, RepackStatus, Status};

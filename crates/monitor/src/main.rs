@@ -40,6 +40,7 @@ use dvbp_monitor::{
     observe_repack_run, observe_repack_source_run, observe_run, observe_source_run, Monitor,
     MonitorServer, Workload,
 };
+use dvbp_obs::expo::http_get;
 use dvbp_traces::{DirtyPolicy, OpenOptions, TraceFormat};
 use dvbp_workloads::UniformParams;
 use std::path::PathBuf;
@@ -102,7 +103,8 @@ where
 /// `--scrape` mode: one-shot pull of a running `dvbp-serve` service.
 fn run_scrape(args: &[String], target: &str) -> Result<(), String> {
     if args.iter().any(|a| a == "--raw-metrics") {
-        print!("{}", dvbp_monitor::http_get(target, "/metrics")?);
+        let metrics = http_get(target, "/metrics").map_err(|e| e.to_string())?;
+        print!("{metrics}");
         return Ok(());
     }
     let status = dvbp_monitor::scrape_serve_status(target)?;
@@ -119,7 +121,7 @@ fn run_scrape(args: &[String], target: &str) -> Result<(), String> {
     }
     print!("{}", dvbp_monitor::scrape::render(target, &status));
     // Per-stage latency quantiles, when the service has span data.
-    if let Ok(metrics) = dvbp_monitor::http_get(target, "/metrics") {
+    if let Ok(metrics) = http_get(target, "/metrics") {
         print!("{}", dvbp_monitor::scrape::render_stage_latencies(&metrics));
     }
     Ok(())

@@ -14,158 +14,119 @@
 //!   `dvbp_departures_total`, `dvbp_probes_total`.
 //!
 //! Every series carries a `policy` label so several monitors can feed
-//! one scrape target. [`LogHistogram`] buckets are powers of two over
-//! integer samples, so the inclusive `le` bound of bucket `i ≥ 1` is
-//! `2^i − 1` (bucket 0 is the singleton `{0}`); buckets are emitted up
-//! to the highest non-empty one, then `+Inf`.
+//! one scrape target. Every line is formatted by the shared writer in
+//! [`dvbp_obs::expo`] (the one `dvbp-serve` uses), so the histograms
+//! carry its inclusive `le` bounds `2^i − 1` and parse back losslessly
+//! through [`dvbp_obs::expo::parse_histograms`].
 
 use crate::aggregate::{Aggregate, RepackStats, SegmentStats};
-use dvbp_obs::histogram::LogHistogram;
+use dvbp_obs::expo::Kind::{self, Counter, Gauge, Histogram};
+use dvbp_obs::expo::{self, Float};
 use dvbp_sim::Cost;
-use std::fmt::Write as _;
+use std::fmt::Display;
 
-fn counter(out: &mut String, name: &str, help: &str, policy: &str, value: u128) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name}{{policy=\"{policy}\"}} {value}");
-}
-
-fn gauge(out: &mut String, name: &str, help: &str, policy: &str, value: f64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    if value.is_infinite() {
-        let _ = writeln!(out, "{name}{{policy=\"{policy}\"}} +Inf");
-    } else {
-        let _ = writeln!(out, "{name}{{policy=\"{policy}\"}} {value}");
-    }
-}
-
-fn histogram(out: &mut String, name: &str, help: &str, policy: &str, h: &LogHistogram) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let last = h.last_bucket().unwrap_or(0);
-    let mut cumulative = 0u64;
-    for (i, &count) in h.counts().iter().enumerate().take(last + 1) {
-        cumulative += count;
-        // Inclusive upper bound of bucket i over integer samples.
-        let le = if i == 0 { 0 } else { (1u128 << i) - 1 };
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{policy=\"{policy}\",le=\"{le}\"}} {cumulative}"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{name}_bucket{{policy=\"{policy}\",le=\"+Inf\"}} {}",
-        h.total()
-    );
-    let _ = writeln!(out, "{name}_sum{{policy=\"{policy}\"}} {}", h.sum());
-    let _ = writeln!(out, "{name}_count{{policy=\"{policy}\"}} {}", h.total());
-}
+/// One row of a [`labelled_families`] table: family name, kind, help,
+/// and the sample value of one entry.
+type Column<'a, S> = (&'a str, Kind, &'a str, &'a dyn Fn(&S) -> String);
 
 /// Renders the full exposition document for one aggregate snapshot.
 #[must_use]
 pub fn render(agg: &Aggregate, policy: &str) -> String {
     let mut out = String::new();
-    counter(
-        &mut out,
-        "dvbp_runs_total",
-        "Completed engine runs.",
-        policy,
-        u128::from(agg.runs),
-    );
-    counter(
-        &mut out,
-        "dvbp_arrivals_total",
-        "Items placed over all runs.",
-        policy,
-        u128::from(agg.arrivals),
-    );
-    counter(
-        &mut out,
-        "dvbp_departures_total",
-        "Items departed over all runs.",
-        policy,
-        u128::from(agg.departures),
-    );
-    counter(
-        &mut out,
-        "dvbp_probes_total",
-        "Candidate bins examined by the policy over all placements.",
-        policy,
-        u128::from(agg.probes),
-    );
-    counter(
-        &mut out,
-        "dvbp_bins_opened_total",
-        "Bins ever opened over all runs.",
-        policy,
-        u128::from(agg.bins_opened),
-    );
-    counter(
-        &mut out,
-        "dvbp_bins_closed_total",
-        "Bins closed over all runs.",
-        policy,
-        u128::from(agg.bins_closed),
-    );
-    gauge(
-        &mut out,
-        "dvbp_open_bins_peak",
-        "Highest number of simultaneously open bins seen in any run.",
-        policy,
-        agg.open_bins_peak as f64,
-    );
-    counter(
-        &mut out,
-        "dvbp_usage_time_total",
-        "Accumulated MinUsageTime cost (bin-ticks rented, eq. 1).",
-        policy,
-        agg.usage_time,
-    );
-    counter(
-        &mut out,
-        "dvbp_lb_load_total",
-        "Accumulated Lemma 1 load-integral lower bound (bin-ticks).",
-        policy,
-        agg.lb_load,
-    );
-    gauge(
-        &mut out,
-        "dvbp_cr_running",
-        "Running competitive ratio: usage-time cost over the Lemma 1 bound.",
-        policy,
-        agg.running_cr(),
-    );
-    gauge(
-        &mut out,
-        "dvbp_cr_drift",
-        "Cost drift above the Lemma 1 bound (running CR minus one).",
-        policy,
-        agg.cr_drift(),
-    );
-    histogram(
-        &mut out,
-        "dvbp_dispatch_latency_ns",
-        "Wall-clock arrival-to-placement latency per item (ns).",
-        policy,
-        &agg.dispatch_ns,
-    );
-    histogram(
-        &mut out,
-        "dvbp_index_update_latency_ns",
-        "Wall-clock arrival-to-bin-open latency on the open-new path (ns).",
-        policy,
-        &agg.index_update_ns,
-    );
-    histogram(
-        &mut out,
-        "dvbp_departure_latency_ns",
-        "Wall-clock hook gap preceding each departure (ns).",
-        policy,
-        &agg.departure_ns,
-    );
-    dvbp_serve::spans::write_build_info(
+    let labels = [("policy", policy)];
+    let scalars: [(&str, Kind, &dyn Display, &str); 11] = [
+        (
+            "dvbp_runs_total",
+            Counter,
+            &agg.runs,
+            "Completed engine runs.",
+        ),
+        (
+            "dvbp_arrivals_total",
+            Counter,
+            &agg.arrivals,
+            "Items placed over all runs.",
+        ),
+        (
+            "dvbp_departures_total",
+            Counter,
+            &agg.departures,
+            "Items departed over all runs.",
+        ),
+        (
+            "dvbp_probes_total",
+            Counter,
+            &agg.probes,
+            "Candidate bins examined by the policy over all placements.",
+        ),
+        (
+            "dvbp_bins_opened_total",
+            Counter,
+            &agg.bins_opened,
+            "Bins ever opened over all runs.",
+        ),
+        (
+            "dvbp_bins_closed_total",
+            Counter,
+            &agg.bins_closed,
+            "Bins closed over all runs.",
+        ),
+        (
+            "dvbp_open_bins_peak",
+            Gauge,
+            &Float(agg.open_bins_peak as f64),
+            "Highest number of simultaneously open bins seen in any run.",
+        ),
+        (
+            "dvbp_usage_time_total",
+            Counter,
+            &agg.usage_time,
+            "Accumulated MinUsageTime cost (bin-ticks rented, eq. 1).",
+        ),
+        (
+            "dvbp_lb_load_total",
+            Counter,
+            &agg.lb_load,
+            "Accumulated Lemma 1 load-integral lower bound (bin-ticks).",
+        ),
+        (
+            "dvbp_cr_running",
+            Gauge,
+            &Float(agg.running_cr()),
+            "Running competitive ratio: usage-time cost over the Lemma 1 bound.",
+        ),
+        (
+            "dvbp_cr_drift",
+            Gauge,
+            &Float(agg.cr_drift()),
+            "Cost drift above the Lemma 1 bound (running CR minus one).",
+        ),
+    ];
+    for (name, kind, value, help) in scalars {
+        expo::family(&mut out, name, kind, Some(help));
+        expo::sample(&mut out, name, &labels, value);
+    }
+    for (name, help, h) in [
+        (
+            "dvbp_dispatch_latency_ns",
+            "Wall-clock arrival-to-placement latency per item (ns).",
+            &agg.dispatch_ns,
+        ),
+        (
+            "dvbp_index_update_latency_ns",
+            "Wall-clock arrival-to-bin-open latency on the open-new path (ns).",
+            &agg.index_update_ns,
+        ),
+        (
+            "dvbp_departure_latency_ns",
+            "Wall-clock hook gap preceding each departure (ns).",
+            &agg.departure_ns,
+        ),
+    ] {
+        expo::family(&mut out, name, Histogram, Some(help));
+        expo::histogram(&mut out, name, &labels, h);
+    }
+    expo::build_info(
         &mut out,
         env!("CARGO_PKG_VERSION"),
         dvbp_core::enabled_features(),
@@ -173,26 +134,27 @@ pub fn render(agg: &Aggregate, policy: &str) -> String {
     out
 }
 
-/// One metric family spanning every repack-suite policy: HELP/TYPE
-/// once, then one `{policy=…,repack=…}` sample per suite entry.
-fn repack_family(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    kind: &str,
+/// One family per `(name, kind, help, value)` row, each with one
+/// `{policy=…,<key>=…}` sample per entry: `# HELP`/`# TYPE` once per
+/// family, not per label value. Empty entries render nothing.
+fn labelled_families<S>(
     policy: &str,
-    entries: &[(String, RepackStats)],
-    value: impl Fn(&RepackStats) -> String,
-) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    for (repack, stats) in entries {
-        let _ = writeln!(
-            out,
-            "{name}{{policy=\"{policy}\",repack=\"{repack}\"}} {}",
-            value(stats)
-        );
+    key: &str,
+    entries: &[(String, S)],
+    families: &[Column<'_, S>],
+) -> String {
+    let mut out = String::new();
+    if entries.is_empty() {
+        return out;
     }
+    for (name, kind, help, value) in families {
+        expo::family(&mut out, name, *kind, Some(help));
+        for (label, stats) in entries {
+            let labels = [("policy", policy), (key, label.as_str())];
+            expo::sample(&mut out, name, &labels, value(stats));
+        }
+    }
+    out
 }
 
 /// Renders the repack-suite section of the exposition: per-policy
@@ -201,95 +163,49 @@ fn repack_family(
 /// the monitor when a repack suite is active.
 #[must_use]
 pub fn render_repack(policy: &str, entries: &[(String, RepackStats)]) -> String {
-    let mut out = String::new();
-    if entries.is_empty() {
-        return out;
-    }
-    repack_family(
-        &mut out,
-        "dvbp_repack_runs_total",
-        "Completed live runs per repack policy.",
-        "counter",
+    labelled_families(
         policy,
+        "repack",
         entries,
-        |s| s.runs.to_string(),
-    );
-    repack_family(
-        &mut out,
-        "dvbp_repack_migrations_total",
-        "Items migrated between bins per repack policy.",
-        "counter",
-        policy,
-        entries,
-        |s| s.migrations.to_string(),
-    );
-    repack_family(
-        &mut out,
-        "dvbp_repack_migration_cost_total",
-        "Accumulated migration cost per repack policy.",
-        "counter",
-        policy,
-        entries,
-        |s| s.migration_cost.to_string(),
-    );
-    repack_family(
-        &mut out,
-        "dvbp_repack_usage_time_total",
-        "Accumulated MinUsageTime cost per repack policy (bin-ticks).",
-        "counter",
-        policy,
-        entries,
-        |s| s.usage_time.to_string(),
-    );
-    repack_family(
-        &mut out,
-        "dvbp_repack_lb_load_total",
-        "Accumulated Lemma 1 lower bound per repack policy (bin-ticks).",
-        "counter",
-        policy,
-        entries,
-        |s| s.lb_load.to_string(),
-    );
-    repack_family(
-        &mut out,
-        "dvbp_repack_cr_running",
-        "Running competitive ratio per repack policy.",
-        "gauge",
-        policy,
-        entries,
-        |s| {
-            let cr = s.running_cr();
-            if cr.is_finite() {
-                cr.to_string()
-            } else {
-                "+Inf".to_string()
-            }
-        },
-    );
-    out
-}
-
-/// One metric family spanning every live-policy segment entry:
-/// HELP/TYPE once, then one `{policy=…,live=…}` sample per policy that
-/// ever drove the portfolio.
-fn segment_family(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    kind: &str,
-    policy: &str,
-    entries: &[(String, SegmentStats)],
-    value: impl Fn(&SegmentStats) -> String,
-) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    for (live, stats) in entries {
-        let _ = writeln!(
-            out,
-            "{name}{{policy=\"{policy}\",live=\"{live}\"}} {}",
-            value(stats)
-        );
-    }
+        &[
+            (
+                "dvbp_repack_runs_total",
+                Counter,
+                "Completed live runs per repack policy.",
+                &|s| s.runs.to_string(),
+            ),
+            (
+                "dvbp_repack_migrations_total",
+                Counter,
+                "Items migrated between bins per repack policy.",
+                &|s| s.migrations.to_string(),
+            ),
+            (
+                "dvbp_repack_migration_cost_total",
+                Counter,
+                "Accumulated migration cost per repack policy.",
+                &|s| s.migration_cost.to_string(),
+            ),
+            (
+                "dvbp_repack_usage_time_total",
+                Counter,
+                "Accumulated MinUsageTime cost per repack policy (bin-ticks).",
+                &|s| s.usage_time.to_string(),
+            ),
+            (
+                "dvbp_repack_lb_load_total",
+                Counter,
+                "Accumulated Lemma 1 lower bound per repack policy (bin-ticks).",
+                &|s| s.lb_load.to_string(),
+            ),
+            (
+                "dvbp_repack_cr_running",
+                Gauge,
+                "Running competitive ratio per repack policy.",
+                &|s| Float(s.running_cr()).to_string(),
+            ),
+        ],
+    )
 }
 
 /// Renders the per-policy-segment attribution of a replayed portfolio
@@ -299,39 +215,32 @@ fn segment_family(
 /// replays a trace carrying `PolicySwitch` markers; empty otherwise.
 #[must_use]
 pub fn render_segments(policy: &str, entries: &[(String, SegmentStats)]) -> String {
-    let mut out = String::new();
-    if entries.is_empty() {
-        return out;
-    }
     let total: Cost = entries.iter().map(|(_, s)| s.usage_time).sum();
-    segment_family(
-        &mut out,
-        "dvbp_segments_total",
-        "Live-policy segments attributed to each portfolio candidate.",
-        "counter",
+    labelled_families(
         policy,
+        "live",
         entries,
-        |s| s.segments.to_string(),
-    );
-    segment_family(
-        &mut out,
-        "dvbp_segment_usage_time_total",
-        "Usage-time cost accrued while each policy was live (bin-ticks).",
-        "counter",
-        policy,
-        entries,
-        |s| s.usage_time.to_string(),
-    );
-    segment_family(
-        &mut out,
-        "dvbp_segment_cost_share",
-        "Each live policy's fraction of the replayed trace's total cost.",
-        "gauge",
-        policy,
-        entries,
-        |s| s.cost_share(total).to_string(),
-    );
-    out
+        &[
+            (
+                "dvbp_segments_total",
+                Counter,
+                "Live-policy segments attributed to each portfolio candidate.",
+                &|s| s.segments.to_string(),
+            ),
+            (
+                "dvbp_segment_usage_time_total",
+                Counter,
+                "Usage-time cost accrued while each policy was live (bin-ticks).",
+                &|s| s.usage_time.to_string(),
+            ),
+            (
+                "dvbp_segment_cost_share",
+                Gauge,
+                "Each live policy's fraction of the replayed trace's total cost.",
+                &|s| s.cost_share(total).to_string(),
+            ),
+        ],
+    )
 }
 
 #[cfg(test)]

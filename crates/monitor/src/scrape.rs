@@ -3,46 +3,14 @@
 //!
 //! `dvbp-serve` exposes `/status` (a [`ServeStatus`] JSON document) and
 //! `/metrics` (Prometheus text) on its dispatch port; `dvbp-monitor
-//! --scrape HOST:PORT` fetches them with the same hand-rolled HTTP
-//! discipline the rest of the workspace uses — one `TcpStream`, one
-//! request, `Connection: close` — and prints a per-shard summary. The
-//! CI serve-smoke job uses it to compare a recovered service against
-//! the uninterrupted reference.
+//! --scrape HOST:PORT` fetches them with the workspace's one HTTP
+//! client, [`dvbp_obs::expo::http_get`] — one `TcpStream`, one request,
+//! `Connection: close` — and prints a per-shard summary.
 
+use dvbp_obs::expo::{http_get, merge_histograms};
 use dvbp_obs::histogram::LogHistogram;
 use dvbp_obs::Stage;
 use dvbp_serve::protocol::ServeStatus;
-use dvbp_serve::spans::parse_histograms;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-
-/// Fetches `path` from `addr` over plain HTTP/1.1 and returns the
-/// response body.
-///
-/// # Errors
-///
-/// Connection and I/O failures, malformed responses, and any non-200
-/// status, all rendered.
-pub fn http_get(addr: &str, path: &str) -> Result<String, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("sending request to {addr}: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("reading {addr}{path}: {e}"))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("{addr}{path}: malformed HTTP response"))?;
-    let status_line = head.lines().next().unwrap_or("");
-    if !status_line.contains(" 200 ") && !status_line.ends_with(" 200") {
-        return Err(format!("{addr}{path}: {status_line}"));
-    }
-    Ok(body.to_string())
-}
 
 /// Fetches and parses a `dvbp-serve` `/status` document.
 ///
@@ -50,7 +18,7 @@ pub fn http_get(addr: &str, path: &str) -> Result<String, String> {
 ///
 /// Transport failures from [`http_get`], or an unparseable body.
 pub fn scrape_serve_status(addr: &str) -> Result<ServeStatus, String> {
-    let body = http_get(addr, "/status")?;
+    let body = http_get(addr, "/status").map_err(|e| e.to_string())?;
     serde_json::from_str(&body).map_err(|e| format!("{addr}/status: unparseable body: {e}"))
 }
 
@@ -125,22 +93,13 @@ pub fn render(addr: &str, status: &ServeStatus) -> String {
 /// when the scrape carries no span histograms (an idle service).
 #[must_use]
 pub fn render_stage_latencies(metrics: &str) -> String {
-    let merge_by = |family: &str, label: &str| {
-        let mut merged: Vec<(String, LogHistogram)> = Vec::new();
-        for sh in parse_histograms(metrics, family) {
-            let key = sh.label(label).to_string();
-            match merged.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, h)) => h.merge(&sh.hist),
-                None => merged.push((key, sh.hist)),
-            }
-        }
-        merged
-    };
-    let e2e = merge_by("dvbp_serve_request_latency_ns", "");
-    let stages = merge_by("dvbp_serve_stage_latency_ns", "stage");
-    if e2e.iter().all(|(_, h)| h.total() == 0) {
+    let total = merge_histograms(metrics, "dvbp_serve_request_latency_ns", "")
+        .remove("")
+        .unwrap_or_default();
+    if total.total() == 0 {
         return String::new();
     }
+    let stages = merge_histograms(metrics, "dvbp_serve_stage_latency_ns", "stage");
 
     let mut out = String::new();
     out.push_str("  request latency by stage (us; quantiles are bucket upper bounds):\n");
@@ -161,7 +120,7 @@ pub fn render_stage_latencies(metrics: &str) -> String {
     };
     // Stages in serving-path order, then anything unexpected, then e2e.
     for stage in Stage::ALL {
-        if let Some((_, h)) = stages.iter().find(|(k, _)| k == stage.name()) {
+        if let Some(h) = stages.get(stage.name()) {
             line(&mut out, stage.name(), h);
         }
     }
@@ -169,10 +128,6 @@ pub fn render_stage_latencies(metrics: &str) -> String {
         if !Stage::ALL.iter().any(|s| s.name() == k) {
             line(&mut out, k, h);
         }
-    }
-    let mut total = LogHistogram::new();
-    for (_, h) in &e2e {
-        total.merge(h);
     }
     line(&mut out, "end-to-end", &total);
     out
@@ -187,7 +142,8 @@ mod tests {
     use dvbp_serve::protocol::Request;
     use dvbp_serve::router::RouterKind;
     use dvbp_serve::server::{serve, ServeState};
-    use std::net::TcpListener;
+    use std::io::Write as _;
+    use std::net::{TcpListener, TcpStream};
     use std::sync::Arc;
 
     fn boot_with(
@@ -273,7 +229,10 @@ mod tests {
             assert!(stages.contains(label), "missing {label} in:\n{stages}");
         }
 
-        assert!(http_get(&addr, "/nope").unwrap_err().contains("404"));
+        assert!(http_get(&addr, "/nope")
+            .unwrap_err()
+            .to_string()
+            .contains("404"));
         state.handle(&Request::Shutdown);
         let _ = TcpStream::connect(&addr);
         srv.join().unwrap();

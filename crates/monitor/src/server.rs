@@ -1,9 +1,12 @@
 //! The `/metrics` endpoint: a minimal HTTP/1.1 server on
 //! [`std::net::TcpListener`].
 //!
-//! One blocking accept loop, one connection at a time, `Connection:
-//! close` on every response — exactly enough HTTP for a Prometheus
-//! scraper and `curl`. Routes:
+//! One blocking accept loop, one scoped thread per connection (so a
+//! client that stalls mid-request holds only its own thread, and only
+//! until `dvbp-serve`'s [`DEFAULT_READ_TIMEOUT_MS`] read timeout),
+//! `Connection: close` on every response — exactly enough HTTP for a
+//! Prometheus scraper and `curl`. The framing is `dvbp-obs`'s shared
+//! [`expo`] layer; the routes are this module's:
 //!
 //! | path        | response                                            |
 //! |-------------|-----------------------------------------------------|
@@ -14,18 +17,21 @@
 //!
 //! Graceful shutdown: `/shutdown` flips the shared [`Monitor::shutdown`]
 //! flag *before* the loop exits, so the driver thread (which polls the
-//! flag between runs) and the server stop together; the in-flight
-//! response is fully written first.
+//! flag between runs) and the server stop together; every in-flight
+//! response is fully written before [`MonitorServer::serve`] returns.
 
 use crate::aggregate::{Aggregate, RepackStats, SegmentStats};
 use crate::prometheus;
 use dvbp_core::RepackPolicy;
+use dvbp_obs::expo::{self, LineRead};
+use dvbp_serve::DEFAULT_READ_TIMEOUT_MS;
 use dvbp_sim::Cost;
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// The `/status` document (serialized as JSON).
 ///
@@ -290,68 +296,60 @@ impl<'a> MonitorServer<'a> {
     }
 
     /// Serves until `/shutdown` is requested (or the flag is already
-    /// set when a connection arrives). Per-connection I/O errors are
-    /// logged and skipped; only accept errors abort.
+    /// set when a connection arrives), each connection on its own scoped
+    /// thread; returns once every connection thread has finished.
+    /// Per-connection I/O errors are logged and skipped; only accept
+    /// errors abort.
     ///
     /// # Errors
     ///
     /// Propagates a failed `accept`.
-    pub fn serve(&self) -> std::io::Result<()> {
-        for stream in self.listener.incoming() {
-            match stream {
-                Ok(mut stream) => {
-                    if let Err(e) = handle(&mut stream, self.monitor) {
+    pub fn serve(&self) -> io::Result<()> {
+        let local = self.listener.local_addr()?;
+        std::thread::scope(|scope| {
+            for stream in self.listener.incoming() {
+                let stream = stream?;
+                scope.spawn(move || {
+                    if let Err(e) = self.serve_connection(stream) {
                         eprintln!("dvbp-monitor: connection error: {e}");
                     }
+                    if self.monitor.shutting_down() {
+                        // Nudge the accept loop out of its blocking accept.
+                        let _ = TcpStream::connect(local);
+                    }
+                });
+                if self.monitor.shutting_down() {
+                    break;
                 }
-                Err(e) => return Err(e),
             }
-            if self.monitor.shutting_down() {
-                break;
+            Ok(())
+        })
+    }
+
+    fn serve_connection(&self, mut stream: TcpStream) -> io::Result<()> {
+        stream.set_read_timeout(Some(Duration::from_millis(DEFAULT_READ_TIMEOUT_MS)))?;
+        let mut reader = BufReader::new(stream.try_clone()?);
+        let mut request_line = String::new();
+        if expo::read_line_guarded(&mut reader, &mut request_line) != LineRead::Line {
+            return Ok(()); // closed before a request, or stalled mid-line
+        }
+        let monitor = self.monitor;
+        let path = expo::read_head(&mut reader, &request_line).1;
+        let (status, content_type, body) = match path {
+            "/metrics" => (
+                "200 OK",
+                "text/plain; version=0.0.4; charset=utf-8",
+                monitor.metrics_text(),
+            ),
+            "/status" => ("200 OK", "application/json", monitor.status_json()),
+            "/healthz" => ("200 OK", "text/plain", "ok\n".to_string()),
+            "/shutdown" => {
+                monitor.shutdown.store(true, Ordering::SeqCst);
+                ("200 OK", "text/plain", "shutting down\n".to_string())
             }
-        }
-        Ok(())
-    }
-}
-
-fn respond(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()
-}
-
-fn handle(stream: &mut TcpStream, monitor: &Monitor) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain the headers; every route ignores them.
-    let mut header = String::new();
-    while reader.read_line(&mut header)? > 0 && header != "\r\n" && header != "\n" {
-        header.clear();
-    }
-    let path = request_line.split_whitespace().nth(1).unwrap_or("/");
-    match path {
-        "/metrics" => respond(
-            stream,
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            &monitor.metrics_text(),
-        ),
-        "/status" => respond(stream, "200 OK", "application/json", &monitor.status_json()),
-        "/healthz" => respond(stream, "200 OK", "text/plain", "ok\n"),
-        "/shutdown" => {
-            monitor.shutdown.store(true, Ordering::SeqCst);
-            respond(stream, "200 OK", "text/plain", "shutting down\n")
-        }
-        _ => respond(stream, "404 Not Found", "text/plain", "not found\n"),
+            _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
+        };
+        expo::respond(&mut stream, status, content_type, &body)
     }
 }
 

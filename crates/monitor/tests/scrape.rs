@@ -8,7 +8,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn corpus_trace() -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -136,5 +136,48 @@ fn scrape_metrics_status_and_shutdown() {
         assert_eq!(body, "shutting down\n");
         assert!(monitor.shutting_down());
         handle.join().expect("server thread").expect("serve result");
+    });
+}
+
+/// One `GET` with a client-side read timeout; `Err` on any failure.
+fn get_within(addr: &str, path: &str, timeout: Duration) -> std::io::Result<String> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(timeout))?;
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n")?;
+    let mut response = String::new();
+    stream.read_to_string(&mut response)?;
+    Ok(response)
+}
+
+#[test]
+fn a_stalled_client_blocks_neither_scrapes_nor_shutdown() {
+    let monitor = Monitor::new("FirstFit");
+    let server = MonitorServer::bind("127.0.0.1:0", &monitor).expect("bind ephemeral port");
+    let addr = server.local_addr().unwrap().to_string();
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve());
+
+        // Half a request line, then silence.
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        stalled.write_all(b"GET /heal").unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+
+        let start = Instant::now();
+        let healthz = get_within(&addr, "/healthz", Duration::from_secs(2));
+        let healthz_took = start.elapsed();
+        let shutdown = get_within(&addr, "/shutdown", Duration::from_secs(2));
+        // The loop stops once the stalled client goes away. Closing it
+        // before asserting also lets a blocked server drain and exit,
+        // so a failure here reports instead of hanging.
+        drop(stalled);
+        handle.join().expect("server thread").expect("serve result");
+
+        let healthz = healthz.expect("/healthz answered while a client stalls");
+        assert!(healthz.starts_with("HTTP/1.1 200"), "{healthz}");
+        assert!(healthz.ends_with("\r\n\r\nok\n"), "{healthz}");
+        assert!(healthz_took < Duration::from_secs(2), "{healthz_took:?}");
+        let shutdown = shutdown.expect("/shutdown answered while a client stalls");
+        assert!(shutdown.ends_with("shutting down\n"), "{shutdown}");
+        assert!(monitor.shutting_down());
     });
 }

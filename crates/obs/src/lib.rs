@@ -32,12 +32,17 @@
 //! * tuples `(A, B)` / `(A, B, C)` — fan one run out to several
 //!   observers.
 //!
+//! The operator surface lives here too: [`expo`] writes and parses the
+//! Prometheus exposition and carries the minimal HTTP/1.1 that
+//! `dvbp-serve` and `dvbp-monitor` serve it over.
+//!
 //! This crate deliberately speaks in primitives (`u64` ticks, `usize`
 //! bin/item indices, `&[u64]` size slices) so it sits *below*
 //! `dvbp-core` in the dependency graph; core re-exports the trait and
 //! threads it through the engine.
 
 pub mod error;
+pub mod expo;
 pub mod histogram;
 pub mod jsonl;
 pub mod metrics;

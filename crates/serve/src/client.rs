@@ -7,10 +7,10 @@
 //! **idempotently resumable**: re-driving the same feed after a
 //! service crash simply skips everything the recovered service already
 //! knows (`duplicate-id` / `already-departed` rejections count as
-//! [`DriveReport::skipped`], not errors). The CI serve-smoke job leans
-//! on this: kill the service mid-drive, restart it on the same WAL,
-//! re-drive from the top, and the final state must match an
-//! uninterrupted run. Feeds with deterministic item indices (trace
+//! [`DriveReport::skipped`], not errors). The crash-recovery test
+//! (`tests/crash_recovery.rs`) leans on this: kill the service
+//! mid-drive, restart it on the same WAL, re-drive from the top, and
+//! the final state must match an uninterrupted run. Feeds with deterministic item indices (trace
 //! parsers assign dense indices in arrival order) resume the same way.
 
 use crate::protocol::{error_code, Request, Response, ServeStatus};
@@ -122,7 +122,8 @@ impl Client {
     /// source item `i` is sent as `item-{i}`. The feed is consumed one
     /// event at a time, so an arbitrarily long trace drives the service
     /// in constant client memory. `throttle` sleeps between operations
-    /// — the CI smoke job uses it to widen the mid-drive kill window.
+    /// — the crash-recovery test uses it to widen the mid-drive kill
+    /// window.
     ///
     /// # Errors
     ///

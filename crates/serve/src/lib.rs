@@ -37,12 +37,12 @@ pub mod spans;
 pub mod wal;
 
 pub use client::{load_instance, Client, DriveReport};
+/// The shared operator-surface client (see [`dvbp_obs::expo`]).
+pub use dvbp_obs::expo::http_get;
 pub use protocol::{Request, Response, ServeStatus, ShadowStatus, ShardStatus, SwitchEntry};
 pub use recovery::{recover, Recovered, RecoveryError};
 pub use router::{fnv1a, Router, RouterKind};
 pub use server::{serve, ServeState, DEFAULT_READ_TIMEOUT_MS};
 pub use shard::{PortfolioConfig, Shard, ShardError};
-pub use spans::{
-    http_get, parse_histograms, render_spans_table, write_build_info, ScrapedHistogram, SpanHub,
-};
+pub use spans::{parse_histograms, render_spans_table, ScrapedHistogram, SpanHub};
 pub use wal::{open_shard, shard_wal_path, RecoveryReport, WalOpenError};

@@ -289,8 +289,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 fn cmd_spans(args: &[String]) -> Result<(), String> {
     let addr = parse(args, "--addr", DEFAULT_ADDR.to_string())?;
     let recent: usize = parse(args, "--recent", 20usize)?;
-    let jsonl =
-        dvbp_serve::http_get(&addr, "/spans").map_err(|e| format!("fetching {addr}/spans: {e}"))?;
+    let jsonl = dvbp_serve::http_get(&addr, "/spans").map_err(|e| e.to_string())?;
     print!("{}", dvbp_serve::render_spans_table(&jsonl, recent));
     Ok(())
 }

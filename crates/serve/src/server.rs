@@ -19,13 +19,16 @@
 
 use crate::protocol::{error_code, Request, Response, ServeStatus};
 use crate::router::{Router, RouterKind};
-use crate::shard::{PortfolioConfig, Shard, ShardError};
-use crate::spans::{write_build_info, SpanHub};
+use crate::shard::{mark, PortfolioConfig, Shard, ShardError};
+use crate::spans::SpanHub;
 use crate::wal::{open_shard, RecoveryReport, WalOpenError};
 use dvbp_core::{LiveError, PolicyKind, RepackPolicy, TimeMode, TraceMode};
 use dvbp_dimvec::DimVec;
+use dvbp_obs::expo::Kind::{self, Counter, Gauge};
+use dvbp_obs::expo::{self, LineRead};
 use dvbp_obs::{OpKind, Span, SpanRecord, StableWrite, Stage, SyncPolicy};
 use dvbp_sim::Time;
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
@@ -167,21 +170,7 @@ impl<W: StableWrite> ServeState<W> {
     /// Handles one request against the shard set. Never panics on bad
     /// input — every rejection is a [`Response::Error`].
     pub fn handle(&self, req: &Request) -> Response {
-        if self.is_shutting_down() && !matches!(req, Request::Query) {
-            return Response::Error {
-                code: error_code::SHUTTING_DOWN.into(),
-                message: "service is shutting down".into(),
-            };
-        }
-        match req {
-            Request::Arrive { id, size, time } => self.arrive(id, size, *time),
-            Request::Depart { id, time } => self.depart(id, *time),
-            Request::Query => Response::Status(self.status()),
-            Request::Shutdown => {
-                self.begin_shutdown();
-                Response::ShuttingDown
-            }
-        }
+        self.dispatch(req, None).0
     }
 
     /// [`handle`](ServeState::handle) with request-lifecycle tracing:
@@ -192,8 +181,12 @@ impl<W: StableWrite> ServeState<W> {
     /// shard handled). The caller marks `reply` after writing and
     /// records the finished span into [`ServeState::span_hub`].
     /// Decisions, WAL bytes, and errors are identical to the untraced
-    /// path.
+    /// path — both run the same code, the span is only observed.
     pub fn handle_spanned(&self, req: &Request, span: &mut Span) -> (Response, u32) {
+        self.dispatch(req, Some(span))
+    }
+
+    fn dispatch(&self, req: &Request, mut span: Option<&mut Span>) -> (Response, u32) {
         if self.is_shutting_down() && !matches!(req, Request::Query) {
             return (
                 Response::Error {
@@ -203,66 +196,43 @@ impl<W: StableWrite> ServeState<W> {
                 SpanRecord::SERVICE,
             );
         }
+        if let Some(span) = span.as_deref_mut() {
+            match req {
+                Request::Arrive { time, .. } => span.set_op(OpKind::Arrive, *time),
+                Request::Depart { time, .. } => span.set_op(OpKind::Depart, *time),
+                Request::Query | Request::Shutdown => span.set_op(OpKind::Query, 0),
+            }
+        }
         match req {
-            Request::Arrive { id, size, time } => {
-                span.set_op(OpKind::Arrive, *time);
-                self.arrive_spanned(id, size, *time, span)
-            }
-            Request::Depart { id, time } => {
-                span.set_op(OpKind::Depart, *time);
-                self.depart_spanned(id, *time, span)
-            }
+            Request::Arrive { id, size, time } => self.arrive(id, size, *time, span),
+            Request::Depart { id, time } => self.depart(id, *time, span),
             Request::Query => {
-                span.set_op(OpKind::Query, 0);
                 let status = self.status();
-                span.mark(Stage::Dispatch);
+                mark(&mut span, Stage::Dispatch);
                 (Response::Status(status), SpanRecord::SERVICE)
             }
             Request::Shutdown => {
-                span.set_op(OpKind::Query, 0);
                 self.begin_shutdown();
-                span.mark(Stage::Dispatch);
+                mark(&mut span, Stage::Dispatch);
                 (Response::ShuttingDown, SpanRecord::SERVICE)
             }
         }
     }
 
-    fn arrive(&self, id: &str, size: &[u64], time: Time) -> Response {
-        let shard_idx = self
-            .router
-            .route_arrival(id, |s| self.shards[s].lock().unwrap().live().load_l1());
-        let mut shard = self.shards[shard_idx].lock().unwrap();
-        match shard.arrive(id, DimVec::from_slice(size), time) {
-            Ok(placed) => {
-                drop(shard);
-                self.router.record(id, shard_idx);
-                Response::Placed {
-                    id: id.to_string(),
-                    shard: shard_idx,
-                    item: placed.item,
-                    bin: placed.bin.0,
-                    opened_new: placed.opened_new,
-                    time: placed.time,
-                }
-            }
-            Err(e) => error_response(&e),
-        }
-    }
-
-    fn arrive_spanned(
+    fn arrive(
         &self,
         id: &str,
         size: &[u64],
         time: Time,
-        span: &mut Span,
+        mut span: Option<&mut Span>,
     ) -> (Response, u32) {
         let shard_idx = self
             .router
             .route_arrival(id, |s| self.shards[s].lock().unwrap().live().load_l1());
-        span.mark(Stage::Route);
+        mark(&mut span, Stage::Route);
         let mut shard = self.shards[shard_idx].lock().unwrap();
-        span.mark(Stage::LockWait);
-        let response = match shard.arrive_traced(id, DimVec::from_slice(size), time, span) {
+        mark(&mut span, Stage::LockWait);
+        let response = match shard.arrive_impl(id, DimVec::from_slice(size), time, span) {
             Ok(placed) => {
                 drop(shard);
                 self.router.record(id, shard_idx);
@@ -280,31 +250,10 @@ impl<W: StableWrite> ServeState<W> {
         (response, shard_idx as u32)
     }
 
-    fn depart(&self, id: &str, time: Time) -> Response {
-        let Some(shard_idx) = self.router.route_departure(id) else {
-            return Response::Error {
-                code: error_code::UNKNOWN_ID.into(),
-                message: format!("unknown id {id:?}"),
-            };
-        };
-        let mut shard = self.shards[shard_idx].lock().unwrap();
-        match shard.depart(id, time) {
-            Ok(dep) => Response::Departed {
-                id: id.to_string(),
-                shard: shard_idx,
-                item: dep.item,
-                bin: dep.bin.0,
-                closed: dep.closed,
-                migrations: dep.migrations.len() as u64,
-                time: dep.time,
-            },
-            Err(e) => error_response(&e),
-        }
-    }
-
-    fn depart_spanned(&self, id: &str, time: Time, span: &mut Span) -> (Response, u32) {
-        let Some(shard_idx) = self.router.route_departure(id) else {
-            span.mark(Stage::Route);
+    fn depart(&self, id: &str, time: Time, mut span: Option<&mut Span>) -> (Response, u32) {
+        let route = self.router.route_departure(id);
+        mark(&mut span, Stage::Route);
+        let Some(shard_idx) = route else {
             return (
                 Response::Error {
                     code: error_code::UNKNOWN_ID.into(),
@@ -313,10 +262,9 @@ impl<W: StableWrite> ServeState<W> {
                 SpanRecord::SERVICE,
             );
         };
-        span.mark(Stage::Route);
         let mut shard = self.shards[shard_idx].lock().unwrap();
-        span.mark(Stage::LockWait);
-        let response = match shard.depart_traced(id, time, span) {
+        mark(&mut span, Stage::LockWait);
+        let response = match shard.depart_impl(id, time, span) {
             Ok(dep) => Response::Departed {
                 id: id.to_string(),
                 shard: shard_idx,
@@ -392,49 +340,35 @@ impl<W: StableWrite> ServeState<W> {
     pub fn metrics_text(&self) -> String {
         let status = self.status();
         let mut out = String::new();
-        let totals: [(&str, &str, String); 9] = [
-            ("arrivals_total", "counter", status.arrivals.to_string()),
-            ("departures_total", "counter", status.departures.to_string()),
-            ("active_items", "gauge", status.active_items.to_string()),
-            ("open_bins", "gauge", status.open_bins.to_string()),
-            (
-                "bins_opened_total",
-                "counter",
-                status.bins_opened.to_string(),
-            ),
-            ("migrations_total", "counter", status.migrations.to_string()),
-            (
-                "migration_cost_total",
-                "counter",
-                status.migration_cost.to_string(),
-            ),
-            ("usage_time_total", "counter", status.usage_time.clone()),
-            (
-                "policy_switches_total",
-                "counter",
-                status.policy_switches.to_string(),
-            ),
+        let totals: [(&str, Kind, &dyn Display); 9] = [
+            ("arrivals_total", Counter, &status.arrivals),
+            ("departures_total", Counter, &status.departures),
+            ("active_items", Gauge, &status.active_items),
+            ("open_bins", Gauge, &status.open_bins),
+            ("bins_opened_total", Counter, &status.bins_opened),
+            ("migrations_total", Counter, &status.migrations),
+            ("migration_cost_total", Counter, &status.migration_cost),
+            ("usage_time_total", Counter, &status.usage_time),
+            ("policy_switches_total", Counter, &status.policy_switches),
         ];
-        for (name, kind, value) in &totals {
-            out.push_str(&format!(
-                "# TYPE dvbp_serve_{name} {kind}\ndvbp_serve_{name} {value}\n"
-            ));
+        for (name, kind, value) in totals {
+            let name = format!("dvbp_serve_{name}");
+            expo::family(&mut out, &name, kind, None);
+            expo::sample(&mut out, &name, &[], value);
         }
-        out.push_str(&format!(
-            "# TYPE dvbp_serve_repack_info gauge\ndvbp_serve_repack_info{{repack=\"{}\"}} 1\n",
-            status.repack
-        ));
+        let labels = [("repack", status.repack.as_str())];
+        expo::family(&mut out, "dvbp_serve_repack_info", Gauge, None);
+        expo::sample(&mut out, "dvbp_serve_repack_info", &labels, 1);
         if self.portfolio.is_some() {
-            out.push_str(&format!(
-                "# TYPE dvbp_serve_meta_info gauge\ndvbp_serve_meta_info{{meta=\"{}\"}} 1\n",
-                status.meta
-            ));
+            let labels = [("meta", status.meta.as_str())];
+            expo::family(&mut out, "dvbp_serve_meta_info", Gauge, None);
+            expo::sample(&mut out, "dvbp_serve_meta_info", &labels, 1);
             // Shadow scoreboard. The aggregate series divides summed
             // shadow costs by the summed lower-bound anchor across
             // shards; both start at zero, so cold start reads 1.0 (never
             // NaN or +Inf — Prometheus would accept them, dashboards
             // would not forgive them).
-            out.push_str("# TYPE dvbp_shadow_cr gauge\n");
+            expo::family(&mut out, "dvbp_shadow_cr", Gauge, None);
             let mut agg: Vec<(&str, u128, u128)> = Vec::new();
             for s in &status.per_shard {
                 for sh in &s.shadows {
@@ -449,42 +383,41 @@ impl<W: StableWrite> ServeState<W> {
                     }
                 }
             }
-            for (policy, cost, lb) in &agg {
-                let cr = if *lb == 0 {
+            for (policy, cost, lb) in agg {
+                let cr = if lb == 0 {
                     1.0
                 } else {
-                    *cost as f64 / *lb as f64
+                    cost as f64 / lb as f64
                 };
-                out.push_str(&format!("dvbp_shadow_cr{{policy=\"{policy}\"}} {cr:.6}\n"));
+                let cr = format_args!("{cr:.6}");
+                expo::sample(&mut out, "dvbp_shadow_cr", &[("policy", policy)], cr);
             }
             for s in &status.per_shard {
+                let shard = s.shard.to_string();
                 for sh in &s.shadows {
-                    out.push_str(&format!(
-                        "dvbp_shadow_cr{{shard=\"{}\",policy=\"{}\"}} {:.6}\n",
-                        s.shard,
-                        sh.policy,
-                        sh.running_cr()
-                    ));
+                    let labels = [("shard", shard.as_str()), ("policy", &sh.policy)];
+                    let cr = format_args!("{:.6}", sh.running_cr());
+                    expo::sample(&mut out, "dvbp_shadow_cr", &labels, cr);
                 }
             }
         }
         for s in &status.per_shard {
-            for (name, value) in [
-                ("arrivals_total", s.arrivals.to_string()),
-                ("departures_total", s.departures.to_string()),
-                ("active_items", s.active_items.to_string()),
-                ("open_bins", s.open_bins.to_string()),
-                ("migrations_total", s.migrations.to_string()),
-                ("usage_time_total", s.usage_time.clone()),
-                ("policy_switches_total", s.policy_switches.to_string()),
-            ] {
-                out.push_str(&format!(
-                    "dvbp_serve_shard_{name}{{shard=\"{}\"}} {value}\n",
-                    s.shard
-                ));
+            let shard = s.shard.to_string();
+            let series: [(&str, &dyn Display); 7] = [
+                ("arrivals_total", &s.arrivals),
+                ("departures_total", &s.departures),
+                ("active_items", &s.active_items),
+                ("open_bins", &s.open_bins),
+                ("migrations_total", &s.migrations),
+                ("usage_time_total", &s.usage_time),
+                ("policy_switches_total", &s.policy_switches),
+            ];
+            for (name, value) in series {
+                let name = format!("dvbp_serve_shard_{name}");
+                expo::sample(&mut out, &name, &[("shard", &shard)], value);
             }
         }
-        write_build_info(
+        expo::build_info(
             &mut out,
             env!("CARGO_PKG_VERSION"),
             dvbp_core::enabled_features(),
@@ -585,56 +518,35 @@ pub fn serve<W: StableWrite + Send + 'static>(
     Ok(())
 }
 
-/// Outcome of one guarded line read.
-enum LineRead {
-    /// A complete line landed in the buffer.
-    Line,
-    /// Clean EOF (or a hard I/O error) — end the connection silently.
-    Closed,
-    /// The socket timed out with a *partial* line buffered: the peer
-    /// started a request and stalled mid-line.
-    Stalled,
-}
-
-/// Reads one line under the socket's read timeout. A timeout with
-/// nothing buffered is a benign idle keep-alive connection and the read
-/// resumes; a timeout after partial bytes is a stall
-/// ([`LineRead::Stalled`]) — `BufRead::read_line` appends whatever was
-/// read before the error, so `line` being non-empty distinguishes the
-/// two.
-fn read_line_guarded(reader: &mut impl BufRead, line: &mut String) -> LineRead {
-    let start_len = line.len();
-    loop {
-        match reader.read_line(line) {
-            Ok(0) => return LineRead::Closed,
-            Ok(_) => return LineRead::Line,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if line.len() == start_len {
-                    continue; // idle between requests: keep waiting
-                }
-                return LineRead::Stalled;
-            }
-            Err(_) => return LineRead::Closed,
-        }
-    }
-}
-
-/// Tells a stalled client why it is being disconnected (best-effort —
-/// a peer that stopped mid-line may not read it either).
-fn write_timeout_error(writer: &mut impl Write) {
-    let response = Response::Error {
-        code: error_code::TIMEOUT.into(),
-        message: "read timed out mid-request; disconnecting".into(),
+/// Writes one NDJSON response line (one write call, so the payload and
+/// its newline never straddle two TCP segments); `false` on failure.
+fn send(writer: &mut impl Write, response: &Response) -> bool {
+    let Ok(mut out) = serde_json::to_string(response) else {
+        return false;
     };
-    if let Ok(mut out) = serde_json::to_string(&response) {
-        out.push('\n');
-        let _ = writer.write_all(out.as_bytes());
-        let _ = writer.flush();
+    out.push('\n');
+    writer
+        .write_all(out.as_bytes())
+        .and_then(|()| writer.flush())
+        .is_ok()
+}
+
+/// Reads the next request line into `line` (cleared first); `false`
+/// ends the connection. A client stalled mid-line is told why it is
+/// being disconnected (best-effort — it may not read that either).
+fn next_line(reader: &mut impl BufRead, writer: &mut impl Write, line: &mut String) -> bool {
+    line.clear();
+    match expo::read_line_guarded(reader, line) {
+        LineRead::Line => true,
+        LineRead::Closed => false,
+        LineRead::Stalled => {
+            let timeout = Response::Error {
+                code: error_code::TIMEOUT.into(),
+                message: "read timed out mid-request; disconnecting".into(),
+            };
+            send(writer, &timeout);
+            false
+        }
     }
 }
 
@@ -652,13 +564,8 @@ fn handle_connection<W: StableWrite>(state: &ServeState<W>, stream: TcpStream) -
     });
     let mut writer = stream;
     let mut first = String::new();
-    match read_line_guarded(&mut reader, &mut first) {
-        LineRead::Line => {}
-        LineRead::Closed => return false,
-        LineRead::Stalled => {
-            write_timeout_error(&mut writer);
-            return false;
-        }
+    if !next_line(&mut reader, &mut writer, &mut first) {
+        return false;
     }
     let verb = first.split_whitespace().next().unwrap_or("");
     if matches!(verb, "GET" | "POST" | "HEAD") {
@@ -683,16 +590,8 @@ fn handle_ndjson<W: StableWrite>(
     let mut pending = true;
     loop {
         let mut span = Span::begin();
-        if !pending {
-            line.clear();
-            match read_line_guarded(reader, &mut line) {
-                LineRead::Line => {}
-                LineRead::Closed => return false,
-                LineRead::Stalled => {
-                    write_timeout_error(writer);
-                    return false;
-                }
-            }
+        if !pending && !next_line(reader, writer, &mut line) {
+            return false;
         }
         pending = false;
         span.mark(Stage::Recv);
@@ -712,17 +611,7 @@ fn handle_ndjson<W: StableWrite>(
                 SpanRecord::SERVICE,
             ),
         };
-        let Ok(mut out) = serde_json::to_string(&response) else {
-            return false;
-        };
-        // One write call per line so the payload and its newline
-        // never straddle two TCP segments.
-        out.push('\n');
-        if writer
-            .write_all(out.as_bytes())
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        if !send(writer, &response) {
             return false;
         }
         span.mark(Stage::Reply);
@@ -734,27 +623,16 @@ fn handle_ndjson<W: StableWrite>(
     }
 }
 
-/// Minimal HTTP/1.1 for the operator surface (monitor-compatible).
+/// The HTTP operator surface: `request_line` is the already-read first
+/// line; framing comes from [`dvbp_obs::expo`].
 fn handle_http<W: StableWrite>(
     state: &ServeState<W>,
     reader: &mut impl BufRead,
     writer: &mut impl Write,
     request_line: &str,
 ) -> bool {
-    // Drain headers; requests with bodies are not supported.
-    let mut header = String::new();
-    loop {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) | Err(_) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
-            Ok(_) => {}
-        }
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("/");
-    let mut shutdown = false;
+    let (method, path) = expo::read_head(reader, request_line);
+    let shutdown = (method, path) == ("POST", "/shutdown");
     let (status, content_type, body) = match (method, path) {
         ("GET" | "HEAD", "/healthz") => ("200 OK", "text/plain", "ok\n".to_string()),
         ("GET" | "HEAD", "/status") => (
@@ -766,22 +644,14 @@ fn handle_http<W: StableWrite>(
             ("200 OK", "text/plain; version=0.0.4", state.metrics_text())
         }
         ("GET" | "HEAD", "/spans") => ("200 OK", "application/x-ndjson", state.spans.dump_jsonl()),
-        ("POST", "/shutdown") => {
-            shutdown = true;
-            ("200 OK", "text/plain", "shutting down\n".to_string())
-        }
+        ("POST", "/shutdown") => ("200 OK", "text/plain", "shutting down\n".to_string()),
         _ => (
             "404 Not Found",
             "text/plain",
             format!("no route for {method} {path}\n"),
         ),
     };
-    let _ = write!(
-        writer,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    let _ = writer.flush();
+    let _ = expo::respond(writer, status, content_type, &body);
     if shutdown {
         state.begin_shutdown();
     }

@@ -78,9 +78,9 @@ pub struct PortfolioConfig {
 }
 
 /// Ends the current stage on a span that may not be there. The traced
-/// and untraced entry points share one implementation; `None`
-/// monomorphizes every mark to a no-op branch.
-fn mark(span: &mut Option<&mut Span>, stage: Stage) {
+/// and untraced request paths share one implementation; with `None`
+/// every mark is a no-op branch.
+pub(crate) fn mark(span: &mut Option<&mut Span>, stage: Stage) {
     if let Some(s) = span {
         s.mark(stage);
     }
@@ -293,26 +293,12 @@ impl<W: StableWrite> Shard<W> {
         self.arrive_impl(id, size, time, None)
     }
 
-    /// [`arrive`](Shard::arrive) with per-stage latency attribution:
-    /// charges the engine's placement to `dispatch`, the group's journal
-    /// writes to `wal_append`, and the commit-line durability point to
-    /// `wal_sync`. Identical decisions, WAL bytes, and errors — timing
-    /// is observational only.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`arrive`](Shard::arrive).
-    pub fn arrive_traced(
-        &mut self,
-        id: &str,
-        size: DimVec,
-        time: Time,
-        span: &mut Span,
-    ) -> Result<LivePlacement, ShardError> {
-        self.arrive_impl(id, size, time, Some(span))
-    }
-
-    fn arrive_impl(
+    /// [`arrive`](Shard::arrive), with per-stage latency attribution
+    /// when a span is given: the engine's placement lands in
+    /// `dispatch`, the group's journal writes in `wal_append`, and the
+    /// commit-line durability point in `wal_sync`. Identical decisions,
+    /// WAL bytes, and errors — timing is observational only.
+    pub(crate) fn arrive_impl(
         &mut self,
         id: &str,
         size: DimVec,
@@ -378,26 +364,13 @@ impl<W: StableWrite> Shard<W> {
         self.depart_impl(id, time, None)
     }
 
-    /// [`depart`](Shard::depart) with per-stage latency attribution:
-    /// the engine's departure step lands in `dispatch`, repack-policy
-    /// migrations in `repack` (split via the engine's
-    /// `depart_with_mark` seam), journal writes in `wal_append`, and
-    /// the commit-line durability point in `wal_sync`. Identical
-    /// decisions, WAL bytes, and errors.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`depart`](Shard::depart).
-    pub fn depart_traced(
-        &mut self,
-        id: &str,
-        time: Time,
-        span: &mut Span,
-    ) -> Result<LiveDeparture, ShardError> {
-        self.depart_impl(id, time, Some(span))
-    }
-
-    fn depart_impl(
+    /// [`depart`](Shard::depart), with per-stage latency attribution
+    /// when a span is given: the engine's departure step lands in
+    /// `dispatch`, repack-policy migrations in `repack` (split via the
+    /// engine's `depart_with_mark` seam), journal writes in
+    /// `wal_append`, and the commit-line durability point in
+    /// `wal_sync`. Identical decisions, WAL bytes, and errors.
+    pub(crate) fn depart_impl(
         &mut self,
         id: &str,
         time: Time,

@@ -15,18 +15,17 @@
 //! `bench_serve` asserts that identity and the monitor renders
 //! per-stage quantiles from the same families.
 //!
-//! The Prometheus *parser* ([`parse_histograms`]) lives here too so the
-//! monitor and the load generator reconstruct the exact 65-bucket
-//! [`LogHistogram`] from a scrape: the exposition's inclusive `le`
-//! bounds are `2^i − 1`, so `le + 1` recovers each bucket index
-//! losslessly.
+//! The families are written, and parsed back, by `dvbp-obs`'s shared
+//! exposition module ([`dvbp_obs::expo`]); [`parse_histograms`] is
+//! re-exported here for the monitor and the load generators.
 
+use dvbp_obs::expo::{self, Kind};
 use dvbp_obs::{AtomicHistogram, LogHistogram, OpKind, SpanRecord, Stage};
-use std::collections::BTreeMap;
+use serde_json::Value;
 use std::fmt::Write as _;
-use std::io::{self, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+pub use dvbp_obs::expo::{parse_histograms, ScrapedHistogram};
 
 /// Default capacity of each shard's recent-requests ring.
 pub const RECENT_RING: usize = 256;
@@ -173,45 +172,41 @@ impl SpanHub {
     /// `dvbp_serve_slow_threshold_ns`. Histograms that never saw a
     /// request are omitted.
     pub fn render_metrics(&self, out: &mut String) {
-        out.push_str("# TYPE dvbp_serve_request_latency_ns histogram\n");
+        let name = "dvbp_serve_request_latency_ns";
+        expo::family(out, name, Kind::Histogram, None);
         for (i, slot) in self.slots.iter().enumerate() {
             let shard = self.shard_label(i);
             for op in OpKind::ALL {
                 let h = slot.ops[op.index()].total.snapshot();
-                if h.total() == 0 {
-                    continue;
+                if h.total() > 0 {
+                    expo::histogram(out, name, &[("op", op.name()), ("shard", &shard)], &h);
                 }
-                let labels = format!("op=\"{}\",shard=\"{shard}\"", op.name());
-                write_histogram(out, "dvbp_serve_request_latency_ns", &labels, &h);
             }
         }
-        out.push_str("# TYPE dvbp_serve_stage_latency_ns histogram\n");
+        let name = "dvbp_serve_stage_latency_ns";
+        expo::family(out, name, Kind::Histogram, None);
         for (i, slot) in self.slots.iter().enumerate() {
             let shard = self.shard_label(i);
             for op in OpKind::ALL {
                 for stage in Stage::ALL {
                     let h = slot.ops[op.index()].stages[stage.index()].snapshot();
-                    if h.total() == 0 {
-                        continue;
+                    if h.total() > 0 {
+                        let labels = [
+                            ("op", op.name()),
+                            ("shard", &shard),
+                            ("stage", stage.name()),
+                        ];
+                        expo::histogram(out, name, &labels, &h);
                     }
-                    let labels = format!(
-                        "op=\"{}\",shard=\"{shard}\",stage=\"{}\"",
-                        op.name(),
-                        stage.name()
-                    );
-                    write_histogram(out, "dvbp_serve_stage_latency_ns", &labels, &h);
                 }
             }
         }
-        let _ = write!(
-            out,
-            "# TYPE dvbp_serve_slow_requests_total counter\n\
-             dvbp_serve_slow_requests_total {}\n\
-             # TYPE dvbp_serve_slow_threshold_ns gauge\n\
-             dvbp_serve_slow_threshold_ns {}\n",
-            self.slow_total(),
-            self.slow_threshold_ns(),
-        );
+        let name = "dvbp_serve_slow_requests_total";
+        expo::family(out, name, Kind::Counter, None);
+        expo::sample(out, name, &[], self.slow_total());
+        let name = "dvbp_serve_slow_threshold_ns";
+        expo::family(out, name, Kind::Gauge, None);
+        expo::sample(out, name, &[], self.slow_threshold_ns());
     }
 
     /// Renders the flight recorders as JSONL (the `GET /spans` body):
@@ -236,181 +231,6 @@ impl SpanHub {
     }
 }
 
-/// Appends one `dvbp_build_info` gauge: crate version, enabled feature
-/// summary, and compile profile. Both `dvbp-serve` and `dvbp-monitor`
-/// call this from their `/metrics` with their own
-/// `env!("CARGO_PKG_VERSION")`.
-pub fn write_build_info(out: &mut String, version: &str, features: &str) {
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    let _ = write!(
-        out,
-        "# TYPE dvbp_build_info gauge\n\
-         dvbp_build_info{{version=\"{version}\",features=\"{features}\",profile=\"{profile}\"}} 1\n",
-    );
-}
-
-/// Appends one histogram family member in Prometheus text format.
-/// Buckets are cumulative with inclusive integer bounds: bucket 0 gets
-/// `le="0"`, bucket `i ≥ 1` gets `le="2^i − 1"`, then `+Inf`, `_sum`,
-/// `_count`. Buckets above the highest non-empty one are elided.
-pub fn write_histogram(out: &mut String, name: &str, labels: &str, h: &LogHistogram) {
-    let last = h.last_bucket().unwrap_or(0);
-    let mut cum = 0u64;
-    for (i, &c) in h.counts().iter().enumerate().take(last + 1) {
-        cum += c;
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{{labels},le=\"{}\"}} {cum}",
-            LogHistogram::bucket_upper(i)
-        );
-    }
-    let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {}", h.total());
-    let _ = writeln!(out, "{name}_sum{{{labels}}} {}", h.sum());
-    let _ = writeln!(out, "{name}_count{{{labels}}} {}", h.total());
-}
-
-/// One histogram reconstructed from a Prometheus scrape: its label set
-/// (minus `le`) and the rebuilt [`LogHistogram`].
-#[derive(Clone, Debug)]
-pub struct ScrapedHistogram {
-    /// Label key → value, `le` excluded.
-    pub labels: BTreeMap<String, String>,
-    /// The reconstructed histogram. `max` is approximated by the upper
-    /// bound of the highest non-empty bucket (the exposition does not
-    /// carry the exact max).
-    pub hist: LogHistogram,
-}
-
-impl ScrapedHistogram {
-    /// The value of label `key`, or `""`.
-    #[must_use]
-    pub fn label(&self, key: &str) -> &str {
-        self.labels.get(key).map_or("", String::as_str)
-    }
-}
-
-/// Splits `op="arrive",shard="0",le="15"` into pairs. Our exposition
-/// never escapes quotes or embeds commas in values.
-fn parse_labels(s: &str) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    for part in s.split(',') {
-        if let Some((k, v)) = part.split_once('=') {
-            out.insert(k.trim().to_string(), v.trim().trim_matches('"').to_string());
-        }
-    }
-    out
-}
-
-/// Reconstructs every member of histogram family `family` from
-/// Prometheus text. Inverse of [`write_histogram`]: `le` bounds are
-/// `2^i − 1`, so `le + 1` (a power of two) recovers the bucket index
-/// and consecutive cumulative counts recover per-bucket counts exactly.
-/// Unparseable lines are skipped.
-#[must_use]
-pub fn parse_histograms(text: &str, family: &str) -> Vec<ScrapedHistogram> {
-    let bucket_prefix = format!("{family}_bucket{{");
-    let sum_prefix = format!("{family}_sum{{");
-    // keyed by the rendered non-le label set
-    let mut groups: BTreeMap<String, (Vec<(u128, u64)>, u64)> = BTreeMap::new();
-    for line in text.lines() {
-        let (prefix, is_bucket) = if line.starts_with(&bucket_prefix) {
-            (&bucket_prefix, true)
-        } else if line.starts_with(&sum_prefix) {
-            (&sum_prefix, false)
-        } else {
-            continue;
-        };
-        let rest = &line[prefix.len()..];
-        let Some((labels_str, value_str)) = rest.split_once('}') else {
-            continue;
-        };
-        let Ok(value) = value_str.trim().parse::<u64>() else {
-            continue;
-        };
-        let mut labels = parse_labels(labels_str);
-        let le = labels.remove("le");
-        let key = labels
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let entry = groups.entry(key).or_default();
-        if is_bucket {
-            let bound = match le.as_deref() {
-                Some("+Inf") => continue, // redundant with _count
-                Some(le) => match le.parse::<u128>() {
-                    Ok(b) => b,
-                    Err(_) => continue,
-                },
-                None => continue,
-            };
-            entry.0.push((bound, value));
-        } else {
-            entry.1 = value;
-        }
-    }
-    groups
-        .into_iter()
-        .map(|(key, (mut buckets, sum))| {
-            buckets.sort_unstable_by_key(|&(le, _)| le);
-            let mut counts = [0u64; 65];
-            let mut prev = 0u64;
-            for (le, cum) in buckets {
-                let idx = if le == 0 {
-                    0
-                } else {
-                    (le + 1).ilog2() as usize
-                };
-                if idx < counts.len() {
-                    counts[idx] = cum.saturating_sub(prev);
-                }
-                prev = cum;
-            }
-            let max = counts
-                .iter()
-                .rposition(|&c| c > 0)
-                .map_or(0, LogHistogram::bucket_upper);
-            ScrapedHistogram {
-                labels: key
-                    .split(',')
-                    .filter_map(|p| p.split_once('='))
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect(),
-                hist: LogHistogram::from_counts(&counts, sum, max),
-            }
-        })
-        .collect()
-}
-
-/// Fetches `path` from `addr` over hand-rolled HTTP/1.1 and returns the
-/// body (the same discipline as `dvbp-monitor`'s scraper — `dvbp-serve`
-/// cannot depend on the monitor crate).
-///
-/// # Errors
-///
-/// Connection or read failures, or a non-200 status.
-pub fn http_get(addr: &str, path: &str) -> io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )?;
-    let mut text = String::new();
-    BufReader::new(stream).read_to_string(&mut text)?;
-    let Some((head, body)) = text.split_once("\r\n\r\n") else {
-        return Err(io::Error::other("malformed HTTP response"));
-    };
-    let status_line = head.lines().next().unwrap_or("");
-    if !status_line.contains(" 200 ") {
-        return Err(io::Error::other(format!("HTTP error: {status_line}")));
-    }
-    Ok(body.to_string())
-}
-
 /// Renders a `/spans` JSONL dump as the `dvbp-serve spans` breakdown:
 /// the last `recent` recent requests, every captured slow request, and
 /// a per-stage aggregate table (mean, p50/p99 upper bounds, share of
@@ -420,7 +240,7 @@ pub fn render_spans_table(jsonl: &str, recent: usize) -> String {
     let mut recent_rows = Vec::new();
     let mut slow_rows = Vec::new();
     for line in jsonl.lines() {
-        let Ok(v) = serde_json::from_str::<serde_json::Value>(line) else {
+        let Ok(v) = serde_json::from_str::<Value>(line) else {
             continue;
         };
         match v.get("kind").and_then(|k| k.as_str()) {
@@ -447,7 +267,9 @@ pub fn render_spans_table(jsonl: &str, recent: usize) -> String {
             .collect::<String>(),
     );
 
-    let row = |v: &serde_json::Value, out: &mut String| {
+    let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+    let stage_ns = |v: &Value, stage: Stage| v.get("stages").map_or(0, |s| num(s, stage.name()));
+    let row = |v: &Value, out: &mut String| {
         let shard = v
             .get("shard")
             .and_then(|s| {
@@ -466,16 +288,11 @@ pub fn render_spans_table(jsonl: &str, recent: usize) -> String {
             } else {
                 "ERR"
             },
-            v.get("time").and_then(|t| t.as_u64()).unwrap_or(0),
-            v.get("total_ns").and_then(|t| t.as_u64()).unwrap_or(0) as f64 / 1000.0,
+            num(v, "time"),
+            num(v, "total_ns") as f64 / 1000.0,
         );
         for stage in Stage::ALL {
-            let ns = v
-                .get("stages")
-                .and_then(|s| s.get(stage.name()))
-                .and_then(|n| n.as_u64())
-                .unwrap_or(0);
-            let _ = write!(out, " {:>10.1}", ns as f64 / 1000.0);
+            let _ = write!(out, " {:>10.1}", stage_ns(v, stage) as f64 / 1000.0);
         }
         out.push('\n');
     };
@@ -502,20 +319,12 @@ pub fn render_spans_table(jsonl: &str, recent: usize) -> String {
     }
 
     // Per-stage aggregate over the recent ring.
-    let mut stage_hists: Vec<LogHistogram> =
-        (0..Stage::COUNT).map(|_| LogHistogram::new()).collect();
-    let mut stage_sum = [0u64; Stage::COUNT];
+    let mut stage_hists = vec![LogHistogram::new(); Stage::COUNT];
     let mut total_sum = 0u64;
     for v in &recent_rows {
-        total_sum += v.get("total_ns").and_then(|t| t.as_u64()).unwrap_or(0);
-        for (i, stage) in Stage::ALL.iter().enumerate() {
-            let ns = v
-                .get("stages")
-                .and_then(|s| s.get(stage.name()))
-                .and_then(|n| n.as_u64())
-                .unwrap_or(0);
-            stage_hists[i].record(ns);
-            stage_sum[i] += ns;
+        total_sum += num(v, "total_ns");
+        for (h, stage) in stage_hists.iter_mut().zip(Stage::ALL) {
+            h.record(stage_ns(v, stage));
         }
     }
     if total_sum > 0 {
@@ -525,8 +334,7 @@ pub fn render_spans_table(jsonl: &str, recent: usize) -> String {
             "{:<11} {:>10} {:>10} {:>10} {:>7}",
             "stage", "mean", "p50<=", "p99<=", "share"
         );
-        for (i, stage) in Stage::ALL.iter().enumerate() {
-            let h = &stage_hists[i];
+        for (h, stage) in stage_hists.iter().zip(Stage::ALL) {
             let _ = writeln!(
                 out,
                 "{:<11} {:>10.1} {:>10.1} {:>10.1} {:>6.1}%",
@@ -534,7 +342,7 @@ pub fn render_spans_table(jsonl: &str, recent: usize) -> String {
                 h.mean() / 1000.0,
                 h.quantile(0.5) as f64 / 1000.0,
                 h.quantile(0.99) as f64 / 1000.0,
-                100.0 * stage_sum[i] as f64 / total_sum as f64,
+                100.0 * h.sum() as f64 / total_sum as f64,
             );
         }
     }
@@ -604,39 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_round_trip_through_the_parser() {
-        let hub = SpanHub::new(2);
-        for i in 0..100u64 {
-            hub.record(&finished(OpKind::Arrive, (i % 2) as u32, i * i));
-        }
-        let mut text = String::new();
-        hub.render_metrics(&mut text);
-        let parsed = parse_histograms(&text, "dvbp_serve_request_latency_ns");
-        assert_eq!(parsed.len(), 2);
-        let mut merged = LogHistogram::new();
-        for sh in &parsed {
-            assert_eq!(sh.label("op"), "arrive");
-            merged.merge(&sh.hist);
-        }
-        let expect = hub.merged_total();
-        assert_eq!(merged.total(), expect.total());
-        assert_eq!(merged.sum(), expect.sum());
-        assert_eq!(merged.counts(), expect.counts());
-        // Counts are identical, so quantiles land in the same bucket;
-        // the scraped max is only the bucket's upper bound, so a
-        // max-capped quantile can sit above the exact one (never below).
-        for q in [0.5, 0.99, 0.999] {
-            let (scraped, exact) = (merged.quantile(q), expect.quantile(q));
-            assert!(scraped >= exact, "q={q}: {scraped} < {exact}");
-            assert_eq!(
-                LogHistogram::bucket_of(scraped),
-                LogHistogram::bucket_of(exact),
-                "q={q}"
-            );
-        }
-    }
-
-    #[test]
     fn slow_requests_land_in_the_keep_ring_and_dump() {
         let hub = SpanHub::with_config(1, 8, 8, 1_000);
         hub.record(&finished(OpKind::Arrive, 0, 100)); // fast
@@ -669,17 +444,5 @@ mod tests {
             render_spans_table("", 16).contains("no spans captured"),
             "empty dump explains itself"
         );
-    }
-
-    #[test]
-    fn build_info_has_version_and_profile() {
-        let mut out = String::new();
-        write_build_info(&mut out, "1.2.3", "scalar-scan");
-        assert!(out.contains("# TYPE dvbp_build_info gauge"), "{out}");
-        assert!(
-            out.contains("dvbp_build_info{version=\"1.2.3\",features=\"scalar-scan\",profile="),
-            "{out}"
-        );
-        assert!(out.trim_end().ends_with("1"), "{out}");
     }
 }

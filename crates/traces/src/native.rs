@@ -31,6 +31,9 @@ pub struct NativeSource<R> {
     pending: Pending,
     stats: IngestStats,
     line_no: u64,
+    /// Whether the first non-blank, non-comment line — the only one
+    /// that may be a header — has been read.
+    saw_first_row: bool,
     clock: Time,
     lookahead: Option<Row>,
     eof: bool,
@@ -48,6 +51,7 @@ impl<R: BufRead> NativeSource<R> {
             pending: Pending::default(),
             stats: IngestStats::default(),
             line_no: 0,
+            saw_first_row: false,
             clock: 0,
             lookahead: None,
             eof: false,
@@ -81,8 +85,12 @@ impl<R: BufRead> NativeSource<R> {
                 continue;
             }
             let fields = split_fields(line);
-            // Header iff the arrival column is not numeric.
-            if fields.first().is_some_and(|f| f.parse::<u64>().is_err()) && self.line_no == 1 {
+            // The first non-blank, non-comment line is a header iff its
+            // arrival column is not numeric (`parse_csv`'s rule); an
+            // all-numeric first row is data.
+            let first_row = !self.saw_first_row;
+            self.saw_first_row = true;
+            if first_row && fields.first().is_some_and(|f| f.parse::<u64>().is_err()) {
                 continue;
             }
             let d = self.capacity.dim();
@@ -249,6 +257,26 @@ mod tests {
             }
         ));
         assert_eq!(s.stats().items, 3);
+    }
+
+    #[test]
+    fn header_after_comments_and_blanks_is_skipped() {
+        let text = "# exported by some tool\n\narrival,departure,cpu\n0,3,1\n1,4,2\n";
+        let mut s = open(text, &[10], DirtyPolicy::Reject);
+        let ops = collect(&mut s).unwrap();
+        assert_eq!(ops.len(), 4);
+        assert_eq!(s.stats().items, 2);
+        // An all-numeric first row is data, after comments too.
+        let mut s = open("# c\n0,3,1\n1,4,2\n", &[10], DirtyPolicy::Reject);
+        assert_eq!(collect(&mut s).unwrap().len(), 4);
+        // Only the first row may be a header.
+        let err = collect(&mut open(
+            "0,3,1\narrival,departure,cpu\n",
+            &[10],
+            DirtyPolicy::Reject,
+        ))
+        .unwrap_err();
+        assert!(err.to_string().contains("line 2"), "{err}");
     }
 
     #[test]
