@@ -209,12 +209,11 @@ fn run_meta(inst: &Instance, live_kind: &PolicyKind, meta: MetaPolicy) -> (u64, 
     let live = LiveRequest::new(live_kind.clone())
         .capacity(inst.capacity.clone())
         .trace_mode(TraceMode::CostOnly)
-        .shadow_policies(candidates())
         .items_hint(inst.items.len())
         .build()
+        .expect("the live kind is non-clairvoyant");
+    let mut pf = PortfolioEngine::new(live, &candidates(), meta, inst.items.len())
         .expect("candidates are non-clairvoyant");
-    let mut pf =
-        PortfolioEngine::new(live, meta, inst.items.len()).expect("portfolio boot succeeds");
     let mut ids = vec![usize::MAX; inst.items.len()];
     for op in live_ops(inst) {
         match op {

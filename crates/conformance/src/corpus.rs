@@ -208,9 +208,9 @@ fn portfolio_no_switch_hysteresis() -> Instance {
 
 /// Staggered lone departures from a shared bin: most depart groups in
 /// the serve WAL are single `Depart` lines whose bin stays open, so
-/// crash cuts land on the trailing-lone-`Depart` ambiguity the recovery
-/// replay has to resolve (and the final departures *do* close bins,
-/// exercising the closed-flag rollback).
+/// crash cuts land right after a complete lone `Depart`, and the final
+/// departures *do* close bins, so other cuts fall between a `Depart`
+/// and its `BinClose`, which recovery rolls back.
 fn crash_wal_lone_depart() -> Instance {
     let items = vec![
         item(&[3], 0, 20), // bin 0 anchor; its departure closes the bin
@@ -481,14 +481,16 @@ mod tests {
         let live = dvbp_core::LiveRequest::new(dvbp_core::PolicyKind::NextFit)
             .capacity(inst.capacity.clone())
             .trace_mode(dvbp_core::TraceMode::CostOnly)
-            .shadow_policies([
-                dvbp_core::PolicyKind::FirstFit,
-                dvbp_core::PolicyKind::NextFit,
-            ])
             .items_hint(inst.items.len())
             .build()
             .unwrap();
-        let mut pf = dvbp_portfolio::PortfolioEngine::new(live, meta, inst.items.len()).unwrap();
+        let candidates = [
+            dvbp_core::PolicyKind::FirstFit,
+            dvbp_core::PolicyKind::NextFit,
+        ];
+        let mut pf =
+            dvbp_portfolio::PortfolioEngine::new(live, &candidates, meta, inst.items.len())
+                .unwrap();
         let mut ids = vec![usize::MAX; inst.items.len()];
         let mut snap = Vec::new();
         for op in dvbp_core::live_ops(inst) {

@@ -481,15 +481,15 @@ mod tests {
             let live = dvbp_core::LiveRequest::new(dvbp_core::PolicyKind::NextFit)
                 .capacity(inst.capacity.clone())
                 .trace_mode(dvbp_core::TraceMode::CostOnly)
-                .shadow_policies([
-                    dvbp_core::PolicyKind::FirstFit,
-                    dvbp_core::PolicyKind::NextFit,
-                ])
                 .items_hint(inst.items.len())
                 .build()
                 .unwrap();
             let mut pf = dvbp_portfolio::PortfolioEngine::new(
                 live,
+                &[
+                    dvbp_core::PolicyKind::FirstFit,
+                    dvbp_core::PolicyKind::NextFit,
+                ],
                 dvbp_portfolio::MetaPolicy::BestOf { window: 1 },
                 inst.items.len(),
             )

@@ -29,7 +29,7 @@ use dvbp_portfolio::{MetaPolicy, PortfolioEngine};
 /// always-on baselines plus the live kind itself (deduplicated by the
 /// engine). Small on purpose — every kind in the suite takes a turn as
 /// the live policy, so fidelity is still checked for all of them.
-fn candidates(kind: &PolicyKind) -> Vec<PolicyKind> {
+pub(crate) fn candidates(kind: &PolicyKind) -> Vec<PolicyKind> {
     let mut set = vec![PolicyKind::FirstFit, PolicyKind::NextFit];
     if !set.contains(kind) {
         set.push(kind.clone());
@@ -56,11 +56,10 @@ pub fn check_policy(instance: &Instance, kind: &PolicyKind) -> Result<(), Diverg
     let live = LiveRequest::new(kind.clone())
         .capacity(instance.capacity.clone())
         .trace_mode(TraceMode::CostOnly)
-        .shadow_policies(shadows.iter().cloned())
         .items_hint(instance.items.len())
         .build()
         .map_err(|e| Divergence::new(kind, format!("portfolio: live boot: {e}")))?;
-    let mut pf = PortfolioEngine::new(live, MetaPolicy::Static, instance.items.len())
+    let mut pf = PortfolioEngine::new(live, &shadows, MetaPolicy::Static, instance.items.len())
         .map_err(|e| Divergence::new(kind, format!("portfolio: boot: {e}")))?;
     let mut plain = LiveRequest::new(kind.clone())
         .capacity(instance.capacity.clone())

@@ -13,8 +13,14 @@
 //!   mid-line (torn final write), must recover without error; resuming
 //!   the service from the recovered state and idempotently re-driving
 //!   the full feed (duplicate-id / already-departed rejections are the
-//!   resume path, not failures) must land in the *same* bit-identical
-//!   final state as the uninterrupted run — for every cut;
+//!   resume path, not failures) must land in the *same* final state as
+//!   the uninterrupted run — bit-identical drained packing, and equal
+//!   shard status (policy, switch history, migrations, usage time,
+//!   shadow scoreboard) but for `wal_lines` — for every cut. The plain
+//!   shard is always crashed; a `drain:2` shard (migration groups) and
+//!   a `best-of:1` portfolio shard over layer 11's candidates
+//!   (`PolicySwitch` lines) are crashed too under the exhaustive plan,
+//!   and for live `FirstFit` and `NextFit` under the sampled one;
 //! * **sharded invariants** — with 2 and 3 hash-routed shards, each
 //!   shard's packing must pass [`Packing::verify`] (and
 //!   `verify_any_fit` for full-candidate policies) against its own
@@ -32,12 +38,13 @@ use dvbp_core::{
     TimeMode, TraceEvent, TraceMode,
 };
 use dvbp_obs::{scan_wal, JsonlEmitter, SyncPolicy};
+use dvbp_portfolio::MetaPolicy;
 use dvbp_serve::client::item_id;
-use dvbp_serve::protocol::{Request, Response, ServeStatus};
+use dvbp_serve::protocol::{Request, Response, ServeStatus, ShardStatus};
 use dvbp_serve::recovery::recover;
 use dvbp_serve::router::RouterKind;
 use dvbp_serve::server::ServeState;
-use dvbp_serve::shard::{Shard, ShardError};
+use dvbp_serve::shard::{PortfolioConfig, Shard, ShardError};
 
 /// Which crash points of the WAL to exercise.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,6 +73,42 @@ pub fn servable(kind: &PolicyKind) -> bool {
     )
 }
 
+/// The per-shard configuration a serving run uses next to its policy.
+#[derive(Debug, PartialEq)]
+struct ShardConfig {
+    repack: RepackPolicy,
+    portfolio: Option<PortfolioConfig>,
+}
+
+/// No repacking, no portfolio: the configuration pinned to the batch
+/// engine.
+const PLAIN: ShardConfig = ShardConfig {
+    repack: RepackPolicy::NoRepack,
+    portfolio: None,
+};
+
+/// The configurations whose WALs `plan` crashes for live `kind`: the
+/// plain shard always; a `drain:2` shard and a `best-of:1` portfolio
+/// shard over layer 11's candidates under the exhaustive plan, and
+/// under the sampled one for `FirstFit` and `NextFit`.
+fn crash_configs(kind: &PolicyKind, plan: CrashPlan) -> Vec<ShardConfig> {
+    let mut configs = vec![PLAIN];
+    if plan == CrashPlan::Exhaustive || matches!(kind, PolicyKind::FirstFit | PolicyKind::NextFit) {
+        configs.push(ShardConfig {
+            repack: RepackPolicy::DrainOnDepart { k: 2 },
+            portfolio: None,
+        });
+        configs.push(ShardConfig {
+            repack: RepackPolicy::NoRepack,
+            portfolio: Some(PortfolioConfig {
+                candidates: crate::portfolio::candidates(kind),
+                meta: MetaPolicy::BestOf { window: 1 },
+            }),
+        });
+    }
+    configs
+}
+
 /// One completed in-memory serving run.
 struct ServeRun {
     shards: Vec<Shard<Vec<u8>>>,
@@ -79,17 +122,18 @@ fn drive(
     kind: &PolicyKind,
     ops: &[LiveOp],
     shards: usize,
+    config: &ShardConfig,
 ) -> Result<ServeRun, Divergence> {
     let state = ServeState::in_memory(
         &instance.capacity,
         kind,
-        RepackPolicy::NoRepack,
+        config.repack,
         shards,
         RouterKind::Hash,
         TraceMode::Full,
         TimeMode::Strict,
         SyncPolicy::PerEvent,
-        None,
+        config.portfolio.as_ref(),
     )
     .map_err(|e| Divergence::new(kind, format!("serve[shards={shards}]: boot: {e}")))?;
     for op in ops {
@@ -180,20 +224,33 @@ pub(crate) fn remap(packing: &Packing, back: &[usize], n: usize) -> Packing {
     }
 }
 
-/// Consumes a drained shard into its instance-indexed packing and WAL
+/// A drained one-shard run: its instance-indexed packing and its status
+/// with `wal_lines` zeroed (a resumed shard counts only the lines it
+/// wrote since boot).
+struct Settled {
+    packing: Packing,
+    status: ShardStatus,
+}
+
+/// Consumes a drained one-shard run into its [`Settled`] state and WAL
 /// bytes.
 fn snapshot(
     kind: &PolicyKind,
     shard: Shard<Vec<u8>>,
     n: usize,
     context: &str,
-) -> Result<(Packing, Vec<u8>), Divergence> {
+) -> Result<(Settled, Vec<u8>), Divergence> {
     let back = back_map(kind, shard.names())?;
+    let status = ShardStatus {
+        wal_lines: 0,
+        ..shard.status(0)
+    };
     let (live, wal) = shard.into_parts();
     let packing = live
         .into_packing()
         .map_err(|e| Divergence::new(kind, format!("serve{context}: snapshot: {e}")))?;
-    Ok((remap(&packing, &back, n), wal))
+    let packing = remap(&packing, &back, n);
+    Ok((Settled { packing, status }, wal))
 }
 
 /// The crash points for `wal` under `plan`: event boundaries (a crash
@@ -233,27 +290,29 @@ fn crash_cuts(wal: &[u8], plan: CrashPlan) -> Vec<usize> {
     }
 }
 
-/// Crashes a one-shard service at `cut` bytes of `wal`, recovers,
-/// re-drives the full feed idempotently, and compares the final state
-/// to the uninterrupted `batch` packing.
+/// Crashes a one-shard service under `config` at `cut` bytes of `wal`,
+/// recovers, re-drives the full feed idempotently, and compares the
+/// final state with the same configuration's uninterrupted run.
 fn check_crash_cut(
     instance: &Instance,
     kind: &PolicyKind,
     ops: &[LiveOp],
-    batch: &Packing,
+    config: &ShardConfig,
+    uninterrupted: &Settled,
     wal: &[u8],
     cut: usize,
 ) -> Result<(), Divergence> {
+    let context = format!("[{config:?}, crash@{cut} of {} WAL bytes]", wal.len());
     let rec = recover(
         &wal[..cut],
         &instance.capacity,
         kind,
-        RepackPolicy::NoRepack,
+        config.repack,
         TraceMode::Full,
         TimeMode::Strict,
-        None,
+        config.portfolio.as_ref(),
     )
-    .map_err(|e| Divergence::new(kind, format!("serve[crash@{cut}]: recovery: {e}")))?;
+    .map_err(|e| Divergence::new(kind, format!("serve{context}: recovery: {e}")))?;
     let mut shard = Shard::resume(
         rec.live,
         rec.ids,
@@ -278,15 +337,21 @@ fn check_crash_cut(
         if let Err(e) = outcome {
             return Err(Divergence::new(
                 kind,
-                format!("serve[crash@{cut}]: resume rejected {op:?}: {e}"),
+                format!("serve{context}: resume rejected {op:?}: {e}"),
             ));
         }
     }
-    let (served, _) = snapshot(kind, shard, instance.len(), &format!("[crash@{cut}]"))?;
-    if let Some(diff) = first_difference(&served, batch) {
+    let (served, _) = snapshot(kind, shard, instance.len(), &context)?;
+    if let Some(diff) = first_difference(&served.packing, &uninterrupted.packing) {
+        return Err(Divergence::new(kind, format!("serve{context}: {diff}")));
+    }
+    if served.status != uninterrupted.status {
         return Err(Divergence::new(
             kind,
-            format!("serve[crash@{cut} of {} WAL bytes]: {diff}", wal.len()),
+            format!(
+                "serve{context}: status {:?} vs uninterrupted {:?}",
+                served.status, uninterrupted.status
+            ),
         ));
     }
     Ok(())
@@ -301,7 +366,7 @@ fn check_sharded(
     ops: &[LiveOp],
     shards: usize,
 ) -> Result<(), Divergence> {
-    let run = drive(instance, kind, ops, shards)?;
+    let run = drive(instance, kind, ops, shards, &PLAIN)?;
     let n = instance.len() as u64;
     if run.status.arrivals != n || run.status.departures != n {
         return Err(Divergence::new(
@@ -385,31 +450,35 @@ pub fn check_policy(
         .expect("batch run of a valid instance succeeds");
     let ops = live_ops(instance);
 
-    // One shard: the service is the batch engine, bit for bit.
-    let run = drive(instance, kind, &ops, 1)?;
-    if run.status.usage_time != batch.cost().to_string() {
-        return Err(Divergence::new(
-            kind,
-            format!(
-                "serve[shards=1]: status cost {} vs batch cost {}",
-                run.status.usage_time,
-                batch.cost()
-            ),
-        ));
-    }
-    let shard = run
-        .shards
-        .into_iter()
-        .next()
-        .expect("a one-shard service has one shard");
-    let (served, wal) = snapshot(kind, shard, instance.len(), "[shards=1]")?;
-    if let Some(diff) = first_difference(&served, &batch) {
-        return Err(Divergence::new(kind, format!("serve[shards=1]: {diff}")));
-    }
-
-    // Crash the one-shard service at each planned WAL cut.
-    for cut in crash_cuts(&wal, plan) {
-        check_crash_cut(instance, kind, &ops, &batch, &wal, cut)?;
+    // One shard, uninterrupted, under each crashed configuration; the
+    // plain one is the batch engine, bit for bit.
+    for config in crash_configs(kind, plan) {
+        let run = drive(instance, kind, &ops, 1, &config)?;
+        let shard = run
+            .shards
+            .into_iter()
+            .next()
+            .expect("a one-shard service has one shard");
+        let (uninterrupted, wal) = snapshot(kind, shard, instance.len(), &format!("[{config:?}]"))?;
+        if config == PLAIN {
+            if run.status.usage_time != batch.cost().to_string() {
+                return Err(Divergence::new(
+                    kind,
+                    format!(
+                        "serve[shards=1]: status cost {} vs batch cost {}",
+                        run.status.usage_time,
+                        batch.cost()
+                    ),
+                ));
+            }
+            if let Some(diff) = first_difference(&uninterrupted.packing, &batch) {
+                return Err(Divergence::new(kind, format!("serve[shards=1]: {diff}")));
+            }
+        }
+        // Crash the one-shard service at each planned WAL cut.
+        for cut in crash_cuts(&wal, plan) {
+            check_crash_cut(instance, kind, &ops, &config, &uninterrupted, &wal, cut)?;
+        }
     }
 
     // Multi-shard routing invariants and cost additivity.
@@ -481,7 +550,7 @@ mod tests {
     #[test]
     fn crash_cuts_cover_boundaries_and_torn_lines() {
         let ops = live_ops(&sample());
-        let run = drive(&sample(), &PolicyKind::FirstFit, &ops, 1).unwrap();
+        let run = drive(&sample(), &PolicyKind::FirstFit, &ops, 1, &PLAIN).unwrap();
         let shard = run.shards.into_iter().next().unwrap();
         let (_, wal) = shard.into_parts();
         let scan = scan_wal(&wal).unwrap();

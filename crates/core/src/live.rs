@@ -271,7 +271,6 @@ pub struct LiveRequest<O: Observer = NoopObserver> {
     time_mode: TimeMode,
     repack: RepackPolicy,
     observer: O,
-    shadow_kinds: Vec<PolicyKind>,
     items_hint: usize,
 }
 
@@ -286,7 +285,6 @@ impl LiveRequest<NoopObserver> {
             time_mode: TimeMode::Strict,
             repack: RepackPolicy::NoRepack,
             observer: NoopObserver,
-            shadow_kinds: Vec::new(),
             items_hint: 0,
         }
     }
@@ -322,18 +320,6 @@ impl<O: Observer> LiveRequest<O> {
         self
     }
 
-    /// Declares the shadow-policy candidate set for portfolio dispatch
-    /// (see the `dvbp-portfolio` crate). The core engine only records
-    /// and validates the kinds — clairvoyant candidates are rejected at
-    /// [`build`](LiveRequest::build), and duplicates of the live kind
-    /// are kept (every candidate gets its own shadow). The portfolio
-    /// layer reads them back via [`LiveEngine::shadow_kinds`].
-    #[must_use]
-    pub fn shadow_policies<I: IntoIterator<Item = PolicyKind>>(mut self, kinds: I) -> Self {
-        self.shadow_kinds = kinds.into_iter().collect();
-        self
-    }
-
     /// Pre-reserves per-item bookkeeping for an expected stream length.
     /// Purely an optimization: with a hint covering the run, the item
     /// ledger never reallocates in steady state — the portfolio crate's
@@ -357,7 +343,6 @@ impl<O: Observer> LiveRequest<O> {
             time_mode: self.time_mode,
             repack: self.repack,
             observer,
-            shadow_kinds: self.shadow_kinds,
             items_hint: self.items_hint,
         }
     }
@@ -374,15 +359,13 @@ impl<O: Observer> LiveRequest<O> {
         let Some(capacity) = self.capacity else {
             return Err(LiveError::NoCapacity);
         };
-        for kind in std::iter::once(&self.kind).chain(&self.shadow_kinds) {
-            if matches!(
-                kind,
-                PolicyKind::DurationClassFirstFit | PolicyKind::AlignedFit
-            ) {
-                return Err(LiveError::Clairvoyant {
-                    policy: kind.name(),
-                });
-            }
+        if matches!(
+            self.kind,
+            PolicyKind::DurationClassFirstFit | PolicyKind::AlignedFit
+        ) {
+            return Err(LiveError::Clairvoyant {
+                policy: self.kind.name(),
+            });
         }
         let mut policy = self.kind.build();
         policy.reset();
@@ -413,7 +396,6 @@ impl<O: Observer> LiveRequest<O> {
             migrations: 0,
             migration_cost: 0,
             closes_since_sweep: 0,
-            shadow_kinds: self.shadow_kinds,
             policy_switches: 0,
         })
     }
@@ -456,9 +438,6 @@ pub struct LiveEngine<O: Observer = NoopObserver> {
     migration_cost: u64,
     /// Natural bin closes since the last defrag sweep.
     closes_since_sweep: u32,
-    /// Shadow-policy candidates declared at construction (portfolio
-    /// dispatch); the core engine only carries them.
-    shadow_kinds: Vec<PolicyKind>,
     /// Accepted [`switch_policy`](LiveEngine::switch_policy) calls.
     policy_switches: u64,
 }
@@ -867,15 +846,6 @@ impl<O: Observer> LiveEngine<O> {
     #[must_use]
     pub fn time_mode(&self) -> TimeMode {
         self.time_mode
-    }
-
-    /// Shadow-policy candidates declared via
-    /// [`LiveRequest::shadow_policies`] (empty when portfolio dispatch
-    /// is not in use). The portfolio layer builds one cost-only shadow
-    /// engine per entry.
-    #[must_use]
-    pub fn shadow_kinds(&self) -> &[PolicyKind] {
-        &self.shadow_kinds
     }
 
     /// The attached repacking policy.
@@ -1730,28 +1700,6 @@ mod tests {
     }
 
     #[test]
-    fn shadow_policies_are_carried_and_validated() {
-        let err = LiveRequest::new(PolicyKind::FirstFit)
-            .capacity(DimVec::from_slice(&[10]))
-            .shadow_policies([PolicyKind::AlignedFit])
-            .build()
-            .err()
-            .expect("clairvoyant shadow candidates must be rejected");
-        assert!(matches!(err, LiveError::Clairvoyant { .. }));
-        let live = LiveRequest::new(PolicyKind::FirstFit)
-            .capacity(DimVec::from_slice(&[10]))
-            .shadow_policies([PolicyKind::FirstFit, PolicyKind::MoveToFront])
-            .items_hint(64)
-            .build()
-            .unwrap();
-        assert_eq!(
-            live.shadow_kinds(),
-            &[PolicyKind::FirstFit, PolicyKind::MoveToFront]
-        );
-        assert_eq!(live.time_mode(), TimeMode::Strict);
-    }
-
-    #[test]
     fn items_hint_does_not_change_the_run() {
         let instance = sample();
         let mut hinted = LiveRequest::new(PolicyKind::FirstFit)
@@ -1763,6 +1711,7 @@ mod tests {
             .capacity(instance.capacity.clone())
             .build()
             .unwrap();
+        assert_eq!(plain.time_mode(), TimeMode::Strict, "the default");
         for op in live_ops(&instance) {
             match op {
                 LiveOp::Arrive { size, time, .. } => {

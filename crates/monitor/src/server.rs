@@ -330,8 +330,18 @@ impl<'a> MonitorServer<'a> {
         stream.set_read_timeout(Some(Duration::from_millis(DEFAULT_READ_TIMEOUT_MS)))?;
         let mut reader = BufReader::new(stream.try_clone()?);
         let mut request_line = String::new();
-        if expo::read_line_guarded(&mut reader, &mut request_line) != LineRead::Line {
-            return Ok(()); // closed before a request, or stalled mid-line
+        match expo::read_line_guarded(&mut reader, &mut request_line) {
+            LineRead::Line => {}
+            LineRead::TooLong => {
+                return expo::respond(
+                    &mut stream,
+                    "431 Request Header Fields Too Large",
+                    "text/plain",
+                    "request line too long\n",
+                );
+            }
+            // Closed before a request, or stalled mid-line.
+            LineRead::Closed | LineRead::Stalled => return Ok(()),
         }
         let monitor = self.monitor;
         let path = expo::read_head(&mut reader, &request_line).1;

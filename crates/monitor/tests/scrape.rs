@@ -4,6 +4,7 @@
 
 use dvbp_core::PolicyKind;
 use dvbp_monitor::{observe_run, Monitor, MonitorServer, Status, Workload};
+use dvbp_obs::expo::MAX_LINE_BYTES;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -179,5 +180,42 @@ fn a_stalled_client_blocks_neither_scrapes_nor_shutdown() {
         let shutdown = shutdown.expect("/shutdown answered while a client stalls");
         assert!(shutdown.ends_with("shutting down\n"), "{shutdown}");
         assert!(monitor.shutting_down());
+    });
+}
+
+#[test]
+fn an_overlong_request_line_is_answered_431_before_the_read_timeout() {
+    let monitor = Monitor::new("FirstFit");
+    let server = MonitorServer::bind("127.0.0.1:0", &monitor).expect("bind ephemeral port");
+    let addr = server.local_addr().unwrap().to_string();
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve());
+
+        let mut client = TcpStream::connect(&addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let start = Instant::now();
+        client.write_all(&vec![b'a'; MAX_LINE_BYTES + 1]).unwrap();
+        // The socket stays open, so only the cap can answer this early.
+        // Read until EOF, a reset (the server closes with the rest of
+        // the line unread) or the 2 s client timeout.
+        let mut answer = Vec::new();
+        let mut buf = [0u8; 4096];
+        while let Ok(n @ 1..) = client.read(&mut buf) {
+            answer.extend_from_slice(&buf[..n]);
+        }
+        let took = start.elapsed();
+        let shutdown = get_within(&addr, "/shutdown", Duration::from_secs(2));
+        drop(client);
+        handle.join().expect("server thread").expect("serve result");
+
+        let answer = String::from_utf8_lossy(&answer);
+        assert!(
+            answer.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{answer:?}"
+        );
+        assert!(took < Duration::from_secs(2), "{took:?}");
+        shutdown.expect("/shutdown answered");
     });
 }

@@ -228,6 +228,13 @@ pub fn merge_histograms(text: &str, family: &str, by: &str) -> BTreeMap<String, 
     merged
 }
 
+/// The most bytes either service reads for one request line (its
+/// newline included), and for the header lines after an HTTP request
+/// line together: a peer that streams bytes without a newline is
+/// answered and disconnected here instead of growing a buffer for as
+/// long as it keeps sending.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Outcome of one guarded line read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LineRead {
@@ -238,18 +245,23 @@ pub enum LineRead {
     /// The socket timed out with a *partial* line buffered: the peer
     /// started a request and stalled mid-line.
     Stalled,
+    /// [`MAX_LINE_BYTES`] arrived without a newline; the buffer holds
+    /// them and the rest of the line is left unread.
+    TooLong,
 }
 
-/// Reads one line under the socket's read timeout. A timeout with
-/// nothing buffered is a benign idle connection and the read resumes; a
-/// timeout after partial bytes is a stall ([`LineRead::Stalled`]) —
-/// `BufRead::read_line` appends whatever was read before the error, so
-/// `line` growing distinguishes the two.
+/// Reads one line of at most [`MAX_LINE_BYTES`] under the socket's read
+/// timeout. A timeout with nothing buffered is a benign idle connection
+/// and the read resumes; a timeout after partial bytes is a stall
+/// ([`LineRead::Stalled`]) — `BufRead::read_line` appends whatever was
+/// read before the error, so `line` growing distinguishes the two.
 pub fn read_line_guarded(reader: &mut impl BufRead, line: &mut String) -> LineRead {
     let start_len = line.len();
     loop {
-        match reader.read_line(line) {
+        // Only an idle timeout loops, so the whole budget is left.
+        match reader.take(MAX_LINE_BYTES as u64).read_line(line) {
             Ok(0) => return LineRead::Closed,
+            Ok(n) if n == MAX_LINE_BYTES && !line.ends_with('\n') => return LineRead::TooLong,
             Ok(_) => return LineRead::Line,
             Err(e)
                 if matches!(
@@ -268,14 +280,15 @@ pub fn read_line_guarded(reader: &mut impl BufRead, line: &mut String) -> LineRe
 }
 
 /// Drains the headers after an HTTP request line (every route ignores
-/// them; bodies are not supported) up to the blank line, EOF or a read
-/// error, and returns the line's method and path (`""` / `"/"` when
-/// missing).
+/// them; bodies are not supported) up to the blank line, EOF, a read
+/// error or [`MAX_LINE_BYTES`] in all, and returns the line's method and
+/// path (`""` / `"/"` when missing).
 pub fn read_head<'a>(reader: &mut impl BufRead, request_line: &'a str) -> (&'a str, &'a str) {
+    let mut headers = reader.take(MAX_LINE_BYTES as u64);
     let mut header = String::new();
     loop {
         header.clear();
-        match reader.read_line(&mut header) {
+        match headers.read_line(&mut header) {
             Ok(0) | Err(_) => break,
             Ok(_) if header == "\r\n" || header == "\n" => break,
             Ok(_) => {}

@@ -553,9 +553,10 @@ pub enum ObsEvent {
         bin: usize,
     },
     /// The live policy was swapped at a bin-close boundary (portfolio
-    /// dispatch only; the engine itself never emits it). Journaled as
-    /// its own single-line WAL group so recovery re-applies every
-    /// switch verbatim instead of re-running the meta-policy.
+    /// dispatch only; the engine itself never emits it). `dvbp-serve`
+    /// journals it as the last line of the depart group that caused
+    /// it; recovery re-runs the meta-policy and checks its switches
+    /// against these lines.
     PolicySwitch {
         /// Tick of the switch (the triggering bin-close's tick).
         time: Time,

@@ -126,6 +126,28 @@ fn guarded_read_reports_lines_and_eof() {
 }
 
 #[test]
+fn guarded_read_and_header_drain_stop_at_the_line_cap() {
+    let flood = "a".repeat(1 << 20);
+    let mut line = String::new();
+    assert_eq!(
+        read_line_guarded(&mut Cursor::new(flood.as_str()), &mut line),
+        LineRead::TooLong
+    );
+    assert!(line.len() <= 64 * 1024, "{} bytes buffered", line.len());
+    // A line that fits, newline included, reads whole.
+    let fits = format!("{}\n", "b".repeat(MAX_LINE_BYTES - 1));
+    line.clear();
+    assert_eq!(
+        read_line_guarded(&mut Cursor::new(fits.as_str()), &mut line),
+        LineRead::Line
+    );
+    assert_eq!(line, fits);
+    let mut headers = Cursor::new(flood.as_str());
+    assert_eq!(read_head(&mut headers, "GET / HTTP/1.1\r\n"), ("GET", "/"));
+    assert_eq!(headers.position(), MAX_LINE_BYTES as u64);
+}
+
+#[test]
 fn response_is_framed_once() {
     let mut out = Vec::new();
     respond(&mut out, "404 Not Found", "text/plain", "no\n").unwrap();

@@ -1,12 +1,11 @@
 //! [`PortfolioEngine`]: a live engine plus its shadow portfolio.
 //!
-//! The standalone (non-serving) driver: wraps a [`LiveEngine`] whose
-//! [`shadow_kinds`](LiveEngine::shadow_kinds) declare the candidate
-//! set, mirrors every accepted operation into the shadows, and lets the
-//! meta-policy flip the live policy at bin-close boundaries. Under
-//! [`MetaPolicy::Static`] the wrapped engine is byte-identical to a
-//! plain single-policy `LiveEngine` — conformance layer 11 checks that
-//! on every fuzzed instance.
+//! The standalone (non-serving) wrapper: takes a [`LiveEngine`], shadows
+//! it with a candidate set, mirrors every accepted operation into the
+//! shadows, and lets the meta-policy flip the live policy at bin-close
+//! boundaries. Under [`MetaPolicy::Static`] the wrapped engine is
+//! byte-identical to a plain single-policy `LiveEngine` — conformance
+//! layer 11 checks that on every fuzzed instance.
 
 use crate::meta::MetaPolicy;
 use crate::shadow::ShadowScore;
@@ -33,10 +32,10 @@ pub struct PortfolioEngine<O: Observer = dvbp_core::NoopObserver> {
 }
 
 impl<O: Observer> PortfolioEngine<O> {
-    /// Wraps `live`, building one cost-only shadow per candidate in its
-    /// [`shadow_kinds`](LiveEngine::shadow_kinds) (the live kind is
-    /// added when missing). `items_hint` pre-reserves the shadows' item
-    /// ledgers; pass the same hint the live engine was built with.
+    /// Wraps `live`, building one cost-only shadow per entry of
+    /// `candidates` (the live kind is added when missing). `items_hint`
+    /// pre-reserves the shadows' item ledgers; pass the same hint the
+    /// live engine was built with.
     ///
     /// # Errors
     ///
@@ -44,13 +43,14 @@ impl<O: Observer> PortfolioEngine<O> {
     /// validation (clairvoyant kinds).
     pub fn new(
         live: LiveEngine<O>,
+        candidates: &[PolicyKind],
         meta: MetaPolicy,
         items_hint: usize,
     ) -> Result<Self, PortfolioError> {
         let state = PortfolioState::new(
             &live.capacity().clone(),
             live.time_mode(),
-            live.shadow_kinds(),
+            candidates,
             &live.kind().clone(),
             meta,
             items_hint,
@@ -175,10 +175,9 @@ mod tests {
             .capacity(dv(&[10]))
             .trace_mode(TraceMode::CostOnly)
             .time_mode(TimeMode::Strict)
-            .shadow_policies([PolicyKind::FirstFit, PolicyKind::NextFit])
             .build()
             .unwrap();
-        PortfolioEngine::new(live, meta, 0).unwrap()
+        PortfolioEngine::new(live, &[PolicyKind::FirstFit, PolicyKind::NextFit], meta, 0).unwrap()
     }
 
     /// A stream where NextFit strands capacity: the blocker fills a

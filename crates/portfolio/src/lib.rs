@@ -16,8 +16,8 @@
 //!   (hysteresis-guarded adoption whenever the live policy trails the
 //!   best shadow by more than a relative threshold).
 //! * [`PortfolioState`] — the shared decision state `dvbp-serve` shards
-//!   journal switches from, built so WAL recovery replays journaled
-//!   `PolicySwitch` events instead of re-running the meta-policy.
+//!   journal switches from; WAL recovery re-runs it over the journaled
+//!   operations and checks its switches against the journal.
 //! * [`PortfolioEngine`] — the standalone live-engine wrapper used by
 //!   benches, property tests, and the conformance harness.
 //!

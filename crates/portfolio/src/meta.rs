@@ -5,8 +5,9 @@
 //! the closing bin is gone and the incoming policy adopts the surviving
 //! open set verbatim ([`dvbp_core::Policy::on_adopt`]). Every decision
 //! is a pure integer function of the shadow scoreboard and the close
-//! counters, so a WAL replay that re-applies the journaled switches
-//! lands in exactly the state the original process held.
+//! counters, so a WAL replay of the journaled operations makes exactly
+//! the switches, and lands in exactly the state, the original process
+//! did.
 //!
 //! Because all shadows share one [`StreamingLowerBound`] anchor (see
 //! [`crate::ShadowSet`]), comparing running CRs reduces to comparing

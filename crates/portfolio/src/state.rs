@@ -2,8 +2,7 @@
 //! decoupled from the live engine so both the standalone
 //! [`PortfolioEngine`](crate::PortfolioEngine) and `dvbp-serve`'s
 //! WAL-journaling shards can drive the same logic — and so WAL recovery
-//! can rebuild the exact state by replaying the journaled operations
-//! and `PolicySwitch` events.
+//! can rebuild the exact state by replaying the journaled operations.
 
 use crate::meta::MetaPolicy;
 use crate::shadow::{ShadowScore, ShadowSet};
@@ -18,8 +17,7 @@ pub enum PortfolioError {
     Live(LiveError),
     /// The candidate list was empty.
     NoCandidates,
-    /// A switch targeted a policy outside the candidate list (a WAL
-    /// replayed against a different `--portfolio` configuration).
+    /// A switch targeted a policy outside the candidate list.
     UnknownCandidate {
         /// The unmatched round-trippable policy spelling.
         spec: String,
@@ -64,9 +62,7 @@ pub struct SwitchRecord {
 /// accepted operation ([`on_arrive`](PortfolioState::on_arrive) /
 /// [`on_depart`](PortfolioState::on_depart)), apply a returned switch
 /// proposal to their live engine, then confirm it with
-/// [`record_switch`](PortfolioState::record_switch). Recovery replays
-/// call `record_switch` directly from journaled `PolicySwitch` events
-/// instead of re-running the meta-policy.
+/// [`record_switch`](PortfolioState::record_switch).
 pub struct PortfolioState {
     shadows: ShadowSet,
     meta: MetaPolicy,
@@ -176,13 +172,12 @@ impl PortfolioState {
 
     /// Confirms that the live engine adopted `to` at tick `time`:
     /// updates the current-candidate index, resets the hysteresis
-    /// counter, and appends the audit record. Recovery replays call
-    /// this directly from journaled `PolicySwitch` events.
+    /// counter, and appends the audit record.
     ///
     /// # Errors
     ///
     /// [`PortfolioError::UnknownCandidate`] when `to` is not in the
-    /// candidate list (a WAL replayed against a different portfolio).
+    /// candidate list.
     pub fn record_switch(&mut self, to: &PolicyKind, time: Time) -> Result<(), PortfolioError> {
         let idx = self
             .candidates

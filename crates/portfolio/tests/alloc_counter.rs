@@ -65,11 +65,16 @@ fn portfolio_engine() -> PortfolioEngine {
     let live = LiveRequest::new(PolicyKind::FirstFit)
         .capacity(DimVec::from_slice(&[100, 100]))
         .trace_mode(TraceMode::CostOnly)
-        .shadow_policies(candidates())
         .items_hint(TOTAL_ITEMS)
         .build()
         .unwrap();
-    PortfolioEngine::new(live, MetaPolicy::BestOf { window: 8 }, TOTAL_ITEMS).unwrap()
+    PortfolioEngine::new(
+        live,
+        &candidates(),
+        MetaPolicy::BestOf { window: 8 },
+        TOTAL_ITEMS,
+    )
+    .unwrap()
 }
 
 /// One steady-state round: `N` transient items, one in flight at a

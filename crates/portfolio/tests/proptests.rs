@@ -42,11 +42,10 @@ proptest! {
         let live = LiveRequest::new(PolicyKind::FirstFit)
             .capacity(inst.capacity.clone())
             .trace_mode(TraceMode::CostOnly)
-            .shadow_policies(candidates())
             .items_hint(n)
             .build()
             .unwrap();
-        let mut pf = PortfolioEngine::new(live, MetaPolicy::Static, n).unwrap();
+        let mut pf = PortfolioEngine::new(live, &candidates(), MetaPolicy::Static, n).unwrap();
         let mut standalone: Vec<_> = candidates()
             .into_iter()
             .map(|k| {
@@ -109,11 +108,10 @@ proptest! {
         let live = LiveRequest::new(kind.clone())
             .capacity(inst.capacity.clone())
             .trace_mode(TraceMode::CostOnly)
-            .shadow_policies(candidates())
             .items_hint(n)
             .build()
             .unwrap();
-        let mut pf = PortfolioEngine::new(live, MetaPolicy::Static, n).unwrap();
+        let mut pf = PortfolioEngine::new(live, &candidates(), MetaPolicy::Static, n).unwrap();
         let mut plain = LiveRequest::new(kind)
             .capacity(inst.capacity.clone())
             .trace_mode(TraceMode::CostOnly)

@@ -8,10 +8,11 @@
 //! ([`router`]) spreads them over `N` independent engine shards, and
 //! every accepted operation is journaled to a per-shard write-ahead log
 //! in the `dvbp-obs` JSONL event format *before* it is acknowledged
-//! ([`shard`]). After a crash, [`recovery`] replays each log through a
-//! verified re-drive back to **bit-identical** in-memory state — the
-//! conformance harness holds a one-shard service to exact equality with
-//! the batch engine, at every possible crash point.
+//! ([`shard`]). After a crash, [`recovery`] replays each log's requests
+//! through a shard whose writes are checked byte for byte against the
+//! log, back to **bit-identical** in-memory state — the conformance
+//! harness holds a one-shard service to exact equality with the batch
+//! engine, at every possible crash point.
 //!
 //! ```text
 //!        TCP (NDJSON + HTTP operator routes)

@@ -61,7 +61,7 @@ USAGE:
                 adopts the cheapest shadow every W closes, switch:T
                 switches when the live policy trails the best shadow by
                 more than T percent (hysteresis-guarded); every switch is
-                journaled and replays verbatim on recovery
+                journaled, and recovery replays it under the same --meta
   --wal         write-ahead-log directory; omit for a non-durable in-memory run
   --sync        WAL durability per accepted operation (default per-event)
   --time-mode   strict rejects out-of-order timestamps; clamp pulls them forward

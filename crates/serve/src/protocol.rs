@@ -120,8 +120,8 @@ pub enum Response {
     ShuttingDown,
 }
 
-/// One applied policy switch, as journaled in the WAL (`PolicySwitch`
-/// group) and replayed verbatim on recovery.
+/// One applied policy switch, as journaled in the WAL (a `PolicySwitch`
+/// line) and reproduced by the recovery replay.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SwitchEntry {
     /// Tick of the triggering bin close.

@@ -1,48 +1,44 @@
 //! Crash recovery: replay a shard's write-ahead log back to the exact
 //! live-engine state it described.
 //!
-//! Recovery is a *verified re-drive*: the WAL is parsed into operation
-//! groups (see [`crate::shard`] for the grammar), each group's
-//! operation is re-executed against a fresh [`LiveEngine`], and the
-//! engine's actual outcome (bin choice, `opened_new`, `closed`) is
-//! checked against what the journal recorded. Any disagreement is
-//! [`RecoveryError::Diverged`] — the log was written by a different
-//! policy/capacity/engine, or is corrupt — rather than silently
-//! trusting either side. Because the engine is deterministic, a clean
-//! replay reproduces **bit-identical** state: same bins, same loads,
-//! same policy-internal order.
+//! Recovery replays the log *through the code that wrote it*. It builds
+//! the shard with [`Shard::create`] over a sink that stores nothing and
+//! instead checks every byte the shard writes against the log's next
+//! byte, then feeds the shard the log's requests: each `Ident` +
+//! `Arrival` pair to [`Shard::arrive`], each `Depart` to
+//! [`Shard::depart`] under the item's recorded id. The shard journals
+//! every group again — placement, bin opens and closes, migrations,
+//! policy switches — so the group grammar is defined once, by the write
+//! path in [`crate::shard`], and a log is explained exactly when the
+//! replay writes it again byte for byte. Because the engine and the
+//! meta-policy are deterministic, a clean replay reproduces
+//! **bit-identical** state: same bins, same loads, same policy-internal
+//! order, same switch history and shadow costs.
 //!
-//! # What gets dropped
+//! # Outcomes
 //!
-//! * A torn (unterminated) final line — classified by
-//!   [`scan_wal`], never an error.
-//! * A trailing **incomplete group** (e.g. `Ident`+`Arrival` without
-//!   the committing `Place`): the crash hit between the group's lines,
-//!   so the operation was never acknowledged.
-//! * A trailing depart group whose journaled lines are a **strict
-//!   prefix** of what the replay produces — a lone `Depart` whose
-//!   replay says the bin closed, or a depart whose repack migrations
-//!   (and their `BinClose` lines) were cut before the group's commit
-//!   line. The whole group is rolled back (by re-driving without it):
-//!   repacking is deterministic, so an unacknowledged departure takes
-//!   its migrations with it. A mid-log group with the same
-//!   disagreement is *not* ambiguous — its group is complete because
-//!   later groups follow — so there it is `Diverged`.
-//!
-//! Dropped events are reported in [`Recovered::dropped_events`] and
-//! excluded from [`Recovered::valid_bytes`]; the caller truncates the
-//! log file to `valid_bytes` before appending new groups, restoring the
-//! acknowledged-prefix invariant.
+//! * The replay writes every complete line again: recovered.
+//! * The log ends inside one request's bytes — complete lines short of
+//!   the group the replay writes, or a torn (unterminated) final line,
+//!   which [`scan_wal`] skips. That request was never acknowledged, and
+//!   neither was any migration or policy switch it caused, so the prefix
+//!   before it is replayed instead. Its complete lines are reported in
+//!   [`Recovered::dropped_events`] and excluded from
+//!   [`Recovered::valid_bytes`]; the caller truncates the log file to
+//!   `valid_bytes` before appending new groups, restoring the
+//!   acknowledged-prefix invariant.
+//! * Any other difference is [`RecoveryError::Diverged`]: the log was
+//!   written under another policy, repack or portfolio configuration,
+//!   or is corrupt.
 
-use crate::shard::PortfolioConfig;
-use dvbp_core::{
-    LiveEngine, LiveError, LiveRequest, PolicyKind, RepackPolicy, TimeMode, TraceMode,
-};
+use crate::shard::{PortfolioConfig, Shard, ShardError};
+use dvbp_core::{LiveEngine, LiveError, PolicyKind, RepackPolicy, TimeMode, TraceMode};
 use dvbp_dimvec::DimVec;
-use dvbp_obs::{scan_wal, ObsError, ObsEvent};
-use dvbp_portfolio::{PortfolioError, PortfolioState};
-use dvbp_sim::Time;
+use dvbp_obs::{scan_wal, ObsError, ObsEvent, StableWrite, SyncPolicy};
+use dvbp_portfolio::PortfolioState;
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::io::{self, Write};
 
 /// A WAL that could not be recovered. All variants are fatal: the
 /// service refuses to boot on a log it cannot fully explain.
@@ -61,17 +57,19 @@ pub enum RecoveryError {
         /// Capacity recorded in the WAL header.
         found: Vec<u64>,
     },
-    /// The event sequence violates the group grammar somewhere other
-    /// than a trailing (crash-explicable) position.
+    /// An `Ident` line not followed by its `Arrival`, or a `Depart` of
+    /// an item the log never admitted.
     Malformed {
         /// 0-based index into the scanned event list.
         event: usize,
         /// What was wrong.
         msg: String,
     },
-    /// Replay produced a different outcome than the journal recorded.
+    /// The replay wrote a line differently from the log, or the log has
+    /// a line that cannot start a request where the next one should.
     Diverged {
-        /// 0-based index of the group's first event.
+        /// 0-based index of the first event the replay does not write
+        /// again.
         event: usize,
         /// The disagreement.
         msg: String,
@@ -82,7 +80,7 @@ pub enum RecoveryError {
     /// The portfolio configuration itself was rejected (empty candidate
     /// list) — a boot-configuration problem, not a log problem.
     Portfolio {
-        /// The rendered [`PortfolioError`].
+        /// The rendered [`dvbp_portfolio::PortfolioError`].
         msg: String,
     },
 }
@@ -110,23 +108,6 @@ impl std::fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
-impl From<LiveError> for RecoveryError {
-    fn from(e: LiveError) -> Self {
-        RecoveryError::Live(e)
-    }
-}
-
-impl From<PortfolioError> for RecoveryError {
-    fn from(e: PortfolioError) -> Self {
-        match e {
-            PortfolioError::Live(e) => RecoveryError::Live(e),
-            other => RecoveryError::Portfolio {
-                msg: other.to_string(),
-            },
-        }
-    }
-}
-
 /// The state rebuilt from a WAL by [`recover`].
 pub struct Recovered {
     /// A live engine holding exactly the state the WAL's acknowledged
@@ -141,8 +122,8 @@ pub struct Recovered {
     /// Byte length of the acknowledged prefix; the caller truncates the
     /// log file to this before appending.
     pub valid_bytes: u64,
-    /// Complete-line events discarded as unacknowledged trailing work
-    /// (incomplete group or rolled-back closing depart).
+    /// Complete lines of the unacknowledged request the log ends inside,
+    /// discarded with it.
     pub dropped_events: u64,
     /// Bytes of torn (unterminated) final line skipped by the scan.
     pub torn_bytes: u64,
@@ -150,416 +131,17 @@ pub struct Recovered {
     /// an empty/fully-torn log).
     pub has_header: bool,
     /// The replayed portfolio state when a [`PortfolioConfig`] was
-    /// given: shadows re-driven over the acknowledged stream, journaled
-    /// switches re-applied verbatim (the meta-policy is **not**
-    /// re-run).
+    /// given: shadows and meta-policy re-driven over the acknowledged
+    /// stream, their switches matched against the log's.
     pub portfolio: Option<PortfolioState>,
-}
-
-/// One parsed WAL group, with the journal's recorded outcome.
-#[derive(Debug)]
-enum Group {
-    Arrive {
-        /// Index of the group's first event (for error reporting).
-        at: usize,
-        id: String,
-        item: usize,
-        size: Vec<u64>,
-        time: Time,
-        bin: usize,
-        opened_new: bool,
-    },
-    Depart {
-        at: usize,
-        item: usize,
-        time: Time,
-        bin: usize,
-        /// The journaled post-`Depart` lines (`BinClose`, `Migrate`)
-        /// in order, for comparison against the replay's outcome.
-        tail: Vec<TailLine>,
-    },
-    /// A `PolicySwitch` line — a complete single-line group, re-applied
-    /// verbatim (recovery never re-runs the meta-policy).
-    Switch {
-        at: usize,
-        time: Time,
-        from: String,
-        to: String,
-    },
-}
-
-/// One post-`Depart` line of a depart group, in a shape shared by the
-/// journal parser and the replay so prefix comparison is literal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TailLine {
-    /// `BinClose{bin}` — the departed bin, or a drained migration
-    /// source.
-    Close(usize),
-    /// `Migrate{item, from, to}`.
-    Migrate(usize, usize, usize),
-}
-
-/// The depart group's tail a replayed departure would journal.
-fn replay_tail(dep: &dvbp_core::LiveDeparture) -> Vec<TailLine> {
-    let mut tail = Vec::new();
-    if dep.closed {
-        tail.push(TailLine::Close(dep.bin.0));
-    }
-    for m in &dep.migrations {
-        tail.push(TailLine::Migrate(m.item, m.from.0, m.to.0));
-        if m.closed_from {
-            tail.push(TailLine::Close(m.from.0));
-        }
-    }
-    tail
-}
-
-/// Parses the scanned event list into groups. `complete[i]` is the
-/// event index of group `i`'s commit line. Returns the groups plus the
-/// number of trailing events dropped as an incomplete group.
-fn parse_groups(events: &[ObsEvent]) -> Result<(Vec<Group>, u64), RecoveryError> {
-    let mut groups = Vec::new();
-    let mut i = 1; // 0 is the header
-    while i < events.len() {
-        let at = i;
-        match &events[i] {
-            ObsEvent::Ident { item, id } => {
-                // Arrival group: Ident, Arrival, BinOpen?, Place.
-                let Some(ObsEvent::Arrival {
-                    time,
-                    item: ai,
-                    size,
-                }) = events.get(i + 1)
-                else {
-                    return trailing_or_malformed(events, at, groups, "Ident without Arrival");
-                };
-                if ai != item {
-                    return Err(RecoveryError::Malformed {
-                        event: i + 1,
-                        msg: format!("Arrival item {ai} does not match Ident item {item}"),
-                    });
-                }
-                let mut j = i + 2;
-                let opened = matches!(events.get(j), Some(ObsEvent::BinOpen { .. }));
-                if opened {
-                    j += 1;
-                }
-                let Some(ObsEvent::Place {
-                    time: pt,
-                    item: pi,
-                    bin,
-                    opened_new,
-                    ..
-                }) = events.get(j)
-                else {
-                    return trailing_or_malformed(
-                        events,
-                        at,
-                        groups,
-                        "arrival group without Place",
-                    );
-                };
-                if pi != item || pt != time {
-                    return Err(RecoveryError::Malformed {
-                        event: j,
-                        msg: "Place does not match its Arrival".to_string(),
-                    });
-                }
-                if *opened_new != opened {
-                    return Err(RecoveryError::Malformed {
-                        event: j,
-                        msg: format!(
-                            "Place says opened_new={opened_new} but group has {} BinOpen",
-                            if opened { "a" } else { "no" }
-                        ),
-                    });
-                }
-                groups.push(Group::Arrive {
-                    at,
-                    id: id.clone(),
-                    item: *item,
-                    size: size.clone(),
-                    time: *time,
-                    bin: *bin,
-                    opened_new: *opened_new,
-                });
-                i = j + 1;
-            }
-            ObsEvent::Depart { time, item, bin } => {
-                // Depart group: Depart, BinClose?, (Migrate BinClose?)*.
-                // Greedy consumption is unambiguous: BinClose and
-                // Migrate cannot start a group.
-                let mut tail = Vec::new();
-                let mut j = i + 1;
-                if let Some(ObsEvent::BinClose { bin: b, .. }) = events.get(j) {
-                    tail.push(TailLine::Close(*b));
-                    j += 1;
-                }
-                while let Some(ObsEvent::Migrate {
-                    item: mi, from, to, ..
-                }) = events.get(j)
-                {
-                    tail.push(TailLine::Migrate(*mi, *from, *to));
-                    j += 1;
-                    if let Some(ObsEvent::BinClose { bin: b, .. }) = events.get(j) {
-                        tail.push(TailLine::Close(*b));
-                        j += 1;
-                    }
-                }
-                groups.push(Group::Depart {
-                    at,
-                    item: *item,
-                    time: *time,
-                    bin: *bin,
-                    tail,
-                });
-                i = j;
-            }
-            ObsEvent::PolicySwitch { time, from, to } => {
-                // A switch group is one line, so it is always complete.
-                groups.push(Group::Switch {
-                    at,
-                    time: *time,
-                    from: from.clone(),
-                    to: to.clone(),
-                });
-                i += 1;
-            }
-            other => {
-                return Err(RecoveryError::Malformed {
-                    event: i,
-                    msg: format!("event cannot start a group: {other:?}"),
-                });
-            }
-        }
-    }
-    Ok((groups, 0))
-}
-
-/// An incomplete group at the very end of the log is a crash artifact
-/// (dropped); anywhere else it is corruption.
-fn trailing_or_malformed(
-    events: &[ObsEvent],
-    at: usize,
-    groups: Vec<Group>,
-    msg: &str,
-) -> Result<(Vec<Group>, u64), RecoveryError> {
-    // The group is trailing iff every remaining event belongs to it —
-    // i.e. parsing stopped because the log *ended*, not because an
-    // unexpected event interrupted the group. Interruptions show up as
-    // a parseable-but-wrong next event and were already rejected above;
-    // reaching here means `events.get(..)` ran off the end unless the
-    // next events are group-starters, which would have parsed.
-    let rest = &events[at..];
-    let interrupted = rest.iter().skip(1).any(|e| {
-        matches!(
-            e,
-            ObsEvent::Ident { .. } | ObsEvent::Depart { .. } | ObsEvent::PolicySwitch { .. }
-        )
-    });
-    if interrupted {
-        Err(RecoveryError::Malformed {
-            event: at,
-            msg: msg.to_string(),
-        })
-    } else {
-        Ok((groups, rest.len() as u64))
-    }
-}
-
-/// The replayed engine plus its id tables (`id -> local index`, the
-/// reverse `local index -> id`) and the replayed portfolio state.
-type DrivenState = (
-    LiveEngine,
-    HashMap<String, usize>,
-    Vec<String>,
-    Option<PortfolioState>,
-);
-
-/// Builds the fresh portfolio state a replay (or a fresh boot) starts
-/// from.
-fn fresh_portfolio(
-    portfolio: Option<&PortfolioConfig>,
-    capacity: &DimVec,
-    kind: &PolicyKind,
-    time_mode: TimeMode,
-) -> Result<Option<PortfolioState>, RecoveryError> {
-    portfolio
-        .map(|cfg| PortfolioState::new(capacity, time_mode, &cfg.candidates, kind, cfg.meta, 0))
-        .transpose()
-        .map_err(Into::into)
-}
-
-/// Re-drives `groups` on a fresh engine, checking every outcome against
-/// the journal. With a [`PortfolioConfig`], every accepted operation is
-/// also mirrored into a fresh [`PortfolioState`] and journaled switch
-/// groups are re-applied verbatim — the meta-policy's *proposals* are
-/// ignored, so the replay lands on exactly the journaled switch
-/// history.
-fn drive(
-    groups: &[Group],
-    capacity: &DimVec,
-    kind: &PolicyKind,
-    repack: RepackPolicy,
-    trace: TraceMode,
-    time_mode: TimeMode,
-    portfolio: Option<&PortfolioConfig>,
-) -> Result<DrivenState, RecoveryError> {
-    let mut live = LiveRequest::new(kind.clone())
-        .capacity(capacity.clone())
-        .trace_mode(trace)
-        .time_mode(time_mode)
-        .repack(repack)
-        .build()?;
-    let mut pf = fresh_portfolio(portfolio, capacity, kind, time_mode)?;
-    let mut ids = HashMap::new();
-    let mut names = Vec::new();
-    for group in groups {
-        match group {
-            Group::Arrive {
-                at,
-                id,
-                item,
-                size,
-                time,
-                bin,
-                opened_new,
-            } => {
-                if *item != live.items_seen() {
-                    return Err(RecoveryError::Diverged {
-                        event: *at,
-                        msg: format!(
-                            "journal item index {item}, replay expects {}",
-                            live.items_seen()
-                        ),
-                    });
-                }
-                let placed = live.arrive(DimVec::from_slice(size), *time)?;
-                if placed.bin.0 != *bin || placed.opened_new != *opened_new || placed.time != *time
-                {
-                    return Err(RecoveryError::Diverged {
-                        event: *at,
-                        msg: format!(
-                            "journal placed item {item} in bin {bin} (opened_new={opened_new}), \
-                             replay chose bin {} (opened_new={})",
-                            placed.bin.0, placed.opened_new
-                        ),
-                    });
-                }
-                ids.insert(id.clone(), *item);
-                names.push(id.clone());
-                if let Some(pf) = pf.as_mut() {
-                    pf.on_arrive(&DimVec::from_slice(size), *time);
-                }
-            }
-            Group::Depart {
-                at,
-                item,
-                time,
-                bin,
-                tail,
-            } => {
-                let dep = match live.depart(*item, *time) {
-                    Ok(dep) => dep,
-                    Err(
-                        e @ (LiveError::UnknownItem { .. } | LiveError::AlreadyDeparted { .. }),
-                    ) => {
-                        return Err(RecoveryError::Diverged {
-                            event: *at,
-                            msg: e.to_string(),
-                        })
-                    }
-                    Err(e) => return Err(e.into()),
-                };
-                if dep.bin.0 != *bin {
-                    // The Depart line itself (a complete line) named a
-                    // different bin: corruption regardless of position.
-                    return Err(RecoveryError::Diverged {
-                        event: *at,
-                        msg: format!(
-                            "journal departed item {item} from bin {bin}, replay says bin {}",
-                            dep.bin.0
-                        ),
-                    });
-                }
-                let replay = replay_tail(&dep);
-                if *tail != replay {
-                    // A journaled tail that is a *strict prefix* of the
-                    // replay's is the crash-explicable shape (the
-                    // group's remaining lines were cut before its
-                    // commit); `is_ambiguous_trailing_depart` matches
-                    // this marker for the final group.
-                    let msg = if replay.len() > tail.len() && replay[..tail.len()] == tail[..] {
-                        format!(
-                            "{AMBIGUOUS_PREFIX_MARKER}: journal has {} tail line(s), \
-                             replay produced {}",
-                            tail.len(),
-                            replay.len()
-                        )
-                    } else {
-                        format!(
-                            "journal depart group tail {tail:?} does not match replay {replay:?}"
-                        )
-                    };
-                    return Err(RecoveryError::Diverged { event: *at, msg });
-                }
-                if let Some(pf) = pf.as_mut() {
-                    // Mirror the departure; the close counters advance
-                    // exactly as they did live. The returned proposal
-                    // is discarded — only journaled Switch groups move
-                    // the policy during replay.
-                    let closes = tail
-                        .iter()
-                        .filter(|l| matches!(l, TailLine::Close(_)))
-                        .count() as u64;
-                    let _ = pf.on_depart(*item, *time, closes);
-                }
-            }
-            Group::Switch { at, time, from, to } => {
-                if live.kind().spec() != *from {
-                    return Err(RecoveryError::Diverged {
-                        event: *at,
-                        msg: format!(
-                            "journal switches from {from}, replay is on {}",
-                            live.kind().spec()
-                        ),
-                    });
-                }
-                let to_kind = to
-                    .parse::<PolicyKind>()
-                    .map_err(|e| RecoveryError::Malformed {
-                        event: *at,
-                        msg: format!("unparseable switch target {to:?}: {e}"),
-                    })?;
-                live.switch_policy(to_kind.clone())?;
-                if let Some(pf) = pf.as_mut() {
-                    pf.record_switch(&to_kind, *time)
-                        .map_err(|e| RecoveryError::Diverged {
-                            event: *at,
-                            msg: e.to_string(),
-                        })?;
-                }
-            }
-        }
-    }
-    Ok((live, ids, names, pf))
-}
-
-/// Number of journal lines group `i` occupies.
-fn group_lines(g: &Group) -> u64 {
-    match g {
-        Group::Arrive { opened_new, .. } => 3 + u64::from(*opened_new),
-        Group::Depart { tail, .. } => 1 + tail.len() as u64,
-        Group::Switch { .. } => 1,
-    }
 }
 
 /// Replays raw WAL bytes into a [`Recovered`] shard state for the given
 /// service configuration. Pass the service's [`PortfolioConfig`] to
-/// also rebuild the shard's [`PortfolioState`] (shadows re-driven over
-/// the acknowledged stream, journaled switches re-applied verbatim); a
-/// log containing switch groups replays its live engine correctly even
-/// without one.
+/// also rebuild the shard's [`PortfolioState`]; a log holding
+/// `PolicySwitch` lines replays only under the portfolio configuration
+/// that wrote it, as any log replays only under its `kind` and
+/// `repack`.
 ///
 /// # Errors
 ///
@@ -576,94 +158,201 @@ pub fn recover(
     portfolio: Option<&PortfolioConfig>,
 ) -> Result<Recovered, RecoveryError> {
     let scan = scan_wal(bytes).map_err(RecoveryError::Scan)?;
-    if scan.events.is_empty() {
-        // Empty or fully-torn log: boot fresh; the caller truncates the
-        // torn fragment (valid_bytes = 0) and writes a new header.
-        let live = LiveRequest::new(kind.clone())
-            .capacity(capacity.clone())
-            .trace_mode(trace)
-            .time_mode(time_mode)
-            .repack(repack)
-            .build()?;
-        let pf = fresh_portfolio(portfolio, capacity, kind, time_mode)?;
-        return Ok(Recovered {
-            live,
-            ids: HashMap::new(),
-            names: Vec::new(),
-            events_applied: 0,
-            valid_bytes: 0,
-            dropped_events: 0,
-            torn_bytes: scan.torn_bytes,
-            has_header: false,
-            portfolio: pf,
-        });
+    match scan.events.first() {
+        Some(ObsEvent::RunStart {
+            capacity: found, ..
+        }) if found != capacity.as_slice() => {
+            return Err(RecoveryError::HeaderMismatch {
+                expected: capacity.as_slice().to_vec(),
+                found: found.clone(),
+            });
+        }
+        // An empty or fully torn log boots fresh.
+        None | Some(ObsEvent::RunStart { .. }) => {}
+        Some(_) => return Err(RecoveryError::MissingHeader),
     }
-    match &scan.events[0] {
-        ObsEvent::RunStart { capacity: c, .. } => {
-            if c != capacity.as_slice() {
-                return Err(RecoveryError::HeaderMismatch {
-                    expected: capacity.as_slice().to_vec(),
-                    found: c.clone(),
+    // Replay every complete line; when the log ends inside a request,
+    // replay again up to the line before it.
+    let mut kept = scan.events.len();
+    loop {
+        let end = scan.offsets[..kept].last().copied().unwrap_or(0);
+        let tally = Tally::default();
+        let sink = Check {
+            log: &bytes[..usize::try_from(end).expect("WAL offsets fit usize")],
+            tally: &tally,
+        };
+        let mut shard = Shard::create(
+            capacity.clone(),
+            kind,
+            repack,
+            trace,
+            time_mode,
+            sink,
+            SyncPolicy::OnClose,
+            portfolio,
+        )
+        .map_err(|e| rejected(e, 0))?;
+        match replay(&mut shard, &scan.events[..kept], &scan.offsets, &tally)? {
+            Pass::Cut(start) => kept = start,
+            Pass::Whole => {
+                let (live, ids, names, portfolio) = shard.into_state();
+                return Ok(Recovered {
+                    live,
+                    ids,
+                    names,
+                    events_applied: kept as u64,
+                    valid_bytes: end,
+                    dropped_events: (scan.events.len() - kept) as u64,
+                    torn_bytes: scan.torn_bytes,
+                    has_header: kept > 0,
+                    portfolio,
                 });
             }
         }
-        _ => return Err(RecoveryError::MissingHeader),
     }
-
-    let (mut groups, mut dropped_events) = parse_groups(&scan.events)?;
-    let (live, ids, names, pf) =
-        match drive(&groups, capacity, kind, repack, trace, time_mode, portfolio) {
-            Ok(state) => state,
-            Err(RecoveryError::Diverged { event, msg })
-                if is_ambiguous_trailing_depart(&groups, event, &msg) =>
-            {
-                // The log's last group is a depart whose journaled lines
-                // are a strict prefix of what the replay produces: the
-                // crash cut the group before its commit line (BinClose or
-                // trailing Migrate lines). Roll the whole group back.
-                let rolled = groups.pop().expect("non-empty by construction");
-                dropped_events += group_lines(&rolled);
-                drive(&groups, capacity, kind, repack, trace, time_mode, portfolio)?
-            }
-            Err(e) => return Err(e),
-        };
-
-    // The acknowledged prefix ends at the last kept group's commit line.
-    let events_kept = 1 + groups.iter().map(group_lines).sum::<u64>();
-    let valid_bytes = scan.offsets[events_kept as usize - 1];
-    Ok(Recovered {
-        live,
-        ids,
-        names,
-        events_applied: events_kept,
-        valid_bytes,
-        dropped_events,
-        torn_bytes: scan.torn_bytes,
-        has_header: true,
-        portfolio: pf,
-    })
 }
 
-/// Marker prefix of the one crash-explicable replay divergence: the
-/// journaled depart-group tail is a strict prefix of the replay's.
-const AMBIGUOUS_PREFIX_MARKER: &str = "journal depart group is a prefix of replay";
+/// How one replay pass ended.
+enum Pass {
+    /// The replay wrote every line of the log again.
+    Whole,
+    /// The log ends inside the request that starts at this event.
+    Cut(usize),
+}
 
-/// Whether a replay divergence is the crash-explicable case: the
-/// *final* group is a `Depart` whose journaled tail is a strict prefix
-/// of the replay's (its `BinClose` / `Migrate` lines were cut before
-/// the commit line).
-fn is_ambiguous_trailing_depart(groups: &[Group], event: usize, msg: &str) -> bool {
-    match groups.last() {
-        Some(Group::Depart { at, .. }) => *at == event && msg.starts_with(AMBIGUOUS_PREFIX_MARKER),
-        _ => false,
+/// Feeds a freshly created replay shard the requests in `events` (the
+/// log's complete lines; `offsets` as scanned) and checks the lines it
+/// writes after each one.
+fn replay(
+    shard: &mut Shard<Check<'_>>,
+    events: &[ObsEvent],
+    offsets: &[u64],
+    tally: &Tally,
+) -> Result<Pass, RecoveryError> {
+    let Some(&end) = offsets[..events.len()].last() else {
+        return Ok(Pass::Whole); // an empty log holds no header to check
+    };
+    // The event holding byte `offset` of the log.
+    let event_at = |offset: usize| offsets.partition_point(|&o| o <= offset as u64);
+    // Where the request just replayed starts; first, the header
+    // `Shard::create` wrote.
+    let mut start = 0;
+    loop {
+        if let Some(offset) = tally.differs.get() {
+            let event = event_at(offset);
+            return Err(RecoveryError::Diverged {
+                event,
+                msg: format!(
+                    "the replay writes this line differently: {:?}",
+                    events[event]
+                ),
+            });
+        }
+        let written = tally.written.get();
+        if written as u64 > end {
+            return Ok(Pass::Cut(start));
+        }
+        start = event_at(written);
+        let applied = match events.get(start) {
+            None => return Ok(Pass::Whole),
+            Some(ObsEvent::Ident { item, id }) => match events.get(start + 1) {
+                None => return Ok(Pass::Cut(start)),
+                Some(ObsEvent::Arrival {
+                    time,
+                    item: arrival,
+                    size,
+                }) if arrival == item => {
+                    shard.arrive(id, DimVec::from_slice(size), *time).map(drop)
+                }
+                Some(_) => {
+                    return Err(RecoveryError::Malformed {
+                        event: start + 1,
+                        msg: format!("Ident of item {item} is not followed by its Arrival"),
+                    })
+                }
+            },
+            Some(ObsEvent::Depart { time, item, .. }) => {
+                let Some(id) = shard.names().get(*item).cloned() else {
+                    return Err(RecoveryError::Malformed {
+                        event: start,
+                        msg: format!("Depart of item {item}, which the log never admitted"),
+                    });
+                };
+                shard.depart(&id, *time).map(drop)
+            }
+            Some(other) => {
+                return Err(RecoveryError::Diverged {
+                    event: start,
+                    msg: format!("{other:?} cannot start a request"),
+                })
+            }
+        };
+        applied.map_err(|e| rejected(e, start))?;
+    }
+}
+
+/// Classifies a shard rejection met while replaying the request that
+/// starts at `event`: engine and portfolio rejections keep their kind;
+/// a duplicate id or a repeated departure means the replay writes
+/// nothing where the log has a group.
+fn rejected(e: ShardError, event: usize) -> RecoveryError {
+    match e {
+        ShardError::Live(e) => RecoveryError::Live(e),
+        ShardError::Portfolio { msg } => RecoveryError::Portfolio { msg },
+        other => RecoveryError::Diverged {
+            event,
+            msg: other.to_string(),
+        },
+    }
+}
+
+/// How far the replay's bytes agree with the log, shared between the
+/// [`Check`] sink inside the shard and [`replay`] outside it.
+#[derive(Default)]
+struct Tally {
+    /// Bytes the replay has written; past the log's length once the
+    /// replay outruns it.
+    written: Cell<usize>,
+    /// Offset of the first byte the replay wrote differently.
+    differs: Cell<Option<usize>>,
+}
+
+/// The replay's WAL sink: compares what the shard writes with the log
+/// and stores nothing. Writes never fail, so the shard stays healthy
+/// and [`replay`] reads the outcome from the [`Tally`].
+struct Check<'a> {
+    log: &'a [u8],
+    tally: &'a Tally,
+}
+
+impl Write for Check<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let at = self.tally.written.get();
+        if self.tally.differs.get().is_none() {
+            let expected = self.log.get(at..).unwrap_or_default();
+            if let Some(k) = buf.iter().zip(expected).position(|(a, b)| a != b) {
+                self.tally.differs.set(Some(at + k));
+            }
+        }
+        self.tally.written.set(at + buf.len());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl StableWrite for Check<'_> {
+    fn persist(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::Shard;
-    use dvbp_obs::SyncPolicy;
+    use dvbp_obs::JsonlEmitter;
 
     fn capacity() -> DimVec {
         DimVec::from_slice(&[10, 10])
@@ -963,6 +652,27 @@ mod tests {
     }
 
     #[test]
+    fn a_rewritten_bin_open_or_close_is_diverged() {
+        let log = String::from_utf8(scripted_wal()).unwrap();
+        for (line, corrupt) in [
+            (
+                r#"{"BinOpen":{"time":2,"bin":1}}"#,
+                r#"{"BinOpen":{"time":2,"bin":7}}"#,
+            ),
+            (
+                r#"{"BinClose":{"time":4,"bin":0}}"#,
+                r#"{"BinClose":{"time":9,"bin":0}}"#,
+            ),
+        ] {
+            assert!(log.contains(line), "{line} is journaled");
+            let err = recover_ff(log.replace(line, corrupt).as_bytes())
+                .err()
+                .expect("recovery must fail");
+            assert!(matches!(err, RecoveryError::Diverged { .. }), "{err}");
+        }
+    }
+
+    #[test]
     fn terminated_garbage_is_fatal() {
         let mut bytes = scripted_wal();
         bytes.extend_from_slice(b"garbage\n");
@@ -1042,16 +752,16 @@ mod tests {
     }
 
     #[test]
-    fn switch_groups_replay_the_engine_even_without_a_portfolio_config() {
+    fn a_switching_wal_without_its_portfolio_config_is_diverged() {
+        // Without the config the replay never switches, so the log's
+        // PolicySwitch line sits where the next request should start.
         let bytes = switching_wal();
-        let rec = recover_pf(&bytes, None).unwrap();
-        assert_eq!(rec.live.kind(), &PolicyKind::FirstFit);
-        assert!(rec.portfolio.is_none());
-        assert_eq!(rec.valid_bytes as usize, bytes.len());
+        let err = recover_pf(&bytes, None).err().expect("recovery must fail");
+        assert!(matches!(err, RecoveryError::Diverged { .. }), "{err}");
     }
 
     #[test]
-    fn a_cut_switch_line_leaves_the_replay_on_the_outgoing_policy() {
+    fn a_cut_switch_line_rolls_back_its_closing_depart() {
         let bytes = switching_wal();
         let scan = scan_wal(&bytes).unwrap();
         let switch_at = scan
@@ -1059,14 +769,42 @@ mod tests {
             .iter()
             .position(|e| matches!(e, ObsEvent::PolicySwitch { .. }))
             .unwrap();
-        // End the log right after the depart group's commit line: the
-        // switch was never acknowledged.
+        // End the log right after the closing depart's lines: the
+        // switch it caused was never written, so the depart was never
+        // acknowledged and is dropped with it.
         let cut = scan.offsets[switch_at - 1] as usize;
         let cfg = pf_config();
         let rec = recover_pf(&bytes[..cut], Some(&cfg)).unwrap();
-        assert_eq!(rec.dropped_events, 0);
+        assert_eq!(rec.dropped_events, 2, "the Depart and BinClose lines");
+        assert_eq!(rec.valid_bytes, scan.offsets[switch_at - 3]);
+        assert!(!rec.live.has_departed(1), "the blocker is still placed");
         assert_eq!(rec.live.kind(), &PolicyKind::NextFit);
-        assert!(rec.portfolio.unwrap().switches().is_empty());
+
+        // Re-driving the same five requests reaches the uninterrupted
+        // run's state: the switch happens, and FirstFit sends post to b0.
+        let mut s = Shard::resume(
+            rec.live,
+            rec.ids,
+            rec.names,
+            rec.events_applied,
+            JsonlEmitter::new(Vec::new()),
+            rec.portfolio,
+        );
+        for (id, size, time) in [("small", 3, 0), ("blocker", 10, 1), ("tail", 3, 2)] {
+            assert!(matches!(
+                s.arrive(id, DimVec::from_slice(&[size]), time),
+                Err(ShardError::DuplicateId { .. })
+            ));
+        }
+        s.depart("blocker", 3).unwrap();
+        s.arrive("post", DimVec::from_slice(&[4]), 4).unwrap();
+        assert_eq!(s.live().kind(), &PolicyKind::FirstFit);
+        assert_eq!(s.live().item_bin(3), Some(dvbp_core::BinId(0)));
+        let whole = recover_pf(&bytes, Some(&cfg)).unwrap();
+        assert_eq!(
+            s.portfolio().unwrap().switches(),
+            whole.portfolio.unwrap().switches()
+        );
     }
 
     #[test]

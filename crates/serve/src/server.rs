@@ -532,22 +532,29 @@ fn send(writer: &mut impl Write, response: &Response) -> bool {
 }
 
 /// Reads the next request line into `line` (cleared first); `false`
-/// ends the connection. A client stalled mid-line is told why it is
-/// being disconnected (best-effort — it may not read that either).
+/// ends the connection. A client stalled mid-line, or sending a line
+/// longer than [`expo::MAX_LINE_BYTES`], is told why it is being
+/// disconnected (best-effort — it may not read that either).
 fn next_line(reader: &mut impl BufRead, writer: &mut impl Write, line: &mut String) -> bool {
     line.clear();
-    match expo::read_line_guarded(reader, line) {
-        LineRead::Line => true,
-        LineRead::Closed => false,
-        LineRead::Stalled => {
-            let timeout = Response::Error {
-                code: error_code::TIMEOUT.into(),
-                message: "read timed out mid-request; disconnecting".into(),
-            };
-            send(writer, &timeout);
-            false
-        }
-    }
+    let (code, message) = match expo::read_line_guarded(reader, line) {
+        LineRead::Line => return true,
+        LineRead::Closed => return false,
+        LineRead::Stalled => (
+            error_code::TIMEOUT,
+            "read timed out mid-request; disconnecting",
+        ),
+        LineRead::TooLong => (
+            error_code::BAD_REQUEST,
+            "request line too long; disconnecting",
+        ),
+    };
+    let error = Response::Error {
+        code: code.into(),
+        message: message.into(),
+    };
+    send(writer, &error);
+    false
 }
 
 /// Handles one connection; returns `true` if it requested shutdown.

@@ -5,12 +5,13 @@
 //! acknowledges it, so a restart can replay the log back to the exact
 //! in-memory state (see [`crate::recovery`]).
 //!
-//! # WAL group grammar
+//! # WAL groups
 //!
-//! The log is a header followed by one *group* of lines per accepted
-//! operation; the **last line of a group is its commit line** — a group
-//! whose commit line is missing (torn write) was never acknowledged and
-//! is dropped on recovery:
+//! [`Shard::arrive`] and [`Shard::depart`] are the only definition of
+//! the log's format: recovery parses no groups, it replays the log's
+//! requests through these two methods and checks that they write the
+//! log again byte for byte. The log is a header followed by the lines
+//! each accepted request writes:
 //!
 //! ```text
 //! header        := RunStart{capacity, items: 0}
@@ -21,27 +22,19 @@
 //!                  BinClose{time, bin}?           // iff the bin closed
 //!                  ( Migrate{time, item, from, to}
 //!                    BinClose{time, bin: from}? )*  // repack moves
-//! switch group  := PolicySwitch{time, from, to}   // single line = its
-//!                                                 // own commit line
+//!                  PolicySwitch{time, from, to}?  // iff the closes
+//!                                                 // tripped the meta-policy
 //! ```
 //!
-//! A switch group is journaled *after* the depart group whose bin
-//! close(s) tripped the shard's [`MetaPolicy`] (switches happen only at
-//! bin-close boundaries). Recovery re-applies journaled switches
-//! **verbatim** — it never re-runs the meta-policy — so a crash between
-//! a committed depart group and its switch line simply means the switch
-//! was never acknowledged and the replayed shard stays on the outgoing
-//! policy, exactly the pre-switch state the log describes.
-//!
-//! The configured [`SyncPolicy`] is applied at each group's commit line
-//! (so `batch:N` counts *operations*, not lines). A depart group whose
-//! bin stays open and that triggers no repacking commits on the
-//! `Depart` line itself; the resulting trailing-group ambiguity after a
-//! crash — the journaled group is a strict prefix of what a replay
-//! produces — is resolved by re-driving without it (see `recovery`).
-//! Migration lines are part of the *same* group as the departure that
-//! triggered them: repacking is deterministic given the engine state,
-//! so an unacknowledged departure must roll back its migrations too.
+//! The configured [`SyncPolicy`] is applied at the last line of each
+//! group (so `batch:N` counts *operations*, not lines); a switching
+//! depart commits its depart lines, then its `PolicySwitch` line, and
+//! is acknowledged after both. Migration lines and the switch line
+//! belong to the departure that caused them: repacking and the
+//! [`MetaPolicy`] are deterministic given the shard's state, so a log
+//! that ends inside a request's lines means the request, with its
+//! migrations and switch, was never acknowledged, and recovery rolls it
+//! back whole.
 //!
 //! # Ordering
 //!
@@ -178,8 +171,8 @@ impl<W: StableWrite> Shard<W> {
     /// Creates a fresh shard over an empty WAL sink and journals the
     /// header line. With a [`PortfolioConfig`], every candidate gets a
     /// cost-only shadow engine and the config's meta-policy may switch
-    /// the live policy at bin-close boundaries (journaled as switch
-    /// groups).
+    /// the live policy at bin-close boundaries (journaled as
+    /// `PolicySwitch` lines).
     ///
     /// # Errors
     ///
@@ -427,11 +420,11 @@ impl<W: StableWrite> Shard<W> {
             return Err(wal_error(&self.wal));
         }
         self.departures += 1;
-        // The departure is durable; mirror it into the portfolio and —
-        // when its bin close(s) trip the meta-policy — apply the switch
-        // and journal it as its own single-line group. A crash before
-        // that line commits leaves the switch unacknowledged: recovery
-        // replays the depart and stays on the outgoing policy.
+        // The depart lines are durable; mirror the departure into the
+        // portfolio and — when its bin close(s) trip the meta-policy —
+        // apply the switch and journal it as the group's last line. A
+        // crash before that line commits leaves the departure
+        // unacknowledged: recovery rolls it back with the switch.
         if let Some(pf) = self.portfolio.as_mut() {
             let closes = u64::from(dep.closed)
                 + dep.migrations.iter().filter(|m| m.closed_from).count() as u64;
@@ -517,6 +510,19 @@ impl<W: StableWrite> Shard<W> {
     #[must_use]
     pub fn portfolio(&self) -> Option<&PortfolioState> {
         self.portfolio.as_ref()
+    }
+
+    /// Consumes the shard into the state [`crate::recovery::recover`]
+    /// hands back: engine, id tables and portfolio state.
+    pub(crate) fn into_state(
+        self,
+    ) -> (
+        LiveEngine,
+        HashMap<String, usize>,
+        Vec<String>,
+        Option<PortfolioState>,
+    ) {
+        (self.live, self.ids, self.names, self.portfolio)
     }
 
     /// The shard's slice of a [`crate::protocol::ServeStatus`].

@@ -1,12 +1,14 @@
-//! Regression test for the slow-client guard: a connection that sends a
+//! Regression tests for the slow-client guard: a connection that sends a
 //! *partial* request line and then stalls used to pin its handler
 //! thread forever (`read_line` blocks until the newline arrives). With
 //! the read timeout, the stalled client receives a typed `timeout`
 //! protocol error and is disconnected — while an idle-but-healthy
-//! keep-alive connection on the same service is unaffected.
+//! keep-alive connection on the same service is unaffected. A client
+//! that keeps sending without a newline is cut off at the line cap.
 
 use dvbp_core::{PolicyKind, RepackPolicy, TimeMode, TraceMode};
 use dvbp_dimvec::DimVec;
+use dvbp_obs::expo::MAX_LINE_BYTES;
 use dvbp_obs::SyncPolicy;
 use dvbp_serve::protocol::error_code;
 use dvbp_serve::router::RouterKind;
@@ -103,6 +105,38 @@ fn stalled_partial_line_gets_timeout_error_and_disconnect() {
     // The stalled request never reached a shard.
     let status = state.status();
     assert_eq!(status.arrivals, 2);
+    state.begin_shutdown();
+    let _ = TcpStream::connect(&addr);
+}
+
+#[test]
+fn an_overlong_line_gets_bad_request_before_the_read_timeout() {
+    let (addr, state) = boot(10_000);
+    let mut client = TcpStream::connect(&addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let started = Instant::now();
+    client.write_all(&vec![b'a'; MAX_LINE_BYTES + 1]).unwrap();
+    // The socket stays open, so only the cap can answer this early.
+    // Read until EOF, a reset (the server closes with the rest of the
+    // line unread) or the 2 s client timeout.
+    let mut answer = Vec::new();
+    let mut buf = [0u8; 4096];
+    while let Ok(n @ 1..) = client.read(&mut buf) {
+        answer.extend_from_slice(&buf[..n]);
+    }
+    let answer = String::from_utf8_lossy(&answer);
+    assert!(
+        answer.contains(&format!("\"{}\"", error_code::BAD_REQUEST)),
+        "expected a bad-request error, got {answer:?}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "answered after {:?}",
+        started.elapsed()
+    );
+    assert_eq!(state.status().arrivals, 0);
     state.begin_shutdown();
     let _ = TcpStream::connect(&addr);
 }

@@ -3,7 +3,9 @@
 //! a one-shard `dvbp-serve` run must be bit-identical to the batch
 //! engine, and crash recovery from *every* WAL event boundary (plus a
 //! torn mid-line cut inside every line) must converge to the same final
-//! state.
+//! state, for the plain shard and for a `drain:2` and a `best-of:1`
+//! portfolio shard, whose WALs carry migration and `PolicySwitch`
+//! lines.
 //!
 //! The differential corpus test (`conformance_corpus.rs`) already runs
 //! the serve layer for the full policy suite with sampled cuts; this
@@ -34,14 +36,28 @@ fn every_corpus_wal_boundary_is_a_verified_recovery_point() {
         PolicyKind::BestFit(LoadMeasure::Linf),
         PolicyKind::NextFit,
     ];
-    for path in corpus_files() {
-        let inst = dvbp::tracefile::load_instance(&path)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let corpus: Vec<_> = corpus_files()
+        .into_iter()
+        .map(|path| {
+            let inst = dvbp::tracefile::load_instance(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            (path, inst)
+        })
+        .collect();
+    // One thread per policy: every cut of the plain, drain:2 and
+    // portfolio WALs is recovered, which makes this the slowest tier-1
+    // test; a failing policy's panic fails the test when the scope ends.
+    std::thread::scope(|scope| {
         for kind in &kinds {
-            serve::check_policy(&inst, kind, CrashPlan::Exhaustive)
-                .unwrap_or_else(|d| panic!("{}: {d}", path.display()));
+            let corpus = &corpus;
+            scope.spawn(move || {
+                for (path, inst) in corpus {
+                    serve::check_policy(inst, kind, CrashPlan::Exhaustive)
+                        .unwrap_or_else(|d| panic!("{}: {d}", path.display()));
+                }
+            });
         }
-    }
+    });
 }
 
 #[test]
