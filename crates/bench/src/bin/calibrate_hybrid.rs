@@ -10,9 +10,10 @@
 //!   cargo run --release -p dvbp-bench --bin calibrate_hybrid
 //!
 //! The scan variant runs the vectorized block kernel end to end (mask
-//! dispatch included); the index variant forces the segment-tree descent
-//! at every arrival. Both produce identical packings, so the timing
-//! difference is pure selection cost.
+//! dispatch included); the index variant forces the 8-ary tree's descent
+//! (one mask per node) at every arrival. Both produce identical
+//! packings, so the timing difference is selection cost, the tree's
+//! upkeep included.
 
 use dvbp_bench::bench_instance;
 use dvbp_core::policy::first_fit::FirstFit;

@@ -26,13 +26,13 @@ fn item(size: &[u64], a: u64, e: u64) -> Item {
 }
 
 /// Drives the fit index's residual tree (pinned on by the forced-index
-/// differential pass) through two capacity doublings (1 → 2 → 4 → 8
-/// leaves) while bins fill, drain, and close, then packs into the
-/// survivors — the exact paths a stale tree node would corrupt.
+/// differential pass) while bins open, fill, drain, and close, then
+/// packs into the survivors — the exact paths a stale tree node would
+/// corrupt.
 fn residual_tree_growth() -> Instance {
     let mut items = Vec::new();
-    // Five 6-unit blockers open five bins (6 + 6 > 10): the tree must
-    // grow past the 4-leaf boundary, preserving earlier residuals.
+    // Five 6-unit blockers open five bins (6 + 6 > 10): each open
+    // must raise the tree's summaries, preserving earlier residuals.
     for t in 0..5u64 {
         items.push(item(&[6], t, 20));
     }

@@ -2,7 +2,7 @@
 //!
 //! The optimized engine (`dvbp-core`) earns its speed from incremental
 //! state — cached loads, a maintained open-bin list, a vectorized
-//! residual mirror, a fit-index segment tree. This crate checks that none
+//! residual mirror, a fit-index tree over it. This crate checks that none
 //! of that machinery ever changes an answer:
 //!
 //! * [`mod@reference`] — a slow simulator that recomputes feasibility, loads,

@@ -2,8 +2,8 @@
 //!
 //! The optimized engine in `dvbp-core` keeps incremental state: cached
 //! per-bin load vectors, a sorted open-bin list maintained by binary
-//! search, a vectorized residual mirror and a segment tree over residual
-//! capacities. This module re-derives every answer from first
+//! search, a vectorized residual mirror and a max-residual tree over it
+//! (the fit index). This module re-derives every answer from first
 //! principles instead, so that the two implementations can be compared
 //! event by event:
 //!

@@ -26,7 +26,7 @@ fn bounded_fuzz_finds_no_divergence() {
 
 /// The paper's own Table 2 corner (d = 1, μ = 200, n = 1000) through the
 /// full suite once: big enough to exercise hundreds of concurrent bins
-/// and the segment tree's growth, small enough for one tier-1 run.
+/// and the fit index's growth, small enough for one tier-1 run.
 #[test]
 fn table2_extreme_point_conforms() {
     let inst = announce_exact(&UniformParams::table2(1, 200).generate(42));

@@ -1,8 +1,9 @@
 //! Targeted audit of the fit index's update and query paths.
 //!
-//! The engine updates the index's segment tree at four sites — a bin
-//! opens (`open`, which grows the leaf level by doubling), an item packs
-//! (subtract), an item departs (add back) and a bin closes (zero). Each
+//! The engine updates the index's 8-ary tree at four sites — a bin
+//! opens (which rebuilds the summary levels when the residual mirror's
+//! stride doubles), an item packs (subtract), an item departs (add back)
+//! and a bin closes (zero). Each
 //! test shapes an instance family so one of those paths dominates, runs
 //! every Any-Fit query kind on an engine pinned to the fit index (the
 //! default crossover would scan at these open-bin counts), and requires
@@ -37,11 +38,12 @@ fn check(inst: &Instance, case: &str) {
     }
 }
 
-/// Growth path: every item blocks sharing, so the bin count (and the
-/// tree's leaf count) doubles past 1, 2, 4, …, 64 within one run.
+/// Growth path: every item blocks sharing, so 600 bins open within one
+/// run and the mirror's stride doubles past 64, 128, …, 1,024 while the
+/// tree is live, where it gains its third summary level.
 #[test]
 fn tree_growth_across_many_doublings() {
-    let items: Vec<Item> = (0..100u64)
+    let items: Vec<Item> = (0..600u64)
         .map(|t| Item::new(DimVec::scalar(6), t, t + 200))
         .collect();
     let inst = Instance::new(DimVec::scalar(10), items).unwrap();

@@ -29,9 +29,10 @@
 //! The mask kernel has three interchangeable backends with identical
 //! results: a portable branchless form written so LLVM can autovectorize
 //! it, an AVX2 `core::arch` path selected at runtime on `x86_64`, and a
-//! NEON path on `aarch64`. The `scalar-scan` cargo feature removes the
-//! block path from the engine's scan helpers entirely (CI builds and
-//! tests that leg), without affecting these primitives or their tests.
+//! NEON path on `aarch64`. The fit index masks its tree nodes with the
+//! same kernel. The `scalar-scan` cargo feature routes every engine
+//! query, tree included, to the scalar per-bin loop (CI builds and tests
+//! that leg), without affecting these primitives or their tests.
 
 /// Bins examined per block-scan step. The arena stride is kept a
 /// multiple of this so a block load never runs past the allocation.
@@ -43,8 +44,8 @@ const INITIAL_STRIDE: usize = 64;
 /// Dimension-major residual mirror with lane-padded stride.
 ///
 /// Maintained unconditionally by the engine (unlike the lazily-built
-/// fit index): updates are O(d) plain stores per
-/// event, so there is nothing to latch. The arena is kept across runs
+/// summary levels of the fit index, whose leaf level it is): updates
+/// are O(d) plain stores per event, so there is nothing to latch. The arena is kept across runs
 /// of the owning [`Engine`](crate::Engine) — `ResidualBlocks::reset`
 /// zeroes in place when the dimensionality is unchanged, preserving the
 /// engine's zero-allocations-per-arrival steady state.
@@ -83,6 +84,22 @@ impl ResidualBlocks {
     #[must_use]
     pub fn bins(&self) -> usize {
         self.bins
+    }
+
+    /// Dimensionality of the residual vectors.
+    pub(crate) fn dims(&self) -> usize {
+        self.dims
+    }
+
+    /// Row length in bins (a multiple of [`LANES`]).
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// The `dims * stride` residuals, dimension-major: the leaf level of
+    /// the [`FitIndex`](crate::fit_index::FitIndex).
+    pub(crate) fn rows(&self) -> &[u64] {
+        &self.rows
     }
 
     /// Current residual of `bin` in dimension `j`.

@@ -18,9 +18,9 @@
 //! ([`EngineView::first_fit`], [`EngineView::last_fit`],
 //! [`EngineView::for_each_feasible`]) are the one place that decides how
 //! feasible bins are found: a vectorized block scan over a residual
-//! mirror, the scalar per-bin loop, or an O(log m) fit index
-//! (per-dimension max-residual segment trees) built on the run's first
-//! query at or above the measured crossover. A reusable [`Engine`] keeps
+//! mirror, the scalar per-bin loop, or a fit index (an 8-ary
+//! max-residual tree whose leaves are that mirror) built on the run's
+//! first query at or above the measured crossover. A reusable [`Engine`] keeps
 //! these buffers across runs, so the steady-state hot loop performs
 //! **zero heap allocations per arrival**.
 //!
@@ -105,13 +105,14 @@ pub enum TraceMode {
 /// same scan counts and probes, so the choice changes speed, never a
 /// placement or an event stream. Runs use [`FitPath::Auto`]; the other
 /// variants pin one path for differential tests and benchmarks through
-/// [`Engine::with_fit_path`].
+/// [`Engine::with_fit_path`]. Provenance runs (`Observer::WANTS_PROBES`)
+/// and `scalar-scan` builds take the scalar loop on every path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FitPath {
     /// The measured choice: the fit index once the open-bin count
     /// reaches the crossover for the run's dimensionality, the block
     /// scan below it, and the scalar loop where the block kernel cannot
-    /// pay (a sparse open-id span) or cannot report per-bin probes.
+    /// pay (a sparse open-id span).
     #[default]
     Auto,
     /// The fit index on every query.
@@ -152,14 +153,12 @@ pub struct EngineView<'a> {
     active: &'a [u32],
     opened: &'a [Time],
     open: &'a [BinId],
-    /// Max-residual segment trees over all bins (closed bins pinned to
-    /// residual 0). Current only once `index_live` is set: the first
-    /// index query of a run builds it, and the engine maintains it from
-    /// then on.
+    /// Summary levels of the 8-ary max-residual tree over `blocks`.
+    /// Current only once live: the first index query of a run builds
+    /// it, and the engine maintains it from then on.
     index: &'a RefCell<FitIndex>,
-    index_live: &'a Cell<bool>,
     /// Dimension-major residual mirror, maintained unconditionally —
-    /// the block-scan backend.
+    /// the block-scan backend and the tree's leaf level.
     blocks: &'a ResidualBlocks,
     fit_path: FitPath,
     /// Candidate bins the policy reported examining (see
@@ -278,22 +277,6 @@ impl EngineView<'_> {
         rejected.is_none()
     }
 
-    /// Counts a bin delivered by a fit-index query as one successful
-    /// probe, without re-running the O(d) capacity check the index
-    /// already performed.
-    fn probe_known_feasible(&self, bin: BinId) {
-        self.scanned.set(self.scanned.get() + 1);
-        if let Some(log) = self.probes {
-            log.borrow_mut().push(ProbeRec {
-                bin: bin.0,
-                fit: true,
-                dim: None,
-                need: 0,
-                have: 0,
-            });
-        }
-    }
-
     /// Counts a bin the policy rejected on its own state (e.g. a
     /// duration-class mismatch) before any capacity check: one failed
     /// probe with no violated dimension.
@@ -318,34 +301,34 @@ impl EngineView<'_> {
     }
 
     /// Picks the structure for one feasibility query — the engine's only
-    /// scan-vs-index decision. Under [`FitPath::Auto`] the fit index
-    /// answers at or above the per-`d` crossover
-    /// ([`hybrid::use_index`]); a scan takes the scalar per-bin loop
-    /// instead of the block kernel when:
+    /// scan-vs-index decision. The scalar per-bin loop answers every
+    /// query, whatever the [`FitPath`], when:
     ///
-    /// * [`FitPath::Scalar`] pins it (the bench ablation's before-side);
-    /// * the `scalar-scan` cargo feature is on (CI fallback leg);
+    /// * the `scalar-scan` cargo feature is on (CI fallback leg: neither
+    ///   the block scan nor the tree, which masks with the same kernel);
     /// * a probe sink is attached (`Observer::WANTS_PROBES`) — the
     ///   provenance stream records one `ProbeRec` per candidate with
     ///   its first violated dimension, which only the scalar loop
     ///   produces, keeping layer-7's `Σ scanned == #Probe` and the
-    ///   byte-compared provenance corpus exact;
-    /// * the open-bin id span is too sparse for block scanning to pay
-    ///   ([`hybrid::block_scan_pays`]).
+    ///   byte-compared provenance corpus exact.
+    ///
+    /// Otherwise, under [`FitPath::Auto`] the fit index answers at or
+    /// above the per-`d` crossover ([`hybrid::use_index`]), and a scan
+    /// takes the scalar loop instead of the block kernel when
+    /// [`FitPath::Scalar`] pins it or the open-bin id span is too sparse
+    /// for block scanning to pay ([`hybrid::block_scan_pays`]).
     fn route(&self) -> Route {
+        if cfg!(feature = "scalar-scan") || self.probes.is_some() {
+            return Route::Scalar;
+        }
         let index = match self.fit_path {
             FitPath::Auto => hybrid::use_index(self.open.len(), self.dims),
             FitPath::Index => true,
-            FitPath::Block | FitPath::Scalar => false,
+            FitPath::Block => false,
+            FitPath::Scalar => return Route::Scalar,
         };
         if index {
             return Route::Index;
-        }
-        if self.fit_path == FitPath::Scalar
-            || cfg!(feature = "scalar-scan")
-            || self.probes.is_some()
-        {
-            return Route::Scalar;
         }
         match self.open {
             [] => Route::Scalar,
@@ -359,31 +342,14 @@ impl EngineView<'_> {
     }
 
     /// The fit index, current as of this arrival. The run's first call
-    /// builds it from the load arena; the engine keeps it current for
-    /// the rest of the run, so runs that never query it pay nothing.
+    /// builds its summary levels from the residual mirror; the engine
+    /// keeps them current for the rest of the run, so runs that never
+    /// query it pay nothing.
     fn fit_index(&self) -> Ref<'_, FitIndex> {
-        if !self.index_live.get() {
-            let (cap, d) = (self.capacity, self.dims);
-            self.index
-                .borrow_mut()
-                .rebuild(self.active.len(), |b, out| {
-                    if self.active[b] > 0 {
-                        for (j, slot) in out.iter_mut().enumerate() {
-                            *slot = cap[j] - self.loads[b * d + j];
-                        }
-                    } else {
-                        out.fill(0);
-                    }
-                });
-            self.index_live.set(true);
+        if !self.index.borrow().is_live() {
+            self.index.borrow_mut().build(self.blocks);
         }
         self.index.borrow()
-    }
-
-    /// Number of open bins with id ≤ `hit` — what a scalar First-Fit
-    /// scan would have probed before stopping at `hit`.
-    fn open_upto(&self, hit: usize) -> u64 {
-        self.open.partition_point(|b| b.0 <= hit) as u64
     }
 
     /// Open-id range `[lo, hi]` a block scan covers (non-empty `open`).
@@ -391,38 +357,31 @@ impl EngineView<'_> {
         (self.open[0].0, self.open[self.open.len() - 1].0)
     }
 
+    /// Confirms a bin the mirror or the tree selected against the load
+    /// arena: a desynchronized mirror must never change a packing.
+    fn confirm(&self, b: usize, size: &DimVec) -> BinId {
+        let bin = BinId(b);
+        assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
+        bin
+    }
+
     /// First (earliest-opened) open bin that fits `size` — First Fit's
-    /// choice. The scan paths count the open bins a scalar scan probes
-    /// up to the hit (all of them on a miss); the index path counts the
-    /// one bin it returns.
+    /// choice. Every route counts the open bins a scalar scan probes up
+    /// to the hit (all of them on a miss).
     #[must_use]
     pub fn first_fit(&self, size: &DimVec) -> Option<BinId> {
-        match self.route() {
-            Route::Index => {
-                let bin = BinId(self.fit_index().first_fit(size.as_slice())?);
-                debug_assert!(self.fits(bin, size));
-                self.probe_known_feasible(bin);
-                Some(bin)
-            }
-            Route::Scalar => self.open.iter().copied().find(|&b| self.probe(b, size)),
+        let need = size.as_slice();
+        let hit = match self.route() {
+            Route::Scalar => return self.open.iter().copied().find(|&b| self.probe(b, size)),
             Route::Block => {
                 let (lo, hi) = self.span();
-                match self.blocks.first_feasible_in(size.as_slice(), lo, hi) {
-                    Some(b) => {
-                        let bin = BinId(b);
-                        // Exact per-bin confirm against the load arena: a
-                        // desynchronized mirror must never change a packing.
-                        assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
-                        self.note_scanned(self.open_upto(b));
-                        Some(bin)
-                    }
-                    None => {
-                        self.note_scanned(self.open.len() as u64);
-                        None
-                    }
-                }
+                self.blocks.first_feasible_in(need, lo, hi)
             }
-        }
+            Route::Index => self.fit_index().first_fit(self.blocks, need),
+        };
+        let probed = hit.map_or(self.open.len(), |b| self.open.partition_point(|x| x.0 <= b));
+        self.note_scanned(probed as u64);
+        hit.map(|b| self.confirm(b, size))
     }
 
     /// Last (latest-opened) open bin that fits `size` — Last Fit's
@@ -430,71 +389,56 @@ impl EngineView<'_> {
     /// running from the newest bin down.
     #[must_use]
     pub fn last_fit(&self, size: &DimVec) -> Option<BinId> {
-        match self.route() {
-            Route::Index => {
-                let bin = BinId(self.fit_index().last_fit(size.as_slice())?);
-                debug_assert!(self.fits(bin, size));
-                self.probe_known_feasible(bin);
-                Some(bin)
+        let need = size.as_slice();
+        let hit = match self.route() {
+            Route::Scalar => {
+                return self
+                    .open
+                    .iter()
+                    .rev()
+                    .copied()
+                    .find(|&b| self.probe(b, size))
             }
-            Route::Scalar => self
-                .open
-                .iter()
-                .rev()
-                .copied()
-                .find(|&b| self.probe(b, size)),
             Route::Block => {
                 let (lo, hi) = self.span();
-                match self.blocks.last_feasible_in(size.as_slice(), lo, hi) {
-                    Some(b) => {
-                        let bin = BinId(b);
-                        assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
-                        // A reverse scalar scan probes every open bin with
-                        // id ≥ the hit.
-                        self.note_scanned(
-                            self.open.len() as u64 - self.open.partition_point(|x| x.0 < b) as u64,
-                        );
-                        Some(bin)
-                    }
-                    None => {
-                        self.note_scanned(self.open.len() as u64);
-                        None
-                    }
-                }
+                self.blocks.last_feasible_in(need, lo, hi)
             }
-        }
+            Route::Index => self.fit_index().last_fit(self.blocks, need),
+        };
+        let probed = hit.map_or(self.open.len(), |b| {
+            self.open.len() - self.open.partition_point(|x| x.0 < b)
+        });
+        self.note_scanned(probed as u64);
+        hit.map(|b| self.confirm(b, size))
     }
 
     /// Calls `f` for every open bin that fits `size`, in ascending bin
     /// id (the order the scalar scan visits open bins — Best/Worst Fit
-    /// tie-breaking and Random Fit's RNG stream depend on it). The scan
-    /// paths count every open bin as scanned; the index path counts
-    /// each bin it yields.
+    /// tie-breaking and Random Fit's RNG stream depend on it). Every
+    /// route counts every open bin as scanned.
     pub fn for_each_feasible(&self, size: &DimVec, mut f: impl FnMut(BinId)) {
+        let need = size.as_slice();
+        let visit = |b: usize| {
+            let bin = BinId(b);
+            debug_assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
+            f(bin);
+        };
         match self.route() {
-            Route::Index => self.fit_index().for_each_feasible(size.as_slice(), |b| {
-                let bin = BinId(b);
-                self.probe_known_feasible(bin);
-                f(bin);
-            }),
             Route::Scalar => {
                 for &b in self.open {
                     if self.probe(b, size) {
                         f(b);
                     }
                 }
+                return;
             }
             Route::Block => {
                 let (lo, hi) = self.span();
-                self.blocks
-                    .for_each_feasible_in(size.as_slice(), lo, hi, |b| {
-                        let bin = BinId(b);
-                        debug_assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
-                        f(bin);
-                    });
-                self.note_scanned(self.open.len() as u64);
+                self.blocks.for_each_feasible_in(need, lo, hi, visit);
             }
+            Route::Index => self.fit_index().for_each_feasible(self.blocks, need, visit),
         }
+        self.note_scanned(self.open.len() as u64);
     }
 }
 
@@ -705,20 +649,17 @@ pub struct Engine {
     assignment: Vec<BinId>,
     /// Currently open bins, sorted by id.
     open: Vec<BinId>,
-    /// Max-residual segment trees over all bins. Behind a `RefCell`
-    /// because the view builds it on the run's first index query.
+    /// Summary levels of the 8-ary max-residual tree over `blocks`.
+    /// Behind a `RefCell` because the view builds them on the run's
+    /// first index query; until then every upkeep call is a no-op, and
+    /// from then on they are maintained for the rest of the run.
     index: RefCell<FitIndex>,
-    /// Dimension-major residual mirror for vectorized scans. Unlike the
-    /// latched `index`, it is maintained unconditionally: updates are a
-    /// handful of plain stores per event, and keeping it always current
-    /// means every scan path (and every replay — batch, live, stream,
-    /// WAL recovery) sees the same state.
+    /// Dimension-major residual mirror for vectorized scans and the
+    /// tree's leaf level. Unlike the latched `index`, it is maintained
+    /// unconditionally: updates are a handful of plain stores per event,
+    /// and keeping it always current means every scan path (and every
+    /// replay — batch, live, stream, WAL recovery) sees the same state.
     blocks: ResidualBlocks,
-    /// Whether `index` is current. Maintenance is skipped (and this stays
-    /// `false`) until the first query the view routes to the index; the
-    /// index is then rebuilt from the load arena and maintained for the
-    /// rest of the run.
-    index_live: Cell<bool>,
     /// How the view's feasibility queries run; kept across runs.
     fit_path: FitPath,
     /// `dims`-sized scratch for a freshly opened bin's initial residual.
@@ -765,8 +706,7 @@ impl Engine {
         self.head.clear();
         self.tail.clear();
         self.open.clear();
-        self.index.get_mut().reset(self.dims);
-        *self.index_live.get_mut() = false;
+        self.index.get_mut().reset();
         self.blocks.reset(self.dims);
         self.scratch.clear();
         self.scratch.resize(self.dims, 0);
@@ -935,10 +875,8 @@ impl Engine {
         if !closing {
             // A closing bin skips this: `close` below pins the
             // residual to zero anyway, so one update suffices.
-            if self.index_live.get() {
-                self.index.get_mut().unpack(bin.0, size.as_slice());
-            }
             self.blocks.unpack(bin.0, size.as_slice());
+            self.index.get_mut().raise(&self.blocks, bin.0);
         }
         policy.on_departure(item_ref, item, bin);
         observer.on_depart(dvbp_obs::Depart {
@@ -953,10 +891,8 @@ impl Engine {
                 .binary_search(&bin)
                 .expect("closing a non-open bin");
             self.open.remove(idx);
-            if self.index_live.get() {
-                self.index.get_mut().close(bin.0);
-            }
             self.blocks.close(bin.0);
+            self.index.get_mut().lower(&self.blocks, bin.0);
             policy.on_close(bin);
             observer.on_bin_close(time, bin.0);
             if let Some(trace) = trace {
@@ -1024,10 +960,8 @@ impl Engine {
         self.active[from.0] -= 1;
         let closing = self.active[from.0] == 0;
         if !closing {
-            if self.index_live.get() {
-                self.index.get_mut().unpack(from.0, size.as_slice());
-            }
             self.blocks.unpack(from.0, size.as_slice());
+            self.index.get_mut().raise(&self.blocks, from.0);
         }
         policy.on_departure(item_ref, item, from);
 
@@ -1035,10 +969,8 @@ impl Engine {
         for j in 0..d {
             self.loads[to_base + j] += size[j];
         }
-        if self.index_live.get() {
-            self.index.get_mut().pack(to.0, size.as_slice());
-        }
         self.blocks.pack(to.0, size.as_slice());
+        self.index.get_mut().lower(&self.blocks, to.0);
         self.active[to.0] += 1;
         self.item_count[from.0] -= 1;
         self.item_count[to.0] += 1;
@@ -1074,10 +1006,8 @@ impl Engine {
                 .binary_search(&from)
                 .expect("closing a non-open bin");
             self.open.remove(idx);
-            if self.index_live.get() {
-                self.index.get_mut().close(from.0);
-            }
             self.blocks.close(from.0);
+            self.index.get_mut().lower(&self.blocks, from.0);
             policy.on_close(from);
             observer.on_bin_close(time, from.0);
             if let Some(trace) = trace {
@@ -1162,7 +1092,6 @@ impl Engine {
                 opened: &self.opened,
                 open: &self.open,
                 index: &self.index,
-                index_live: &self.index_live,
                 blocks: &self.blocks,
                 fit_path: self.fit_path,
                 scanned: Cell::new(0),
@@ -1223,9 +1152,7 @@ impl Engine {
                     self.scratch[j] = capacity[j] - item_ref.size[j];
                 }
                 self.blocks.open(bin.0, &self.scratch);
-                if self.index_live.get() {
-                    self.index.get_mut().open(bin.0, &self.scratch);
-                }
+                self.index.get_mut().raise(&self.blocks, bin.0);
                 observer.on_bin_open(time, bin.0);
                 (bin, true)
             }
@@ -1235,10 +1162,8 @@ impl Engine {
             self.loads[base + j] += item_ref.size[j];
         }
         if !opened_new {
-            if self.index_live.get() {
-                self.index.get_mut().pack(bin.0, item_ref.size.as_slice());
-            }
             self.blocks.pack(bin.0, item_ref.size.as_slice());
+            self.index.get_mut().lower(&self.blocks, bin.0);
         }
         self.active[bin.0] += 1;
         self.item_count[bin.0] += 1;
@@ -1578,12 +1503,62 @@ mod tests {
             let items = (0..n as Time).map(|t| item(&[6], t, 1000)).collect();
             let mut engine = Engine::new();
             engine.pack(&inst(&[10], items), policy, TraceMode::CostOnly);
-            engine.index_live.get()
+            engine.index.get_mut().is_live()
         };
         assert!(!run(crossover, &mut FirstFit::new()));
-        assert!(run(crossover + 1, &mut FirstFit::new()));
+        // `scalar-scan` builds never query the tree at all.
+        assert_eq!(
+            run(crossover + 1, &mut FirstFit::new()),
+            !cfg!(feature = "scalar-scan")
+        );
         // Move To Front never queries, so it never pays for the index.
         assert!(!run(crossover + 1, &mut MoveToFront::new()));
+    }
+
+    fn record<O: Observer>(instance: &Instance, path: FitPath, mut obs: O) -> O {
+        Engine::new()
+            .with_fit_path(path)
+            .run(instance, &mut FirstFit::new(), TraceMode::Full, &mut obs)
+            .unwrap();
+        obs
+    }
+
+    #[test]
+    fn event_streams_do_not_depend_on_the_fit_path() {
+        use dvbp_obs::{ObsEvent, Recorder, WithProvenance};
+        // 100 `(9, 9)` blockers stay open, a `(1, 1)` item lands in bin 0
+        // and a `(5, 5)` item fits nowhere: past the `d = 2` crossover,
+        // so `Auto` sends most of these queries to the tree.
+        let mut items: Vec<Item> = (0..100).map(|t| item(&[9, 9], t, 1000)).collect();
+        items.push(item(&[1, 1], 100, 1000));
+        items.push(item(&[5, 5], 101, 1000));
+        let instance = inst(&[10, 10], items);
+        let count = |events: &[ObsEvent], per_event: fn(&ObsEvent) -> u64| {
+            events.iter().map(per_event).sum::<u64>()
+        };
+        // Σ_{k<100} k probes by the blockers, 1 by the (1, 1), 100 by the
+        // (5, 5): every rejected candidate is counted and logged.
+        let plain = |path| record(&instance, path, Recorder::new()).events;
+        let scalar = plain(FitPath::Scalar);
+        let scanned = count(&scalar, |e| match e {
+            ObsEvent::Place { scanned, .. } => *scanned,
+            _ => 0,
+        });
+        assert_eq!(scanned, 5051);
+        let provenance = |path| {
+            record(&instance, path, WithProvenance(Recorder::new()))
+                .0
+                .events
+        };
+        let scalar_provenance = provenance(FitPath::Scalar);
+        let probes = count(&scalar_provenance, |e| {
+            u64::from(matches!(e, ObsEvent::Probe { .. }))
+        });
+        assert_eq!(probes, 5051);
+        for path in [FitPath::Auto, FitPath::Index, FitPath::Block] {
+            assert_eq!(plain(path), scalar, "{path:?}");
+            assert_eq!(provenance(path), scalar_provenance, "{path:?} provenance");
+        }
     }
 
     #[test]

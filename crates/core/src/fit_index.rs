@@ -1,331 +1,257 @@
-//! `FitIndex`: per-dimension max-residual segment trees over bins, the
-//! engine's O(log m) bin-selection structure.
+//! `FitIndex`: an 8-ary max-residual tree over the block-scan mirror,
+//! the engine's bin-selection structure at or above the crossover.
 //!
-//! Generalizes the classic d = 1 max-residual tree to arbitrary
-//! dimension. One implicit-heap segment tree is kept per dimension, stored **node-major** in a single
-//! flat `u64` arena: node `i` owns `tree[i*d .. (i+1)*d]`, where entry `j`
-//! is the maximum residual capacity in dimension `j` over the leaves
-//! below `i`. Leaves are bins in opening order (leaf `b` = node
-//! `leaves + b`), so an in-order traversal enumerates bins by `BinId` —
-//! exactly the First Fit order.
+//! The tree keeps no residual copy of its own: its leaf level is
+//! [`ResidualBlocks`]' dimension-major rows. Each summary level above
+//! holds, dimension-major and padded to a multiple of [`LANES`] like the
+//! mirror, the per-dimension maximum of 8 consecutive entries of the
+//! level below: node `i` of level `ℓ` covers entries `8i .. 8i + 8` of
+//! level `ℓ − 1`. Levels are added until the top one fits in one block
+//! of 8. Closed, never-opened and padding bins read residual 0, and so
+//! does every summary entry with nothing open below it; a valid item
+//! needs a nonzero amount in some dimension (`Instance::validate`), so
+//! none of them ever matches.
 //!
-//! A subtree can contain a bin that fits an item needing `need[j]` units
-//! only if its max residual is `≥ need[j]` **in every dimension** — a
-//! necessary condition that is also sufficient at a leaf, where the node
-//! holds one bin's actual residual vector. The descents below prune on
-//! that condition and backtrack where it is necessary-but-not-sufficient
-//! (possible only for `d ≥ 2`): `first_fit`/`last_fit` are exact
-//! O(log m) for `d = 1` and expected O(log m) on non-adversarial
-//! workloads otherwise, degrading gracefully to the scan's O(m·d) in the
-//! worst case. Closed bins are pinned to residual 0 in all dimensions, so
-//! they are never matched: a valid item has at least one nonzero size
-//! component (enforced by `Instance::validate`), which the zero residual
-//! cannot cover.
+//! Every node visit is one [`mask8_dispatch`] call: bit `l` of a block's
+//! mask says whether entry `l`'s maxima cover the need in every
+//! dimension — necessary for a feasible bin below it, and sufficient at
+//! a leaf. [`FitIndex::first_fit`], [`FitIndex::last_fit`] and
+//! [`FitIndex::for_each_feasible`] descend from the top block through the
+//! lowest set bit, the highest, or all of them in ascending id order.
+//! For `d ≥ 2` a node can cover the need while none of its children
+//! does; the child's mask is then empty and the descent moves on to the
+//! parent's next set bit.
 //!
-//! The tree grows by doubling (amortized O(d) per opened bin) and is
-//! reused across runs via [`FitIndex::reset`], so a warmed engine
-//! performs no allocations here in steady state.
+//! The engine maintains nothing until the run's first query routed
+//! here: [`FitIndex::build`] then computes the levels from the mirror,
+//! and [`FitIndex::lower`] / [`FitIndex::raise`] keep them current after
+//! every residual change (a change of the mirror's stride rebuilds).
 
-/// Per-dimension max-residual segment trees over bins, node-major SoA.
-#[derive(Clone, Debug, Default)]
-pub struct FitIndex {
-    /// Dimensionality `d` of residual vectors.
+use crate::block_scan::{mask8_dispatch, ResidualBlocks, LANES};
+use std::ops::ControlFlow;
+
+/// Most levels (leaves included) any mirror stride can need.
+const MAX_DEPTH: usize = usize::BITS as usize / 3 + 1;
+
+/// The summary levels of an 8-ary max-residual tree over a
+/// [`ResidualBlocks`] mirror.
+#[derive(Debug, Default)]
+pub(crate) struct FitIndex {
+    /// Mirror stride the levels were built for; 0 while the tree is not
+    /// live (never built this run, or built over no bins).
+    stride: usize,
     dims: usize,
-    /// Number of leaves (a power of two, or 0 before first use).
-    leaves: usize,
-    /// Node-major arena: `2 * leaves * dims` entries, root at node 1.
+    /// `(offset, stride)` of summary level `ℓ` (1-based) in `tree`.
+    levels: Vec<(usize, usize)>,
+    /// Every summary level, each `dims * stride` entries dimension-major.
     tree: Vec<u64>,
-    /// Number of bins ever registered (leaves `0..bins` are live).
-    bins: usize,
 }
 
 impl FitIndex {
-    /// Creates an empty index for `dims`-dimensional residuals (the
-    /// engine starts from `Default` and sizes it with
-    /// [`FitIndex::reset`]).
-    #[cfg(test)]
-    #[must_use]
-    pub fn new(dims: usize) -> Self {
-        FitIndex {
-            dims,
-            leaves: 0,
-            tree: Vec::new(),
-            bins: 0,
-        }
+    /// Marks the tree stale for a new run, keeping its allocations.
+    pub(crate) fn reset(&mut self) {
+        self.stride = 0;
     }
 
-    /// Clears all bins. When `dims` is unchanged the grown arena is kept
-    /// (zeroed in place), so a warmed index re-runs without allocating;
-    /// a dimension change discards it.
-    pub fn reset(&mut self, dims: usize) {
-        if dims == self.dims {
-            self.tree.fill(0);
+    /// Whether the levels are current (see [`FitIndex::build`]).
+    #[must_use]
+    pub(crate) fn is_live(&self) -> bool {
+        self.stride != 0
+    }
+
+    /// Level `l`'s rows and stride; level 0 is the mirror itself.
+    fn rows<'a>(&'a self, leaves: &'a ResidualBlocks, l: usize) -> (&'a [u64], usize) {
+        if l == 0 {
+            (leaves.rows(), leaves.stride())
         } else {
-            self.dims = dims;
-            self.leaves = 0;
-            self.tree.clear();
-        }
-        self.bins = 0;
-    }
-
-    /// Number of bins registered via [`FitIndex::open`].
-    #[cfg(test)]
-    #[must_use]
-    pub fn num_bins(&self) -> usize {
-        self.bins
-    }
-
-    #[inline]
-    fn node(&self, i: usize) -> &[u64] {
-        &self.tree[i * self.dims..(i + 1) * self.dims]
-    }
-
-    /// Recomputes node `i` from its two children.
-    #[inline]
-    fn pull(&mut self, i: usize) {
-        let d = self.dims;
-        for j in 0..d {
-            self.tree[i * d + j] = self.tree[(2 * i) * d + j].max(self.tree[(2 * i + 1) * d + j]);
+            let (off, stride) = self.levels[l - 1];
+            (&self.tree[off..off + self.dims * stride], stride)
         }
     }
 
-    /// Recomputes node `i` from its two children; returns whether any
-    /// component actually changed. An unchanged node implies all its
-    /// ancestors are unchanged too, so update climbs can stop here.
-    #[inline]
-    fn pull_changed(&mut self, i: usize) -> bool {
-        let d = self.dims;
-        let mut changed = false;
-        for j in 0..d {
-            let v = self.tree[(2 * i) * d + j].max(self.tree[(2 * i + 1) * d + j]);
-            if self.tree[i * d + j] != v {
-                self.tree[i * d + j] = v;
-                changed = true;
+    /// Dimension `j`'s maximum over the block of level `l` starting at
+    /// `base`.
+    fn block_max(&self, leaves: &ResidualBlocks, l: usize, j: usize, base: usize) -> u64 {
+        let (rows, stride) = self.rows(leaves, l);
+        let block = &rows[j * stride + base..j * stride + base + LANES];
+        block.iter().fold(0, |m, &r| m.max(r))
+    }
+
+    /// Computes every summary level from the mirror; the tree is live
+    /// from then on unless the mirror holds no bins yet.
+    pub(crate) fn build(&mut self, leaves: &ResidualBlocks) {
+        self.stride = if leaves.bins() == 0 {
+            0
+        } else {
+            leaves.stride()
+        };
+        self.dims = leaves.dims();
+        self.levels.clear();
+        let (mut n, mut len) = (self.stride, 0);
+        while n > LANES {
+            n = n.div_ceil(LANES);
+            let stride = n.next_multiple_of(LANES);
+            self.levels.push((len, stride));
+            len += self.dims * stride;
+        }
+        self.tree.clear();
+        self.tree.resize(len, 0);
+        for l in 1..=self.levels.len() {
+            let (off, stride) = self.levels[l - 1];
+            let below = self.rows(leaves, l - 1).1;
+            for j in 0..self.dims {
+                for node in 0..below / LANES {
+                    self.tree[off + j * stride + node] =
+                        self.block_max(leaves, l - 1, j, node * LANES);
+                }
             }
         }
-        changed
     }
 
-    /// Grows the leaf level to hold at least `bins` bins, preserving
-    /// existing residuals.
-    fn ensure(&mut self, bins: usize) {
-        if bins <= self.leaves {
+    /// Refreshes the ancestors of `bin` after its residual fell (an item
+    /// packed, or the bin closed): each is recomputed from its 8
+    /// children, stopping at the first that does not change.
+    pub(crate) fn lower(&mut self, leaves: &ResidualBlocks, bin: usize) {
+        if !self.is_live() {
             return;
         }
-        let d = self.dims;
-        let mut leaves = self.leaves.max(1);
-        while leaves < bins {
-            leaves *= 2;
-        }
-        let mut fresh = vec![0u64; 2 * leaves * d];
-        fresh[leaves * d..(leaves + self.leaves) * d]
-            .copy_from_slice(&self.tree[self.leaves * d..2 * self.leaves * d]);
-        self.leaves = leaves;
-        self.tree = fresh;
-        for i in (1..leaves).rev() {
-            self.pull(i);
-        }
-    }
-
-    /// Fixes a leaf's root path after its residual changed, stopping at
-    /// the first ancestor whose per-dimension max is unaffected (a bin
-    /// rarely holds the subtree max in every dimension, so most climbs
-    /// terminate after one or two pulls).
-    fn update_path(&mut self, bin: usize) {
-        let mut i = (self.leaves + bin) / 2;
-        while i >= 1 {
-            if !self.pull_changed(i) {
+        debug_assert_eq!(leaves.stride(), self.stride, "only opens grow the mirror");
+        let mut node = bin;
+        for l in 1..=self.levels.len() {
+            let base = node & !(LANES - 1);
+            node /= LANES;
+            let (off, stride) = self.levels[l - 1];
+            let mut changed = false;
+            for j in 0..self.dims {
+                let max = self.block_max(leaves, l - 1, j, base);
+                let slot = &mut self.tree[off + j * stride + node];
+                changed |= *slot != max;
+                *slot = max;
+            }
+            if !changed {
                 return;
             }
-            i /= 2;
         }
     }
 
-    /// Bulk-(re)builds the index over `bins` bins in O(bins · d),
-    /// reading each leaf's residual through `residual_of` (closed bins
-    /// must be written as all-zero). Used by the engine to bring a
-    /// deliberately-stale index up to date the first time a query is
-    /// routed to it mid-run; a warmed arena of sufficient size is reused
-    /// without allocating.
-    pub fn rebuild(&mut self, bins: usize, mut residual_of: impl FnMut(usize, &mut [u64])) {
-        let d = self.dims;
-        let mut leaves = self.leaves.max(1);
-        while leaves < bins {
-            leaves *= 2;
+    /// Refreshes the ancestors of `bin` after its residual rose (an item
+    /// departed, or the bin opened): each takes the larger of its value
+    /// and the child's, stopping at the first that does not change. An
+    /// open that grew the mirror's stride rebuilds the levels instead.
+    pub(crate) fn raise(&mut self, leaves: &ResidualBlocks, bin: usize) {
+        if !self.is_live() {
+            return;
         }
-        if self.tree.len() != 2 * leaves * d {
-            self.leaves = leaves;
-            self.tree.clear();
-            self.tree.resize(2 * leaves * d, 0);
+        if leaves.stride() != self.stride {
+            return self.build(leaves);
         }
-        self.bins = bins;
-        let base = leaves * d;
-        for b in 0..bins {
-            residual_of(b, &mut self.tree[base + b * d..base + (b + 1) * d]);
-        }
-        // Stale leaves past `bins` and all internal nodes are recomputed.
-        self.tree[base + bins * d..].fill(0);
-        for i in (1..leaves).rev() {
-            self.pull(i);
+        let mut child = bin;
+        for l in 1..=self.levels.len() {
+            let node = child / LANES;
+            let (off, stride) = self.levels[l - 1];
+            let mut changed = false;
+            for j in 0..self.dims {
+                let (rows, below) = self.rows(leaves, l - 1);
+                let r = rows[j * below + child];
+                let slot = &mut self.tree[off + j * stride + node];
+                if r > *slot {
+                    *slot = r;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return;
+            }
+            child = node;
         }
     }
 
-    /// Registers bin `bin` (must be `num_bins()`, i.e. bins open in id
-    /// order) with the given initial residual (= full capacity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if bins are opened out of order or `residual` has the wrong
-    /// dimension.
-    pub fn open(&mut self, bin: usize, residual: &[u64]) {
-        assert_eq!(bin, self.bins, "bins must open in id order");
-        assert_eq!(residual.len(), self.dims, "residual dimension mismatch");
-        self.bins += 1;
-        self.ensure(self.bins);
-        let d = self.dims;
-        let leaf = (self.leaves + bin) * d;
-        self.tree[leaf..leaf + d].copy_from_slice(residual);
-        self.update_path(bin);
-    }
-
-    /// Subtracts `size` from `bin`'s residual (an item was packed).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the residual covers `size` (the engine checks
-    /// feasibility before packing).
-    pub fn pack(&mut self, bin: usize, size: &[u64]) {
-        let d = self.dims;
-        let leaf = (self.leaves + bin) * d;
-        for (j, &s) in size.iter().enumerate().take(d) {
-            debug_assert!(self.tree[leaf + j] >= s, "overpacked bin {bin}");
-            self.tree[leaf + j] -= s;
+    /// Depth-first walk over the nodes covering `need`, calling `f` for
+    /// each feasible bin in ascending id order (descending when `REV`)
+    /// until it breaks. Each visit masks one block of 8 entries.
+    fn walk<const REV: bool>(
+        &self,
+        leaves: &ResidualBlocks,
+        need: &[u64],
+        mut f: impl FnMut(usize) -> ControlFlow<()>,
+    ) {
+        debug_assert!(need.iter().any(|&n| n > 0), "zero need matches closed bins");
+        if !self.is_live() {
+            return;
         }
-        self.update_path(bin);
-    }
-
-    /// Adds `size` back to `bin`'s residual (an item departed).
-    pub fn unpack(&mut self, bin: usize, size: &[u64]) {
-        let d = self.dims;
-        let leaf = (self.leaves + bin) * d;
-        for (j, &s) in size.iter().enumerate().take(d) {
-            self.tree[leaf + j] += s;
+        let top = self.levels.len();
+        let mask_at = |l: usize, base: usize| {
+            let (rows, stride) = self.rows(leaves, l);
+            mask8_dispatch(rows, stride, base, need)
+        };
+        // Unvisited set bits and block base, per level on the path.
+        let mut mask = [0u8; MAX_DEPTH];
+        let mut base = [0usize; MAX_DEPTH];
+        let mut l = top;
+        mask[l] = mask_at(l, 0);
+        loop {
+            let m = mask[l];
+            if m == 0 {
+                if l == top {
+                    return;
+                }
+                l += 1;
+                continue;
+            }
+            let bit = if REV {
+                7 - m.leading_zeros() as usize
+            } else {
+                m.trailing_zeros() as usize
+            };
+            mask[l] = m & !(1 << bit);
+            let node = base[l] + bit;
+            if l == 0 {
+                if f(node).is_break() {
+                    return;
+                }
+            } else {
+                l -= 1;
+                base[l] = node * LANES;
+                mask[l] = mask_at(l, base[l]);
+            }
         }
-        self.update_path(bin);
-    }
-
-    /// Pins `bin`'s residual to 0 in every dimension: the bin closed and
-    /// must never be matched again.
-    pub fn close(&mut self, bin: usize) {
-        let d = self.dims;
-        let leaf = (self.leaves + bin) * d;
-        self.tree[leaf..leaf + d].fill(0);
-        self.update_path(bin);
-    }
-
-    #[inline]
-    fn covers(residual: &[u64], need: &[u64]) -> bool {
-        residual.iter().zip(need).all(|(r, n)| r >= n)
     }
 
     /// Lowest-id bin whose residual covers `need` in every dimension —
-    /// the First Fit choice. Left-first pruned descent with backtracking.
+    /// the First Fit choice.
     #[must_use]
-    pub fn first_fit(&self, need: &[u64]) -> Option<usize> {
-        if self.bins == 0 || !Self::covers(self.node(1), need) {
-            return None;
-        }
-        let mut i = 1usize;
-        loop {
-            if i >= self.leaves {
-                return Some(i - self.leaves);
-            }
-            if Self::covers(self.node(2 * i), need) {
-                i *= 2;
-                continue;
-            }
-            // Left subtree pruned; the right must cover (the parent did),
-            // but for d >= 2 "covers" is only necessary: if the right
-            // subtree later dead-ends we must backtrack past it.
-            if Self::covers(self.node(2 * i + 1), need) {
-                i = 2 * i + 1;
-                continue;
-            }
-            // Dead end: climb until we can move to an unvisited right
-            // sibling whose subtree covers `need`.
-            loop {
-                if i == 1 {
-                    return None;
-                }
-                let parent = i / 2;
-                if i == 2 * parent {
-                    // We came from the left child; try the right sibling.
-                    if Self::covers(self.node(2 * parent + 1), need) {
-                        i = 2 * parent + 1;
-                        break;
-                    }
-                }
-                i = parent;
-            }
-        }
+    pub(crate) fn first_fit(&self, leaves: &ResidualBlocks, need: &[u64]) -> Option<usize> {
+        let mut hit = None;
+        self.walk::<false>(leaves, need, |b| {
+            hit = Some(b);
+            ControlFlow::Break(())
+        });
+        hit
     }
 
     /// Highest-id bin whose residual covers `need` — the Last Fit choice.
     #[must_use]
-    pub fn last_fit(&self, need: &[u64]) -> Option<usize> {
-        if self.bins == 0 || !Self::covers(self.node(1), need) {
-            return None;
-        }
-        let mut i = 1usize;
-        loop {
-            if i >= self.leaves {
-                return Some(i - self.leaves);
-            }
-            if Self::covers(self.node(2 * i + 1), need) {
-                i = 2 * i + 1;
-                continue;
-            }
-            if Self::covers(self.node(2 * i), need) {
-                i *= 2;
-                continue;
-            }
-            loop {
-                if i == 1 {
-                    return None;
-                }
-                let parent = i / 2;
-                if i == 2 * parent + 1 {
-                    // We came from the right child; try the left sibling.
-                    if Self::covers(self.node(2 * parent), need) {
-                        i = 2 * parent;
-                        break;
-                    }
-                }
-                i = parent;
-            }
-        }
+    pub(crate) fn last_fit(&self, leaves: &ResidualBlocks, need: &[u64]) -> Option<usize> {
+        let mut hit = None;
+        self.walk::<true>(leaves, need, |b| {
+            hit = Some(b);
+            ControlFlow::Break(())
+        });
+        hit
     }
 
     /// Calls `f(bin)` for every bin whose residual covers `need`, in
-    /// ascending bin-id order (pruned in-order traversal):
-    /// O(log m + feasible · d) instead of the scan's O(m · d).
-    pub fn for_each_feasible(&self, need: &[u64], mut f: impl FnMut(usize)) {
-        if self.bins == 0 {
-            return;
-        }
-        self.visit(1, need, &mut f);
-    }
-
-    fn visit(&self, i: usize, need: &[u64], f: &mut impl FnMut(usize)) {
-        if !Self::covers(self.node(i), need) {
-            return;
-        }
-        if i >= self.leaves {
-            f(i - self.leaves);
-            return;
-        }
-        self.visit(2 * i, need, f);
-        self.visit(2 * i + 1, need, f);
+    /// ascending bin-id order.
+    pub(crate) fn for_each_feasible(
+        &self,
+        leaves: &ResidualBlocks,
+        need: &[u64],
+        mut f: impl FnMut(usize),
+    ) {
+        self.walk::<false>(leaves, need, |b| {
+            f(b);
+            ControlFlow::Continue(())
+        });
     }
 }
 
@@ -333,161 +259,261 @@ impl FitIndex {
 mod tests {
     use super::*;
 
-    /// Brute-force twin used to cross-check every query.
-    fn naive_first_fit(res: &[Vec<u64>], need: &[u64]) -> Option<usize> {
-        res.iter()
-            .position(|r| r.iter().zip(need).all(|(a, b)| a >= b))
+    /// A mirror and its tree, updated the way the engine updates them.
+    struct Model {
+        blocks: ResidualBlocks,
+        index: FitIndex,
+    }
+
+    impl Model {
+        fn new(dims: usize) -> Self {
+            let mut blocks = ResidualBlocks::new();
+            blocks.reset(dims);
+            Model {
+                blocks,
+                index: FitIndex::default(),
+            }
+        }
+
+        fn open(&mut self, bin: usize, residual: &[u64]) {
+            self.blocks.open(bin, residual);
+            self.index.raise(&self.blocks, bin);
+        }
+
+        fn pack(&mut self, bin: usize, size: &[u64]) {
+            self.blocks.pack(bin, size);
+            self.index.lower(&self.blocks, bin);
+        }
+
+        fn unpack(&mut self, bin: usize, size: &[u64]) {
+            self.blocks.unpack(bin, size);
+            self.index.raise(&self.blocks, bin);
+        }
+
+        fn close(&mut self, bin: usize) {
+            self.blocks.close(bin);
+            self.index.lower(&self.blocks, bin);
+        }
+
+        /// Latches the tree on first use, as the engine's view does.
+        fn live(&mut self) -> &FitIndex {
+            if !self.index.is_live() {
+                self.index.build(&self.blocks);
+            }
+            &self.index
+        }
+
+        fn first(&mut self, need: &[u64]) -> Option<usize> {
+            self.live();
+            self.index.first_fit(&self.blocks, need)
+        }
+
+        fn last(&mut self, need: &[u64]) -> Option<usize> {
+            self.live();
+            self.index.last_fit(&self.blocks, need)
+        }
+
+        fn all(&mut self, need: &[u64]) -> Vec<usize> {
+            self.live();
+            let mut seen = Vec::new();
+            self.index
+                .for_each_feasible(&self.blocks, need, |b| seen.push(b));
+            seen
+        }
+    }
+
+    fn covers(r: &[u64], need: &[u64]) -> bool {
+        r.iter().zip(need).all(|(a, b)| a >= b)
     }
 
     #[test]
     fn one_dim_basic() {
-        let mut idx = FitIndex::new(1);
-        idx.open(0, &[10]);
-        idx.open(1, &[10]);
-        idx.pack(0, &[5]);
-        idx.pack(1, &[3]);
-        assert_eq!(idx.first_fit(&[4]), Some(0));
-        assert_eq!(idx.first_fit(&[6]), Some(1));
-        assert_eq!(idx.first_fit(&[8]), None);
-        assert_eq!(idx.last_fit(&[4]), Some(1));
-        idx.unpack(0, &[5]);
-        assert_eq!(idx.first_fit(&[8]), Some(0));
+        let mut t = Model::new(1);
+        t.open(0, &[10]);
+        t.open(1, &[10]);
+        t.pack(0, &[5]);
+        t.pack(1, &[3]);
+        assert_eq!(t.first(&[4]), Some(0));
+        assert_eq!(t.first(&[6]), Some(1));
+        assert_eq!(t.first(&[8]), None);
+        assert_eq!(t.last(&[4]), Some(1));
+        t.unpack(0, &[5]);
+        assert_eq!(t.first(&[8]), Some(0));
     }
 
     #[test]
     fn multidim_backtracking() {
-        // Bin 0 covers dim 0 only, bin 1 covers dim 1 only, bin 2 covers
-        // both: the left-first descent must backtrack past both fakes.
-        let mut idx = FitIndex::new(2);
-        idx.open(0, &[9, 1]);
-        idx.open(1, &[1, 9]);
-        idx.open(2, &[5, 5]);
-        assert_eq!(idx.first_fit(&[2, 2]), Some(2));
-        assert_eq!(idx.first_fit(&[6, 1]), Some(0));
-        assert_eq!(idx.first_fit(&[1, 6]), Some(1));
-        assert_eq!(idx.first_fit(&[6, 6]), None);
-        assert_eq!(idx.last_fit(&[2, 2]), Some(2));
-        assert_eq!(idx.last_fit(&[6, 1]), Some(0));
+        // Bins 24 and 25 hold `[9, 1]` and `[1, 9]`: their block's
+        // summary `[9, 9]` covers `[2, 2]` and `[6, 6]` though neither bin
+        // does, so those descents meet an empty child mask and must move
+        // on to the parent's next set bit (or give up).
+        let mut t = Model::new(2);
+        for b in 0..24 {
+            let r = match b {
+                0..=7 => [9, 1],
+                8..=15 => [1, 9],
+                _ => [5, 5],
+            };
+            t.open(b, &r);
+        }
+        t.live();
+        for b in 0..8 {
+            t.close(b);
+        }
+        t.open(24, &[9, 1]);
+        t.open(25, &[1, 9]);
+        assert_eq!(t.first(&[2, 2]), Some(16));
+        assert_eq!(t.first(&[6, 1]), Some(24));
+        assert_eq!(t.first(&[1, 6]), Some(8));
+        assert_eq!(t.first(&[6, 6]), None);
+        assert_eq!(t.last(&[2, 2]), Some(23));
+        assert_eq!(t.last(&[6, 1]), Some(24));
+        assert_eq!(t.last(&[1, 6]), Some(25));
     }
 
     #[test]
     fn closed_bins_never_match() {
-        let mut idx = FitIndex::new(1);
-        idx.open(0, &[10]);
-        idx.open(1, &[10]);
-        idx.close(0);
-        assert_eq!(idx.first_fit(&[1]), Some(1));
-        idx.close(1);
-        assert_eq!(idx.first_fit(&[1]), None);
-    }
-
-    #[test]
-    fn growth_preserves_residuals() {
-        let mut idx = FitIndex::new(3);
-        let mut naive: Vec<Vec<u64>> = Vec::new();
-        for b in 0..40 {
-            let r = vec![(b as u64 % 7) + 1, (b as u64 % 5) + 1, (b as u64 % 3) + 1];
-            idx.open(b, &r);
-            naive.push(r);
-        }
-        for need in [[1, 1, 1], [7, 1, 1], [7, 5, 3], [8, 1, 1], [2, 4, 2]] {
-            assert_eq!(idx.first_fit(&need), naive_first_fit(&naive, &need));
-        }
+        let mut t = Model::new(1);
+        t.open(0, &[10]);
+        t.open(1, &[10]);
+        t.close(0);
+        assert_eq!(t.first(&[1]), Some(1));
+        t.close(1);
+        assert_eq!(t.first(&[1]), None);
+        assert_eq!(t.all(&[1]), Vec::<usize>::new());
     }
 
     #[test]
     fn enumeration_matches_scan_order() {
-        let mut idx = FitIndex::new(2);
+        let mut t = Model::new(2);
         let residuals = [[3u64, 4], [5, 1], [2, 2], [6, 6], [0, 9]];
         for (b, r) in residuals.iter().enumerate() {
-            idx.open(b, r);
+            t.open(b, r);
         }
-        let mut seen = Vec::new();
-        idx.for_each_feasible(&[2, 2], |b| seen.push(b));
-        assert_eq!(seen, vec![0, 2, 3]);
+        assert_eq!(t.all(&[2, 2]), vec![0, 2, 3]);
     }
 
+    #[test]
+    fn empty_mirror_is_not_live() {
+        let mut t = Model::new(2);
+        assert_eq!(t.first(&[1, 1]), None);
+        assert!(!t.index.is_live());
+        t.open(0, &[4, 4]);
+        assert_eq!(t.first(&[1, 1]), Some(0));
+        assert!(t.index.is_live());
+    }
+
+    /// Every query of `t` against the naive residuals, and every summary
+    /// entry against a fresh build: upkeep keeps the levels exact, not
+    /// merely upper bounds (a stale maximum would still answer right,
+    /// only slower).
+    fn check(t: &mut Model, naive: &[Vec<u64>], need: &[u64], at: &str) {
+        let all: Vec<usize> = (0..naive.len())
+            .filter(|&b| covers(&naive[b], need))
+            .collect();
+        assert_eq!(t.first(need), all.first().copied(), "{at} need={need:?}");
+        assert_eq!(t.last(need), all.last().copied(), "{at} need={need:?}");
+        assert_eq!(t.all(need), all, "{at} need={need:?}");
+        let mut fresh = FitIndex::default();
+        fresh.build(&t.blocks);
+        assert_eq!(fresh.levels, t.index.levels, "{at}");
+        assert_eq!(fresh.tree, t.index.tree, "{at}");
+    }
+
+    /// The tree against a naive model across the level boundaries:
+    /// opens past 600 bins (the mirror's stride reaches 1,024, where a
+    /// third summary level appears) while the levels are live, closes
+    /// that zero a whole 8-bin and a whole 64-bin group, and a first
+    /// query issued only after bins have opened and closed.
     #[test]
     fn randomized_against_naive() {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(42);
-        for d in [1usize, 2, 3, 8, 9] {
-            let mut idx = FitIndex::new(d);
+        for d in [1usize, 2, 4, 9] {
+            let mut t = Model::new(d);
             let mut naive: Vec<Vec<u64>> = Vec::new();
-            for step in 0..400 {
-                let op = rng.random_range(0..4u32);
-                match op {
-                    0 => {
+            let mut step = 0;
+            while naive.len() < 640 || step < 1500 {
+                step += 1;
+                let at = format!("d={d} step={step}");
+                match rng.random_range(0..5u32) {
+                    0 | 1 => {
                         let r: Vec<u64> = (0..d).map(|_| rng.random_range(0..=10)).collect();
-                        idx.open(naive.len(), &r);
+                        t.open(naive.len(), &r);
                         naive.push(r);
-                    }
-                    1 if !naive.is_empty() => {
-                        let b = rng.random_range(0..naive.len());
-                        let delta: Vec<u64> =
-                            naive[b].iter().map(|&r| rng.random_range(0..=r)).collect();
-                        idx.pack(b, &delta);
-                        for (r, x) in naive[b].iter_mut().zip(&delta) {
-                            *r -= x;
+                        // Whole-group closes once the group exists: an
+                        // aligned 8-bin block, then an aligned 64-bin one.
+                        for (len, group) in [(96, 8..16), (400, 192..256)] {
+                            if naive.len() == len {
+                                for b in group {
+                                    t.close(b);
+                                    naive[b].fill(0);
+                                }
+                                if t.index.is_live() {
+                                    check(&mut t, &naive, &vec![1; d], &at);
+                                }
+                            }
                         }
                     }
                     2 if !naive.is_empty() => {
                         let b = rng.random_range(0..naive.len());
+                        let delta: Vec<u64> =
+                            naive[b].iter().map(|&r| rng.random_range(0..=r)).collect();
+                        t.pack(b, &delta);
+                        for (r, x) in naive[b].iter_mut().zip(&delta) {
+                            *r -= x;
+                        }
+                    }
+                    3 if !naive.is_empty() => {
+                        let b = rng.random_range(0..naive.len());
                         let delta: Vec<u64> = (0..d).map(|_| rng.random_range(0..=3)).collect();
-                        idx.unpack(b, &delta);
+                        t.unpack(b, &delta);
                         for (r, x) in naive[b].iter_mut().zip(&delta) {
                             *r += x;
                         }
                     }
                     _ if !naive.is_empty() => {
                         let b = rng.random_range(0..naive.len());
-                        idx.close(b);
+                        t.close(b);
                         naive[b].fill(0);
                     }
                     _ => {}
                 }
-                if step % 7 == 0 {
-                    let need: Vec<u64> = (0..d).map(|_| rng.random_range(1..=6)).collect();
-                    assert_eq!(
-                        idx.first_fit(&need),
-                        naive_first_fit(&naive, &need),
-                        "d={d} step={step} need={need:?}"
-                    );
-                    let last = naive
-                        .iter()
-                        .rposition(|r| r.iter().zip(&need).all(|(a, b)| a >= b));
-                    assert_eq!(idx.last_fit(&need), last, "d={d} step={step}");
-                    let mut enumerated = Vec::new();
-                    idx.for_each_feasible(&need, |b| enumerated.push(b));
-                    let expected: Vec<usize> = naive
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.iter().zip(&need).all(|(a, b)| a >= b))
-                        .map(|(b, _)| b)
-                        .collect();
-                    assert_eq!(enumerated, expected, "d={d} step={step}");
+                // No query before step 60: the tree latches mid-run.
+                if step >= 60 && step % 3 == 0 {
+                    assert_eq!(step == 60, !t.index.is_live(), "{at}");
+                    let hi = rng.random_range(1..=8);
+                    let need: Vec<u64> = (0..d).map(|_| rng.random_range(1..=hi)).collect();
+                    check(&mut t, &naive, &need, &at);
                 }
             }
+            assert!(
+                t.blocks.stride() >= 1024,
+                "d={d}: the third level was never reached"
+            );
         }
     }
 
     #[test]
     fn reset_reuses_allocation() {
-        let mut idx = FitIndex::new(2);
+        let mut t = Model::new(2);
         for b in 0..20 {
-            idx.open(b, &[5, 5]);
+            t.open(b, &[5, 5]);
         }
-        // Same-dims reset keeps the grown arena zeroed in place.
-        idx.reset(2);
-        assert_eq!(idx.num_bins(), 0);
-        assert_eq!(idx.first_fit(&[1, 1]), None);
-        idx.open(0, &[4, 4]);
-        assert_eq!(idx.first_fit(&[1, 1]), Some(0));
-        // Dimension change rebuilds from scratch.
-        idx.reset(3);
-        assert_eq!(idx.first_fit(&[1, 1, 1]), None);
-        idx.open(0, &[4, 4, 4]);
-        assert_eq!(idx.first_fit(&[1, 1, 1]), Some(0));
+        assert_eq!(t.first(&[1, 1]), Some(0));
+        // A new run: the engine resets both, keeping their arenas.
+        t.blocks.reset(2);
+        t.index.reset();
+        assert!(!t.index.is_live());
+        assert_eq!(t.first(&[1, 1]), None);
+        t.open(0, &[4, 4]);
+        assert_eq!(t.first(&[1, 1]), Some(0));
+        // Dimension change: both rebuild from scratch.
+        t.blocks.reset(3);
+        t.index.reset();
+        assert_eq!(t.first(&[1, 1, 1]), None);
+        t.open(0, &[4, 4, 4]);
+        assert_eq!(t.first(&[1, 1, 1]), Some(0));
     }
 }

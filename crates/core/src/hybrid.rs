@@ -6,13 +6,15 @@
 //! recovery) decides identically:
 //!
 //! 1. **scan vs [`FitIndex`](crate::fit_index::FitIndex)** — [`use_index`] compares
-//!    the open-bin count against a per-dimension crossover. Before the
-//!    block-scan kernel, the crossover was a flat 64 bins; vectorized
-//!    scans retire [`LANES`](crate::block_scan::LANES) bins per step,
-//!    and the measured break-even *rises* with `d`: the tree descent
-//!    re-checks all `d` per-dimension structures on every step, while
-//!    the block scan streams `d` contiguous rows through the mask
-//!    kernel, so wider items amortize the scan better than the tree.
+//!    the open-bin count against a per-dimension crossover. Both sides
+//!    run the same 8-bin mask kernel: the block scan on every block of
+//!    the open-id span, the 8-ary tree only on the blocks its summary
+//!    levels cannot rule out, at the price of one extra mask per level
+//!    on the way down and of keeping the levels current. The
+//!    break-even *rises* with `d`: a summary node holds each
+//!    dimension's maximum separately, so the wider the item, the more
+//!    often a node covers it while no bin below it does, and the more
+//!    blocks the tree masks in vain.
 //! 2. **block vs scalar scan** — once scanning, [`block_scan_pays`]
 //!    checks that the open-bin id *span* is not too sparse: the block
 //!    kernel walks `span / LANES` blocks, the scalar loop walks exactly
@@ -23,9 +25,14 @@
 //! `dvbp-bench`) times First Fit's pure block-scan path against its
 //! pure fit-index path on uniform workloads, sweeping `mu` (and
 //! therefore the steady-state open-bin count `m`) at
-//! `d ∈ {1..5, 8, 9, 12, 16}` on AVX2 x86-64. Measured break-evens:
-//! `m ≈ 60` at `d ≤ 2`, `m ≈ 130` at `d = 4`, `m ≈ 170–180` at
-//! `d ∈ {8, 9}`, and `m ≈ 250–375` at `d ∈ {12, 16}`. The table below
+//! `d ∈ {1..5, 8, 9, 12, 16}` on AVX2 x86-64. Over three passes on a
+//! 2-vCPU VM the tree won every pass from `m ≈ 58` at `d ≤ 2` (the
+//! passes split at `m ≈ 35`) and from `m ≈ 69–82` at `d ∈ 3..=5` (the
+//! scan won at `m ≈ 42–47`); at `d ∈ {8, 9}` the two tied at
+//! `m ≈ 170–180` and the tree won from `m ≈ 340`; at `d ∈ {12, 16}` the
+//! scan won to `m ≈ 170` in five passes of six and the tree from
+//! `m ≈ 355`. Past its first win the tree stayed ahead at every
+//! measured `m` but one (a `d = 5` pass at `m ≈ 324`). The table below
 //! rounds to the nearest lane-friendly step; near the boundary the two
 //! paths time within noise of each other (and are placement-identical),
 //! so a misestimate costs only nanoseconds.
@@ -37,9 +44,8 @@ use crate::block_scan::LANES;
 #[must_use]
 pub(crate) fn index_crossover(dims: usize) -> usize {
     match dims {
-        0..=2 => 64,
-        3..=4 => 128,
-        5..=9 => 192,
+        0..=5 => 64,
+        6..=9 => 192,
         _ => 256,
     }
 }
@@ -66,8 +72,8 @@ mod tests {
 
     #[test]
     fn crossover_is_monotone_in_dims() {
-        // Wider items amortize the block scan better, so the measured
-        // break-even never falls as d grows.
+        // Wider items prune the tree less, so the measured break-even
+        // never falls as d grows.
         let mut last = 0;
         for d in 1..=16 {
             let c = index_crossover(d);

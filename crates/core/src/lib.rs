@@ -42,6 +42,14 @@
 //! event logs — see `dvbp-obs`). The seven algorithms of the paper's
 //! experimental study are available through [`PolicyKind::paper_suite`];
 //! custom policies implement [`Policy`].
+//!
+//! Bin selection belongs to the engine, not the policies: First, Last,
+//! Best, Worst and Random Fit each make one feasibility query on the
+//! [`EngineView`]. It answers with a vectorized block scan of a
+//! dimension-major residual mirror ([`ResidualBlocks`]) or, from a
+//! measured per-dimension crossover in open bins on, with an 8-ary
+//! max-residual tree whose leaf level is that mirror. Every route
+//! selects the same bins and reports the same scan counts ([`FitPath`]).
 
 pub mod billing;
 mod bin;

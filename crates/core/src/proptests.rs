@@ -96,7 +96,7 @@ fn assert_indexed_matches_scan(inst: &Instance) -> Result<(), TestCaseError> {
 }
 
 /// Records the full observer event stream of one run on `path` (no
-/// probe sink, so the block-scan kernel stays active).
+/// probe sink, so the block-scan kernel and the tree stay active).
 fn record_events(inst: &Instance, kind: &PolicyKind, path: FitPath) -> Vec<dvbp_obs::ObsEvent> {
     let mut rec = dvbp_obs::Recorder::new();
     Engine::new()
@@ -106,15 +106,18 @@ fn record_events(inst: &Instance, kind: &PolicyKind, path: FitPath) -> Vec<dvbp_
     rec.events
 }
 
-/// The vectorized block scan must be *observer*-identical to the scalar
-/// loop, not just placement-identical: `Place.scanned` counts (the
-/// provenance layer's `Σ scanned == #Probe` currency) are reproduced
-/// from the hit position, so the whole event streams must match.
+/// The vectorized block scan and the tree must be *observer*-identical
+/// to the scalar loop, not just placement-identical: `Place.scanned`
+/// counts (the provenance layer's `Σ scanned == #Probe` currency) are
+/// reproduced from the hit position, so the whole event streams must
+/// match.
 fn assert_block_scan_events_match_scalar(inst: &Instance) -> Result<(), TestCaseError> {
     for kind in query_kinds() {
-        let block = record_events(inst, &kind, FitPath::Block);
         let scalar = record_events(inst, &kind, FitPath::Scalar);
-        prop_assert_eq!(block, scalar, "{}", kind.name());
+        for path in [FitPath::Block, FitPath::Index] {
+            let events = record_events(inst, &kind, path);
+            prop_assert_eq!(&events, &scalar, "{} on {:?}", kind.name(), path);
+        }
     }
     Ok(())
 }
@@ -339,8 +342,8 @@ proptest! {
         assert_indexed_matches_scan(&inst)?;
     }
 
-    /// Block-scan runs emit byte-identical observer streams to scalar
-    /// runs, `Place.scanned` included.
+    /// Block-scan and tree runs emit byte-identical observer streams to
+    /// scalar runs, `Place.scanned` included.
     #[test]
     fn block_scan_events_match_scalar(inst in instances()) {
         assert_block_scan_events_match_scalar(&inst)?;
