@@ -526,7 +526,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicBool;
 
     fn record(shard: u32, total: u64) -> SpanRecord {
         let mut stage_ns = [0u64; Stage::COUNT];
@@ -647,35 +647,60 @@ mod tests {
     #[test]
     fn concurrent_pushes_never_yield_torn_records() {
         // Writers tag every stage slot with the record's total; any
-        // torn read would mix tags from two records.
-        let ring = Arc::new(SpanRing::new(16));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let ring = Arc::clone(&ring);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..5000u64 {
-                    let tag = t * 1_000_000 + i;
-                    let mut rec = record(t as u32, tag);
-                    rec.stage_ns = [tag; Stage::COUNT];
-                    ring.push(&rec);
-                }
-            }));
-        }
-        let mut seen = 0usize;
-        for _ in 0..200 {
-            for rec in ring.snapshot() {
+        // torn read would mix tags from two records. `snapshot` may skip
+        // every slot while writers race it, so the writers keep pushing
+        // until the reader has seen a complete record.
+        let ring = SpanRing::new(16);
+        let stop = AtomicBool::new(false);
+        let check = |snap: Vec<SpanRecord>| {
+            for rec in &snap {
                 assert!(
                     rec.stage_ns.iter().all(|&s| s == rec.total_ns),
                     "torn record: {rec:?}"
                 );
-                seen += 1;
             }
+            snap.len()
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let (seen, pushed) = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (ring, stop) = (&ring, &stop);
+                    scope.spawn(move || {
+                        let mut i = 0u64;
+                        while i < 5000 || !stop.load(Ordering::Relaxed) {
+                            let tag = (t << 40) | i;
+                            let mut rec = record(t as u32, tag);
+                            rec.stage_ns = [tag; Stage::COUNT];
+                            ring.push(&rec);
+                            i += 1;
+                        }
+                        i
+                    })
+                })
+                .collect();
+            let mut seen = 0usize;
+            let mut snapshots = 0;
+            while (seen == 0 || snapshots < 200) && std::time::Instant::now() < deadline {
+                seen += check(ring.snapshot());
+                snapshots += 1;
+            }
+            stop.store(true, Ordering::Relaxed);
+            let pushed: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
+            (seen, pushed)
+        });
+        assert!(seen > 0, "no snapshot saw a complete record in 60 s");
+        assert_eq!(ring.pushed(), pushed);
+        // A writer lapped between taking its ticket and writing can
+        // leave a slot holding an older ticket's record, which
+        // `snapshot` skips. One round from this thread rewrites every
+        // slot in ticket order; then a quiescent snapshot is full.
+        for i in 0..ring.capacity() as u64 {
+            let mut rec = record(9, i);
+            rec.stage_ns = [i; Stage::COUNT];
+            ring.push(&rec);
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(seen > 0, "snapshots never observed a complete record");
-        assert_eq!(ring.pushed(), 20_000);
+        assert_eq!(check(ring.snapshot()), ring.capacity());
     }
 
     #[test]

@@ -18,18 +18,20 @@
 //! * Rows are sorted by `starttime` (the published traces are); the
 //!   parser verifies this and, under [`DirtyPolicy::Clamp`], pulls
 //!   stragglers forward instead of failing.
+//! * The first content line is a header iff its `starttime` is not a
+//!   number; any later such line is an error at its line.
 //!
 //! Times are quantized to integer ticks via `ticks_per_day` (288 ≙ the
 //! trace's native 5-minute granularity), fractions to integer units of
 //! the bin capacity. Memory is O(active VMs): rows stream through the
 //! `Pending` merger and are never collected.
 
-use crate::ingest::{parse_fraction, scale_size, split_fields, DirtyPolicy, IngestStats, Pending};
+use crate::ingest::{
+    parse_fraction, scale_size, DirtyPolicy, Fields, IngestStats, LineReader, Pending, Repair,
+};
 use dvbp_core::{EventSource, LiveOp, SourceError};
 use dvbp_dimvec::DimVec;
 use dvbp_sim::Time;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 use std::io::BufRead;
 
 /// Default tick quantization: the Azure trace's native 5-minute slots.
@@ -37,7 +39,6 @@ pub const AZURE_TICKS_PER_DAY: u64 = 288;
 
 /// One parsed, repaired row, held as lookahead until its arrival emits.
 struct Row {
-    vm_id: String,
     start: Time,
     /// `None` = open-ended.
     end: Option<Time>,
@@ -46,21 +47,18 @@ struct Row {
 
 /// Streaming [`EventSource`] over an Azure packing-trace CSV.
 pub struct AzureSource<R> {
-    reader: R,
+    lines: LineReader<R>,
     capacity: DimVec,
     ticks_per_day: u64,
-    dirty: DirtyPolicy,
+    repair: Repair,
     pending: Pending,
-    stats: IngestStats,
-    line_no: u64,
-    /// Arrival clock: rows must not start before this tick.
-    clock: Time,
-    /// Active VMs by id → departure tick (`Time::MAX` = open-ended),
-    /// for duplicate-id detection. Pruned via `expiry` on each arrival.
-    active: HashMap<String, Time>,
-    expiry: BinaryHeap<Reverse<(Time, String)>>,
     lookahead: Option<Row>,
     eof: bool,
+}
+
+/// The header test: a `starttime` column that is not a number.
+fn is_header(f: &Fields<'_>) -> bool {
+    f.len() >= 2 && f.get(1).parse::<f64>().is_err()
 }
 
 impl<R: BufRead> AzureSource<R> {
@@ -82,41 +80,27 @@ impl<R: BufRead> AzureSource<R> {
         ticks_per_day: u64,
         dirty: DirtyPolicy,
     ) -> Result<Self, SourceError> {
-        let mut source = AzureSource {
-            reader,
-            capacity: DimVec::scalar(0), // replaced below
-            ticks_per_day: ticks_per_day.max(1),
-            dirty,
-            pending: Pending::default(),
-            stats: IngestStats::default(),
-            line_no: 0,
-            clock: 0,
-            active: HashMap::new(),
-            expiry: BinaryHeap::new(),
-            lookahead: None,
-            eof: false,
-        };
-        // Peek the first data row to learn the dimension count, then
-        // parse it for real against the resolved capacity.
-        let Some(line) = source.next_data_line()? else {
+        // The first data row gives the dimension count, then parses for
+        // real against the resolved capacity.
+        let mut lines = LineReader::new(reader);
+        let Some(first) = lines.next_row(is_header)? else {
             return Err(SourceError::new("azure trace has no data rows"));
         };
-        let fields = split_fields(&line);
-        if fields.len() < 4 {
+        if first.len() < 4 {
             return Err(SourceError::at_line(
-                source.line_no,
+                first.line,
                 format!(
                     "expected vmId,starttime,endtime,resources... (got {} fields)",
-                    fields.len()
+                    first.len()
                 ),
             ));
         }
-        let d = fields.len() - 3;
-        source.capacity = match capacity {
+        let d = first.len() - 3;
+        let capacity = match capacity {
             Some(cap) if cap.dim() == d => cap,
             Some(cap) => {
                 return Err(SourceError::at_line(
-                    source.line_no,
+                    first.line,
                     format!(
                         "capacity has {} dimensions but the trace has {d} resource columns",
                         cap.dim()
@@ -125,174 +109,87 @@ impl<R: BufRead> AzureSource<R> {
             }
             None => DimVec::splat(d, 100),
         };
-        let line_no = source.line_no;
-        source.lookahead = source.parse_row(&line, line_no)?;
-        Ok(source)
+        let ticks_per_day = ticks_per_day.max(1);
+        let mut repair = Repair::new(dirty);
+        let lookahead = parse_row(&mut repair, &capacity, ticks_per_day, &first)?;
+        Ok(AzureSource {
+            lines,
+            capacity,
+            ticks_per_day,
+            repair,
+            pending: Pending::default(),
+            lookahead,
+            eof: false,
+        })
     }
 
     /// Ingest statistics so far (final once the stream is exhausted).
     pub fn stats(&self) -> IngestStats {
-        self.stats
-    }
-
-    /// Next non-blank, non-header line, or `None` at end of input.
-    fn next_data_line(&mut self) -> Result<Option<String>, SourceError> {
-        let mut buf = String::new();
-        loop {
-            buf.clear();
-            let n = self
-                .reader
-                .read_line(&mut buf)
-                .map_err(|e| SourceError::new(format!("read failed: {e}")))?;
-            if n == 0 {
-                return Ok(None);
-            }
-            self.line_no += 1;
-            // First line only: strip a UTF-8 BOM so header detection and
-            // the first field survive files saved by Windows tools.
-            let line = if self.line_no == 1 {
-                buf.trim_start_matches('\u{feff}').trim()
-            } else {
-                buf.trim()
-            };
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            // Header iff the starttime column is not numeric.
-            let fields = split_fields(line);
-            if fields.len() >= 2 && fields[1].parse::<f64>().is_err() {
-                continue;
-            }
-            return Ok(Some(line.to_string()));
-        }
-    }
-
-    /// Quantizes a fractional-day timestamp to ticks.
-    #[allow(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        clippy::cast_precision_loss
-    )]
-    fn to_ticks(&self, days: f64) -> Time {
-        (days * self.ticks_per_day as f64).round() as Time
-    }
-
-    /// Parses one data line into a repaired [`Row`]. `Ok(None)` means
-    /// the row was dropped (duplicate id under Clamp).
-    fn parse_row(&mut self, line: &str, line_no: u64) -> Result<Option<Row>, SourceError> {
-        let fields = split_fields(line);
-        let d = self.capacity.dim();
-        if fields.len() != d + 3 {
-            return Err(SourceError::at_line(
-                line_no,
-                format!("expected {} fields, got {}", d + 3, fields.len()),
-            ));
-        }
-        self.stats.rows += 1;
-
-        let vm_id = fields[0].to_string();
-        let mut start = self.to_ticks(parse_fraction(fields[1], line_no, "starttime")?);
-        if start < self.clock {
-            match self.dirty {
-                DirtyPolicy::Reject => {
-                    return Err(SourceError::at_line(
-                        line_no,
-                        format!(
-                            "starttime goes backwards (tick {start} after tick {})",
-                            self.clock
-                        ),
-                    ));
-                }
-                DirtyPolicy::Clamp => {
-                    self.stats.clamped_times += 1;
-                    start = self.clock;
-                }
-            }
-        }
-
-        let end = if fields[2].is_empty() {
-            None
-        } else {
-            let e = self.to_ticks(parse_fraction(fields[2], line_no, "endtime")?);
-            if e <= start {
-                match self.dirty {
-                    DirtyPolicy::Reject => {
-                        return Err(SourceError::at_line(
-                            line_no,
-                            format!("endtime (tick {e}) does not exceed starttime (tick {start})"),
-                        ));
-                    }
-                    DirtyPolicy::Clamp => {
-                        self.stats.clamped_durations += 1;
-                        Some(start + 1)
-                    }
-                }
-            } else {
-                Some(e)
-            }
-        };
-
-        // Retire expired VMs, then check the id against live ones.
-        while let Some(Reverse((t, _))) = self.expiry.peek() {
-            if *t > start {
-                break;
-            }
-            let Some(Reverse((t, id))) = self.expiry.pop() else {
-                break;
-            };
-            if self.active.get(&id) == Some(&t) {
-                self.active.remove(&id);
-            }
-        }
-        if self.active.contains_key(&vm_id) {
-            match self.dirty {
-                DirtyPolicy::Reject => {
-                    return Err(SourceError::at_line(
-                        line_no,
-                        format!("vmId {vm_id:?} duplicates a VM that is still running"),
-                    ));
-                }
-                DirtyPolicy::Clamp => {
-                    self.stats.dropped_duplicates += 1;
-                    return Ok(None);
-                }
-            }
-        }
-
-        let mut size = DimVec::zeros(d);
-        for j in 0..d {
-            let frac = parse_fraction(fields[3 + j], line_no, "resource demand")?;
-            size.as_mut_slice()[j] = scale_size(
-                frac,
-                self.capacity.as_slice()[j],
-                self.dirty,
-                line_no,
-                &mut self.stats.clamped_sizes,
-            )?;
-        }
-
-        self.clock = start;
-        Ok(Some(Row {
-            vm_id,
-            start,
-            end,
-            size,
-        }))
+        self.repair.stats
     }
 
     /// Refills the lookahead row, skipping dropped rows.
     fn fill_lookahead(&mut self) -> Result<(), SourceError> {
         while self.lookahead.is_none() && !self.eof {
-            match self.next_data_line()? {
+            match self.lines.next_row(is_header)? {
                 None => self.eof = true,
-                Some(line) => {
-                    let line_no = self.line_no;
-                    self.lookahead = self.parse_row(&line, line_no)?;
+                Some(f) => {
+                    self.lookahead =
+                        parse_row(&mut self.repair, &self.capacity, self.ticks_per_day, &f)?;
                 }
             }
         }
         Ok(())
     }
+}
+
+/// Parses one data row into a repaired [`Row`]. `Ok(None)` means the
+/// row was dropped (duplicate id under Clamp).
+fn parse_row(
+    repair: &mut Repair,
+    capacity: &DimVec,
+    ticks_per_day: u64,
+    f: &Fields<'_>,
+) -> Result<Option<Row>, SourceError> {
+    let d = capacity.dim();
+    if f.len() != d + 3 {
+        return Err(SourceError::at_line(
+            f.line,
+            format!("expected {} fields, got {}", d + 3, f.len()),
+        ));
+    }
+    repair.stats.rows += 1;
+    // Quantizes a fractional-day timestamp to ticks.
+    #[allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss
+    )]
+    let ticks = |field: usize, what: &str| -> Result<Time, SourceError> {
+        let days = parse_fraction(f.get(field), f.line, what)?;
+        Ok((days * ticks_per_day as f64).round() as Time)
+    };
+    let start = repair.tick(f.line, ticks(1, "starttime")?, "starttime")?;
+    let end = if f.get(2).is_empty() {
+        None
+    } else {
+        Some(repair.departure(f.line, start, ticks(2, "endtime")?)?)
+    };
+    if !repair.admit_id(f.line, f.get(0), start, end)? {
+        return Ok(None);
+    }
+    let mut size = DimVec::zeros(d);
+    for (j, v) in size.as_mut_slice().iter_mut().enumerate() {
+        let frac = parse_fraction(f.get(3 + j), f.line, "resource demand")?;
+        *v = scale_size(
+            frac,
+            capacity.as_slice()[j],
+            repair.dirty,
+            f.line,
+            &mut repair.stats.clamped_sizes,
+        )?;
+    }
+    Ok(Some(Row { start, end, size }))
 }
 
 impl<R: BufRead> EventSource for AzureSource<R> {
@@ -312,12 +209,7 @@ impl<R: BufRead> EventSource for AzureSource<R> {
                 unreachable!()
             };
             let item = self.pending.admit(row.start, row.end);
-            self.stats.items += 1;
-            let end = row.end.unwrap_or(Time::MAX);
-            self.active.insert(row.vm_id.clone(), end);
-            if end != Time::MAX {
-                self.expiry.push(Reverse((end, row.vm_id)));
-            }
+            self.repair.stats.items += 1;
             return Ok(Some(LiveOp::Arrive {
                 item,
                 size: row.size,
@@ -326,15 +218,7 @@ impl<R: BufRead> EventSource for AzureSource<R> {
         }
         // End of file: drain remaining departures, then horizon-close
         // open-ended VMs.
-        match self.pending.drain() {
-            Some((op, at_horizon)) => {
-                if at_horizon {
-                    self.stats.closed_at_horizon += 1;
-                }
-                Ok(Some(op))
-            }
-            None => Ok(None),
-        }
+        Ok(self.pending.drain_counted(&mut self.repair.stats))
     }
 }
 
@@ -464,5 +348,62 @@ mod tests {
             DirtyPolicy::Reject
         )
         .is_err());
+    }
+
+    /// The first error the stream reports.
+    fn first_error(text: &str, dirty: DirtyPolicy) -> SourceError {
+        let mut s = match open(text, None, 4, dirty) {
+            Ok(s) => s,
+            Err(e) => return e,
+        };
+        loop {
+            match s.next_event() {
+                Err(e) => return e,
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("no error in {text:?} under {dirty:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_first_line_may_be_a_header() {
+        for bad in ["vm2,abc,0.5,0.25,0.25", "vm2,,0.5,0.25,0.25"] {
+            let text = format!(
+                "vmId,starttime,endtime,core,memory\n\
+                 vm1,0.0,0.5,0.25,0.25\n{bad}\nvm3,0.25,0.5,0.25,0.25\n"
+            );
+            for dirty in [DirtyPolicy::Reject, DirtyPolicy::Clamp] {
+                let err = first_error(&text, dirty);
+                assert_eq!(err.line, Some(3), "{bad}: {err}");
+                assert!(err.to_string().contains("starttime"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_largest_tick_is_refused_under_both_policies() {
+        // 1e300 days saturates at `Time::MAX` ticks.
+        for dirty in [DirtyPolicy::Reject, DirtyPolicy::Clamp] {
+            let err = first_error("vm1,1e300,1e300,0.25,0.25\n", dirty);
+            assert_eq!(err.line, Some(1), "{err}");
+        }
+        // A departure at `Time::MAX` is fine, and open VMs still close
+        // after their arrival.
+        let text = "vm1,0.0,1e300,0.25,0.25\nvm2,0.0,,0.25,0.25\n";
+        let mut s = open(text, None, 4, DirtyPolicy::Reject).unwrap();
+        let ops = collect(&mut s);
+        assert_eq!(
+            ops[2..],
+            [
+                LiveOp::Depart {
+                    item: 0,
+                    time: Time::MAX
+                },
+                LiveOp::Depart {
+                    item: 1,
+                    time: Time::MAX
+                },
+            ]
+        );
     }
 }

@@ -28,7 +28,10 @@
 //! zero-duration rule), arrivals are admitted in file order after them.
 //! Memory is O(active tasks + largest single-timestamp group).
 
-use crate::ingest::{parse_fraction, scale_size, split_fields, DirtyPolicy, IngestStats, Pending};
+use crate::ingest::{
+    parse_fraction, repair, scale_size, DirtyPolicy, Fields, IngestStats, LineReader, Pending,
+    Repair,
+};
 use dvbp_core::{EventSource, LiveOp, SourceError};
 use dvbp_dimvec::DimVec;
 use dvbp_sim::Time;
@@ -43,6 +46,10 @@ const EV_SCHEDULE: u64 = 1;
 /// `EVICT..=LOST` — the task stops occupying its machine.
 const EV_DEPART: std::ops::RangeInclusive<u64> = 2..=6;
 
+/// A resource request as read: `Ok(None)` for an empty field, and a
+/// parse error kept until the row's task is placed.
+type Request = Result<Option<f64>, SourceError>;
+
 /// A raw row carried across a group boundary.
 struct RawRow {
     line_no: u64,
@@ -50,21 +57,16 @@ struct RawRow {
     job: u64,
     task: u64,
     event: u64,
-    cpu: String,
-    ram: String,
+    cpu: Request,
+    ram: Request,
 }
 
 /// Streaming [`EventSource`] over a Google `task_events` CSV.
 pub struct GoogleSource<R> {
-    reader: R,
+    lines: LineReader<R>,
     capacity: DimVec,
-    dirty: DirtyPolicy,
+    repair: Repair,
     pending: Pending,
-    stats: IngestStats,
-    line_no: u64,
-    /// Clock = largest row timestamp read so far; later rows clamp (or
-    /// reject) against it.
-    clock: Time,
     /// Scheduled tasks: (job, task) → item index.
     active: HashMap<(u64, u64), usize>,
     /// First row of the next group, read while closing the current one.
@@ -77,7 +79,8 @@ pub struct GoogleSource<R> {
 impl<R: BufRead> GoogleSource<R> {
     /// Opens a `task_events` stream. `capacity` scales the CPU and
     /// memory request fractions (`None` = 100 units each). The trace is
-    /// headerless; a header line is tolerated and skipped.
+    /// headerless; a header as the first content line is tolerated and
+    /// skipped.
     ///
     /// # Errors
     ///
@@ -95,13 +98,10 @@ impl<R: BufRead> GoogleSource<R> {
             )));
         }
         Ok(GoogleSource {
-            reader,
+            lines: LineReader::new(reader),
             capacity,
-            dirty,
+            repair: Repair::new(dirty),
             pending: Pending::default(),
-            stats: IngestStats::default(),
-            line_no: 0,
-            clock: 0,
             active: HashMap::new(),
             lookahead: None,
             ready: VecDeque::new(),
@@ -111,106 +111,76 @@ impl<R: BufRead> GoogleSource<R> {
 
     /// Ingest statistics so far (final once the stream is exhausted).
     pub fn stats(&self) -> IngestStats {
-        self.stats
+        self.repair.stats
     }
 
-    /// Next SCHEDULE/depart row, or `None` at end of input. Skips
-    /// blanks, a header, and no-op event types (counting the latter).
+    /// Next SCHEDULE/depart row, or `None` at end of input. Skips no-op
+    /// event types, counting them.
     fn next_row(&mut self) -> Result<Option<RawRow>, SourceError> {
-        let mut buf = String::new();
-        loop {
-            buf.clear();
-            let n = self
-                .reader
-                .read_line(&mut buf)
-                .map_err(|e| SourceError::new(format!("read failed: {e}")))?;
-            if n == 0 {
-                return Ok(None);
-            }
-            self.line_no += 1;
-            let line = if self.line_no == 1 {
-                buf.trim_start_matches('\u{feff}').trim()
-            } else {
-                buf.trim()
-            };
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let fields = split_fields(line);
-            // Header iff the timestamp column is not numeric.
-            if fields.first().is_some_and(|f| f.parse::<u64>().is_err()) && self.line_no == 1 {
-                continue;
-            }
-            if fields.len() != FIELDS {
+        // Header iff the timestamp column is not numeric.
+        let is_header = |f: &Fields<'_>| f.get(0).parse::<u64>().is_err();
+        while let Some(f) = self.lines.next_row(is_header)? {
+            if f.len() != FIELDS {
                 return Err(SourceError::at_line(
-                    self.line_no,
-                    format!("expected {FIELDS} task_events fields, got {}", fields.len()),
+                    f.line,
+                    format!("expected {FIELDS} task_events fields, got {}", f.len()),
                 ));
             }
-            self.stats.rows += 1;
-            let parse_id = |field: &str, what: &str| -> Result<u64, SourceError> {
-                field.parse().map_err(|_| {
-                    SourceError::at_line(
-                        self.line_no,
-                        format!("{what} {field:?} is not an integer"),
-                    )
-                })
-            };
-            let event = parse_id(fields[5], "event type")?;
+            self.repair.stats.rows += 1;
+            let event = f.int(5, "event type")?;
             if event != EV_SCHEDULE && !EV_DEPART.contains(&event) {
-                self.stats.skipped_rows += 1;
+                self.repair.stats.skipped_rows += 1;
                 continue;
             }
-            let mut time = parse_id(fields[0], "timestamp")?;
-            if time < self.clock {
-                match self.dirty {
-                    DirtyPolicy::Reject => {
-                        return Err(SourceError::at_line(
-                            self.line_no,
-                            format!("timestamp goes backwards ({time} after {})", self.clock),
-                        ));
-                    }
-                    DirtyPolicy::Clamp => {
-                        self.stats.clamped_times += 1;
-                        time = self.clock;
-                    }
+            // Every row, even one still waiting as lookahead, is checked
+            // against the largest timestamp read so far, so emitted
+            // group times never go backwards.
+            let time = self
+                .repair
+                .tick(f.line, f.int(0, "timestamp")?, "timestamp")?;
+            let request = |i: usize| -> Request {
+                match f.get(i) {
+                    "" => Ok(None),
+                    field => parse_fraction(field, f.line, "resource request").map(Some),
                 }
-            }
-            // Eager clock: every later row (even one still waiting as
-            // lookahead) is clamped against the max timestamp seen, so
-            // emitted group times never go backwards.
-            self.clock = self.clock.max(time);
+            };
             return Ok(Some(RawRow {
-                line_no: self.line_no,
+                line_no: f.line,
                 time,
-                job: parse_id(fields[2], "job id")?,
-                task: parse_id(fields[3], "task index")?,
+                job: f.int(2, "job id")?,
+                task: f.int(3, "task index")?,
                 event,
-                cpu: fields[9].to_string(),
-                ram: fields[10].to_string(),
+                cpu: request(9),
+                ram: request(10),
             }));
         }
+        Ok(None)
     }
 
-    /// Parses a resource-request field; empty means "not recorded"
-    /// (dirty: one unit under Clamp, error under Reject).
-    fn size_field(&mut self, field: &str, j: usize, line_no: u64) -> Result<u64, SourceError> {
-        let frac = if field.is_empty() {
-            match self.dirty {
+    /// Scales a resource request; empty means "not recorded" (dirty:
+    /// one unit under Clamp, error under Reject).
+    fn size_field(
+        &mut self,
+        request: &Request,
+        j: usize,
+        line_no: u64,
+    ) -> Result<u64, SourceError> {
+        let frac = match request {
+            Ok(Some(frac)) => *frac,
+            Ok(None) => match self.repair.dirty {
                 DirtyPolicy::Reject => {
                     return Err(SourceError::at_line(line_no, "empty resource request"));
                 }
                 DirtyPolicy::Clamp => 0.0, // scale_size turns 0 into 1 unit
-            }
-        } else {
-            parse_fraction(field, line_no, "resource request")?
+            },
+            Err(e) => return Err(e.clone()),
         };
         scale_size(
             frac,
             self.capacity.as_slice()[j],
-            self.dirty,
+            self.repair.dirty,
             line_no,
-            &mut self.stats.clamped_sizes,
+            &mut self.repair.stats.clamped_sizes,
         )
     }
 
@@ -236,15 +206,14 @@ impl<R: BufRead> GoogleSource<R> {
             row = self.next_row()?;
         }
         // Departures due at the group's timestamp come before its
-        // arrivals; later ones (e.g. clamped one-tick stays) wait in
-        // the heap for the next group or the drain.
-        let mut departs = Vec::new();
+        // arrivals, which are all `ready` holds; later ones (e.g.
+        // clamped one-tick stays) wait in the heap for the next group
+        // or the drain.
+        let arrivals = self.ready.len();
         while let Some(op) = self.pending.next_ready(Some(group_time)) {
-            departs.push(op);
+            self.ready.push_back(op);
         }
-        for op in departs.into_iter().rev() {
-            self.ready.push_front(op);
-        }
+        self.ready.rotate_right(self.ready.len() - arrivals);
         Ok(())
     }
 
@@ -253,16 +222,12 @@ impl<R: BufRead> GoogleSource<R> {
         let key = (r.job, r.task);
         if r.event == EV_SCHEDULE {
             if self.active.contains_key(&key) {
-                return match self.dirty {
-                    DirtyPolicy::Reject => Err(SourceError::at_line(
-                        r.line_no,
-                        format!("task {}/{} scheduled while already running", r.job, r.task),
-                    )),
-                    DirtyPolicy::Clamp => {
-                        self.stats.dropped_duplicates += 1;
-                        Ok(())
-                    }
-                };
+                return repair(
+                    self.repair.dirty,
+                    &mut self.repair.stats.dropped_duplicates,
+                    r.line_no,
+                    || format!("task {}/{} scheduled while already running", r.job, r.task),
+                );
             }
             let size = DimVec::from_slice(&[
                 self.size_field(&r.cpu, 0, r.line_no)?,
@@ -270,7 +235,7 @@ impl<R: BufRead> GoogleSource<R> {
             ]);
             let item = self.pending.admit(r.time, None);
             self.active.insert(key, item);
-            self.stats.items += 1;
+            self.repair.stats.items += 1;
             self.ready.push_back(LiveOp::Arrive {
                 item,
                 size,
@@ -282,33 +247,15 @@ impl<R: BufRead> GoogleSource<R> {
         let Some(&item) = self.active.get(&key) else {
             // Lifecycle event for a task outside the trace window or
             // never scheduled — a no-op for packing.
-            self.stats.skipped_rows += 1;
+            self.repair.stats.skipped_rows += 1;
             return Ok(());
         };
         let arrival = self
             .pending
             .arrival_of(item)
             .expect("active tasks are open in the merger");
-        let eff = if r.time <= arrival {
-            match self.dirty {
-                DirtyPolicy::Reject => {
-                    return Err(SourceError::at_line(
-                        r.line_no,
-                        format!(
-                            "task {}/{} departs at {} without outliving its schedule at {arrival}",
-                            r.job, r.task, r.time
-                        ),
-                    ));
-                }
-                DirtyPolicy::Clamp => {
-                    self.stats.clamped_durations += 1;
-                    arrival + 1
-                }
-            }
-        } else {
-            r.time
-        };
-        self.pending.resolve(item, eff);
+        let departure = self.repair.departure(r.line_no, arrival, r.time)?;
+        self.pending.resolve(item, departure);
         self.active.remove(&key);
         Ok(())
     }
@@ -325,15 +272,7 @@ impl<R: BufRead> EventSource for GoogleSource<R> {
                 return Ok(Some(op));
             }
             if self.eof {
-                match self.pending.drain() {
-                    Some((op, at_horizon)) => {
-                        if at_horizon {
-                            self.stats.closed_at_horizon += 1;
-                        }
-                        return Ok(Some(op));
-                    }
-                    None => return Ok(None),
-                }
+                return Ok(self.pending.drain_counted(&mut self.repair.stats));
             }
             self.process_group()?;
         }
@@ -494,5 +433,40 @@ mod tests {
             1
         );
         assert_eq!(s.stats().dropped_duplicates, 1);
+    }
+
+    #[test]
+    fn a_header_after_comments_is_skipped() {
+        let header = "time,missing,job,task,machine,event,user,class,priority,cpu,ram,disk,other\n";
+        let text = [
+            "# exported task_events\n\n",
+            header,
+            &row(100, 7, 0, 1, "0.25", "0.5"),
+            &row(200, 7, 0, 4, "", ""),
+        ]
+        .concat();
+        let mut s = open(&text, DirtyPolicy::Reject);
+        assert_eq!(collect(&mut s).len(), 2);
+        assert_eq!(s.stats().rows, 2);
+    }
+
+    #[test]
+    fn the_largest_tick_is_refused_under_both_policies() {
+        let text = [
+            row(u64::MAX, 7, 0, 1, "0.25", "0.25"),
+            row(u64::MAX, 7, 0, 5, "", ""),
+        ]
+        .concat();
+        for dirty in [DirtyPolicy::Reject, DirtyPolicy::Clamp] {
+            let mut s = open(&text, dirty);
+            let err = loop {
+                match s.next_event() {
+                    Err(e) => break e,
+                    Ok(Some(_)) => {}
+                    Ok(None) => panic!("{dirty:?} accepted a schedule at the largest tick"),
+                }
+            };
+            assert_eq!(err.line, Some(1), "{err}");
+        }
     }
 }

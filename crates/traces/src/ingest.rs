@@ -1,6 +1,18 @@
-//! Shared ingestion machinery: the dirty-trace policy knob, ingest
-//! statistics, and the constant-memory departure merger every source in
-//! this crate is built on.
+//! Shared ingestion machinery, one copy for the three schemas:
+//!
+//! * [`LineReader`] is the only read loop. It reads into one reused
+//!   buffer, strips a leading UTF-8 BOM, skips blank lines and `#`
+//!   comments, counts physical lines for error messages, and splits
+//!   fields in place (the traces this crate reads never quote fields,
+//!   so a plain comma split is exact). Only the first line left after
+//!   that may be a header, and the schema judges it by its time column;
+//!   a later line whose time does not parse is a data row, so it fails
+//!   with its line number.
+//! * [`Repair`] is the only place a [`DirtyPolicy`] rule is applied and
+//!   counted: a tick behind the stream clock, a departure at or before
+//!   its arrival, an oversized or all-zero absolute size, and an id
+//!   that is still live. Fractional demands go through [`scale_size`].
+//! * [`Pending`] is the constant-memory departure merger.
 //!
 //! # The merger
 //!
@@ -10,14 +22,16 @@
 //! known departures wait in a min-heap, open-ended items (a VM still
 //! running when the trace was captured) in a side table that is flushed
 //! one tick past the end of the stream. As long as the row feed is
-//! arrival-sorted — which every supported trace format promises, and the
-//! parsers verify — the emitted event stream is canonical.
+//! arrival-sorted — which every supported trace format promises, and
+//! [`Repair::tick`] enforces — the emitted event stream is canonical.
 
 use dvbp_core::{LiveOp, SourceError};
+use dvbp_dimvec::DimVec;
 use dvbp_sim::Time;
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::io::BufRead;
 
 /// How a parser treats rows a well-formed trace would not contain.
 ///
@@ -34,7 +48,7 @@ pub enum DirtyPolicy {
     Reject,
     /// Repair dirty rows: departures at/before their arrival get the
     /// minimum one-tick stay, backwards timestamps are pulled forward,
-    /// zero sizes become one unit, oversized demands saturate at the
+    /// all-zero sizes get one unit, oversized demands saturate at the
     /// capacity, and duplicate-id rows are dropped. Every repair is
     /// counted.
     Clamp,
@@ -77,6 +91,258 @@ pub struct IngestStats {
     pub skipped_rows: u64,
     /// Items still active at end of trace, closed at the horizon tick.
     pub closed_at_horizon: u64,
+}
+
+/// The one read loop (see the [module docs](self)).
+pub(crate) struct LineReader<R> {
+    reader: R,
+    buf: String,
+    /// Byte ranges of the current line's trimmed fields in `buf`.
+    spans: Vec<(usize, usize)>,
+    line: u64,
+    /// Whether the first content line, the only header candidate, has
+    /// been read.
+    past_first: bool,
+}
+
+/// One data row's fields, borrowed from the [`LineReader`]'s buffer.
+pub(crate) struct Fields<'a> {
+    /// 1-based physical line number.
+    pub(crate) line: u64,
+    buf: &'a str,
+    spans: &'a [(usize, usize)],
+}
+
+impl<'a> Fields<'a> {
+    pub(crate) fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Field `i`, trimmed. Callers check [`len`](Self::len) first.
+    pub(crate) fn get(&self, i: usize) -> &'a str {
+        let (start, end) = self.spans[i];
+        &self.buf[start..end]
+    }
+
+    /// Field `i` as a non-negative integer; `what` names it in the error.
+    pub(crate) fn int(&self, i: usize, what: &str) -> Result<u64, SourceError> {
+        let field = self.get(i);
+        field.parse().map_err(|_| {
+            SourceError::at_line(
+                self.line,
+                format!("{what} {field:?} is not a non-negative integer"),
+            )
+        })
+    }
+}
+
+impl<R: BufRead> LineReader<R> {
+    pub(crate) fn new(reader: R) -> Self {
+        LineReader {
+            reader,
+            buf: String::new(),
+            spans: Vec::new(),
+            line: 0,
+            past_first: false,
+        }
+    }
+
+    /// The next data row, or `None` at end of input. `is_header` is
+    /// asked about the first content line only, which is skipped when
+    /// it says yes.
+    pub(crate) fn next_row(
+        &mut self,
+        is_header: impl Fn(&Fields<'_>) -> bool,
+    ) -> Result<Option<Fields<'_>>, SourceError> {
+        loop {
+            self.buf.clear();
+            let n = self
+                .reader
+                .read_line(&mut self.buf)
+                .map_err(|e| SourceError::new(format!("read failed: {e}")))?;
+            if n == 0 {
+                return Ok(None);
+            }
+            self.line += 1;
+            let text = if self.line == 1 {
+                self.buf.trim_start_matches('\u{feff}')
+            } else {
+                &self.buf
+            };
+            let text = text.trim_start();
+            let mut at = self.buf.len() - text.len();
+            let text = text.trim_end();
+            if text.is_empty() || text.starts_with('#') {
+                continue;
+            }
+            self.spans.clear();
+            for field in text.split(',') {
+                let lead = field.len() - field.trim_start().len();
+                self.spans.push((at + lead, at + lead + field.trim().len()));
+                at += field.len() + 1;
+            }
+            let first = !std::mem::replace(&mut self.past_first, true);
+            if first && is_header(&self.fields()) {
+                continue;
+            }
+            return Ok(Some(self.fields()));
+        }
+    }
+
+    fn fields(&self) -> Fields<'_> {
+        Fields {
+            line: self.line,
+            buf: &self.buf,
+            spans: &self.spans,
+        }
+    }
+}
+
+/// Applies `policy` to one dirty value: `Reject` fails at `line` with
+/// `message`; `Clamp` counts the repair in `counter`, and the caller
+/// makes it.
+pub(crate) fn repair(
+    policy: DirtyPolicy,
+    counter: &mut u64,
+    line: u64,
+    message: impl FnOnce() -> String,
+) -> Result<(), SourceError> {
+    match policy {
+        DirtyPolicy::Reject => Err(SourceError::at_line(line, message())),
+        DirtyPolicy::Clamp => {
+            *counter += 1;
+            Ok(())
+        }
+    }
+}
+
+/// The one repair path (see the [module docs](self)), with the
+/// [`IngestStats`] its repairs are counted in.
+pub(crate) struct Repair {
+    pub(crate) dirty: DirtyPolicy,
+    pub(crate) stats: IngestStats,
+    /// The stream clock: the latest row tick read so far.
+    clock: Time,
+    /// Live ids → departure tick (`Time::MAX` = open-ended), pruned
+    /// through `expiry` as rows arrive.
+    live: HashMap<String, Time>,
+    expiry: BinaryHeap<Reverse<(Time, String)>>,
+}
+
+impl Repair {
+    pub(crate) fn new(dirty: DirtyPolicy) -> Self {
+        Repair {
+            dirty,
+            stats: IngestStats::default(),
+            clock: 0,
+            live: HashMap::new(),
+            expiry: BinaryHeap::new(),
+        }
+    }
+
+    /// A row's tick (`what` names its column), checked against the
+    /// stream clock: a tick behind it is rejected or pulled forward to
+    /// it. `Time::MAX` is refused under both policies: it is the
+    /// engine's open-departure placeholder, and nothing could depart
+    /// after it.
+    pub(crate) fn tick(&mut self, line: u64, tick: Time, what: &str) -> Result<Time, SourceError> {
+        if tick == Time::MAX {
+            return Err(SourceError::at_line(
+                line,
+                format!("{what} tick {tick} is the largest tick, which no departure can follow"),
+            ));
+        }
+        let clock = self.clock;
+        if tick < clock {
+            repair(self.dirty, &mut self.stats.clamped_times, line, || {
+                format!("rows must be sorted by {what} (tick {tick} after tick {clock})")
+            })?;
+            return Ok(clock);
+        }
+        self.clock = tick;
+        Ok(tick)
+    }
+
+    /// A departure at or before its arrival is rejected, or becomes a
+    /// one-tick stay.
+    pub(crate) fn departure(
+        &mut self,
+        line: u64,
+        arrival: Time,
+        departure: Time,
+    ) -> Result<Time, SourceError> {
+        if departure > arrival {
+            return Ok(departure);
+        }
+        repair(self.dirty, &mut self.stats.clamped_durations, line, || {
+            format!("departure (tick {departure}) must exceed arrival (tick {arrival})")
+        })?;
+        // `tick` refused `Time::MAX`, so the stay cannot overflow.
+        Ok(arrival + 1)
+    }
+
+    /// An absolute size: a component above the capacity is rejected or
+    /// saturated, and a size that is zero in every dimension is rejected
+    /// or given one unit in the first. A zero component alone is legal,
+    /// as `Instance::validate` holds.
+    pub(crate) fn size(
+        &mut self,
+        line: u64,
+        size: &mut DimVec,
+        capacity: &DimVec,
+    ) -> Result<(), SourceError> {
+        for (v, &cap) in size.as_mut_slice().iter_mut().zip(capacity.as_slice()) {
+            if *v > cap {
+                let got = *v;
+                repair(self.dirty, &mut self.stats.clamped_sizes, line, || {
+                    format!("size {got} exceeds the capacity {cap}")
+                })?;
+                *v = cap;
+            }
+        }
+        if size.is_zero() {
+            repair(self.dirty, &mut self.stats.clamped_sizes, line, || {
+                "item has zero size in every dimension".to_string()
+            })?;
+            size.as_mut_slice()[0] = 1;
+        }
+        Ok(())
+    }
+
+    /// The duplicate-id rule: an `id` still live at `start` is rejected,
+    /// or its row dropped (`Ok(false)`). Otherwise the id stays live
+    /// until `end` (`None` = open-ended), so reusing it after that is
+    /// fine.
+    pub(crate) fn admit_id(
+        &mut self,
+        line: u64,
+        id: &str,
+        start: Time,
+        end: Option<Time>,
+    ) -> Result<bool, SourceError> {
+        while let Some(Reverse((t, _))) = self.expiry.peek() {
+            if *t > start {
+                break;
+            }
+            let Some(Reverse((t, gone))) = self.expiry.pop() else {
+                break;
+            };
+            if self.live.get(&gone) == Some(&t) {
+                self.live.remove(&gone);
+            }
+        }
+        if self.live.contains_key(id) {
+            repair(self.dirty, &mut self.stats.dropped_duplicates, line, || {
+                format!("id {id:?} duplicates an item that is still live")
+            })?;
+            return Ok(false);
+        }
+        self.live.insert(id.to_string(), end.unwrap_or(Time::MAX));
+        if let Some(end) = end {
+            self.expiry.push(Reverse((end, id.to_string())));
+        }
+        Ok(true)
+    }
 }
 
 /// The constant-memory departure merger (see the [module docs](self)).
@@ -161,7 +427,9 @@ impl Pending {
             }
             let mut items: Vec<usize> = self.open.keys().copied().collect();
             items.sort_unstable();
-            self.horizon = self.now + 1;
+            // Arrivals are below `Time::MAX`, so a departure at MAX
+            // still leaves a horizon after every open item's arrival.
+            self.horizon = self.now.saturating_add(1);
             self.drain_open = Some(items.into_iter());
         }
         let item = self.drain_open.as_mut()?.next()?;
@@ -174,12 +442,13 @@ impl Pending {
             true,
         ))
     }
-}
 
-/// Splits one CSV line into trimmed fields. The traces this crate
-/// ingests never quote fields, so a plain comma split is exact.
-pub(crate) fn split_fields(line: &str) -> Vec<&str> {
-    line.split(',').map(str::trim).collect()
+    /// [`drain`](Self::drain), counting horizon closures in `stats`.
+    pub(crate) fn drain_counted(&mut self, stats: &mut IngestStats) -> Option<LiveOp> {
+        let (op, at_horizon) = self.drain()?;
+        stats.closed_at_horizon += u64::from(at_horizon);
+        Some(op)
+    }
 }
 
 /// Parses a non-negative decimal (`12`, `0.5`, `1e-3`) field.
@@ -209,28 +478,16 @@ pub(crate) fn scale_size(
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let units = (frac * cap as f64).round() as u64;
     if units == 0 {
-        return match policy {
-            DirtyPolicy::Reject => Err(SourceError::at_line(
-                line,
-                format!("zero resource demand {frac}"),
-            )),
-            DirtyPolicy::Clamp => {
-                *clamped += 1;
-                Ok(1)
-            }
-        };
+        repair(policy, clamped, line, || {
+            format!("zero resource demand {frac}")
+        })?;
+        return Ok(1);
     }
     if units > cap {
-        return match policy {
-            DirtyPolicy::Reject => Err(SourceError::at_line(
-                line,
-                format!("resource demand {frac} exceeds the capacity"),
-            )),
-            DirtyPolicy::Clamp => {
-                *clamped += 1;
-                Ok(cap)
-            }
-        };
+        repair(policy, clamped, line, || {
+            format!("resource demand {frac} exceeds the capacity")
+        })?;
+        return Ok(cap);
     }
     Ok(units)
 }

@@ -1,15 +1,34 @@
-//! Streaming parser for the repo's **native trace CSV**
-//! (`arrival,departure,size...` — the format `dvbp import` and the
-//! batch [`tracefile`](../../src/tracefile.rs) loader speak), for
-//! traces too large to materialize.
+//! Streaming parser for the repo's **native trace CSV**. It is the one
+//! native grammar: `dvbp import` (`dvbp::tracefile::parse_csv`) collects
+//! this parser's events into an instance, and `dvbp run --stream
+//! --format csv`, `dvbp-monitor --stream` and `dvbp-serve drive
+//! --stream` replay them.
 //!
-//! Unlike the batch loader, which sorts after the fact, the streaming
-//! parser requires rows to arrive in nondecreasing arrival order
-//! (rejecting or clamping stragglers per [`DirtyPolicy`]). Sizes are
-//! raw integer units against an explicit capacity — no fraction
-//! scaling.
+//! ```csv
+//! # comments and blank lines are skipped
+//! id,arrival,departure,cpu,mem
+//! vm1,0,40,30,10
+//! vm2,5,20,60,0
+//! vm1,40,70,25,25
+//! ```
+//!
+//! * One row per item: `arrival,departure,size_1,…,size_d`, in integer
+//!   ticks and absolute units of the capacity, optionally led by an id
+//!   column. A first data row of `d + 3` fields means the id column is
+//!   there, and that holds for the rest of the file.
+//! * The first content line is a header iff its arrival column is not
+//!   an integer. At `d + 3` fields its first two columns must both be
+//!   text, so an id-led data row is never taken for a header.
+//! * Rows come in arrival order, because a stream cannot sort. A
+//!   straggler is an error under [`DirtyPolicy::Reject`] and is pulled
+//!   forward under `Clamp`.
+//! * Sizes follow `Instance::validate`: each component at most the
+//!   capacity, and not zero in every dimension. A zero component alone
+//!   is legal.
+//! * An id still live at a row's arrival is a duplicate; reusing an id
+//!   after its item departed is fine.
 
-use crate::ingest::{split_fields, DirtyPolicy, IngestStats, Pending};
+use crate::ingest::{DirtyPolicy, Fields, IngestStats, LineReader, Pending, Repair};
 use dvbp_core::{EventSource, LiveOp, SourceError};
 use dvbp_dimvec::DimVec;
 use dvbp_sim::Time;
@@ -25,16 +44,12 @@ struct Row {
 /// Streaming [`EventSource`] over a native `arrival,departure,size...`
 /// CSV.
 pub struct NativeSource<R> {
-    reader: R,
+    lines: LineReader<R>,
     capacity: DimVec,
-    dirty: DirtyPolicy,
+    repair: Repair,
     pending: Pending,
-    stats: IngestStats,
-    line_no: u64,
-    /// Whether the first non-blank, non-comment line — the only one
-    /// that may be a header — has been read.
-    saw_first_row: bool,
-    clock: Time,
+    /// Whether rows lead with an id column, fixed by the first data row.
+    has_id: Option<bool>,
     lookahead: Option<Row>,
     eof: bool,
 }
@@ -45,14 +60,11 @@ impl<R: BufRead> NativeSource<R> {
     /// sensible default).
     pub fn new(reader: R, capacity: DimVec, dirty: DirtyPolicy) -> Self {
         NativeSource {
-            reader,
+            lines: LineReader::new(reader),
             capacity,
-            dirty,
+            repair: Repair::new(dirty),
             pending: Pending::default(),
-            stats: IngestStats::default(),
-            line_no: 0,
-            saw_first_row: false,
-            clock: 0,
+            has_id: None,
             lookahead: None,
             eof: false,
         }
@@ -60,129 +72,49 @@ impl<R: BufRead> NativeSource<R> {
 
     /// Ingest statistics so far (final once the stream is exhausted).
     pub fn stats(&self) -> IngestStats {
-        self.stats
+        self.repair.stats
     }
 
-    /// Parses the next data row, or `None` at end of input.
+    /// Parses the next admitted row, or `None` at end of input.
     fn next_row(&mut self) -> Result<Option<Row>, SourceError> {
-        let mut buf = String::new();
-        loop {
-            buf.clear();
-            let n = self
-                .reader
-                .read_line(&mut buf)
-                .map_err(|e| SourceError::new(format!("read failed: {e}")))?;
-            if n == 0 {
-                return Ok(None);
-            }
-            self.line_no += 1;
-            let line = if self.line_no == 1 {
-                buf.trim_start_matches('\u{feff}').trim()
-            } else {
-                buf.trim()
-            };
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let fields = split_fields(line);
-            // The first non-blank, non-comment line is a header iff its
-            // arrival column is not numeric (`parse_csv`'s rule); an
-            // all-numeric first row is data.
-            let first_row = !self.saw_first_row;
-            self.saw_first_row = true;
-            if first_row && fields.first().is_some_and(|f| f.parse::<u64>().is_err()) {
-                continue;
-            }
-            let d = self.capacity.dim();
-            if fields.len() != d + 2 {
+        let d = self.capacity.dim();
+        let is_header = |f: &Fields<'_>| {
+            let text = |i| f.get(i).parse::<u64>().is_err();
+            text(0) && (f.len() != d + 3 || text(1))
+        };
+        while let Some(f) = self.lines.next_row(is_header)? {
+            let id = *self.has_id.get_or_insert(f.len() == d + 3);
+            let base = usize::from(id);
+            if f.len() != d + 2 + base {
                 return Err(SourceError::at_line(
-                    self.line_no,
+                    f.line,
                     format!(
-                        "expected arrival,departure and {d} sizes ({} fields), got {}",
-                        d + 2,
-                        fields.len()
+                        "expected {} fields ({}arrival,departure and {d} sizes), got {}",
+                        d + 2 + base,
+                        if id { "id," } else { "" },
+                        f.len()
                     ),
                 ));
             }
-            self.stats.rows += 1;
-            let parse = |field: &str, what: &str| -> Result<u64, SourceError> {
-                field.parse().map_err(|_| {
-                    SourceError::at_line(
-                        self.line_no,
-                        format!("{what} {field:?} is not a non-negative integer"),
-                    )
-                })
-            };
-            let mut arrival = parse(fields[0], "arrival")?;
-            if arrival < self.clock {
-                match self.dirty {
-                    DirtyPolicy::Reject => {
-                        return Err(SourceError::at_line(
-                            self.line_no,
-                            format!(
-                                "rows must be sorted by arrival (tick {arrival} after tick {})",
-                                self.clock
-                            ),
-                        ));
-                    }
-                    DirtyPolicy::Clamp => {
-                        self.stats.clamped_times += 1;
-                        arrival = self.clock;
-                    }
-                }
-            }
-            let mut departure = parse(fields[1], "departure")?;
-            if departure <= arrival {
-                match self.dirty {
-                    DirtyPolicy::Reject => {
-                        return Err(SourceError::at_line(
-                            self.line_no,
-                            format!("departure ({departure}) must exceed arrival ({arrival})"),
-                        ));
-                    }
-                    DirtyPolicy::Clamp => {
-                        self.stats.clamped_durations += 1;
-                        departure = arrival + 1;
-                    }
-                }
+            let repair = &mut self.repair;
+            repair.stats.rows += 1;
+            let arrival = repair.tick(f.line, f.int(base, "arrival")?, "arrival")?;
+            let departure = repair.departure(f.line, arrival, f.int(base + 1, "departure")?)?;
+            if id && !repair.admit_id(f.line, f.get(0), arrival, Some(departure))? {
+                continue;
             }
             let mut size = DimVec::zeros(d);
-            for j in 0..d {
-                let mut v = parse(fields[2 + j], "size")?;
-                let cap = self.capacity.as_slice()[j];
-                if v == 0 || v > cap {
-                    match self.dirty {
-                        DirtyPolicy::Reject => {
-                            return Err(SourceError::at_line(
-                                self.line_no,
-                                format!("size {v} is outside 1..={cap}"),
-                            ));
-                        }
-                        DirtyPolicy::Clamp => {
-                            self.stats.clamped_sizes += 1;
-                            v = v.clamp(1, cap);
-                        }
-                    }
-                }
-                size.as_mut_slice()[j] = v;
+            for (j, v) in size.as_mut_slice().iter_mut().enumerate() {
+                *v = f.int(base + 2 + j, "size")?;
             }
-            self.clock = arrival;
+            repair.size(f.line, &mut size, &self.capacity)?;
             return Ok(Some(Row {
                 arrival,
                 departure,
                 size,
             }));
         }
-    }
-
-    fn fill_lookahead(&mut self) -> Result<(), SourceError> {
-        if self.lookahead.is_none() && !self.eof {
-            match self.next_row()? {
-                None => self.eof = true,
-                row => self.lookahead = row,
-            }
-        }
-        Ok(())
+        Ok(None)
     }
 }
 
@@ -192,35 +124,31 @@ impl<R: BufRead> EventSource for NativeSource<R> {
     }
 
     fn next_event(&mut self) -> Result<Option<LiveOp>, SourceError> {
-        self.fill_lookahead()?;
+        if self.lookahead.is_none() && !self.eof {
+            self.lookahead = self.next_row()?;
+            self.eof = self.lookahead.is_none();
+        }
         if let Some(upcoming) = self.lookahead.as_ref().map(|r| r.arrival) {
             if let Some(op) = self.pending.next_ready(Some(upcoming)) {
                 return Ok(Some(op));
             }
             let row = self.lookahead.take().expect("lookahead checked above");
             let item = self.pending.admit(row.arrival, Some(row.departure));
-            self.stats.items += 1;
+            self.repair.stats.items += 1;
             return Ok(Some(LiveOp::Arrive {
                 item,
                 size: row.size,
                 time: row.arrival,
             }));
         }
-        match self.pending.drain() {
-            Some((op, at_horizon)) => {
-                if at_horizon {
-                    self.stats.closed_at_horizon += 1;
-                }
-                Ok(Some(op))
-            }
-            None => Ok(None),
-        }
+        Ok(self.pending.drain_counted(&mut self.repair.stats))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvbp_core::{Instance, Item};
     use std::io::Cursor;
 
     fn open(text: &str, cap: &[u64], dirty: DirtyPolicy) -> NativeSource<Cursor<Vec<u8>>> {
@@ -300,13 +228,66 @@ mod tests {
             vec![
                 LiveOp::Arrive {
                     item: 0,
-                    size: DimVec::from_slice(&[1, 100]),
+                    size: DimVec::from_slice(&[0, 100]),
                     time: 0
                 },
                 LiveOp::Depart { item: 0, time: 1 },
             ]
         );
         let st = s.stats();
-        assert_eq!((st.clamped_durations, st.clamped_sizes), (1, 2));
+        assert_eq!((st.clamped_durations, st.clamped_sizes), (1, 1));
+    }
+
+    /// The instance a stream describes, as `dvbp import` collects it.
+    fn instance(text: &str, cap: &[u64], dirty: DirtyPolicy) -> (Instance, IngestStats) {
+        let mut s = open(text, cap, dirty);
+        let mut items: Vec<Item> = Vec::new();
+        for op in collect(&mut s).unwrap() {
+            match op {
+                LiveOp::Arrive { size, time, .. } => items.push(Item::new(size, time, Time::MAX)),
+                LiveOp::Depart { item, time } => items[item].departure = time,
+            }
+        }
+        (
+            Instance::new(DimVec::from_slice(cap), items).unwrap(),
+            s.stats(),
+        )
+    }
+
+    #[test]
+    fn duplicate_live_ids_drop_under_clamp() {
+        let (inst, stats) = instance(
+            "vm1,0,10,4\nvm1,5,8,2\nvm2,5,8,2\n",
+            &[10],
+            DirtyPolicy::Clamp,
+        );
+        assert_eq!(inst.len(), 2);
+        assert_eq!(stats.dropped_duplicates, 1);
+        assert_eq!(stats.items, 2);
+    }
+
+    #[test]
+    fn clamp_repairs_dirty_rows_with_accounting() {
+        let text = "0,10,4\n5,5,6\n3,9,11\n4,6,0\n";
+        let (inst, stats) = instance(text, &[10], DirtyPolicy::Clamp);
+        assert_eq!(inst.len(), 4);
+        assert_eq!(stats.rows, 4);
+        assert_eq!(stats.items, 4);
+        assert_eq!(stats.clamped_durations, 1, "5,5 becomes a one-tick stay");
+        assert_eq!(inst.items[1].departure, 6);
+        assert_eq!(stats.clamped_sizes, 2, "oversize 11 and the all-zero row");
+        assert_eq!(inst.items[2].size.as_slice(), &[10]);
+        assert_eq!(inst.items[3].size.as_slice(), &[1]);
+        // The repaired instance passes full validation.
+        assert!(inst.validate().is_ok());
+    }
+
+    #[test]
+    fn the_largest_tick_is_refused_under_both_policies() {
+        let text = "18446744073709551615,18446744073709551615,1\n";
+        for dirty in [DirtyPolicy::Reject, DirtyPolicy::Clamp] {
+            let err = collect(&mut open(text, &[10], dirty)).unwrap_err();
+            assert_eq!(err.line, Some(1), "{err}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Determinism and stream≡batch properties over every source family:
 //!
 //! * any source built twice from the same inputs yields bit-identical
-//!   event streams (generators, both real-trace encodings);
+//!   event streams (generators, all three trace encodings);
 //! * packing a streamed synthetic feed is bit-identical to packing the
 //!   materialized [`Instance`] built from the same items — the
 //!   constant-memory path changes nothing;
@@ -15,7 +15,7 @@ use dvbp_dimvec::DimVec;
 use dvbp_offline::lb_load;
 use dvbp_traces::{
     write_azure_csv, write_google_csv, AzureSource, Burst, DirtyPolicy, Diurnal, GoogleSource,
-    HeavyTail,
+    HeavyTail, NativeSource,
 };
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -75,6 +75,21 @@ proptest! {
             drain(&mut s)
         };
         prop_assert_eq!(parse_google(), parse_google());
+
+        let native: String = gen
+            .items()
+            .map(|(a, e, size)| {
+                let [cpu, mem] = size.as_slice() else { unreachable!("2-d capacity") };
+                format!("{a},{e},{cpu},{mem}\n")
+            })
+            .collect();
+        let parse_native = || {
+            let mut s = NativeSource::new(
+                Cursor::new(native.clone()), cap.clone(), DirtyPolicy::Reject,
+            );
+            drain(&mut s)
+        };
+        prop_assert_eq!(parse_native(), parse_native());
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! makes the memory claim an exit-code assertion.
 
 use dvbp::obs::{JsonlEmitter, ObsEvent, WithProvenance};
-use dvbp::tracefile::{load_instance, run_report, save_instance};
+use dvbp::tracefile::{load_instance, parse_cap_spec, run_report, save_instance};
 use dvbp::traces::{DirtyPolicy, IngestStats, OpenOptions, TraceFormat};
 use dvbp::workloads::UniformParams;
-use dvbp::{BillingModel, DimVec, PackRequest, PolicyKind, StreamingLowerBound, Tap, TraceMode};
+use dvbp::{BillingModel, PackRequest, PolicyKind, StreamingLowerBound, Tap, TraceMode};
 use std::io::BufWriter;
 use std::path::Path;
 use std::process::ExitCode;
@@ -196,21 +196,6 @@ fn peak_rss_kb() -> u64 {
         .find_map(|l| l.strip_prefix("VmHWM:"))
         .and_then(|l| l.trim().trim_end_matches("kB").trim().parse().ok())
         .unwrap_or(0)
-}
-
-fn parse_cap_spec(spec: &str) -> Result<DimVec, String> {
-    let units = spec
-        .split(',')
-        .map(|c| {
-            c.trim()
-                .parse::<u64>()
-                .map_err(|e| format!("--cap {c}: {e}"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    if units.is_empty() || units.contains(&0) {
-        return Err(format!("--cap {spec}: need positive units per dimension"));
-    }
-    Ok(DimVec::from_slice(&units))
 }
 
 /// `run --stream`: replays a cluster trace file through the

@@ -6,8 +6,18 @@
 //! the tool's output: per-bin usage records, the objective under a
 //! configurable billing model, and the Lemma 1(i) lower bound for
 //! context.
+//!
+//! `dvbp import` turns a native CSV into a trace file with
+//! [`parse_csv`], which has no grammar of its own: it collects the
+//! events of the streaming [`NativeSource`] into an instance, so the
+//! importer and `dvbp run --stream --format csv` accept the same files
+//! and fail on the same line.
 
-use crate::{BillingModel, Instance, PackRequest, Packing, PolicyKind};
+use crate::{
+    BillingModel, DimVec, EventSource, Instance, Item, LiveOp, PackRequest, Packing, PolicyKind,
+};
+use dvbp_sim::Time;
+use dvbp_traces::{DirtyPolicy, NativeSource};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -75,318 +85,59 @@ pub fn run_report(instance: &Instance, kind: &PolicyKind, billing: BillingModel)
     }
 }
 
-/// A typed `parse_csv` failure, with the 1-based source line where one
-/// applies. The [`Display`](std::fmt::Display) rendering is what the
-/// CLI prints; match on the variant to handle specific pathologies.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CsvError {
-    /// The capacity spec did not parse or has non-positive components.
-    Capacity(String),
-    /// A row's field count disagrees with the trace's locked shape.
-    FieldCount {
-        /// 1-based source line.
-        line: u64,
-        /// Fields the trace's shape calls for.
-        expected: usize,
-        /// Fields the row actually has.
-        got: usize,
-    },
-    /// A numeric field did not parse.
-    Number {
-        /// 1-based source line.
-        line: u64,
-        /// The offending field text.
-        field: String,
-    },
-    /// `departure <= arrival` (zero or negative duration).
-    NonPositiveDuration {
-        /// 1-based source line.
-        line: u64,
-        /// The row's arrival tick.
-        arrival: u64,
-        /// The row's departure tick.
-        departure: u64,
-    },
-    /// An id-column row duplicates an id whose interval overlaps.
-    DuplicateId {
-        /// 1-based source line.
-        line: u64,
-        /// The duplicated item id.
-        id: String,
-    },
-    /// A size component exceeding the capacity in its dimension.
-    SizeOutOfRange {
-        /// 1-based source line.
-        line: u64,
-        /// The offending size component.
-        size: u64,
-        /// The capacity it was checked against.
-        cap: u64,
-    },
-    /// A row whose size is zero in every dimension.
-    ZeroSize {
-        /// 1-based source line.
-        line: u64,
-    },
-    /// The assembled instance failed validation.
-    Instance(String),
-}
-
-impl std::fmt::Display for CsvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CsvError::Capacity(msg) => write!(f, "{msg}"),
-            CsvError::FieldCount {
-                line,
-                expected,
-                got,
-            } => write!(
-                f,
-                "line {line}: expected {expected} fields (arrival,departure,sizes, \
-                 optionally led by an id column), got {got}"
-            ),
-            CsvError::Number { line, field } => {
-                write!(f, "line {line}: '{field}' is not a non-negative integer")
-            }
-            CsvError::NonPositiveDuration {
-                line,
-                arrival,
-                departure,
-            } => write!(
-                f,
-                "line {line}: departure must exceed arrival (got [{arrival}, {departure}))"
-            ),
-            CsvError::DuplicateId { line, id } => write!(
-                f,
-                "line {line}: item id '{id}' duplicates an overlapping item"
-            ),
-            CsvError::SizeOutOfRange { line, size, cap } => {
-                write!(f, "line {line}: size {size} exceeds the capacity {cap}")
-            }
-            CsvError::ZeroSize { line } => {
-                write!(f, "line {line}: item has zero size in every dimension")
-            }
-            CsvError::Instance(msg) => write!(f, "invalid trace: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for CsvError {}
-
-/// Parses a CSV job trace into an instance.
-///
-/// Expected format: one job per line, `arrival,departure,size_1[,size_2,…]`
-/// or `id,arrival,departure,size_1[,…]`, with an optional header line.
-/// The header, if any, is the first non-blank, non-comment line and is
-/// recognized by a non-numeric leading field *at the no-id field count*;
-/// a fully numeric first line is always data, never swallowed as a
-/// header (a leading UTF-8 BOM is stripped before the check, so a BOM
-/// cannot disguise a data row as a header either). Whether the id
-/// column is present is decided by the first data row's field count
-/// (`d + 3` = id present, `d + 2` = absent) and locked for the rest of
-/// the file. When ids are present, a row whose id duplicates another
-/// row with an overlapping `[arrival, departure)` interval is rejected
-/// — id reuse after departure (routine in real cluster traces) is fine.
-/// `cap_spec` is the bin capacity as comma-separated units, one per
-/// dimension; the dimensionality must match the size columns.
-///
-/// This covers the common shape of public cluster traces (e.g. the Azure
-/// VM trace's `vmid, created, deleted, core, memory` columns after
-/// projection). Dirty traces can opt into repair instead of rejection
-/// via [`parse_csv_opts`].
+/// Parses a capacity spec, `--cap`'s spelling: positive units per
+/// dimension, comma-separated (`100,100`).
 ///
 /// # Errors
 ///
-/// The [`CsvError`] cases, rendered as a string.
-pub fn parse_csv(text: &str, cap_spec: &str) -> Result<Instance, String> {
-    parse_csv_opts(text, cap_spec, dvbp_traces::DirtyPolicy::Reject)
-        .map(|(instance, _)| instance)
-        .map_err(|e| e.to_string())
-}
-
-/// [`parse_csv`] with explicit dirty-row handling and repair accounting.
-///
-/// Under [`DirtyPolicy::Clamp`](dvbp_traces::DirtyPolicy), rows a
-/// well-formed trace would not contain are minimally repaired instead
-/// of rejected: a departure at or before its arrival becomes a one-tick
-/// stay, sizes are clamped into `1..=cap`, and duplicate overlapping
-/// ids drop the later row. Every repair is counted in the returned
-/// [`IngestStats`](dvbp_traces::IngestStats). Unparseable numbers and
-/// field-count mismatches stay hard errors in both modes.
-///
-/// # Errors
-///
-/// Typed [`CsvError`] values; under `Clamp` only the unrepairable ones.
-pub fn parse_csv_opts(
-    text: &str,
-    cap_spec: &str,
-    dirty: dvbp_traces::DirtyPolicy,
-) -> Result<(Instance, dvbp_traces::IngestStats), CsvError> {
-    use dvbp_traces::DirtyPolicy;
-
-    let capacity: Vec<u64> = cap_spec
+/// A component that is not a positive integer, or an empty spec.
+pub fn parse_cap_spec(spec: &str) -> Result<DimVec, String> {
+    let units = spec
         .split(',')
-        .map(|f| {
-            f.trim()
+        .map(|c| {
+            c.trim()
                 .parse::<u64>()
-                .map_err(|e| CsvError::Capacity(format!("capacity '{f}': {e}")))
+                .map_err(|e| format!("--cap {c}: {e}"))
         })
-        .collect::<Result<_, _>>()?;
-    if capacity.is_empty() || capacity.contains(&0) {
-        return Err(CsvError::Capacity(
-            "capacity must have positive components".into(),
-        ));
+        .collect::<Result<Vec<_>, _>>()?;
+    if units.is_empty() || units.contains(&0) {
+        return Err(format!("--cap {spec}: need positive units per dimension"));
     }
-    let d = capacity.len();
+    Ok(DimVec::from_slice(&units))
+}
 
-    let mut stats = dvbp_traces::IngestStats::default();
-    let mut items = Vec::new();
-    // `Some(true)` once the first data row locks the id column in.
-    let mut has_id: Option<bool> = None;
-    // Per-id intervals, for overlap rejection (ids are reusable once
-    // the earlier item has departed).
-    let mut by_id: std::collections::HashMap<String, Vec<(u64, u64)>> =
-        std::collections::HashMap::new();
-    let mut saw_first_row = false;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = if lineno == 0 {
-            line.trim_start_matches('\u{feff}').trim()
-        } else {
-            line.trim()
-        };
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+/// Parses a native CSV job trace into an instance: `dvbp import`.
+///
+/// The grammar is [`NativeSource`]'s, so the importer and `dvbp run
+/// --stream --format csv` accept the same files: one job per line,
+/// `arrival,departure,size_1[,size_2,…]` or `id,arrival,departure,
+/// size_1[,…]`, rows in arrival order, with an optional header, blank
+/// lines and `#` comments. `cap_spec` is the bin capacity as
+/// [`parse_cap_spec`] reads it; the dimensionality must match the size
+/// columns. Items keep the file's order.
+///
+/// # Errors
+///
+/// The capacity spec's error, or the first bad row's, with its line.
+pub fn parse_csv(text: &str, cap_spec: &str) -> Result<Instance, String> {
+    let capacity = parse_cap_spec(cap_spec)?;
+    let mut source = NativeSource::new(text.as_bytes(), capacity.clone(), DirtyPolicy::Reject);
+    let mut items: Vec<Item> = Vec::new();
+    while let Some(op) = source.next_event().map_err(|e| e.to_string())? {
+        match op {
+            // Arrival indices are dense, so `items[i]` is item `i`.
+            LiveOp::Arrive { size, time, .. } => items.push(Item::new(size, time, Time::MAX)),
+            LiveOp::Depart { item, time } => items[item].departure = time,
         }
-        let lineno = lineno as u64 + 1;
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        // Header detection: the first non-blank, non-comment row is a
-        // header iff its leading field is non-numeric at the no-id
-        // field count. An all-numeric first row is data and must not be
-        // swallowed (the BOM strip above keeps `"\u{feff}0"` from
-        // masquerading as non-numeric). An id-led first row (d + 3
-        // fields) is data even though its leading field is text — there
-        // the arrival in field 1 disambiguates: numeric means data, a
-        // column name like `starttime` means header.
-        if !saw_first_row {
-            saw_first_row = true;
-            let leading_is_text = fields[0].parse::<u64>().is_err();
-            let header = if fields.len() == d + 3 {
-                leading_is_text && fields[1].parse::<u64>().is_err()
-            } else {
-                leading_is_text
-            };
-            if header {
-                continue;
-            }
-        }
-        let id_here = match has_id {
-            Some(flag) => flag,
-            None => {
-                let flag = fields.len() == d + 3;
-                has_id = Some(flag);
-                flag
-            }
-        };
-        let expected = if id_here { d + 3 } else { d + 2 };
-        if fields.len() != expected {
-            return Err(CsvError::FieldCount {
-                line: lineno,
-                expected,
-                got: fields.len(),
-            });
-        }
-        stats.rows += 1;
-        let num = |f: &str| -> Result<u64, CsvError> {
-            f.parse::<u64>().map_err(|_| CsvError::Number {
-                line: lineno,
-                field: f.to_string(),
-            })
-        };
-        let base = usize::from(id_here);
-        let arrival = num(fields[base])?;
-        let mut departure = num(fields[base + 1])?;
-        if departure <= arrival {
-            match dirty {
-                DirtyPolicy::Reject => {
-                    return Err(CsvError::NonPositiveDuration {
-                        line: lineno,
-                        arrival,
-                        departure,
-                    });
-                }
-                DirtyPolicy::Clamp => {
-                    stats.clamped_durations += 1;
-                    departure = arrival + 1;
-                }
-            }
-        }
-        if id_here {
-            let id = fields[0];
-            let intervals = by_id.entry(id.to_string()).or_default();
-            if intervals.iter().any(|&(a, e)| arrival < e && a < departure) {
-                match dirty {
-                    DirtyPolicy::Reject => {
-                        return Err(CsvError::DuplicateId {
-                            line: lineno,
-                            id: id.to_string(),
-                        });
-                    }
-                    DirtyPolicy::Clamp => {
-                        stats.dropped_duplicates += 1;
-                        continue;
-                    }
-                }
-            }
-            intervals.push((arrival, departure));
-        }
-        let mut size = Vec::with_capacity(d);
-        for (j, f) in fields[base + 2..].iter().enumerate() {
-            let mut v = num(f)?;
-            let cap = capacity[j];
-            if v > cap {
-                match dirty {
-                    DirtyPolicy::Reject => {
-                        return Err(CsvError::SizeOutOfRange {
-                            line: lineno,
-                            size: v,
-                            cap,
-                        });
-                    }
-                    DirtyPolicy::Clamp => {
-                        stats.clamped_sizes += 1;
-                        v = cap;
-                    }
-                }
-            }
-            size.push(v);
-        }
-        // A zero component is legal (the engine only forbids items that
-        // are zero in *every* dimension — they would be free to pack).
-        if size.iter().all(|&v| v == 0) {
-            match dirty {
-                DirtyPolicy::Reject => return Err(CsvError::ZeroSize { line: lineno }),
-                DirtyPolicy::Clamp => {
-                    stats.clamped_sizes += 1;
-                    size[0] = 1;
-                }
-            }
-        }
-        stats.items += 1;
-        items.push(crate::Item::new(
-            crate::DimVec::from_slice(&size),
-            arrival,
-            departure,
-        ));
     }
-    let instance = Instance::new(crate::DimVec::from_slice(&capacity), items)
-        .map_err(|e| CsvError::Instance(e.to_string()))?;
-    Ok((instance, stats))
+    Instance::new(capacity, items).map_err(|e| format!("invalid trace: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DimVec, Item};
+    use crate::workloads::UniformParams;
+    use proptest::prelude::*;
 
     fn sample_instance() -> Instance {
         Instance::new(
@@ -513,44 +264,25 @@ mod tests {
 
     #[test]
     fn csv_errors_are_typed_with_line_numbers() {
-        use dvbp_traces::DirtyPolicy;
-        let err =
-            |text: &str, cap: &str| parse_csv_opts(text, cap, DirtyPolicy::Reject).unwrap_err();
+        let err = |text: &str, cap: &str| parse_csv(text, cap).unwrap_err();
         assert_eq!(
             err("0,10,4\n5,5,1\n", "10"),
-            CsvError::NonPositiveDuration {
-                line: 2,
-                arrival: 5,
-                departure: 5
-            }
+            "line 2: departure (tick 5) must exceed arrival (tick 5)"
         );
         assert_eq!(
             err("0,10,4\n1,2\n", "10"),
-            CsvError::FieldCount {
-                line: 2,
-                expected: 3,
-                got: 2
-            }
+            "line 2: expected 3 fields (arrival,departure and 1 sizes), got 2"
         );
         assert_eq!(
             err("0,10,4,x\n", "10,10"),
-            CsvError::Number {
-                line: 1,
-                field: "x".into()
-            }
+            "line 1: size \"x\" is not a non-negative integer"
         );
         assert_eq!(
             err("0,10,11\n", "10"),
-            CsvError::SizeOutOfRange {
-                line: 1,
-                size: 11,
-                cap: 10
-            }
+            "line 1: size 11 exceeds the capacity 10"
         );
         // Every line-carrying error renders with its line prefix.
-        assert!(err("0,10,4\n5,5,1\n", "10")
-            .to_string()
-            .starts_with("line 2:"));
+        assert!(err("0,10,4\n5,5,1\n", "10").starts_with("line 2:"));
     }
 
     #[test]
@@ -571,29 +303,11 @@ mod tests {
     #[test]
     fn csv_duplicate_overlapping_ids_are_rejected_but_reuse_is_fine() {
         // vm1 reappears while its first interval [0, 10) is still open.
-        let err = parse_csv_opts(
-            "vm1,0,10,4\nvm1,5,8,2\n",
-            "10",
-            dvbp_traces::DirtyPolicy::Reject,
-        )
-        .unwrap_err();
+        let err = parse_csv("vm1,0,10,4\nvm1,5,8,2\n", "10").unwrap_err();
         assert_eq!(
             err,
-            CsvError::DuplicateId {
-                line: 2,
-                id: "vm1".into()
-            }
+            "line 2: id \"vm1\" duplicates an item that is still live"
         );
-        // Under Clamp the later row is dropped, with accounting.
-        let (inst, stats) = parse_csv_opts(
-            "vm1,0,10,4\nvm1,5,8,2\nvm2,5,8,2\n",
-            "10",
-            dvbp_traces::DirtyPolicy::Clamp,
-        )
-        .unwrap();
-        assert_eq!(inst.len(), 2);
-        assert_eq!(stats.dropped_duplicates, 1);
-        assert_eq!(stats.items, 2);
         // Id reuse after departure — routine in real cluster traces —
         // is not a duplicate.
         let reused = parse_csv("vm1,0,10,4\nvm1,10,20,2\n", "10").unwrap();
@@ -602,22 +316,64 @@ mod tests {
 
     #[test]
     fn csv_clamp_repairs_dirty_rows_with_accounting() {
-        use dvbp_traces::DirtyPolicy;
+        // The importer always rejects: it fails on the first dirty row.
+        // `NativeSource` under `DirtyPolicy::Clamp` repairs these rows.
         let text = "0,10,4\n5,5,6\n3,9,11\n4,6,0\n";
-        // Reject mode fails on the first dirty row…
-        assert!(parse_csv(text, "10").is_err());
-        // …Clamp repairs all three pathologies and counts each.
-        let (inst, stats) = parse_csv_opts(text, "10", DirtyPolicy::Clamp).unwrap();
-        assert_eq!(inst.len(), 4);
-        assert_eq!(stats.rows, 4);
-        assert_eq!(stats.items, 4);
-        assert_eq!(stats.clamped_durations, 1, "5,5 becomes a one-tick stay");
-        assert_eq!(inst.items[1].departure, 6);
-        assert_eq!(stats.clamped_sizes, 2, "oversize 11 and the all-zero row");
-        assert_eq!(inst.items[2].size.as_slice(), &[10]);
-        assert_eq!(inst.items[3].size.as_slice(), &[1]);
-        // The repaired instance passes full validation.
-        assert!(inst.validate().is_ok());
+        assert!(parse_csv(text, "10").unwrap_err().starts_with("line 2:"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// An arrival-sorted instance, written in any of the native
+        /// spellings, imports back unchanged and streams to the batch
+        /// run's packing under every paper policy.
+        #[test]
+        fn native_csv_round_trips_through_import_and_stream(
+            seed in 0u64..10_000,
+            pick in 0usize..3,
+            n in 1usize..80,
+        ) {
+            let d = [1, 2, 4][pick];
+            let mut inst = UniformParams { dims: d, items: n, mu: 20, span: 200, bin_size: 10 }
+                .generate(seed);
+            inst.items.sort_by_key(|item| item.arrival);
+            if d > 1 {
+                // Zero components are legal as long as one stays positive.
+                for (i, item) in inst.items.iter_mut().enumerate().step_by(3) {
+                    item.size[i % d] = 0;
+                }
+            }
+            let row = |item: &Item| {
+                let sizes: Vec<String> = item.size.as_slice().iter().map(u64::to_string).collect();
+                format!("{},{},{}\n", item.arrival, item.departure, sizes.join(","))
+            };
+            let rows: Vec<String> = inst.items.iter().map(row).collect();
+            let header = (0..d).fold("arrival,departure".to_string(), |h, j| h + &format!(",s{j}"));
+            let with_ids: String = rows.iter().enumerate().map(|(i, r)| format!("vm{i},{r}")).collect();
+            let spellings = [
+                rows.concat(),
+                format!("{header}\n{}", rows.concat()),
+                format!("id,{header}\n{with_ids}"),
+                format!("\u{feff}{}# exported\n{}", rows[0], rows[1..].concat()),
+            ];
+            let cap_spec = vec!["10"; d].join(",");
+            for text in &spellings {
+                prop_assert_eq!(&parse_csv(text, &cap_spec).unwrap(), &inst);
+                for kind in PolicyKind::paper_suite(seed) {
+                    let batch = PackRequest::new(kind.clone()).run(&inst).unwrap();
+                    let mut source = NativeSource::new(
+                        text.as_bytes(),
+                        inst.capacity.clone(),
+                        DirtyPolicy::Reject,
+                    );
+                    let streamed = PackRequest::new(kind.clone())
+                        .run_source(&mut source)
+                        .unwrap();
+                    prop_assert_eq!(&batch, &streamed, "{} on {:?}", kind.name(), text);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `dvbp` command-line binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn dvbp() -> Command {
@@ -184,4 +184,137 @@ fn import_rejects_malformed_csv() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("exceeds the capacity"), "{stderr}");
     assert!(stderr.contains("line 1"), "{stderr}");
+}
+
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/traces/tests/fixtures")
+        .join(name)
+}
+
+/// `dvbp run --stream` under a 256 MiB peak-RSS ceiling; returns the
+/// `--out` report.
+fn stream(file: &Path, format: &str, args: &[&str], out: &str) -> serde_json::Value {
+    let report = temp_path(out);
+    let run = dvbp()
+        .args(["run", "--stream"])
+        .arg(file)
+        .args(["--format", format, "--max-rss-kb", "262144", "--out"])
+        .arg(&report)
+        .args(args)
+        .output()
+        .unwrap();
+    assert!(
+        run.status.success(),
+        "{}: {}",
+        file.display(),
+        String::from_utf8_lossy(&run.stderr)
+    );
+    serde_json::from_str(&std::fs::read_to_string(&report).unwrap()).unwrap()
+}
+
+#[test]
+fn every_committed_fixture_streams_under_the_memory_ceiling() {
+    // Clean fixtures survive --dirty reject; dirty ones are repaired
+    // under --dirty clamp, with the repairs in the report.
+    for (name, format, dirty, cap) in [
+        ("azure_subset.csv", "azure", "reject", None),
+        ("azure_dirty.csv", "azure", "clamp", None),
+        ("google_subset.csv", "google", "reject", None),
+        ("google_dirty.csv", "google", "clamp", None),
+        ("native_subset.csv", "csv", "reject", Some("100,100")),
+    ] {
+        let mut args = vec!["--policy", "FirstFit", "--dirty", dirty];
+        if let Some(cap) = cap {
+            args.extend(["--cap", cap]);
+        }
+        let r = stream(&fixture(name), format, &args, &format!("{name}.json"));
+        let ingest = &r["ingest"];
+        assert!(ingest["items"].as_u64().unwrap() > 0, "{name}: no items");
+        assert!(r["bins"].as_u64().unwrap() > 0, "{name}: no bins");
+        let (cost, lb) = (
+            r["cost"].as_u64().unwrap(),
+            r["lower_bound"].as_u64().unwrap(),
+        );
+        assert!(
+            cost >= lb && lb > 0,
+            "{name}: cost {cost}, lower bound {lb}"
+        );
+        if dirty == "clamp" {
+            let repaired: u64 = [
+                "clamped_durations",
+                "clamped_times",
+                "clamped_sizes",
+                "dropped_duplicates",
+            ]
+            .iter()
+            .map(|k| ingest[*k].as_u64().unwrap())
+            .sum();
+            assert!(repaired > 0, "{name}: clamp repaired nothing");
+        }
+    }
+}
+
+#[test]
+fn import_and_stream_agree_on_native_csv() {
+    let csv = fixture("native_subset.csv");
+    let trace = temp_path("native_subset_imported.json");
+    let out = dvbp()
+        .args(["import", "--csv"])
+        .arg(&csv)
+        .args(["--cap", "100,100", "--out"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("imported 10 items"));
+    for policy in ["MoveToFront", "FirstFit", "BestFit[Linf]"] {
+        let report = temp_path("native_subset_report.json");
+        let out = dvbp()
+            .args(["run", "--trace"])
+            .arg(&trace)
+            .args(["--policy", policy, "--out"])
+            .arg(&report)
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let batch: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&report).unwrap()).unwrap();
+        let streamed = stream(
+            &csv,
+            "csv",
+            &["--policy", policy, "--cap", "100,100"],
+            "native_subset_stream.json",
+        );
+        for key in ["cost", "bins"] {
+            assert_eq!(batch[key], streamed[key], "{policy}: {key}");
+        }
+    }
+
+    // Rows out of arrival order: both commands refuse the file at the
+    // same line.
+    let unsorted = temp_path("unsorted.csv");
+    std::fs::write(&unsorted, "0,10,4\n5,9,4\n2,9,4\n").unwrap();
+    let import = dvbp()
+        .args(["import", "--csv"])
+        .arg(&unsorted)
+        .args(["--cap", "10", "--out"])
+        .arg(temp_path("unsorted.json"))
+        .output()
+        .unwrap();
+    let run = dvbp()
+        .args(["run", "--stream"])
+        .arg(&unsorted)
+        .args(["--format", "csv", "--cap", "10", "--policy", "FirstFit"])
+        .output()
+        .unwrap();
+    for out in [import, run] {
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("line 3: rows must be sorted"), "{stderr}");
+    }
 }
