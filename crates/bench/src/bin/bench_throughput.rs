@@ -475,6 +475,28 @@ fn run_grid(scale: &str) -> Report {
     }
 }
 
+/// Prints the simd/scalar throughput ratio of every scanned Any-Fit
+/// policy at every grid point that measured both variants.
+fn print_ablation(report: &Report) {
+    for simd in report.entries.iter().filter(|e| e.variant == "simd") {
+        let scalar = report.entries.iter().find(|e| {
+            e.variant == "scalar"
+                && e.policy == simd.policy
+                && (e.d, e.n, e.mu) == (simd.d, simd.n, simd.mu)
+        });
+        if let Some(scalar) = scalar {
+            eprintln!(
+                "{} d={} n={} mu={}: simd/scalar = {:.2}x",
+                simd.policy,
+                simd.d,
+                simd.n,
+                simd.mu,
+                simd.items_per_sec / scalar.items_per_sec
+            );
+        }
+    }
+}
+
 /// Compares normalized scores against `baseline`; returns the offending
 /// keys (regressed by more than `max_regression_pct`).
 fn regressions(report: &Report, baseline: &Report, max_regression_pct: f64) -> Vec<String> {
@@ -530,6 +552,7 @@ fn main() -> ExitCode {
     }
 
     let report = run_grid(&scale);
+    print_ablation(&report);
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, json + "\n").expect("write report");
     eprintln!("wrote {out} ({} entries)", report.entries.len());
@@ -548,4 +571,28 @@ fn main() -> ExitCode {
         eprintln!("no regression over {max_regression}% vs {path}");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The smoke grid carries both sides of the simd-vs-scalar ablation
+    /// for every scanned Any-Fit policy, including the `d = 4` kernel
+    /// point, so the CI smoke run gates the vectorized kernel.
+    #[test]
+    fn smoke_grid_carries_the_simd_scalar_ablation() {
+        let rows: Vec<(&str, &str, (usize, usize, u64))> = SMOKE_GRID
+            .iter()
+            .flat_map(|&point| POLICIES.iter().map(move |&(p, v)| (p, v, point)))
+            .collect();
+        for policy in ["FirstFit", "BestFit", "WorstFit", "LastFit"] {
+            for variant in ["simd", "scalar"] {
+                assert!(
+                    rows.contains(&(policy, variant, (4, 2000, 1000))),
+                    "missing {policy}/{variant} at d = 4, n = 2000, mu = 1000"
+                );
+            }
+        }
+    }
 }

@@ -687,10 +687,6 @@ impl Engine {
         self
     }
 
-    fn reset(&mut self, instance: &Instance) {
-        self.reset_for(instance.dim(), instance.len());
-    }
-
     /// Clears all per-run state for a `dims`-dimensional run over `n`
     /// items. Batch runs pre-size the per-item arrays here so the event
     /// loop never grows them; incremental drivers (`LiveEngine`) pass
@@ -778,14 +774,9 @@ impl Engine {
         mode: TraceMode,
         observer: &mut O,
     ) -> Result<Packing, PackError> {
-        for (idx, item) in instance.items.iter().enumerate() {
-            if item.departure <= item.arrival {
-                return Err(PackError::NonMonotoneTime { item: idx });
-            }
-        }
-        instance.validate()?;
+        instance.check_run()?;
         policy.reset();
-        self.reset(instance);
+        self.reset_for(instance.dim(), instance.len());
 
         let full = mode == TraceMode::Full;
         let timeline = OnlineTimeline::build(&instance.intervals());

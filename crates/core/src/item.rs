@@ -1,5 +1,6 @@
 //! Items and problem instances (§2.1 of the paper).
 
+use crate::request::PackError;
 use dvbp_dimvec::DimVec;
 use dvbp_sim::{span_of, Interval, Time};
 use serde::{Deserialize, Serialize};
@@ -80,50 +81,29 @@ pub struct Instance {
     pub items: Vec<Item>,
 }
 
-/// Validation failure for an [`Instance`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum InstanceError {
-    /// An item's dimensionality differs from the capacity's.
-    DimMismatch {
-        /// Offending item index.
-        item: usize,
-    },
-    /// An item does not fit into an empty bin — it can never be packed.
-    Oversized {
-        /// Offending item index.
-        item: usize,
-    },
-    /// An item has zero size in every dimension; such items are free and
-    /// make μ and the CR degenerate.
-    ZeroSize {
-        /// Offending item index.
-        item: usize,
-    },
-}
-
-impl std::fmt::Display for InstanceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InstanceError::DimMismatch { item } => {
-                write!(f, "item {item}: dimension mismatch with capacity")
-            }
-            InstanceError::Oversized { item } => {
-                write!(f, "item {item}: larger than bin capacity in some dimension")
-            }
-            InstanceError::ZeroSize { item } => write!(f, "item {item}: zero size"),
-        }
+/// The item rule every admission applies, batch or streamed: a size of
+/// the capacity's dimension that fits an empty bin and is not zero in
+/// every dimension (a zero item is free and makes μ and the competitive
+/// ratio degenerate). `item` names the offender in the error.
+pub(crate) fn check_size(size: &DimVec, capacity: &DimVec, item: usize) -> Result<(), PackError> {
+    if size.dim() != capacity.dim() {
+        Err(PackError::DimMismatch { item })
+    } else if !size.fits_within(capacity) {
+        Err(PackError::OversizedItem { item })
+    } else if size.is_zero() {
+        Err(PackError::ZeroSizeItem { item })
+    } else {
+        Ok(())
     }
 }
-
-impl std::error::Error for InstanceError {}
 
 impl Instance {
     /// Creates and validates an instance.
     ///
     /// # Errors
     ///
-    /// Returns the first [`InstanceError`] found, if any.
-    pub fn new(capacity: impl Into<DimVec>, items: Vec<Item>) -> Result<Self, InstanceError> {
+    /// Returns the first [`PackError`] found, if any.
+    pub fn new(capacity: impl Into<DimVec>, items: Vec<Item>) -> Result<Self, PackError> {
         let inst = Instance {
             capacity: capacity.into(),
             items,
@@ -136,20 +116,22 @@ impl Instance {
     ///
     /// # Errors
     ///
-    /// Returns the first [`InstanceError`] found, if any.
-    pub fn validate(&self) -> Result<(), InstanceError> {
-        for (idx, item) in self.items.iter().enumerate() {
-            if item.size.dim() != self.capacity.dim() {
-                return Err(InstanceError::DimMismatch { item: idx });
-            }
-            if !item.size.fits_within(&self.capacity) {
-                return Err(InstanceError::Oversized { item: idx });
-            }
-            if item.size.is_zero() {
-                return Err(InstanceError::ZeroSize { item: idx });
-            }
+    /// Returns the first [`PackError`] found, if any.
+    pub fn validate(&self) -> Result<(), PackError> {
+        self.items
+            .iter()
+            .enumerate()
+            .try_for_each(|(idx, item)| check_size(&item.size, &self.capacity, idx))
+    }
+
+    /// The check a run makes before its first event, batch or streamed
+    /// ([`InstanceSource`](crate::InstanceSource)): every active interval
+    /// non-empty, then every size valid.
+    pub(crate) fn check_run(&self) -> Result<(), PackError> {
+        match self.items.iter().position(|it| it.departure <= it.arrival) {
+            Some(item) => Err(PackError::NonMonotoneTime { item }),
+            None => self.validate(),
         }
-        Ok(())
     }
 
     /// Number of resource dimensions `d`.
@@ -232,27 +214,27 @@ mod tests {
         assert!(Instance::new(cap.clone(), vec![item(&[10, 10], 0, 1)]).is_ok());
         assert_eq!(
             Instance::new(cap.clone(), vec![item(&[11, 0], 0, 1)]),
-            Err(InstanceError::Oversized { item: 0 })
+            Err(PackError::OversizedItem { item: 0 })
         );
         assert_eq!(
             Instance::new(cap.clone(), vec![item(&[1], 0, 1)]),
-            Err(InstanceError::DimMismatch { item: 0 })
+            Err(PackError::DimMismatch { item: 0 })
         );
         assert_eq!(
             Instance::new(cap, vec![item(&[0, 0], 0, 1)]),
-            Err(InstanceError::ZeroSize { item: 0 })
+            Err(PackError::ZeroSizeItem { item: 0 })
         );
     }
 
     #[test]
     fn error_messages() {
-        assert!(InstanceError::Oversized { item: 3 }
+        assert!(PackError::OversizedItem { item: 3 }
             .to_string()
             .contains("item 3"));
-        assert!(InstanceError::DimMismatch { item: 0 }
+        assert!(PackError::DimMismatch { item: 0 }
             .to_string()
             .contains("mismatch"));
-        assert!(InstanceError::ZeroSize { item: 1 }
+        assert!(PackError::ZeroSizeItem { item: 1 }
             .to_string()
             .contains("zero"));
     }

@@ -69,7 +69,7 @@ pub use bin::{BinId, BinUsage};
 pub use block_scan::{ResidualBlocks, LANES};
 pub use dvbp_obs::{NoopObserver, Observer};
 pub use engine::{Engine, EngineView, FitPath, Packing, TraceEvent, TraceMode};
-pub use item::{Instance, InstanceError, Item};
+pub use item::{Instance, Item};
 pub use live::{
     live_ops, LiveDeparture, LiveDriveStats, LiveEngine, LiveError, LiveMigration, LiveOp,
     LivePlacement, LiveRequest, TimeMode,

@@ -24,7 +24,9 @@
 //! one timestamp — common in dirty wall-clock feeds) the minimum
 //! one-tick stay by clamping the departure to `arrival + 1` — useful
 //! for feeds that cannot promise canonical order, at the price of
-//! batch reachability.
+//! batch reachability. These are the stream path's rules, applied by the
+//! feed type [`Engine::run_source`] uses, so per item a live engine holds
+//! what that path holds: the item while active, and a two-word ledger.
 //!
 //! # Clairvoyance
 //!
@@ -49,10 +51,11 @@
 
 use crate::bin::BinId;
 use crate::engine::{Engine, Packing, TraceEvent, TraceMode};
-use crate::item::{Instance, Item};
+use crate::item::Instance;
 use crate::policy::{Policy, PolicyKind};
 use crate::repack::RepackPolicy;
 use crate::request::PackError;
+use crate::source::{check_streamable, Feed};
 use dvbp_dimvec::DimVec;
 use dvbp_obs::{NoopObserver, Observer};
 use dvbp_sim::timeline::{Event, OnlineTimeline};
@@ -320,11 +323,13 @@ impl<O: Observer> LiveRequest<O> {
         self
     }
 
-    /// Pre-reserves per-item bookkeeping for an expected stream length.
-    /// Purely an optimization: with a hint covering the run, the item
-    /// ledger never reallocates in steady state — the portfolio crate's
+    /// Pre-reserves the engine's per-item ledger (receiving bin and
+    /// chain slot) for an expected stream length. Purely an
+    /// optimization: with a hint covering the run, the ledger never
+    /// reallocates in steady state — the portfolio crate's
     /// counting-allocator test drives engines sized this way to prove
-    /// shadows add zero steady-state allocations.
+    /// shadows add zero steady-state allocations. The active items are
+    /// sized by what is active, not by the hint.
     #[must_use]
     pub fn items_hint(mut self, items: usize) -> Self {
         self.items_hint = items;
@@ -359,14 +364,7 @@ impl<O: Observer> LiveRequest<O> {
         let Some(capacity) = self.capacity else {
             return Err(LiveError::NoCapacity);
         };
-        if matches!(
-            self.kind,
-            PolicyKind::DurationClassFirstFit | PolicyKind::AlignedFit
-        ) {
-            return Err(LiveError::Clairvoyant {
-                policy: self.kind.name(),
-            });
-        }
+        check_streamable(&self.kind)?;
         let mut policy = self.kind.build();
         policy.reset();
         let mut engine = Engine::new();
@@ -382,16 +380,11 @@ impl<O: Observer> LiveRequest<O> {
             policy,
             kind: self.kind,
             capacity,
-            time_mode: self.time_mode,
             repack: self.repack,
             observer,
             full: self.trace == TraceMode::Full,
-            items: Vec::with_capacity(self.items_hint),
-            departed: Vec::with_capacity(self.items_hint),
-            active_items: 0,
+            feed: Feed::new(self.time_mode),
             trace: Vec::new(),
-            now: 0,
-            arrived_this_tick: false,
             active_by_bin: Vec::new(),
             migrations: 0,
             migration_cost: 0,
@@ -414,23 +407,15 @@ pub struct LiveEngine<O: Observer = NoopObserver> {
     policy: Box<dyn Policy>,
     kind: PolicyKind,
     capacity: DimVec,
-    time_mode: TimeMode,
     repack: RepackPolicy,
     observer: O,
     /// Whether the per-bin item chains / trace are recorded
     /// ([`TraceMode::Full`]).
     full: bool,
-    /// Every item ever admitted, by run-local index. Live items hold a
-    /// `Time::MAX` departure placeholder (never read by non-clairvoyant
-    /// policies); `depart` overwrites it with the real tick.
-    items: Vec<Item>,
-    departed: Vec<bool>,
-    active_items: usize,
+    /// The clock, the admission and retirement rules, and the active
+    /// items — the per-item state `Engine::run_source` also holds.
+    feed: Feed,
     trace: Vec<TraceEvent>,
-    now: Time,
-    /// Whether an arrival has been processed at tick `now` (strict
-    /// equal-tick ordering).
-    arrived_this_tick: bool,
     /// Active item indices per bin — the repack planner's drain lists.
     /// Maintained only when `repack.is_enabled()` (empty otherwise).
     active_by_bin: Vec<Vec<usize>>,
@@ -466,24 +451,6 @@ impl LiveEngine {
 }
 
 impl<O: Observer> LiveEngine<O> {
-    fn effective_time(&self, time: Time) -> Result<Time, LiveError> {
-        match self.time_mode {
-            TimeMode::Strict if time < self.now => Err(LiveError::OutOfOrder {
-                time,
-                now: self.now,
-            }),
-            TimeMode::Strict => Ok(time),
-            TimeMode::Clamp => Ok(time.max(self.now)),
-        }
-    }
-
-    fn advance_tick(&mut self, time: Time) {
-        if time > self.now {
-            self.arrived_this_tick = false;
-        }
-        self.now = time;
-    }
-
     /// Admits an item of the given size at `time` and returns its
     /// placement. The item gets the next dense run-local index.
     ///
@@ -493,50 +460,25 @@ impl<O: Observer> LiveEngine<O> {
     /// [`LiveError::OutOfOrder`] in strict mode for a timestamp before
     /// the current tick. The engine state is unchanged on error.
     pub fn arrive(&mut self, size: DimVec, time: Time) -> Result<LivePlacement, LiveError> {
-        let time = self.effective_time(time)?;
-        let item = self.items.len();
-        if size.dim() != self.capacity.dim() {
-            return Err(PackError::DimMismatch { item }.into());
-        }
-        if !size.fits_within(&self.capacity) {
-            return Err(PackError::OversizedItem { item }.into());
-        }
-        if size.is_zero() {
-            return Err(PackError::ZeroSizeItem { item }.into());
-        }
-        if time == Time::MAX {
-            // MAX is the live-departure placeholder; an item arriving
-            // there could never have a strictly later departure.
-            return Err(PackError::NonMonotoneTime { item }.into());
-        }
-        // Struct-literal construction (not `Item::new`): the departure
-        // is not yet known, so it carries the MAX placeholder that
-        // non-clairvoyant policies never read.
-        self.items.push(Item {
-            size,
-            arrival: time,
-            departure: Time::MAX,
-            announced_duration: None,
-        });
-        self.departed.push(false);
+        let item = self.feed.admitted();
+        let (time, entry) = self
+            .feed
+            .admit(&self.engine, &self.capacity, item, size, time)?;
         let (bin, opened_new) = self.engine.step_arrive(
             &self.capacity,
             time,
             item,
-            &self.items[item],
+            entry,
             self.policy.as_mut(),
             &mut self.observer,
             self.full.then_some(&mut self.trace),
         );
-        self.active_items += 1;
         if self.repack.is_enabled() {
             if bin.0 >= self.active_by_bin.len() {
                 self.active_by_bin.resize_with(bin.0 + 1, Vec::new);
             }
             self.active_by_bin[bin.0].push(item);
         }
-        self.advance_tick(time);
-        self.arrived_this_tick = true;
         Ok(LivePlacement {
             item,
             bin,
@@ -583,46 +525,22 @@ impl<O: Observer> LiveEngine<O> {
         time: Time,
         mark: impl FnOnce(),
     ) -> Result<LiveDeparture, LiveError> {
-        let time = self.effective_time(time)?;
-        if item >= self.items.len() {
-            return Err(LiveError::UnknownItem { item });
-        }
-        if self.departed[item] {
-            return Err(LiveError::AlreadyDeparted { item });
-        }
-        if self.time_mode == TimeMode::Strict && time == self.now && self.arrived_this_tick {
-            return Err(LiveError::EqualTickOrder { time });
-        }
-        let time = if time <= self.items[item].arrival {
-            match self.time_mode {
-                TimeMode::Strict => return Err(PackError::NonMonotoneTime { item }.into()),
-                // `effective_time` already pulled the tick up to `now ≥
-                // arrival`, so this is exactly the zero-duration case:
-                // clamp to the minimum one-tick stay. Arrivals at
-                // `Time::MAX` are rejected, so the `+ 1` cannot overflow.
-                TimeMode::Clamp => self.items[item].arrival + 1,
-            }
-        } else {
-            time
-        };
-        self.items[item].departure = time;
+        let gone = self.feed.retire(&self.engine, item, time)?;
+        let time = gone.departure;
         let step = self
             .engine
             .step_depart(
                 time,
                 item,
-                &self.items[item],
+                &gone,
                 self.policy.as_mut(),
                 &mut self.observer,
                 self.full.then_some(&mut self.trace),
             )
-            .expect("checked assignment above");
-        self.departed[item] = true;
-        self.active_items -= 1;
+            .expect("an active item has an assignment");
         if self.repack.is_enabled() {
             self.active_by_bin[step.bin.0].retain(|&i| i != item);
         }
-        self.advance_tick(time);
         mark();
         let migrations = self.run_repack(step.bin, step.closed, time);
         Ok(LiveDeparture {
@@ -679,7 +597,7 @@ impl<O: Observer> LiveEngine<O> {
         let mut extra: Vec<(usize, Vec<u64>)> = Vec::new();
         let mut plan = Vec::with_capacity(residents.len());
         for &it in &residents {
-            let size = &self.items[it].size;
+            let size = &self.feed.item(it).size;
             let mut dest = None;
             for &b in self.engine.open_bins() {
                 if b == src {
@@ -724,7 +642,7 @@ impl<O: Observer> LiveEngine<O> {
                 &self.capacity,
                 time,
                 item,
-                &self.items[item],
+                self.feed.item(item),
                 to,
                 self.policy.as_mut(),
                 &mut self.observer,
@@ -738,7 +656,7 @@ impl<O: Observer> LiveEngine<O> {
             let cost = if unit_cost {
                 1
             } else {
-                self.items[item].size.as_slice().iter().sum()
+                self.feed.item(item).size.as_slice().iter().sum()
             };
             out.push(LiveMigration {
                 item,
@@ -763,7 +681,7 @@ impl<O: Observer> LiveEngine<O> {
             for src in candidates {
                 let drain_cost: u64 = self.active_by_bin[src.0]
                     .iter()
-                    .map(|&i| self.items[i].size.as_slice().iter().sum::<u64>())
+                    .map(|&i| self.feed.item(i).size.as_slice().iter().sum::<u64>())
                     .sum();
                 if drain_cost > remaining {
                     continue;
@@ -805,19 +723,12 @@ impl<O: Observer> LiveEngine<O> {
     /// [`LiveError::Clairvoyant`] for policy kinds that read announced
     /// durations; the engine state is unchanged.
     pub fn switch_policy(&mut self, kind: PolicyKind) -> Result<(), LiveError> {
-        if matches!(
-            kind,
-            PolicyKind::DurationClassFirstFit | PolicyKind::AlignedFit
-        ) {
-            return Err(LiveError::Clairvoyant {
-                policy: kind.name(),
-            });
-        }
+        check_streamable(&kind)?;
         let mut policy = kind.build();
         policy.on_adopt(self.engine.open_bins());
         let from = self.kind.spec();
         self.observer
-            .on_policy_switch(self.now, &from, &kind.spec());
+            .on_policy_switch(self.feed.now(), &from, &kind.spec());
         self.policy = policy;
         self.kind = kind;
         self.policy_switches += 1;
@@ -845,7 +756,7 @@ impl<O: Observer> LiveEngine<O> {
     /// The timestamp discipline this engine was built with.
     #[must_use]
     pub fn time_mode(&self) -> TimeMode {
-        self.time_mode
+        self.feed.mode()
     }
 
     /// The attached repacking policy.
@@ -882,19 +793,19 @@ impl<O: Observer> LiveEngine<O> {
     /// The engine's current tick (the latest effective timestamp).
     #[must_use]
     pub fn now(&self) -> Time {
-        self.now
+        self.feed.now()
     }
 
     /// Items ever admitted (the next arrival's run-local index).
     #[must_use]
     pub fn items_seen(&self) -> usize {
-        self.items.len()
+        self.feed.admitted()
     }
 
     /// Items admitted and not yet departed.
     #[must_use]
     pub fn active_items(&self) -> usize {
-        self.active_items
+        self.feed.active_count()
     }
 
     /// Currently open bins.
@@ -933,10 +844,10 @@ impl<O: Observer> LiveEngine<O> {
         self.engine.assignment_of(item)
     }
 
-    /// Whether `item` has departed.
+    /// Whether `item` has departed: admitted and no longer active.
     #[must_use]
     pub fn has_departed(&self, item: usize) -> bool {
-        self.departed.get(item).copied().unwrap_or(false)
+        item < self.feed.admitted() && !self.feed.is_active(item)
     }
 
     /// Accumulated usage time at tick `at` (eq. 1, evaluated mid-run):
@@ -993,10 +904,7 @@ impl<O: Observer> LiveEngine<O> {
                     let Some(idx) = local.remove(&item) else {
                         return Err(LiveError::UnknownItem { item }.into());
                     };
-                    if let Err(e) = self.depart(idx, time) {
-                        local.insert(item, idx);
-                        return Err(crate::StreamError::Feed(e));
-                    }
+                    self.depart(idx, time)?;
                     stats.departed += 1;
                 }
             }
@@ -1023,16 +931,8 @@ impl<O: Observer> LiveEngine<O> {
     ///
     /// [`LiveError::StillActive`] if items remain.
     pub fn into_parts(mut self) -> Result<(Packing, O), LiveError> {
-        if self.active_items > 0 {
-            return Err(LiveError::StillActive {
-                active: self.active_items,
-            });
-        }
-        self.observer.on_run_end(dvbp_obs::RunEnd {
-            time: self.now,
-            items: self.items.len(),
-            bins: self.engine.bins_opened(),
-        });
+        let end = self.feed.end(self.engine.bins_opened())?;
+        self.observer.on_run_end(end);
         Ok((
             self.engine.snapshot_packing(self.full, self.trace),
             self.observer,
@@ -1096,6 +996,7 @@ pub fn live_ops(instance: &Instance) -> Vec<LiveOp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::Item;
     use crate::request::PackRequest;
     use std::collections::HashMap;
 

@@ -36,14 +36,14 @@
 //! panics the old entry points raised.
 
 use crate::engine::{Engine, Packing, TraceMode};
-use crate::item::{Instance, InstanceError};
-use crate::live::LiveError;
+use crate::item::Instance;
 use crate::policy::{Policy, PolicyKind};
-use crate::source::{EventSource, StreamError};
+use crate::source::{check_streamable, EventSource, StreamError};
 use dvbp_obs::{NoopObserver, Observer};
 use dvbp_sim::Cost;
 
-/// A malformed-instance failure surfaced by [`PackRequest::run`].
+/// A malformed item, as [`Instance::new`], [`PackRequest::run`] and
+/// every streamed admission report it.
 ///
 /// Each variant names the first offending item index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,16 +101,6 @@ impl std::fmt::Display for PackError {
 }
 
 impl std::error::Error for PackError {}
-
-impl From<InstanceError> for PackError {
-    fn from(e: InstanceError) -> Self {
-        match e {
-            InstanceError::Oversized { item } => PackError::OversizedItem { item },
-            InstanceError::DimMismatch { item } => PackError::DimMismatch { item },
-            InstanceError::ZeroSize { item } => PackError::ZeroSizeItem { item },
-        }
-    }
-}
 
 /// What drives the bin-selection decisions of a request.
 enum PolicySource<'a> {
@@ -244,14 +234,8 @@ impl<'a, O: Observer> PackRequest<'a, O> {
         engine: &mut Engine,
         source: &mut S,
     ) -> Result<Packing, StreamError> {
-        if let PolicySource::Kind(
-            kind @ (PolicyKind::DurationClassFirstFit | PolicyKind::AlignedFit),
-        ) = &self.policy
-        {
-            return Err(LiveError::Clairvoyant {
-                policy: kind.name(),
-            }
-            .into());
+        if let PolicySource::Kind(kind) = &self.policy {
+            check_streamable(kind)?;
         }
         let mode = self.mode;
         let mut built;

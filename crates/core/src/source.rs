@@ -25,7 +25,8 @@
 //!    exactly once, before the stream ends.
 //!
 //! [`Engine::run_source`] *enforces* the tick discipline and the
-//! arrive/depart pairing (typed [`StreamError`]s), so a buggy source
+//! arrive/depart pairing (typed [`StreamError`]s) through the feed type
+//! the [`LiveEngine`](crate::LiveEngine) also uses, so a buggy source
 //! cannot silently corrupt a run. Within-tick index order (arrivals by
 //! ascending item index) is the source's responsibility; every source in
 //! `dvbp-traces` and [`InstanceSource`] below produce it.
@@ -45,23 +46,24 @@
 //!
 //! # Memory
 //!
-//! The streamed path keeps O(active items + bins ever opened) state plus
-//! a flat two-word-per-item ledger (receiving bin + trace chain slot) —
-//! the ledger is also the run's *output* (`Packing::assignment`), so it
-//! is the floor for any run that reports per-item placements. What the
-//! streamed path never holds is the instance itself: no per-item
-//! `DimVec`s, no departure times for items not yet active, no event
+//! Per item, both paths hold the item while it is active and the
+//! engine's two-word ledger (receiving bin + trace chain slot) for every
+//! item placed — the ledger is also the run's *output*
+//! (`Packing::assignment`). Per bin, the engine's arenas are indexed by
+//! every bin ever opened. The streamed path never holds the instance
+//! itself: no sizes or departure times of items not yet active, no event
 //! vector. The `dvbp-traces` memory test pins the streamed peak to a
 //! small fraction of the materialized one.
 
 use crate::engine::{Engine, Packing, TraceEvent, TraceMode};
-use crate::item::{Instance, Item};
-use crate::live::{live_ops, LiveError, LiveOp};
-use crate::policy::Policy;
+use crate::item::{check_size, Instance, Item};
+use crate::live::{live_ops, LiveError, LiveOp, TimeMode};
+use crate::policy::{Policy, PolicyKind};
 use crate::request::PackError;
 use dvbp_dimvec::DimVec;
 use dvbp_obs::Observer;
 use dvbp_sim::{Cost, Time};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// A failure producing the *next event* of a stream (I/O, a malformed
@@ -222,12 +224,7 @@ impl InstanceSource {
     ///
     /// The [`PackError`] the batch run would return.
     pub fn new(instance: &Instance) -> Result<Self, PackError> {
-        for (idx, item) in instance.items.iter().enumerate() {
-            if item.departure <= item.arrival {
-                return Err(PackError::NonMonotoneTime { item: idx });
-            }
-        }
-        instance.validate()?;
+        instance.check_run()?;
         Ok(InstanceSource {
             capacity: instance.capacity.clone(),
             ops: live_ops(instance).into_iter(),
@@ -359,6 +356,169 @@ impl StreamingLowerBound {
     }
 }
 
+/// Refuses a policy kind that reads announced durations: streamed and
+/// live items have none.
+pub(crate) fn check_streamable(kind: &PolicyKind) -> Result<(), LiveError> {
+    match kind {
+        PolicyKind::DurationClassFirstFit | PolicyKind::AlignedFit => Err(LiveError::Clairvoyant {
+            policy: kind.name(),
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// The event-feed contract, held once for [`Engine::run_source`] and the
+/// [`LiveEngine`](crate::LiveEngine): the tick clock under a [`TimeMode`],
+/// every admission and retirement rule, and the active items keyed by the
+/// engine's item index. An item is held from its admission to its
+/// retirement and no longer, so a drained feed holds nothing per item but
+/// the admitted count.
+///
+/// Rules apply in one order — the item's identity, then the clock, then
+/// the item itself — and all of them before any state changes, so a
+/// refused event leaves the feed as it was.
+#[derive(Default)]
+pub(crate) struct Feed {
+    mode: TimeMode,
+    /// The latest effective tick.
+    now: Time,
+    /// Whether an arrival was admitted at tick `now`.
+    arrived_this_tick: bool,
+    /// Admitted, not yet retired items. A live item's departure is the
+    /// `Time::MAX` placeholder, which non-clairvoyant policies never read.
+    active: HashMap<usize, Item>,
+    admitted: usize,
+}
+
+impl Feed {
+    pub(crate) fn new(mode: TimeMode) -> Self {
+        Feed {
+            mode,
+            ..Feed::default()
+        }
+    }
+
+    /// `time` under the clock: `Strict` refuses a tick before `now`,
+    /// `Clamp` raises it to `now`.
+    fn tick(mode: TimeMode, now: Time, time: Time) -> Result<Time, LiveError> {
+        match mode {
+            TimeMode::Strict if time < now => Err(LiveError::OutOfOrder { time, now }),
+            TimeMode::Strict => Ok(time),
+            TimeMode::Clamp => Ok(time.max(now)),
+        }
+    }
+
+    /// Admits `item` of `size` arriving at `time` and returns the
+    /// effective tick with the stored item. `engine` answers whether the
+    /// index was ever placed: a placed index is never admitted again.
+    pub(crate) fn admit(
+        &mut self,
+        engine: &Engine,
+        capacity: &DimVec,
+        item: usize,
+        size: DimVec,
+        time: Time,
+    ) -> Result<(Time, &Item), LiveError> {
+        if engine.assignment_of(item).is_some() {
+            return Err(LiveError::DuplicateArrival { item });
+        }
+        let time = Self::tick(self.mode, self.now, time)?;
+        check_size(&size, capacity, item)?;
+        if time == Time::MAX {
+            // MAX is the departure placeholder; an item arriving there
+            // could never depart strictly later.
+            return Err(PackError::NonMonotoneTime { item }.into());
+        }
+        self.arrived_this_tick = true;
+        self.now = time;
+        self.admitted += 1;
+        let entry = self.active.entry(item).or_insert(Item {
+            size,
+            arrival: time,
+            departure: Time::MAX,
+            announced_duration: None,
+        });
+        Ok((time, entry))
+    }
+
+    /// Retires active `item` at `time` and returns it with its effective
+    /// departure. A departure at the clock's tick after an arrival there
+    /// is refused under `Strict`; one not after its arrival is refused
+    /// under `Strict` and given the minimum one-tick stay under `Clamp`.
+    pub(crate) fn retire(
+        &mut self,
+        engine: &Engine,
+        item: usize,
+        time: Time,
+    ) -> Result<Item, LiveError> {
+        let Entry::Occupied(slot) = self.active.entry(item) else {
+            return Err(match engine.assignment_of(item) {
+                Some(_) => LiveError::AlreadyDeparted { item },
+                None => LiveError::UnknownItem { item },
+            });
+        };
+        let strict = self.mode == TimeMode::Strict;
+        let time = Self::tick(self.mode, self.now, time)?;
+        if strict && time == self.now && self.arrived_this_tick {
+            return Err(LiveError::EqualTickOrder { time });
+        }
+        let arrival = slot.get().arrival;
+        let time = if time > arrival {
+            time
+        } else if strict {
+            return Err(PackError::NonMonotoneTime { item }.into());
+        } else {
+            // The clock already raised the tick to `now >= arrival`, so
+            // this is a zero-duration stay. Arrivals at `Time::MAX` are
+            // refused, so the `+ 1` cannot overflow.
+            arrival + 1
+        };
+        let mut gone = slot.remove();
+        gone.departure = time;
+        self.arrived_this_tick &= time == self.now;
+        self.now = time;
+        Ok(gone)
+    }
+
+    /// The run-end record, or [`LiveError::StillActive`] while items are
+    /// active.
+    pub(crate) fn end(&self, bins: usize) -> Result<dvbp_obs::RunEnd, LiveError> {
+        match self.active.len() {
+            0 => Ok(dvbp_obs::RunEnd {
+                time: self.now,
+                items: self.admitted,
+                bins,
+            }),
+            active => Err(LiveError::StillActive { active }),
+        }
+    }
+
+    pub(crate) fn mode(&self) -> TimeMode {
+        self.mode
+    }
+
+    pub(crate) fn now(&self) -> Time {
+        self.now
+    }
+
+    pub(crate) fn admitted(&self) -> usize {
+        self.admitted
+    }
+
+    pub(crate) fn active_count(&self) -> usize {
+        self.active.len()
+    }
+
+    pub(crate) fn is_active(&self, item: usize) -> bool {
+        self.active.contains_key(&item)
+    }
+
+    /// Active `item`; panics if it is not active.
+    pub(crate) fn item(&self, item: usize) -> &Item {
+        &self.active[&item]
+    }
+}
+
 impl Engine {
     /// Runs `policy` over a streamed event feed, never materializing an
     /// instance: the streamed twin of [`Engine::run`]. An
@@ -407,46 +567,11 @@ impl Engine {
             items: hint,
         });
 
-        // Sizes of currently active items — the only per-item state the
-        // streamed path holds beyond the engine's flat ledger.
-        let mut in_flight: HashMap<usize, Item> = HashMap::new();
-        let mut items_seen = 0usize;
-        let mut now: Time = 0;
-        let mut last_time: Time = 0;
-        let mut arrived_this_tick = false;
-
+        let mut feed = Feed::new(TimeMode::Strict);
         while let Some(op) = source.next_event()? {
             match op {
                 LiveOp::Arrive { item, size, time } => {
-                    if time < now {
-                        return Err(LiveError::OutOfOrder { time, now }.into());
-                    }
-                    if self.assignment_of(item).is_some() {
-                        return Err(LiveError::DuplicateArrival { item }.into());
-                    }
-                    if size.dim() != capacity.dim() {
-                        return Err(PackError::DimMismatch { item }.into());
-                    }
-                    if !size.fits_within(&capacity) {
-                        return Err(PackError::OversizedItem { item }.into());
-                    }
-                    if size.is_zero() {
-                        return Err(PackError::ZeroSizeItem { item }.into());
-                    }
-                    if time == Time::MAX {
-                        // MAX is the live-departure placeholder; an item
-                        // arriving there could never depart strictly later.
-                        return Err(PackError::NonMonotoneTime { item }.into());
-                    }
-                    now = time;
-                    last_time = time;
-                    let entry = in_flight.entry(item).or_insert(Item {
-                        size,
-                        arrival: time,
-                        departure: Time::MAX,
-                        announced_duration: None,
-                    });
-                    items_seen += 1;
+                    let (time, entry) = feed.admit(self, &capacity, item, size, time)?;
                     self.step_arrive(
                         &capacity,
                         time,
@@ -456,55 +581,22 @@ impl Engine {
                         observer,
                         full.then_some(&mut trace),
                     );
-                    arrived_this_tick = true;
                 }
                 LiveOp::Depart { item, time } => {
-                    if time < now {
-                        return Err(LiveError::OutOfOrder { time, now }.into());
-                    }
-                    if time == now && arrived_this_tick {
-                        return Err(LiveError::EqualTickOrder { time }.into());
-                    }
-                    if time > now {
-                        arrived_this_tick = false;
-                    }
-                    let Some(mut entry) = in_flight.remove(&item) else {
-                        return Err(if self.assignment_of(item).is_some() {
-                            LiveError::AlreadyDeparted { item }.into()
-                        } else {
-                            LiveError::UnknownItem { item }.into()
-                        });
-                    };
-                    if time <= entry.arrival {
-                        return Err(PackError::NonMonotoneTime { item }.into());
-                    }
-                    entry.departure = time;
-                    now = time;
-                    last_time = time;
+                    let gone = feed.retire(self, item, time)?;
                     self.step_depart(
-                        time,
+                        gone.departure,
                         item,
-                        &entry,
+                        &gone,
                         policy,
                         observer,
                         full.then_some(&mut trace),
                     )
-                    .expect("active item has an assignment");
+                    .expect("an active item has an assignment");
                 }
             }
         }
-        if !in_flight.is_empty() {
-            return Err(LiveError::StillActive {
-                active: in_flight.len(),
-            }
-            .into());
-        }
-        observer.on_run_end(dvbp_obs::RunEnd {
-            time: last_time,
-            items: items_seen,
-            bins: self.bins_opened(),
-        });
-
+        observer.on_run_end(feed.end(self.bins_opened())?);
         Ok(self.snapshot_packing(full, trace))
     }
 }
@@ -512,6 +604,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::live::LiveEngine;
     use crate::policy::PolicyKind;
     use crate::request::PackRequest;
     use dvbp_obs::NoopObserver;
@@ -666,11 +759,76 @@ mod tests {
                 vec![arrive(0, &[11], 0)],
                 PackError::OversizedItem { item: 0 }.into(),
             ),
+            // Combined violations: the item's identity is checked before
+            // the clock.
+            (
+                vec![arrive(0, &[5], 4), depart(3, 4)],
+                LiveError::UnknownItem { item: 3 }.into(),
+            ),
+            (
+                vec![arrive(0, &[5], 4), arrive(0, &[5], 2)],
+                LiveError::DuplicateArrival { item: 0 }.into(),
+            ),
         ];
         for (ops, want) in cases {
-            let got = run_raw(RawSource::new(&[10], ops)).unwrap_err();
+            let got = run_raw(RawSource::new(&[10], ops.clone())).unwrap_err();
             assert_eq!(got, want);
+
+            // A strict live engine fed through `drive_source` applies the
+            // same contract, apart from two differences by design.
+            let mut live = LiveEngine::new(
+                DimVec::from_slice(&[10]),
+                &PolicyKind::FirstFit,
+                TraceMode::Full,
+                TimeMode::Strict,
+            )
+            .unwrap();
+            let driven = live.drive_source(&mut RawSource::new(&[10], ops));
+            match want {
+                // `drive_source` forgets a source index once it departs,
+                // so a second departure under it is unknown...
+                StreamError::Feed(LiveError::AlreadyDeparted { item }) => {
+                    assert_eq!(driven.unwrap_err(), LiveError::UnknownItem { item }.into());
+                }
+                // ...and a live engine may stop with items active: the
+                // drained check is `into_packing`'s, not the drive's.
+                StreamError::Feed(LiveError::StillActive { active }) => {
+                    driven.unwrap();
+                    assert_eq!(
+                        live.into_packing().unwrap_err(),
+                        LiveError::StillActive { active }
+                    );
+                }
+                want => assert_eq!(driven.unwrap_err(), want),
+            }
         }
+
+        // A later arrival under a departed source index is a fresh live
+        // item, where the stream path refuses any index it has placed.
+        let reuse = || {
+            RawSource::new(
+                &[10],
+                vec![
+                    arrive(0, &[5], 0),
+                    depart(0, 2),
+                    arrive(0, &[5], 3),
+                    depart(0, 4),
+                ],
+            )
+        };
+        assert_eq!(
+            run_raw(reuse()).unwrap_err(),
+            LiveError::DuplicateArrival { item: 0 }.into()
+        );
+        let mut live = LiveEngine::new(
+            DimVec::from_slice(&[10]),
+            &PolicyKind::FirstFit,
+            TraceMode::Full,
+            TimeMode::Strict,
+        )
+        .unwrap();
+        let stats = live.drive_source(&mut reuse()).unwrap();
+        assert_eq!((stats.placed, stats.departed), (2, 2));
     }
 
     #[test]

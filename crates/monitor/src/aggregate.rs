@@ -81,11 +81,7 @@ impl Aggregate {
     /// scrapes never see a non-finite sample.
     #[must_use]
     pub fn running_cr(&self) -> f64 {
-        if self.lb_load == 0 {
-            1.0
-        } else {
-            self.usage_time as f64 / self.lb_load as f64
-        }
+        dvbp_sim::cost_ratio(self.usage_time, self.lb_load)
     }
 
     /// Competitive-ratio drift: how far the achieved cost sits above the
@@ -139,11 +135,7 @@ impl RepackStats {
     /// [`Aggregate::running_cr`].
     #[must_use]
     pub fn running_cr(&self) -> f64 {
-        if self.lb_load == 0 {
-            1.0
-        } else {
-            self.usage_time as f64 / self.lb_load as f64
-        }
+        dvbp_sim::cost_ratio(self.usage_time, self.lb_load)
     }
 }
 

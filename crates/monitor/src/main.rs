@@ -41,7 +41,7 @@ use dvbp_monitor::{
     MonitorServer, Workload,
 };
 use dvbp_obs::expo::http_get;
-use dvbp_traces::{DirtyPolicy, OpenOptions, TraceFormat};
+use dvbp_traces::{OpenOptions, TraceFormat};
 use dvbp_workloads::UniformParams;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -158,32 +158,7 @@ enum Drive {
 /// Builds the streamed drive for `--stream FILE`, validating the flags
 /// and the file by opening it once.
 fn stream_drive(args: &[String], path: String) -> Result<Drive, String> {
-    let format: TraceFormat = flag(args, "--format")
-        .ok_or("--stream requires --format azure|google|csv")?
-        .parse()?;
-    let capacity = match flag(args, "--cap") {
-        None => None,
-        Some(spec) => {
-            let units: Vec<u64> = spec
-                .split(',')
-                .map(|f| {
-                    f.trim()
-                        .parse::<u64>()
-                        .map_err(|e| format!("--cap '{f}': {e}"))
-                })
-                .collect::<Result<_, _>>()?;
-            if units.is_empty() || units.contains(&0) {
-                return Err("--cap must have positive components".into());
-            }
-            Some(dvbp_dimvec::DimVec::from_slice(&units))
-        }
-    };
-    let dirty: DirtyPolicy = parse(args, "--dirty", DirtyPolicy::Reject)?;
-    let options = OpenOptions {
-        capacity,
-        ticks_per_day: parse(args, "--ticks-per-day", 288u64)?,
-        dirty,
-    };
+    let (format, options) = dvbp_traces::stream_options(|key| flag(args, key))?;
     let path = PathBuf::from(path);
     // Fail fast on an unreadable file or a capacity/schema mismatch.
     format

@@ -144,3 +144,22 @@ fn streamed_azure_fixture_reports_a_finite_running_ratio() {
     );
     monitor.shutdown();
 }
+
+#[test]
+fn stream_rejects_a_zero_capacity_component() {
+    let trace = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../traces/tests/fixtures/native_subset.csv");
+    let out = Command::new(env!("CARGO_BIN_EXE_dvbp-monitor"))
+        .args(["--addr", "127.0.0.1:0", "--stream"])
+        .arg(&trace)
+        .args(["--format", "csv", "--cap", "0,5"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn dvbp-monitor");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--cap 0,5: need positive units per dimension"),
+        "{stderr}"
+    );
+}

@@ -368,7 +368,8 @@ impl AtomicHistogram {
 #[derive(Debug)]
 struct Slot {
     /// 0 = never written; `2t+1` = ticket `t` writing; `2t+2` = ticket
-    /// `t` complete.
+    /// `t` complete. Only the writer that moved it to `2t+1` writes the
+    /// words or the seq until it publishes `2t+2`.
     seq: AtomicU64,
     words: [AtomicU64; SpanRecord::WORDS],
 }
@@ -376,7 +377,9 @@ struct Slot {
 /// Fixed-capacity, lock-free, multi-producer ring of the last N
 /// complete [`SpanRecord`]s (the flight recorder).
 ///
-/// Writers never block and never allocate; readers ([`SpanRing::
+/// Writers never block and never allocate: each claims its slot before
+/// writing it, and drops its record when the slot is owned by another
+/// writer or already holds a newer ticket. Readers ([`SpanRing::
 /// snapshot`]) copy slots optimistically and skip any slot a writer
 /// touched mid-copy. Capacity is rounded up to a power of two.
 #[derive(Debug)]
@@ -417,12 +420,49 @@ impl SpanRing {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Pushes one record, overwriting the oldest slot. Wait-free.
+    /// Pushes one record, overwriting the oldest slot. Wait-free. The
+    /// record is dropped when its slot is still being written by an
+    /// older ticket's writer (which was descheduled mid-write) or
+    /// already holds a newer ticket (this writer was lapped before it
+    /// claimed the slot).
     pub fn push(&self, rec: &SpanRecord) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
+        if let Some(slot) = self.claim(ticket) {
+            Self::publish(slot, ticket, rec);
+        }
+    }
+
+    /// Claims `ticket`'s slot: moves its seq from a completed older
+    /// ticket (or 0) to `2t+1`. `None` when the slot is owned by another
+    /// writer (odd) or holds a newer ticket. Each retry follows another
+    /// writer's claim of an older ticket, so the loop is bounded.
+    fn claim(&self, ticket: u64) -> Option<&Slot> {
         let slot = &self.slots[(ticket & self.mask) as usize];
-        slot.seq.store(2 * ticket + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
+        let mut seq = slot.seq.load(Ordering::Relaxed);
+        while seq.is_multiple_of(2) && seq < 2 * ticket + 1 {
+            // Acquire: the older writer's word stores come before ours.
+            match slot.seq.compare_exchange(
+                seq,
+                2 * ticket + 1,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    // Release: a reader that copies any word stored after
+                    // this sees the odd seq on its re-check (pairs with
+                    // the Acquire fence in `snapshot`).
+                    fence(Ordering::Release);
+                    return Some(slot);
+                }
+                Err(now) => seq = now,
+            }
+        }
+        None
+    }
+
+    /// Writes `rec` into a slot claimed for `ticket` and marks it
+    /// complete.
+    fn publish(slot: &Slot, ticket: u64, rec: &SpanRecord) {
         for (w, v) in slot.words.iter().zip(rec.encode()) {
             w.store(v, Ordering::Relaxed);
         }
@@ -430,9 +470,11 @@ impl SpanRing {
     }
 
     /// Copies the current contents, oldest first. Slots being written
-    /// (or overwritten) during the copy are skipped, so the result can
-    /// be shorter than [`SpanRing::capacity`] under contention — but
-    /// every returned record is internally consistent.
+    /// (or overwritten) during the copy are skipped, and so is a slot
+    /// whose newest ticket was dropped (see [`SpanRing::push`]) until a
+    /// later ticket rewrites it, so the result can be shorter than
+    /// [`SpanRing::capacity`] under contention — but every returned
+    /// record is internally consistent.
     #[must_use]
     pub fn snapshot(&self) -> Vec<SpanRecord> {
         let head = self.head.load(Ordering::Acquire);
@@ -691,16 +733,57 @@ mod tests {
         });
         assert!(seen > 0, "no snapshot saw a complete record in 60 s");
         assert_eq!(ring.pushed(), pushed);
-        // A writer lapped between taking its ticket and writing can
-        // leave a slot holding an older ticket's record, which
-        // `snapshot` skips. One round from this thread rewrites every
-        // slot in ticket order; then a quiescent snapshot is full.
+        // A writer descheduled mid-write makes the writer of the next
+        // ticket on its slot drop that record, and the slot then holds
+        // an older ticket's record, which `snapshot` skips. One round
+        // from this thread rewrites every slot in ticket order; then a
+        // quiescent snapshot is full.
         for i in 0..ring.capacity() as u64 {
             let mut rec = record(9, i);
             rec.stage_ns = [i; Stage::COUNT];
             ring.push(&rec);
         }
         assert_eq!(check(ring.snapshot()), ring.capacity());
+    }
+
+    #[test]
+    fn a_late_older_writer_leaves_the_newer_record_readable() {
+        let ring = SpanRing::new(4);
+        // Ticket 0 is taken, then its writer is lapped before claiming.
+        let late = ring.head.fetch_add(1, Ordering::Relaxed);
+        for i in 1..=4u64 {
+            ring.push(&record(0, i));
+        }
+        assert!(ring.claim(late).is_none(), "slot 0 holds ticket 4");
+        let snap = ring.snapshot();
+        assert_eq!(
+            snap.iter().map(|r| r.total_ns).collect::<Vec<_>>(),
+            vec![1, 2, 3, 4]
+        );
+    }
+
+    #[test]
+    fn a_writer_meeting_an_owned_slot_drops_its_record() {
+        let ring = SpanRing::new(4);
+        // Ticket 0's writer claims slot 0 and stalls mid-write.
+        let stalled = ring.head.fetch_add(1, Ordering::Relaxed);
+        let slot = ring.claim(stalled).expect("a fresh slot is free");
+        for i in 1..=4u64 {
+            // Ticket 4 meets slot 0 owned and drops its record.
+            ring.push(&record(0, i));
+        }
+        assert_eq!(slot.seq.load(Ordering::Relaxed), 2 * stalled + 1);
+        SpanRing::publish(slot, stalled, &record(0, 0));
+        // Slot 0 holds the complete ticket-0 record, outside the window
+        // of the last four tickets: skipped, never published torn.
+        let snap = ring.snapshot();
+        assert_eq!(
+            snap.iter().map(|r| r.total_ns).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
+        assert!(snap
+            .iter()
+            .all(|r| r.stage_ns[Stage::Dispatch.index()] == r.total_ns));
     }
 
     #[test]

@@ -66,11 +66,7 @@ impl ShadowScore {
     /// lower bound is positive (never NaN or infinite).
     #[must_use]
     pub fn running_cr(&self) -> f64 {
-        if self.lb == 0 {
-            1.0
-        } else {
-            self.cost as f64 / self.lb as f64
-        }
+        dvbp_sim::cost_ratio(self.cost, self.lb)
     }
 }
 

@@ -12,8 +12,7 @@
 //! running service in canonical timeline order; re-driving after a
 //! crash resumes idempotently. `query` prints the `/status` JSON.
 
-use dvbp_core::{PolicyKind, RepackPolicy, TimeMode, TraceMode};
-use dvbp_dimvec::DimVec;
+use dvbp_core::{Instance, PolicyKind, RepackPolicy, TimeMode, TraceMode};
 use dvbp_obs::SyncPolicy;
 use dvbp_serve::router::RouterKind;
 use dvbp_serve::server::{serve, ServeState, DEFAULT_READ_TIMEOUT_MS};
@@ -103,21 +102,6 @@ where
     }
 }
 
-fn parse_capacity(spec: &str) -> Result<DimVec, String> {
-    let units = spec
-        .split(',')
-        .map(|c| {
-            c.trim()
-                .parse::<u64>()
-                .map_err(|e| format!("--cap {c}: {e}"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    if units.is_empty() || units.contains(&0) {
-        return Err(format!("--cap {spec}: need positive units per dimension"));
-    }
-    Ok(DimVec::from_slice(&units))
-}
-
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let addr = parse(args, "--addr", DEFAULT_ADDR.to_string())?;
     let policy = PolicyKind::from_str(&parse(args, "--policy", "FirstFit".to_string())?)
@@ -130,7 +114,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let repack: RepackPolicy = parse(args, "--repack", RepackPolicy::NoRepack)?;
     let sync: SyncPolicy = parse(args, "--sync", SyncPolicy::PerEvent)?;
     let time_mode: TimeMode = parse(args, "--time-mode", TimeMode::Strict)?;
-    let capacity = parse_capacity(&parse(args, "--cap", "100,100".to_string())?)?;
+    let capacity = dvbp_traces::parse_cap_spec(&parse(args, "--cap", "100,100".to_string())?)?;
     let slow_us: u64 = parse(args, "--slow-us", 1_000u64)?;
     let read_timeout_ms: u64 = parse(args, "--read-timeout-ms", DEFAULT_READ_TIMEOUT_MS)?;
     let portfolio = match flag(args, "--portfolio") {
@@ -226,42 +210,37 @@ fn cmd_drive(args: &[String]) -> Result<(), String> {
         0 => None,
         ms => Some(Duration::from_millis(ms)),
     };
-    let mut client = Client::connect(&addr).map_err(|e| format!("connecting {addr}: {e}"))?;
-    let (label, report) = match (flag(args, "--trace"), flag(args, "--stream")) {
+    enum Input {
+        Trace(Instance),
+        Stream(Box<dyn dvbp_traces::TraceSource + Send>),
+    }
+    // Read the flags and open the trace before connecting, so a bad flag
+    // or file is reported as such rather than as a connection error.
+    let (label, input) = match (flag(args, "--trace"), flag(args, "--stream")) {
         (Some(_), Some(_)) => {
             return Err("--trace and --stream are mutually exclusive".into());
         }
         (Some(trace), None) => {
             let instance = client::load_instance(&PathBuf::from(&trace))?;
-            let report = client
-                .drive_instance(&instance, throttle)
-                .map_err(|e| format!("driving {trace}: {e}"))?;
-            (trace, report)
+            (trace, Input::Trace(instance))
         }
         (None, Some(stream)) => {
-            let format: dvbp_traces::TraceFormat = flag(args, "--format")
-                .ok_or("--stream requires --format azure|google|csv")?
-                .parse()?;
-            let options = dvbp_traces::OpenOptions {
-                capacity: match flag(args, "--cap") {
-                    None => None,
-                    Some(spec) => Some(parse_capacity(&spec)?),
-                },
-                ticks_per_day: parse(args, "--ticks-per-day", 288u64)?,
-                dirty: parse(args, "--dirty", dvbp_traces::DirtyPolicy::Reject)?,
-            };
-            let mut source = format
+            let (format, options) = dvbp_traces::stream_options(|key| flag(args, key))?;
+            let source = format
                 .open_path(&PathBuf::from(&stream), &options)
                 .map_err(|e| format!("{stream}: {e}"))?;
-            let report = client
-                .drive_source(&mut *source, throttle)
-                .map_err(|e| format!("driving {stream}: {e}"))?;
-            (stream, report)
+            (stream, Input::Stream(source))
         }
         (None, None) => {
             return Err("drive needs --trace FILE.json or --stream FILE --format ...".into());
         }
     };
+    let mut client = Client::connect(&addr).map_err(|e| format!("connecting {addr}: {e}"))?;
+    let report = match input {
+        Input::Trace(instance) => client.drive_instance(&instance, throttle),
+        Input::Stream(mut source) => client.drive_source(&mut *source, throttle),
+    }
+    .map_err(|e| format!("driving {label}: {e}"))?;
     println!(
         "dvbp-serve: drove {label}: {} placed, {} departed, {} skipped, {} error(s)",
         report.placed, report.departed, report.skipped, report.errors,

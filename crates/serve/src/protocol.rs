@@ -155,11 +155,7 @@ impl ShadowStatus {
     pub fn running_cr(&self) -> f64 {
         let cost = self.cost.parse::<u128>().unwrap_or(0);
         let lb = self.lb.parse::<u128>().unwrap_or(0);
-        if lb == 0 {
-            1.0
-        } else {
-            cost as f64 / lb as f64
-        }
+        dvbp_sim::cost_ratio(cost, lb)
     }
 }
 

@@ -384,12 +384,7 @@ impl<W: StableWrite> ServeState<W> {
                 }
             }
             for (policy, cost, lb) in agg {
-                let cr = if lb == 0 {
-                    1.0
-                } else {
-                    cost as f64 / lb as f64
-                };
-                let cr = format_args!("{cr:.6}");
+                let cr = format_args!("{:.6}", dvbp_sim::cost_ratio(cost, lb));
                 expo::sample(&mut out, "dvbp_shadow_cr", &[("policy", policy)], cr);
             }
             for s in &status.per_shard {

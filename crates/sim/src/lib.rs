@@ -46,3 +46,15 @@ pub type TickLen = u64;
 ///
 /// `u128` so that summing many `u64` spans can never overflow.
 pub type Cost = u128;
+
+/// The running competitive ratio `cost / lb`, cold-start neutral: it
+/// reads `1.0` while the lower bound is 0, so a ratio taken before any
+/// lower-bound evidence is never NaN or infinite.
+#[must_use]
+pub fn cost_ratio(cost: Cost, lb: Cost) -> f64 {
+    if lb == 0 {
+        1.0
+    } else {
+        cost as f64 / lb as f64
+    }
+}

@@ -59,6 +59,7 @@ use dvbp_dimvec::DimVec;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
+use std::str::FromStr;
 
 /// An [`EventSource`] that also reports [`IngestStats`] — what every
 /// trace parser in this crate is, behind one object-safe face.
@@ -143,6 +144,63 @@ impl Default for OpenOptions {
             dirty: DirtyPolicy::default(),
         }
     }
+}
+
+/// Parses a `--cap C1,C2,...` bin capacity: positive units per
+/// dimension.
+///
+/// # Errors
+///
+/// A component that is not a number, or a spec that is empty or has a
+/// zero component.
+pub fn parse_cap_spec(spec: &str) -> Result<DimVec, String> {
+    let units = spec
+        .split(',')
+        .map(|c| {
+            c.trim()
+                .parse::<u64>()
+                .map_err(|e| format!("--cap {c}: {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if units.is_empty() || units.contains(&0) {
+        return Err(format!("--cap {spec}: need positive units per dimension"));
+    }
+    Ok(DimVec::from_slice(&units))
+}
+
+/// The stream flags every binary that opens a trace takes — `--format`,
+/// `--cap`, `--ticks-per-day` and `--dirty` — as a format and its
+/// [`OpenOptions`]. `flag` looks a flag's value up on the command line.
+///
+/// # Errors
+///
+/// A missing `--format`, or the first flag whose value does not parse.
+pub fn stream_options(
+    flag: impl Fn(&str) -> Option<String>,
+) -> Result<(TraceFormat, OpenOptions), String> {
+    fn parse<T: FromStr>(key: &str, value: Option<String>, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        value.map_or(Ok(default), |v| {
+            v.parse().map_err(|e| format!("{key} {v}: {e}"))
+        })
+    }
+    let format = flag("--format")
+        .ok_or("--stream requires --format azure|google|csv")?
+        .parse()?;
+    let options = OpenOptions {
+        capacity: flag("--cap")
+            .map(|spec| parse_cap_spec(&spec))
+            .transpose()?,
+        ticks_per_day: parse(
+            "--ticks-per-day",
+            flag("--ticks-per-day"),
+            AZURE_TICKS_PER_DAY,
+        )?,
+        dirty: parse("--dirty", flag("--dirty"), DirtyPolicy::default())?,
+    };
+    Ok((format, options))
 }
 
 impl TraceFormat {

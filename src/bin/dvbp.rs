@@ -20,8 +20,8 @@
 //! makes the memory claim an exit-code assertion.
 
 use dvbp::obs::{JsonlEmitter, ObsEvent, WithProvenance};
-use dvbp::tracefile::{load_instance, parse_cap_spec, run_report, save_instance};
-use dvbp::traces::{DirtyPolicy, IngestStats, OpenOptions, TraceFormat};
+use dvbp::tracefile::{load_instance, run_report, save_instance};
+use dvbp::traces::{stream_options, IngestStats};
 use dvbp::workloads::UniformParams;
 use dvbp::{BillingModel, PackRequest, PolicyKind, StreamingLowerBound, Tap, TraceMode};
 use std::io::BufWriter;
@@ -206,17 +206,7 @@ fn peak_rss_kb() -> u64 {
 fn cmd_run_stream(args: &[String], stream: &str) -> Result<(), String> {
     let policy = PolicyKind::from_str(&required(args, "--policy")?).map_err(|e| e.to_string())?;
     let billing = billing_from(args)?;
-    let format: TraceFormat = flag(args, "--format")
-        .ok_or("--stream requires --format azure|google|csv")?
-        .parse()?;
-    let options = OpenOptions {
-        capacity: match flag(args, "--cap") {
-            None => None,
-            Some(spec) => Some(parse_cap_spec(&spec)?),
-        },
-        ticks_per_day: parse(args, "--ticks-per-day", 288u64)?,
-        dirty: parse(args, "--dirty", DirtyPolicy::Reject)?,
-    };
+    let (format, options) = stream_options(|key| flag(args, key))?;
 
     let t0 = Instant::now();
     let mut source = format
@@ -234,12 +224,7 @@ fn cmd_run_stream(args: &[String], stream: &str) -> Result<(), String> {
     let ingest = source.stats();
     let cost = packing.cost();
     let lower_bound = lb.value();
-    #[allow(clippy::cast_precision_loss)]
-    let ratio = if lower_bound == 0 {
-        1.0
-    } else {
-        cost as f64 / lower_bound as f64
-    };
+    let ratio = dvbp_sim::cost_ratio(cost, lower_bound);
     // Every streamed item is one arrival plus one departure event.
     #[allow(clippy::cast_precision_loss)]
     let events_per_sec = ((2 * ingest.items) as f64) / seconds.max(1e-9);

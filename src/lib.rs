@@ -57,9 +57,9 @@ pub use dvbp_core::{
     LiveRequest, ParseRepackError, RepackPolicy, TimeMode,
 };
 pub use dvbp_core::{
-    BillingModel, BinId, BinUsage, Decision, Engine, EngineView, Instance, InstanceError, Item,
-    LoadMeasure, NoopObserver, Observer, PackError, PackRequest, Packing, Policy, PolicyKind,
-    TraceEvent, TraceMode,
+    BillingModel, BinId, BinUsage, Decision, Engine, EngineView, Instance, Item, LoadMeasure,
+    NoopObserver, Observer, PackError, PackRequest, Packing, Policy, PolicyKind, TraceEvent,
+    TraceMode,
 };
 pub use dvbp_core::{
     EventSource, InstanceSource, LiveOp, SourceError, StreamError, StreamingLowerBound, Tap,

@@ -13,11 +13,9 @@
 //! importer and `dvbp run --stream --format csv` accept the same files
 //! and fail on the same line.
 
-use crate::{
-    BillingModel, DimVec, EventSource, Instance, Item, LiveOp, PackRequest, Packing, PolicyKind,
-};
+use crate::{BillingModel, EventSource, Instance, Item, LiveOp, PackRequest, Packing, PolicyKind};
 use dvbp_sim::Time;
-use dvbp_traces::{DirtyPolicy, NativeSource};
+use dvbp_traces::{parse_cap_spec, DirtyPolicy, NativeSource};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -85,27 +83,6 @@ pub fn run_report(instance: &Instance, kind: &PolicyKind, billing: BillingModel)
     }
 }
 
-/// Parses a capacity spec, `--cap`'s spelling: positive units per
-/// dimension, comma-separated (`100,100`).
-///
-/// # Errors
-///
-/// A component that is not a positive integer, or an empty spec.
-pub fn parse_cap_spec(spec: &str) -> Result<DimVec, String> {
-    let units = spec
-        .split(',')
-        .map(|c| {
-            c.trim()
-                .parse::<u64>()
-                .map_err(|e| format!("--cap {c}: {e}"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    if units.is_empty() || units.contains(&0) {
-        return Err(format!("--cap {spec}: need positive units per dimension"));
-    }
-    Ok(DimVec::from_slice(&units))
-}
-
 /// Parses a native CSV job trace into an instance: `dvbp import`.
 ///
 /// The grammar is [`NativeSource`]'s, so the importer and `dvbp run
@@ -137,6 +114,7 @@ pub fn parse_csv(text: &str, cap_spec: &str) -> Result<Instance, String> {
 mod tests {
     use super::*;
     use crate::workloads::UniformParams;
+    use crate::DimVec;
     use proptest::prelude::*;
 
     fn sample_instance() -> Instance {

@@ -318,3 +318,19 @@ fn import_and_stream_agree_on_native_csv() {
         assert!(stderr.contains("line 3: rows must be sorted"), "{stderr}");
     }
 }
+
+#[test]
+fn stream_run_rejects_a_zero_capacity_component() {
+    let out = dvbp()
+        .args(["run", "--stream"])
+        .arg(fixture("native_subset.csv"))
+        .args(["--format", "csv", "--cap", "0,5", "--policy", "FirstFit"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--cap 0,5: need positive units per dimension"),
+        "{stderr}"
+    );
+}
