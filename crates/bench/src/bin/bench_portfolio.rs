@@ -14,31 +14,28 @@
 //! * `gain_vs_worst_pct`   — how far below the worst static CR it
 //!   stayed (the payoff of not committing to a bad policy up front).
 //!
-//! The packing metric is deterministic, so `--baseline` gates exactly
-//! like `bench_repack`: any shared key whose `cr` grows by more than
-//! `--max-regression` percent fails the process.
+//! The rows are deterministic, so they are gated like `bench_repack`'s:
+//! `--check` fails unless every row equals its committed row, and
+//! `cargo test` runs the full grid against `BENCH_portfolio.json`.
 //!
 //! The report also times the dispatch layer itself: a portfolio drive
 //! is compared against the sum of its parts (the plain live drive plus
 //! one standalone cost-only drive per candidate). The difference is
 //! pure dispatch glue — id translation, scoreboard upkeep, meta-policy
-//! checks — and `--max-overhead-pct` bounds it (CI smoke uses 30).
+//! checks — and `--check` also fails when it exceeds
+//! [`MAX_OVERHEAD_PCT`].
 //!
-//! Usage:
-//!   bench_portfolio [--out FILE] [--baseline FILE]
-//!                   [--max-regression PCT] [--max-overhead-pct PCT]
-//!                   [--scale full|smoke]
+//! Usage (see `dvbp_bench::ledger`):
+//!   bench_portfolio [--scale full|smoke] [--out FILE] [--check]
 
-use dvbp_bench::bench_instance;
+use dvbp_bench::ledger::{self, Cli, Provenance, Scale};
+use dvbp_bench::{family_instance, live_cost, FAMILY_SEED};
 use dvbp_core::{
-    live_ops, Instance, InstanceSource, Item, LiveOp, LiveRequest, LoadMeasure, PolicyKind,
-    TraceMode,
+    live_ops, Instance, LiveOp, LiveRequest, LoadMeasure, PolicyKind, RepackPolicy, TraceMode,
 };
 use dvbp_offline::lower_bounds::lb_load;
 use dvbp_portfolio::{MetaPolicy, PortfolioEngine, DEFAULT_BEST_OF_WINDOW};
-use dvbp_traces::{Diurnal, HeavyTail};
-use dvbp_workloads::extended::{ArrivalDist, DurationDist, ExtendedParams, SizeDist};
-use dvbp_workloads::uniform::UniformParams;
+use dvbp_sim::cost_ratio;
 use serde::{Deserialize, Serialize};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -85,11 +82,13 @@ struct Overhead {
 struct Report {
     schema: String,
     scale: String,
+    provenance: Option<Provenance>,
     overhead: Overhead,
     entries: Vec<Entry>,
 }
 
-const SEED: u64 = 7;
+/// The `--check` ceiling on the dispatch layer's `overhead_pct`.
+const MAX_OVERHEAD_PCT: f64 = 30.0;
 
 /// The candidate set every family is judged over: diverse enough that
 /// no single policy wins everywhere, small enough that the shadow cost
@@ -116,16 +115,16 @@ fn metas() -> [MetaPolicy; 2] {
 }
 
 /// `(family, n)` grid per scale; the smoke grid is a subset of the
-/// full grid so baseline keys always match.
-fn grid(scale: &str) -> Vec<(&'static str, usize)> {
+/// full grid, so every smoke row has a committed counterpart.
+fn grid(scale: Scale) -> Vec<(&'static str, usize)> {
     match scale {
-        "smoke" => vec![
+        Scale::Smoke => vec![
             ("uniform", 600),
             ("zipf-bursty", 600),
             ("diurnal", 400),
             ("heavy-tail", 400),
         ],
-        _ => vec![
+        Scale::Full => vec![
             ("uniform", 600),
             ("uniform", 2400),
             ("zipf-bursty", 600),
@@ -136,67 +135,6 @@ fn grid(scale: &str) -> Vec<(&'static str, usize)> {
             ("heavy-tail", 1600),
         ],
     }
-}
-
-/// Generates one family instance at size `n`.
-///
-/// * `uniform` — the Table 2 shape: stationary, the regime every
-///   static policy was tuned for.
-/// * `zipf-bursty` — heavy-tailed sizes in bursty waves: utilization
-///   whipsaws, so the best policy changes across the run.
-/// * `diurnal` — day/night arrival waves (dvbp-traces synth): long
-///   quiet troughs where bins drain and close, the meta-policy's
-///   natural decision points.
-/// * `heavy-tail` — Pareto lifetimes: a few stragglers pin bins open,
-///   punishing policies that scatter long-lived items.
-fn family_instance(family: &str, n: usize) -> Instance {
-    let synth = |items: dvbp_traces::ItemIter, capacity: dvbp_dimvec::DimVec| {
-        let items: Vec<Item> = items.map(|(a, d, size)| Item::new(size, a, d)).collect();
-        Instance::new(capacity, items).expect("synth instance valid")
-    };
-    match family {
-        "uniform" => bench_instance(2, n, (n as u64) / 10, SEED),
-        "zipf-bursty" => ExtendedParams {
-            base: UniformParams {
-                dims: 2,
-                items: n,
-                mu: 20,
-                span: (n as u64) / 2,
-                bin_size: 10,
-            },
-            sizes: SizeDist::Zipf { exponent: 1.2 },
-            durations: DurationDist::Geometric { p: 0.3 },
-            arrivals: ArrivalDist::Bursty { waves: 6, width: 3 },
-        }
-        .generate(SEED),
-        "diurnal" => {
-            let capacity = dvbp_dimvec::DimVec::from_slice(&[10, 10]);
-            let gen = Diurnal::new(n, capacity.clone(), SEED);
-            synth(gen.items(), capacity)
-        }
-        "heavy-tail" => {
-            let capacity = dvbp_dimvec::DimVec::from_slice(&[10, 10]);
-            let mut gen = HeavyTail::new(n, capacity.clone(), SEED);
-            gen.max_duration = 2_000;
-            synth(gen.items(), capacity)
-        }
-        other => panic!("unknown trace family {other}"),
-    }
-}
-
-/// Drives one static candidate cost-only over `inst` and returns its
-/// final packing cost.
-fn run_static(inst: &Instance, kind: &PolicyKind) -> u64 {
-    let mut live = LiveRequest::new(kind.clone())
-        .capacity(inst.capacity.clone())
-        .trace_mode(TraceMode::CostOnly)
-        .items_hint(inst.items.len())
-        .build()
-        .expect("candidates are non-clairvoyant");
-    let mut source = InstanceSource::new(inst).expect("bench instance valid");
-    live.drive_source(&mut source).expect("live drive succeeds");
-    let packing = live.into_packing().expect("all items departed");
-    u64::try_from(packing.cost()).expect("bench costs fit in u64")
 }
 
 /// Drives the full portfolio over `inst` under `meta` and returns the
@@ -257,9 +195,9 @@ fn measure_overhead() -> Overhead {
         assert!(cost > 0 && switches == 0);
     });
     let components_ns = time_min(REPS, || {
-        assert!(run_static(&inst, &live_kind) > 0);
+        assert!(live_cost(&inst, &live_kind, RepackPolicy::NoRepack).0 > 0);
         for kind in candidates() {
-            assert!(run_static(&inst, &kind) > 0);
+            assert!(live_cost(&inst, &kind, RepackPolicy::NoRepack).0 > 0);
         }
     });
     let overhead_pct = if components_ns == 0 {
@@ -274,7 +212,7 @@ fn measure_overhead() -> Overhead {
     }
 }
 
-fn run_grid(scale: &str) -> Report {
+fn run_grid(scale: Scale) -> Vec<Entry> {
     let mut entries = Vec::new();
     for (family, n) in grid(scale) {
         let inst = family_instance(family, n);
@@ -282,8 +220,8 @@ fn run_grid(scale: &str) -> Report {
         let mut best = f64::INFINITY;
         let mut worst = f64::NEG_INFINITY;
         for kind in candidates() {
-            let cost = run_static(&inst, &kind);
-            let cr = cost as f64 / lb as f64;
+            let cost = live_cost(&inst, &kind, RepackPolicy::NoRepack).0;
+            let cr = cost_ratio(cost.into(), lb.into());
             best = best.min(cr);
             worst = worst.max(cr);
             eprintln!("{family}/static:{}/n{n}: cr {cr:.4}", kind.name());
@@ -292,7 +230,7 @@ fn run_grid(scale: &str) -> Report {
                 family: family.to_string(),
                 policy: format!("static:{}", kind.name()),
                 n,
-                seed: SEED,
+                seed: FAMILY_SEED,
                 cost,
                 lb_load: lb,
                 cr,
@@ -303,7 +241,7 @@ fn run_grid(scale: &str) -> Report {
         }
         for meta in metas() {
             let (cost, switches) = run_meta(&inst, &PolicyKind::FirstFit, meta);
-            let cr = cost as f64 / lb as f64;
+            let cr = cost_ratio(cost.into(), lb.into());
             let regret_vs_best_pct = (cr - best) / best * 100.0;
             let gain_vs_worst_pct = (worst - cr) / worst * 100.0;
             eprintln!(
@@ -316,7 +254,7 @@ fn run_grid(scale: &str) -> Report {
                 family: family.to_string(),
                 policy: format!("meta:{}", meta.name()),
                 n,
-                seed: SEED,
+                seed: FAMILY_SEED,
                 cost,
                 lb_load: lb,
                 cr,
@@ -326,111 +264,56 @@ fn run_grid(scale: &str) -> Report {
             });
         }
     }
-    Report {
-        schema: "dvbp-bench-portfolio/1".to_string(),
-        scale: scale.to_string(),
-        overhead: measure_overhead(),
-        entries,
-    }
+    entries
 }
 
-/// Keys whose `cr` grew by more than `max_regression_pct` over the
-/// baseline — the same deterministic gate as `bench_repack`.
-fn regressions(report: &Report, baseline: &Report, max_regression_pct: f64) -> Vec<String> {
-    let ceiling = 1.0 + max_regression_pct / 100.0;
-    let mut bad = Vec::new();
-    for e in &report.entries {
-        if let Some(b) = baseline.entries.iter().find(|b| b.key == e.key) {
-            if e.cr > b.cr * ceiling {
-                bad.push(format!(
-                    "{}: cr {:.4} vs baseline {:.4} (ceiling {:.4})",
-                    e.key,
-                    e.cr,
-                    b.cr,
-                    b.cr * ceiling
-                ));
-            }
-        }
+/// Exact rows, and the dispatch overhead under [`MAX_OVERHEAD_PCT`].
+fn gate(run: &Report, committed: &Report) -> Vec<String> {
+    let mut bad = ledger::exact(&run.entries, &committed.entries);
+    if run.overhead.overhead_pct > MAX_OVERHEAD_PCT {
+        bad.push(format!(
+            "dispatch overhead {:+.2}% exceeds {MAX_OVERHEAD_PCT}%",
+            run.overhead.overhead_pct
+        ));
     }
     bad
 }
 
 fn main() -> ExitCode {
-    let mut out = String::from("BENCH_portfolio.json");
-    let mut baseline: Option<String> = None;
-    let mut max_regression = 30.0f64;
-    let mut max_overhead: Option<f64> = None;
-    let mut scale = String::from("full");
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--out" => out = value("--out"),
-            "--baseline" => baseline = Some(value("--baseline")),
-            "--max-regression" => {
-                max_regression = value("--max-regression")
-                    .parse()
-                    .expect("--max-regression takes a percentage")
-            }
-            "--max-overhead-pct" => {
-                max_overhead = Some(
-                    value("--max-overhead-pct")
-                        .parse()
-                        .expect("--max-overhead-pct takes a percentage"),
-                )
-            }
-            "--scale" => scale = value("--scale"),
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::FAILURE;
-            }
+    let bench = |scale: Scale, provenance| {
+        let entries = run_grid(scale);
+        let overhead = measure_overhead();
+        eprintln!(
+            "dispatch overhead: portfolio {} ns vs components {} ns ({:+.2}%)",
+            overhead.portfolio_ns, overhead.components_ns, overhead.overhead_pct
+        );
+        Report {
+            schema: "dvbp-bench-portfolio/1".to_string(),
+            scale: scale.name().to_string(),
+            provenance: Some(provenance),
+            overhead,
+            entries,
         }
+    };
+    ledger::run_against_committed(&Cli::parse("portfolio", &[]), bench, gate)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn smoke_grid_is_a_subset_of_the_full_grid() {
+        let full = grid(Scale::Full);
+        assert!(grid(Scale::Smoke).iter().all(|cell| full.contains(cell)));
     }
 
-    let report = run_grid(&scale);
-    eprintln!(
-        "dispatch overhead: portfolio {} ns vs components {} ns ({:+.2}%)",
-        report.overhead.portfolio_ns, report.overhead.components_ns, report.overhead.overhead_pct
-    );
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json + "\n").expect("write report");
-    eprintln!("wrote {out} ({} entries)", report.entries.len());
-
-    let mut failed = false;
-    if let Some(ceiling) = max_overhead {
-        if report.overhead.overhead_pct > ceiling {
-            eprintln!(
-                "dispatch overhead {:+.2}% exceeds the {ceiling}% gate",
-                report.overhead.overhead_pct
-            );
-            failed = true;
-        } else {
-            eprintln!(
-                "dispatch overhead {:+.2}% within the {ceiling}% gate",
-                report.overhead.overhead_pct
-            );
-        }
+    /// The regret rows are deterministic: the full grid must reproduce
+    /// `BENCH_portfolio.json` row for row (the timed `overhead` block is
+    /// not compared).
+    #[test]
+    fn full_grid_reproduces_the_committed_rows() {
+        let committed: Report = ledger::read(&ledger::committed_path("portfolio")).unwrap();
+        ledger::assert_golden("portfolio", &run_grid(Scale::Full), &committed.entries);
     }
-    if let Some(path) = baseline {
-        let data = std::fs::read_to_string(&path).expect("read baseline");
-        let base: Report = serde_json::from_str(&data).expect("parse baseline");
-        let bad = regressions(&report, &base, max_regression);
-        if !bad.is_empty() {
-            eprintln!("portfolio CR regressions over {max_regression}% vs {path}:");
-            for line in &bad {
-                eprintln!("  {line}");
-            }
-            failed = true;
-        } else {
-            eprintln!("no CR regression over {max_regression}% vs {path}");
-        }
-    }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }

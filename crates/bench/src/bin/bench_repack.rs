@@ -10,21 +10,19 @@
 //! top-to-bottom is the frontier: how much competitive ratio each
 //! marginal unit of migration budget buys.
 //!
-//! `--baseline <file>` fails the process when any shared key's `cr`
-//! regresses (grows) by more than `--max-regression` percent — the same
-//! gate shape as `bench_throughput`, but on a deterministic metric, so
-//! CI's smoke scale catches real packing regressions rather than
-//! scheduler noise.
+//! Because the rows are deterministic, the gate is equality: `--check`
+//! fails unless every row equals its committed row, and `cargo test`
+//! runs the full grid against `BENCH_repack.json` the same way, so a
+//! change to packing regenerates the artifact in the same commit.
 //!
-//! Usage:
-//!   bench_repack [--out FILE] [--baseline FILE]
-//!                [--max-regression PCT] [--scale full|smoke]
+//! Usage (see `dvbp_bench::ledger`):
+//!   bench_repack [--scale full|smoke] [--out FILE] [--check]
 
-use dvbp_bench::bench_instance;
-use dvbp_core::{Instance, InstanceSource, LiveRequest, PolicyKind, RepackPolicy, TraceMode};
+use dvbp_bench::ledger::{self, Cli, Provenance, Scale};
+use dvbp_bench::{family_instance, live_cost, FAMILY_SEED};
+use dvbp_core::{PolicyKind, RepackPolicy};
 use dvbp_offline::lower_bounds::lb_load;
-use dvbp_workloads::extended::{ArrivalDist, DurationDist, ExtendedParams, SizeDist};
-use dvbp_workloads::uniform::UniformParams;
+use dvbp_sim::cost_ratio;
 use serde::{Deserialize, Serialize};
 use std::process::ExitCode;
 
@@ -56,6 +54,7 @@ struct Entry {
 struct Report {
     schema: String,
     scale: String,
+    provenance: Option<Provenance>,
     entries: Vec<Entry>,
 }
 
@@ -85,14 +84,12 @@ fn kinds() -> [PolicyKind; 2] {
     ]
 }
 
-const SEED: u64 = 7;
-
 /// `(family, n)` grid per scale; the smoke grid is a subset of the full
-/// grid so baseline keys always match.
-fn grid(scale: &str) -> Vec<(&'static str, usize)> {
+/// grid, so every smoke row has a committed counterpart.
+fn grid(scale: Scale) -> Vec<(&'static str, usize)> {
     match scale {
-        "smoke" => vec![("uniform", 600), ("zipf-bursty", 600)],
-        _ => vec![
+        Scale::Smoke => vec![("uniform", 600), ("zipf-bursty", 600)],
+        Scale::Full => vec![
             ("uniform", 600),
             ("uniform", 2400),
             ("zipf-bursty", 600),
@@ -101,53 +98,7 @@ fn grid(scale: &str) -> Vec<(&'static str, usize)> {
     }
 }
 
-/// Generates one family instance at size `n`.
-///
-/// * `uniform` — the Table 2 shape (`bench_instance`), few large items
-///   per bin: departures routinely strand 1–2 stragglers, the
-///   `DrainOnDepart` regime.
-/// * `zipf-bursty` — heavy-tailed sizes in bursty waves over small
-///   bins: many small residents, where only the close-paced defrag
-///   sweeps find whole bins to drain.
-fn family_instance(family: &str, n: usize) -> Instance {
-    match family {
-        "uniform" => bench_instance(2, n, (n as u64) / 10, SEED),
-        "zipf-bursty" => ExtendedParams {
-            base: UniformParams {
-                dims: 2,
-                items: n,
-                mu: 20,
-                span: (n as u64) / 2,
-                bin_size: 10,
-            },
-            sizes: SizeDist::Zipf { exponent: 1.2 },
-            durations: DurationDist::Geometric { p: 0.3 },
-            arrivals: ArrivalDist::Bursty { waves: 6, width: 3 },
-        }
-        .generate(SEED),
-        other => panic!("unknown trace family {other}"),
-    }
-}
-
-/// Drives one `(kind, repack)` cell live over `inst` and returns
-/// `(cost, migrations, migration_cost)`.
-fn run_cell(inst: &Instance, kind: &PolicyKind, repack: RepackPolicy) -> (u64, u64, u64) {
-    let mut live = LiveRequest::new(kind.clone())
-        .capacity(inst.capacity.clone())
-        .trace_mode(TraceMode::CostOnly)
-        .repack(repack)
-        .build()
-        .expect("frontier kinds are non-clairvoyant");
-    let mut source = InstanceSource::new(inst).expect("bench instance valid");
-    live.drive_source(&mut source).expect("live drive succeeds");
-    let migrations = live.migrations();
-    let migration_cost = live.migration_cost();
-    let packing = live.into_packing().expect("all items departed");
-    let cost = u64::try_from(packing.cost()).expect("bench costs fit in u64");
-    (cost, migrations, migration_cost)
-}
-
-fn run_grid(scale: &str) -> Report {
+fn run_grid(scale: Scale) -> Vec<Entry> {
     let mut entries = Vec::new();
     for (family, n) in grid(scale) {
         let inst = family_instance(family, n);
@@ -155,11 +106,11 @@ fn run_grid(scale: &str) -> Report {
         let lb = u64::try_from(lb_load(&inst)).expect("bench bounds fit in u64");
         for kind in kinds() {
             for repack in REPACKS {
-                let (cost, migrations, migration_cost) = run_cell(&inst, &kind, repack);
+                let (cost, migrations, migration_cost) = live_cost(&inst, &kind, repack);
                 if repack == RepackPolicy::NoRepack {
                     assert_eq!(migrations, 0, "NoRepack migrated");
                 }
-                let cr = cost as f64 / lb as f64;
+                let cr = cost_ratio(cost.into(), lb.into());
                 eprintln!(
                     "{family}/{}/{} n={n}: cr {cr:.4} ({migrations} moves, cost {migration_cost})",
                     kind.name(),
@@ -172,7 +123,7 @@ fn run_grid(scale: &str) -> Report {
                     repack: repack.name(),
                     d,
                     n,
-                    seed: SEED,
+                    seed: FAMILY_SEED,
                     cost,
                     lb_load: lb,
                     cr,
@@ -182,81 +133,35 @@ fn run_grid(scale: &str) -> Report {
             }
         }
     }
-    Report {
-        schema: "dvbp-bench-repack/1".to_string(),
-        scale: scale.to_string(),
-        entries,
-    }
-}
-
-/// Keys whose `cr` grew by more than `max_regression_pct` over the
-/// baseline. The metric is deterministic, so any drift at all is a real
-/// behavior change; the tolerance only keeps intentional retunings from
-/// needing lockstep artifact updates.
-fn regressions(report: &Report, baseline: &Report, max_regression_pct: f64) -> Vec<String> {
-    let ceiling = 1.0 + max_regression_pct / 100.0;
-    let mut bad = Vec::new();
-    for e in &report.entries {
-        if let Some(b) = baseline.entries.iter().find(|b| b.key == e.key) {
-            if e.cr > b.cr * ceiling {
-                bad.push(format!(
-                    "{}: cr {:.4} vs baseline {:.4} (ceiling {:.4})",
-                    e.key,
-                    e.cr,
-                    b.cr,
-                    b.cr * ceiling
-                ));
-            }
-        }
-    }
-    bad
+    entries
 }
 
 fn main() -> ExitCode {
-    let mut out = String::from("BENCH_repack.json");
-    let mut baseline: Option<String> = None;
-    let mut max_regression = 30.0f64;
-    let mut scale = String::from("full");
+    let bench = |scale: Scale, provenance| Report {
+        schema: "dvbp-bench-repack/1".to_string(),
+        scale: scale.name().to_string(),
+        provenance: Some(provenance),
+        entries: run_grid(scale),
+    };
+    let gate = |run: &Report, committed: &Report| ledger::exact(&run.entries, &committed.entries);
+    ledger::run_against_committed(&Cli::parse("repack", &[]), bench, gate)
+}
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--out" => out = value("--out"),
-            "--baseline" => baseline = Some(value("--baseline")),
-            "--max-regression" => {
-                max_regression = value("--max-regression")
-                    .parse()
-                    .expect("--max-regression takes a percentage")
-            }
-            "--scale" => scale = value("--scale"),
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::FAILURE;
-            }
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn smoke_grid_is_a_subset_of_the_full_grid() {
+        let full = grid(Scale::Full);
+        assert!(grid(Scale::Smoke).iter().all(|cell| full.contains(cell)));
     }
 
-    let report = run_grid(&scale);
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json + "\n").expect("write report");
-    eprintln!("wrote {out} ({} entries)", report.entries.len());
-
-    if let Some(path) = baseline {
-        let data = std::fs::read_to_string(&path).expect("read baseline");
-        let base: Report = serde_json::from_str(&data).expect("parse baseline");
-        let bad = regressions(&report, &base, max_regression);
-        if !bad.is_empty() {
-            eprintln!("repack CR regressions over {max_regression}% vs {path}:");
-            for line in &bad {
-                eprintln!("  {line}");
-            }
-            return ExitCode::FAILURE;
-        }
-        eprintln!("no CR regression over {max_regression}% vs {path}");
+    /// The frontier is deterministic: the full grid must reproduce
+    /// `BENCH_repack.json` row for row.
+    #[test]
+    fn full_grid_reproduces_the_committed_rows() {
+        let committed: Report = ledger::read(&ledger::committed_path("repack")).unwrap();
+        ledger::assert_golden("repack", &run_grid(Scale::Full), &committed.entries);
     }
-    ExitCode::SUCCESS
 }

@@ -1,15 +1,18 @@
-//! Serve-stack latency benchmark: an open-loop NDJSON load generator
-//! driven against a real, WAL-backed `dvbp-serve` service over loopback
-//! TCP, emitting `BENCH_serve.json`.
+//! Serve-stack latency benchmark: a paced NDJSON load generator driven
+//! against a real, WAL-backed `dvbp-serve` service over loopback TCP,
+//! emitting `BENCH_serve.json`.
 //!
 //! Each config boots a fresh service in-process (real listener, real
 //! file WAL with real fsyncs under a scratch directory), opens `K`
-//! concurrent connections, and paces requests open-loop at a target
-//! aggregate rate: request `i` of the global schedule is due at
-//! `start + i/rate`, regardless of how long earlier responses took, so
-//! queueing delay shows up in the measured latency instead of silently
-//! throttling the offered load. Every worker arrives a block of items
-//! and then departs them, so both mutating op kinds are on the wire.
+//! concurrent connections, and paces requests at a target aggregate
+//! rate: request `i` of a global schedule is due at `start + i/rate`.
+//! Each connection still waits for its reply before it sends again, so
+//! the loop is closed per connection: once a round trip takes longer
+//! than `K / rate`, the delivered rate (`throughput_rps`) falls below
+//! `target_rate_rps`, as it does under per-event sync. Latency is timed
+//! from the send, not from the due time, so the wait of a late send is
+//! not in it. Every worker arrives a block of items and then departs
+//! them, so both mutating op kinds are on the wire.
 //!
 //! Two latency views per config, cross-checked against each other:
 //!
@@ -19,15 +22,17 @@
 //!   (`dvbp_serve_stage_latency_ns`), where the sum of the stage
 //!   `_sum`s must account for (almost all of) the end-to-end `_sum`.
 //!
-//! `--check` turns the cross-checks into hard failures — the CI
-//! latency-smoke job runs `bench_serve --scale smoke --check
-//! --slow-us 1` and also requires the flight recorder's slow ring to be
-//! non-empty for the fsync-per-event configs.
+//! `--check` turns the cross-checks into hard failures — CI runs
+//! `bench_serve --scale smoke --check --slow-us 1`, which also requires
+//! the flight recorder's slow ring to be non-empty for the
+//! fsync-per-event configs. `--slow-us` (default 1000, the value the
+//! committed artifact uses) is the service's slow-request threshold.
 //!
-//! Usage:
-//!   bench_serve [--out FILE] [--scale full|smoke] [--check]
+//! Usage (see `dvbp_bench::ledger`):
+//!   bench_serve [--scale full|smoke] [--out FILE] [--check]
 //!               [--slow-us US]
 
+use dvbp_bench::ledger::{self, Cli, Provenance, Scale};
 use dvbp_core::{PolicyKind, RepackPolicy, TimeMode, TraceMode};
 use dvbp_dimvec::DimVec;
 use dvbp_obs::expo::{http_get, http_post, merge_histograms};
@@ -137,6 +142,7 @@ struct ConfigResult {
 struct Report {
     schema: String,
     scale: String,
+    provenance: Option<Provenance>,
     slow_us: u64,
     configs: Vec<ConfigResult>,
 }
@@ -148,14 +154,14 @@ struct Sweep {
     rate_rps: f64,
 }
 
-fn sweep(scale: &str) -> Sweep {
+fn sweep(scale: Scale) -> Sweep {
     match scale {
-        "smoke" => Sweep {
+        Scale::Smoke => Sweep {
             connections: 2,
             items_per_conn: 60,
             rate_rps: 4_000.0,
         },
-        _ => Sweep {
+        Scale::Full => Sweep {
             connections: 8,
             items_per_conn: 250,
             rate_rps: 20_000.0,
@@ -219,9 +225,10 @@ fn run_config(
         std::thread::spawn(move || serve(&state, &listener).expect("serve loop"))
     };
 
-    // Open-loop drive: request `i` of the global schedule is due at
+    // Paced drive: request `i` of the global schedule is due at
     // `start + i/rate`; workers claim schedule slots with a shared
-    // counter and never wait on each other.
+    // counter and never wait on each other, but each waits for its own
+    // reply before it claims the next slot.
     let schedule = Arc::new(AtomicU64::new(0));
     let ticks = Arc::new(AtomicU64::new(0));
     let start = Instant::now();
@@ -404,71 +411,34 @@ fn check(report: &Report) -> Vec<String> {
 }
 
 fn main() -> ExitCode {
-    let mut out = String::from("BENCH_serve.json");
-    let mut scale = String::from("full");
-    let mut run_check = false;
-    let mut slow_us = 1_000u64;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--out" => out = value("--out"),
-            "--scale" => scale = value("--scale"),
-            "--check" => run_check = true,
-            "--slow-us" => {
-                slow_us = value("--slow-us")
-                    .parse()
-                    .expect("--slow-us takes microseconds")
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::FAILURE;
-            }
+    let cli = Cli::parse("serve", &["--slow-us"]);
+    let slow_us = cli.extra("--slow-us").unwrap_or(1_000);
+    let bench = |scale: Scale, provenance| {
+        let params = sweep(scale);
+        let mut configs = Vec::new();
+        for (shards, sync, repack) in grid() {
+            let row = run_config(shards, sync, repack, &params, slow_us);
+            eprintln!(
+                "{}: {} req @ {:.0} rps, e2e p50 {:.1}us p99 {:.1}us p999 {:.1}us, \
+                 stage coverage {:.1}%, {} slow",
+                row.key,
+                row.requests,
+                row.throughput_rps,
+                row.e2e.p50_ns as f64 / 1000.0,
+                row.e2e.p99_ns as f64 / 1000.0,
+                row.e2e.p999_ns as f64 / 1000.0,
+                100.0 * row.stage_coverage,
+                row.slow_total,
+            );
+            configs.push(row);
         }
-    }
-
-    let params = sweep(&scale);
-    let mut configs = Vec::new();
-    for (shards, sync, repack) in grid() {
-        let row = run_config(shards, sync, repack, &params, slow_us);
-        eprintln!(
-            "{}: {} req @ {:.0} rps, e2e p50 {:.1}us p99 {:.1}us p999 {:.1}us, \
-             stage coverage {:.1}%, {} slow",
-            row.key,
-            row.requests,
-            row.throughput_rps,
-            row.e2e.p50_ns as f64 / 1000.0,
-            row.e2e.p99_ns as f64 / 1000.0,
-            row.e2e.p999_ns as f64 / 1000.0,
-            100.0 * row.stage_coverage,
-            row.slow_total,
-        );
-        configs.push(row);
-    }
-    let report = Report {
-        schema: "dvbp-bench-serve/1".to_string(),
-        scale,
-        slow_us,
-        configs,
+        Report {
+            schema: "dvbp-bench-serve/1".to_string(),
+            scale: scale.name().to_string(),
+            provenance: Some(provenance),
+            slow_us,
+            configs,
+        }
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json + "\n").expect("write report");
-    eprintln!("wrote {out} ({} configs)", report.configs.len());
-
-    if run_check {
-        let bad = check(&report);
-        if !bad.is_empty() {
-            eprintln!("bench_serve check failures:");
-            for line in &bad {
-                eprintln!("  {line}");
-            }
-            return ExitCode::FAILURE;
-        }
-        eprintln!("all checks passed");
-    }
-    ExitCode::SUCCESS
+    ledger::run(&cli, bench, check)
 }

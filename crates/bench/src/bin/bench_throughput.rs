@@ -9,28 +9,26 @@
 //! binary produces one machine-readable artifact per run for regression
 //! tracking: scores are also *normalized* by the run's geometric mean, so
 //! two runs on different machines compare by relative shape rather than
-//! absolute speed. `--baseline <file>` fails the process when any shared
-//! grid key's normalized score regresses by more than `--max-regression`
-//! percent (CI runs the `smoke` scale against the committed artifact).
+//! absolute speed. `--check` fails the process when any non-TCP row's
+//! normalized score falls below [`FLOOR`] times its committed value, or
+//! the row has none (CI runs the `smoke` scale against the committed
+//! artifact).
 //!
-//! Usage:
-//!   bench_throughput [--out FILE] [--baseline FILE]
-//!                    [--max-regression PCT] [--scale full|smoke]
+//! Usage (see `dvbp_bench::ledger`):
+//!   bench_throughput [--scale full|smoke] [--out FILE] [--check]
 
 use dvbp_bench::bench_instance;
-use dvbp_bench::seed_engine::{pack_seed, SeedSelect};
+use dvbp_bench::ledger::{self, Cli, Provenance, Scale};
 use dvbp_core::{
-    live_ops, Engine, FitPath, Instance, LiveOp, LoadMeasure, Policy, PolicyKind, TimeMode,
-    TraceMode,
+    live_ops, Engine, FitPath, Instance, LiveOp, Policy, PolicyKind, TimeMode, TraceMode,
 };
 use dvbp_obs::SyncPolicy;
-use dvbp_serve::client::item_id;
+use dvbp_serve::client::{item_id, Client};
 use dvbp_serve::protocol::{Request, Response};
 use dvbp_serve::router::{fnv1a, RouterKind};
 use dvbp_serve::server::{serve, ServeState};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
-use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -66,15 +64,18 @@ struct Entry {
 struct Report {
     schema: String,
     scale: String,
+    provenance: Option<Provenance>,
     entries: Vec<Entry>,
 }
 
-/// `(policy, variant)` rows of the grid, four variants per Any-Fit
+/// The `--check` floor: every gated row's `normalized` score must reach
+/// this fraction of its committed value. Timing is noisy, so this is
+/// the only gate with a tolerance.
+const FLOOR: f64 = 0.7;
+
+/// `(policy, variant)` rows of the grid, three variants per Any-Fit
 /// policy:
 ///
-/// * `seed` — the seed engine's packing loop and O(m·d) scanning
-///   selection, preserved verbatim in [`dvbp_bench::seed_engine`]. This is
-///   the "before" of the before/after comparison.
 /// * `scalar` — the same O(m·d) per-bin selection loop running inside
 ///   the optimized engine (isolates selection cost from engine-loop
 ///   cost), pinned by [`FitPath::Scalar`]. The before-side of the
@@ -85,25 +86,21 @@ struct Report {
 /// * `indexed` — the shipped default, [`FitPath::Auto`]: the block scan
 ///   below the measured crossover, fit-index queries above it.
 ///
-/// All four produce identical placements; only the per-arrival cost
+/// All three produce identical placements; only the per-arrival cost
 /// differs.
-const POLICIES: [(&str, &str); 18] = [
+const POLICIES: [(&str, &str); 14] = [
     ("FirstFit", "indexed"),
     ("FirstFit", "simd"),
     ("FirstFit", "scalar"),
-    ("FirstFit", "seed"),
     ("BestFit", "indexed"),
     ("BestFit", "simd"),
     ("BestFit", "scalar"),
-    ("BestFit", "seed"),
     ("WorstFit", "indexed"),
     ("WorstFit", "simd"),
     ("WorstFit", "scalar"),
-    ("WorstFit", "seed"),
     ("LastFit", "indexed"),
     ("LastFit", "simd"),
     ("LastFit", "scalar"),
-    ("LastFit", "seed"),
     ("NextFit", "-"),
     ("MoveToFront", "-"),
 ];
@@ -138,16 +135,6 @@ const SMOKE_GRID: [(usize, usize, u64); 5] = [
 
 const SEED: u64 = 1;
 
-fn seed_select(policy: &str) -> SeedSelect {
-    match policy {
-        "FirstFit" => SeedSelect::FirstFit,
-        "BestFit" => SeedSelect::BestFit(LoadMeasure::Linf),
-        "WorstFit" => SeedSelect::WorstFit(LoadMeasure::Linf),
-        "LastFit" => SeedSelect::LastFit,
-        other => panic!("no seed twin for {other}"),
-    }
-}
-
 /// The engine path a row's variant pins (`-` rows take the default).
 fn fit_path(variant: &str) -> FitPath {
     match variant {
@@ -157,9 +144,22 @@ fn fit_path(variant: &str) -> FitPath {
     }
 }
 
-/// Times repeated warm `CostOnly` runs of `policy` over `inst` on `path`
-/// until `budget` elapses (at least 3 reps), returning items/sec and the
-/// run's invariant outputs.
+/// The timing protocol of every row: repeats `rep`, which times its own
+/// window, until `budget` has elapsed and at least 3 reps ran, and
+/// returns the fastest window (scheduling noise only ever adds time, so
+/// the minimum is the most reproducible statistic) and the rep count.
+fn fastest(budget: Duration, mut rep: impl FnMut() -> Duration) -> (Duration, u32) {
+    let start = Instant::now();
+    let (mut best, mut reps) = (Duration::MAX, 0u32);
+    while reps < 3 || start.elapsed() < budget {
+        best = best.min(rep());
+        reps += 1;
+    }
+    (best, reps)
+}
+
+/// Times repeated warm `CostOnly` runs of `policy` over `inst` on `path`,
+/// returning items/sec and the run's invariant outputs.
 fn measure(
     inst: &Instance,
     policy: &mut dyn Policy,
@@ -173,43 +173,12 @@ fn measure(
     let max_conc = warm.max_concurrent_bins();
     let cost = u64::try_from(warm.cost()).expect("bench costs fit in u64");
 
-    let start = Instant::now();
-    let mut reps = 0u32;
-    let mut fastest = Duration::MAX;
-    loop {
+    let (best, reps) = fastest(budget, || {
         let t0 = Instant::now();
         black_box(engine.pack(inst, policy, TraceMode::CostOnly).cost());
-        fastest = fastest.min(t0.elapsed());
-        reps += 1;
-        if reps >= 3 && start.elapsed() >= budget {
-            break;
-        }
-    }
-    let ips = inst.len() as f64 / fastest.as_secs_f64();
-    (ips, max_conc, cost, reps)
-}
-
-/// Same timing protocol for the seed-engine twin (no warm state to reuse —
-/// the seed allocated everything per run, and that cost is part of what it
-/// measures).
-fn measure_seed(inst: &Instance, select: SeedSelect, budget: Duration) -> (f64, usize, u64, u32) {
-    let first = pack_seed(inst, select);
-    let max_conc = first.max_concurrent_bins;
-    let cost = u64::try_from(first.cost).expect("bench costs fit in u64");
-
-    let start = Instant::now();
-    let mut reps = 0u32;
-    let mut fastest = Duration::MAX;
-    loop {
-        let t0 = Instant::now();
-        black_box(pack_seed(inst, select).cost);
-        fastest = fastest.min(t0.elapsed());
-        reps += 1;
-        if reps >= 3 && start.elapsed() >= budget {
-            break;
-        }
-    }
-    let ips = inst.len() as f64 / fastest.as_secs_f64();
+        t0.elapsed()
+    });
+    let ips = inst.len() as f64 / best.as_secs_f64();
     (ips, max_conc, cost, reps)
 }
 
@@ -282,10 +251,8 @@ fn measure_serve_inproc(
     budget: Duration,
 ) -> (f64, u64, u32) {
     let parts = partition(reqs, shards);
-    let start = Instant::now();
-    let mut reps = 0u32;
-    let mut fastest = Duration::MAX;
-    let cost = loop {
+    let mut cost = 0;
+    let (best, reps) = fastest(budget, || {
         let state = serve_state(inst, shards);
         let t0 = Instant::now();
         std::thread::scope(|s| {
@@ -293,25 +260,16 @@ fn measure_serve_inproc(
                 let state = &state;
                 s.spawn(move || {
                     for req in part {
-                        match state.handle(req) {
-                            Response::Placed { .. } | Response::Departed { .. } => {}
-                            other => panic!("serve bench rejected {req:?}: {other:?}"),
-                        }
+                        expect_applied(req, state.handle(req));
                     }
                 });
             }
         });
-        fastest = fastest.min(t0.elapsed());
-        reps += 1;
-        if reps >= 3 && start.elapsed() >= budget {
-            break state
-                .status()
-                .usage_time
-                .parse()
-                .expect("bench serve costs fit in u64");
-        }
-    };
-    (reqs.len() as f64 / fastest.as_secs_f64(), cost, reps)
+        let window = t0.elapsed();
+        cost = usage_time(&state);
+        window
+    });
+    (reqs.len() as f64 / best.as_secs_f64(), cost, reps)
 }
 
 /// Requests/sec over loopback TCP: one NDJSON connection per shard,
@@ -324,10 +282,8 @@ fn measure_serve_tcp(
     budget: Duration,
 ) -> (f64, u64, u32) {
     let parts = partition(reqs, shards);
-    let start = Instant::now();
-    let mut reps = 0u32;
-    let mut fastest = Duration::MAX;
-    let cost = loop {
+    let mut cost = 0;
+    let (best, reps) = fastest(budget, || {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local addr");
         let state = Arc::new(serve_state(inst, shards));
@@ -339,59 +295,51 @@ fn measure_serve_tcp(
         std::thread::scope(|s| {
             for part in &parts {
                 s.spawn(move || {
-                    let conn = TcpStream::connect(addr).expect("connect loopback");
-                    // Strict round trips: Nagle + delayed ACK would put
-                    // a ~40ms timer on every request.
-                    conn.set_nodelay(true).expect("set TCP_NODELAY");
-                    let mut reader = BufReader::new(conn.try_clone().expect("clone stream"));
-                    let mut writer = conn;
-                    let mut line = String::new();
+                    let mut client = Client::connect(&addr.to_string()).expect("connect");
                     for req in part {
-                        let mut out = serde_json::to_string(req).expect("request serializes");
-                        out.push('\n');
-                        writer.write_all(out.as_bytes()).expect("send request");
-                        line.clear();
-                        reader.read_line(&mut line).expect("read response");
-                        let resp: Response =
-                            serde_json::from_str(line.trim()).expect("parse response");
-                        match resp {
-                            Response::Placed { .. } | Response::Departed { .. } => {}
-                            other => panic!("serve bench rejected {req:?}: {other:?}"),
-                        }
+                        expect_applied(req, client.call(req).expect("round trip"));
                     }
                 });
             }
         });
-        fastest = fastest.min(t0.elapsed());
+        let window = t0.elapsed();
         // Stop the accept loop; the nudge connection in `serve` unblocks it.
         state.handle(&Request::Shutdown);
         let _ = TcpStream::connect(addr);
         srv.join().expect("server thread");
-        reps += 1;
-        if reps >= 3 && start.elapsed() >= budget {
-            break state
-                .status()
-                .usage_time
-                .parse()
-                .expect("bench serve costs fit in u64");
-        }
-    };
-    (reqs.len() as f64 / fastest.as_secs_f64(), cost, reps)
+        cost = usage_time(&state);
+        window
+    });
+    (reqs.len() as f64 / best.as_secs_f64(), cost, reps)
 }
 
-/// `ServeDispatch` rows: `(transport, shard counts)` per scale. The
-/// shared smoke/full keys feed the regression gate (TCP rows are
-/// recorded but not gated — loopback latency is too machine-dependent).
-fn serve_dispatch_entries(scale: &str, budget: Duration) -> Vec<Entry> {
+fn expect_applied(req: &Request, resp: Response) {
+    if !matches!(resp, Response::Placed { .. } | Response::Departed { .. }) {
+        panic!("serve bench rejected {req:?}: {resp:?}");
+    }
+}
+
+fn usage_time(state: &ServeState<Vec<u8>>) -> u64 {
+    let usage = state.status().usage_time;
+    usage.parse().expect("bench serve costs fit in u64")
+}
+
+/// `ServeDispatch` rows, `(transport, shard counts)`, per scale; the
+/// smoke rows are a subset of the full ones. TCP rows are recorded but
+/// not gated — loopback latency is too machine-dependent.
+fn serve_rows(scale: Scale) -> &'static [(&'static str, &'static [usize])] {
+    match scale {
+        Scale::Smoke => &[("inproc", &[1, 4]), ("tcp", &[1])],
+        Scale::Full => &[("inproc", &[1, 2, 4, 8]), ("tcp", &[1, 4])],
+    }
+}
+
+fn serve_dispatch_entries(scale: Scale, budget: Duration) -> Vec<Entry> {
     let (d, n, mu) = SERVE_POINT;
     let inst = bench_instance(d, n, mu, SEED);
     let reqs = serve_requests(&inst);
-    let rows: &[(&str, &[usize])] = match scale {
-        "smoke" => &[("inproc", &[1, 4]), ("tcp", &[1])],
-        _ => &[("inproc", &[1, 2, 4, 8]), ("tcp", &[1, 4])],
-    };
     let mut entries = Vec::new();
-    for &(transport, shard_counts) in rows {
+    for &(transport, shard_counts) in serve_rows(scale) {
         for &shards in shard_counts {
             let (rps, cost, reps) = match transport {
                 "inproc" => measure_serve_inproc(&inst, &reqs, shards, budget),
@@ -421,22 +369,19 @@ fn serve_dispatch_entries(scale: &str, budget: Duration) -> Vec<Entry> {
     entries
 }
 
-fn run_grid(scale: &str) -> Report {
+fn run_grid(scale: Scale) -> Vec<Entry> {
     let (grid, budget): (&[(usize, usize, u64)], Duration) = match scale {
-        "smoke" => (&SMOKE_GRID, Duration::from_millis(120)),
-        _ => (&FULL_GRID, Duration::from_millis(400)),
+        Scale::Smoke => (&SMOKE_GRID, Duration::from_millis(120)),
+        Scale::Full => (&FULL_GRID, Duration::from_millis(400)),
     };
     let mut entries = Vec::new();
     for &(d, n, mu) in grid {
         let inst = bench_instance(d, n, mu, SEED);
         for (policy, variant) in POLICIES {
-            let (ips, max_conc, cost, reps) = if variant == "seed" {
-                measure_seed(&inst, seed_select(policy), budget)
-            } else {
-                // Bare `BestFit`/`WorstFit` parse to the paper's `L∞`.
-                let kind: PolicyKind = policy.parse().expect("grid policy names parse");
-                measure(&inst, kind.build().as_mut(), fit_path(variant), budget)
-            };
+            // Bare `BestFit`/`WorstFit` parse to the paper's `L∞`.
+            let kind: PolicyKind = policy.parse().expect("grid policy names parse");
+            let (ips, max_conc, cost, reps) =
+                measure(&inst, kind.build().as_mut(), fit_path(variant), budget);
             eprintln!("{policy}/{variant} d={d} n={n} mu={mu}: {ips:.0} items/s (m={max_conc})");
             entries.push(Entry {
                 key: format!("{policy}/{variant}/d{d}/n{n}/mu{mu}"),
@@ -468,18 +413,14 @@ fn run_grid(scale: &str) -> Report {
     for e in &mut entries {
         e.normalized = e.items_per_sec / geo_mean;
     }
-    Report {
-        schema: "dvbp-bench-throughput/1".to_string(),
-        scale: scale.to_string(),
-        entries,
-    }
+    entries
 }
 
 /// Prints the simd/scalar throughput ratio of every scanned Any-Fit
 /// policy at every grid point that measured both variants.
-fn print_ablation(report: &Report) {
-    for simd in report.entries.iter().filter(|e| e.variant == "simd") {
-        let scalar = report.entries.iter().find(|e| {
+fn print_ablation(entries: &[Entry]) {
+    for simd in entries.iter().filter(|e| e.variant == "simd") {
+        let scalar = entries.iter().find(|e| {
             e.variant == "scalar"
                 && e.policy == simd.policy
                 && (e.d, e.n, e.mu) == (simd.d, simd.n, simd.mu)
@@ -497,80 +438,33 @@ fn print_ablation(report: &Report) {
     }
 }
 
-/// Compares normalized scores against `baseline`; returns the offending
-/// keys (regressed by more than `max_regression_pct`).
-fn regressions(report: &Report, baseline: &Report, max_regression_pct: f64) -> Vec<String> {
-    let floor = 1.0 - max_regression_pct / 100.0;
-    let mut bad = Vec::new();
-    for e in &report.entries {
-        // Loopback TCP round-trip latency is dominated by the kernel and
-        // scheduler, not this codebase; those rows are informational only.
-        if e.variant.starts_with("tcp") {
-            continue;
-        }
-        if let Some(b) = baseline.entries.iter().find(|b| b.key == e.key) {
-            if e.normalized < b.normalized * floor {
-                bad.push(format!(
-                    "{}: normalized {:.3} vs baseline {:.3} (floor {:.3})",
-                    e.key,
-                    e.normalized,
-                    b.normalized,
-                    b.normalized * floor
-                ));
-            }
-        }
-    }
-    bad
+/// Every row but the loopback TCP ones (dominated by the kernel and
+/// scheduler, not this codebase) keeps [`FLOOR`] of its committed
+/// normalized score.
+fn gate(run: &Report, committed: &Report) -> Vec<String> {
+    let gated = run.entries.iter().filter(|e| !e.variant.starts_with("tcp"));
+    ledger::rows(gated, &committed.entries, |r, c| {
+        (r.normalized < FLOOR * c.normalized).then(|| {
+            format!(
+                "normalized {:.3} below {FLOOR} x committed {:.3}",
+                r.normalized, c.normalized
+            )
+        })
+    })
 }
 
 fn main() -> ExitCode {
-    let mut out = String::from("BENCH_throughput.json");
-    let mut baseline: Option<String> = None;
-    let mut max_regression = 30.0f64;
-    let mut scale = String::from("full");
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--out" => out = value("--out"),
-            "--baseline" => baseline = Some(value("--baseline")),
-            "--max-regression" => {
-                max_regression = value("--max-regression")
-                    .parse()
-                    .expect("--max-regression takes a percentage")
-            }
-            "--scale" => scale = value("--scale"),
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::FAILURE;
-            }
+    let bench = |scale: Scale, provenance| {
+        let entries = run_grid(scale);
+        print_ablation(&entries);
+        Report {
+            schema: "dvbp-bench-throughput/1".to_string(),
+            scale: scale.name().to_string(),
+            provenance: Some(provenance),
+            entries,
         }
-    }
-
-    let report = run_grid(&scale);
-    print_ablation(&report);
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json + "\n").expect("write report");
-    eprintln!("wrote {out} ({} entries)", report.entries.len());
-
-    if let Some(path) = baseline {
-        let data = std::fs::read_to_string(&path).expect("read baseline");
-        let base: Report = serde_json::from_str(&data).expect("parse baseline");
-        let bad = regressions(&report, &base, max_regression);
-        if !bad.is_empty() {
-            eprintln!("throughput regressions over {max_regression}% vs {path}:");
-            for line in &bad {
-                eprintln!("  {line}");
-            }
-            return ExitCode::FAILURE;
-        }
-        eprintln!("no regression over {max_regression}% vs {path}");
-    }
-    ExitCode::SUCCESS
+    };
+    ledger::run_against_committed(&Cli::parse("throughput", &[]), bench, gate)
 }
 
 #[cfg(test)]
@@ -593,6 +487,16 @@ mod tests {
                     "missing {policy}/{variant} at d = 4, n = 2000, mu = 1000"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn smoke_grid_is_a_subset_of_the_full_grid() {
+        assert!(SMOKE_GRID.iter().all(|point| FULL_GRID.contains(point)));
+        let full = serve_rows(Scale::Full);
+        for (transport, shards) in serve_rows(Scale::Smoke) {
+            let (_, all) = full.iter().find(|(t, _)| t == transport).unwrap();
+            assert!(shards.iter().all(|s| all.contains(s)), "{transport}");
         }
     }
 }

@@ -90,6 +90,28 @@ pub fn enabled_features() -> &'static str {
     }
 }
 
+/// The block-scan kernel the engine's dispatcher picks on this machine,
+/// by the same run-time test: `avx2`, `neon` or `portable`, and `scalar`
+/// in `scalar-scan` builds, which never reach the kernel.
+#[must_use]
+pub fn simd_backend() -> &'static str {
+    if cfg!(feature = "scalar-scan") {
+        return "scalar";
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return "avx2";
+        }
+    }
+    #[cfg(target_arch = "aarch64")]
+    {
+        return "neon";
+    }
+    #[allow(unreachable_code)]
+    "portable"
+}
+
 #[cfg(test)]
 mod proptests;
 

@@ -203,6 +203,23 @@ pub fn stream_options(
     Ok((format, options))
 }
 
+/// Peak resident set of this process in kB (`VmHWM` in
+/// `/proc/self/status`): how `dvbp run --stream --max-rss-kb` and
+/// `bench_traces` hold a replay to its constant-memory ceiling. Zero
+/// where that file is unavailable (non-Linux), which passes the
+/// ceiling check rather than failing it spuriously.
+#[must_use]
+pub fn peak_rss_kb() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|l| l.trim().trim_end_matches("kB").trim().parse().ok())
+        .unwrap_or(0)
+}
+
 impl TraceFormat {
     /// Opens a trace stream over any buffered reader.
     ///

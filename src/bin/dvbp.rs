@@ -21,7 +21,7 @@
 
 use dvbp::obs::{JsonlEmitter, ObsEvent, WithProvenance};
 use dvbp::tracefile::{load_instance, run_report, save_instance};
-use dvbp::traces::{stream_options, IngestStats};
+use dvbp::traces::{peak_rss_kb, stream_options, IngestStats};
 use dvbp::workloads::UniformParams;
 use dvbp::{BillingModel, PackRequest, PolicyKind, StreamingLowerBound, Tap, TraceMode};
 use std::io::BufWriter;
@@ -183,19 +183,6 @@ struct StreamReport {
     events_per_sec: f64,
     seconds: f64,
     peak_rss_kb: u64,
-}
-
-/// Peak resident set of this process from `/proc/self/status` (kB);
-/// zero when unavailable (non-Linux), which skips the ceiling check.
-fn peak_rss_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|l| l.trim().trim_end_matches("kB").trim().parse().ok())
-        .unwrap_or(0)
 }
 
 /// `run --stream`: replays a cluster trace file through the
