@@ -888,7 +888,8 @@ impl<O: Observer> LiveEngine<O> {
         &mut self,
         source: &mut S,
     ) -> Result<LiveDriveStats, crate::StreamError> {
-        let mut local: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+        // Source index → engine index; the source assigns the keys.
+        let mut local = crate::source::IndexMap::<usize>::default();
         let mut stats = LiveDriveStats::default();
         while let Some(op) = source.next_event().map_err(crate::StreamError::Source)? {
             match op {

@@ -65,6 +65,34 @@ use dvbp_obs::Observer;
 use dvbp_sim::{Cost, Time};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a `usize` key with one multiply by 2⁶⁴/φ (Fibonacci hashing):
+/// the std map's `SipHash` costs more than the rest of an engine event's
+/// map work. Fit only for keys the engine or a trace parser assigns —
+/// dense indices, never client input — in maps nothing iterates.
+/// `hashbrown` takes its 7-bit tag from the top bits and the bucket from
+/// the low ones; the product mixes the key into both (the identity would
+/// leave every tag zero).
+#[derive(Clone, Copy, Default)]
+pub(crate) struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("an IndexMap key is a usize, hashed by write_usize")
+    }
+
+    fn write_usize(&mut self, key: usize) {
+        self.0 = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map keyed by engine- or parser-assigned item indices.
+pub(crate) type IndexMap<V> = HashMap<usize, V, BuildHasherDefault<IndexHasher>>;
 
 /// A failure producing the *next event* of a stream (I/O, a malformed
 /// row, an unfixably dirty trace under the `Reject` policy).
@@ -292,7 +320,7 @@ impl<S: EventSource, F: FnMut(&LiveOp)> EventSource for Tap<S, F> {
 pub struct StreamingLowerBound {
     capacity: DimVec,
     load: Vec<u64>,
-    sizes: HashMap<usize, DimVec>,
+    sizes: IndexMap<DimVec>,
     last: Time,
     total: Cost,
     started: bool,
@@ -305,7 +333,7 @@ impl StreamingLowerBound {
         StreamingLowerBound {
             capacity: capacity.clone(),
             load: vec![0; capacity.dim()],
-            sizes: HashMap::new(),
+            sizes: IndexMap::default(),
             last: 0,
             total: 0,
             started: false,
@@ -386,7 +414,7 @@ pub(crate) struct Feed {
     arrived_this_tick: bool,
     /// Admitted, not yet retired items. A live item's departure is the
     /// `Time::MAX` placeholder, which non-clairvoyant policies never read.
-    active: HashMap<usize, Item>,
+    active: IndexMap<Item>,
     admitted: usize,
 }
 

@@ -118,6 +118,8 @@ impl<W: StableWrite> StableWrite for &mut W {
 #[derive(Debug)]
 pub struct JsonlEmitter<W: Write> {
     writer: W,
+    /// The line being written, reused from event to event.
+    line: String,
     error: Option<ObsError>,
     lines: u64,
     sync: SyncPolicy,
@@ -156,6 +158,7 @@ impl<W: Write> JsonlEmitter<W> {
     pub fn new(writer: W) -> Self {
         JsonlEmitter {
             writer,
+            line: String::new(),
             error: None,
             lines: 0,
             sync: SyncPolicy::default(),
@@ -177,20 +180,21 @@ impl<W: Write> JsonlEmitter<W> {
         self.sync
     }
 
-    /// Writes one event as a JSON line. Harnesses call this directly to
-    /// interleave [`ObsEvent::Meta`] labels between engine-driven runs.
+    /// Writes one event as a JSON line, encoded into the emitter's
+    /// reused line buffer and handed to the writer in one `write_all`.
+    /// Harnesses call this directly to interleave [`ObsEvent::Meta`]
+    /// labels between engine-driven runs.
     pub fn emit(&mut self, event: &ObsEvent) {
         if self.error.is_some() {
             return;
         }
-        let line = match serde_json::to_string(event) {
-            Ok(line) => line,
-            Err(e) => {
-                self.error = Some(ObsError::Serialize { msg: e.to_string() });
-                return;
-            }
-        };
-        if let Err(e) = writeln!(self.writer, "{line}") {
+        self.line.clear();
+        if let Err(e) = serde_json::to_string_into(&mut self.line, event) {
+            self.error = Some(ObsError::Serialize { msg: e.to_string() });
+            return;
+        }
+        self.line.push('\n');
+        if let Err(e) = self.writer.write_all(self.line.as_bytes()) {
             self.error = Some(ObsError::Io(e));
         } else {
             self.lines += 1;
@@ -233,7 +237,7 @@ impl<W: StableWrite> JsonlEmitter<W> {
     /// acknowledge the event.
     ///
     /// Short writes surface as a typed [`ObsError::Io`] (kind
-    /// `WriteZero`): `writeln!` retries until the whole line is written
+    /// `WriteZero`): `write_all` retries until the whole line is written
     /// or the sink accepts zero bytes.
     pub fn emit_durable(&mut self, event: &ObsEvent) -> bool {
         self.emit(event);
@@ -406,7 +410,7 @@ impl WalScan {
 
 /// Scans raw WAL bytes into events, tolerating a torn final line.
 ///
-/// The emitter writes each event and its `\n` in one `writeln!`, so a
+/// The emitter writes each event and its `\n` in one `write_all`, so a
 /// complete line always ends in a newline; an unterminated tail is
 /// therefore proof of a cut write and is **always** classified as torn
 /// and skipped — even if the fragment happens to parse as JSON. The
@@ -692,6 +696,27 @@ mod tests {
         let scan = scan_wal(&bytes[..bytes.len() - 5]).unwrap();
         assert_eq!(scan.events.len(), 1);
         assert!(scan.torn_bytes > 0);
+    }
+
+    #[test]
+    fn scan_wal_refuses_deep_nesting_with_a_parse_error() {
+        // 30,000 brackets, bare and as the value of an unknown key.
+        let brackets = "[".repeat(30_000);
+        let nested = format!(r#"{{"BinOpen":{{"time":0,"bin":0,"x":{brackets}"#);
+        for line in [brackets.as_str(), nested.as_str()] {
+            let mut bytes = sample_lines(1);
+            bytes.extend_from_slice(line.as_bytes());
+            bytes.push(b'\n');
+            match scan_wal(&bytes) {
+                Err(ObsError::Parse { line: 2, .. }) => {}
+                other => panic!("expected a line-2 parse error, got {other:?}"),
+            }
+        }
+        let mut bytes = sample_lines(1);
+        bytes.extend_from_slice(nested.as_bytes());
+        bytes.push(b'\n');
+        let err = scan_wal(&bytes).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
     }
 
     #[test]

@@ -262,6 +262,12 @@ fn replay(
                     item: arrival,
                     size,
                 }) if arrival == item => {
+                    if size.is_empty() {
+                        return Err(RecoveryError::Malformed {
+                            event: start + 1,
+                            msg: format!("Arrival of item {item} has no dimensions"),
+                        });
+                    }
                     shard.arrive(id, DimVec::from_slice(size), *time).map(drop)
                 }
                 Some(_) => {
@@ -680,6 +686,31 @@ mod tests {
             recover_ff(&bytes),
             Err(RecoveryError::Scan(ObsError::Parse { .. }))
         ));
+    }
+
+    #[test]
+    fn an_arrival_without_dimensions_is_malformed_not_a_crash() {
+        let mut bytes = scripted_wal();
+        bytes.extend_from_slice(b"{\"Ident\":{\"item\":4,\"id\":\"e\"}}\n");
+        bytes.extend_from_slice(b"{\"Arrival\":{\"time\":9,\"item\":4,\"size\":[]}}\n");
+        assert!(matches!(
+            recover_ff(&bytes),
+            Err(RecoveryError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn a_deeply_nested_line_is_a_scan_error_not_a_crash() {
+        let mut bytes = scripted_wal();
+        bytes.extend_from_slice(br#"{"Depart":{"time":9,"item":0,"bin":0,"x":"#);
+        bytes.extend_from_slice(&b"[".repeat(30_000));
+        bytes.push(b'\n');
+        match recover_ff(&bytes) {
+            Err(RecoveryError::Scan(ObsError::Parse { msg, .. })) => {
+                assert!(msg.contains("nesting deeper than 128"), "{msg}");
+            }
+            other => panic!("expected a scan error, got {:?}", other.err()),
+        }
     }
 
     use dvbp_portfolio::MetaPolicy;

@@ -226,6 +226,17 @@ impl<W: StableWrite> ServeState<W> {
         time: Time,
         mut span: Option<&mut Span>,
     ) -> (Response, u32) {
+        if size.is_empty() {
+            // No `DimVec` has zero dimensions: refuse before any shard
+            // lock is taken, or the panic would poison it.
+            return (
+                Response::Error {
+                    code: error_code::INVALID_ITEM.into(),
+                    message: "size has no dimensions".into(),
+                },
+                SpanRecord::SERVICE,
+            );
+        }
         let shard_idx = self
             .router
             .route_arrival(id, |s| self.shards[s].lock().unwrap().live().load_l1());
@@ -514,11 +525,13 @@ pub fn serve<W: StableWrite + Send + 'static>(
 }
 
 /// Writes one NDJSON response line (one write call, so the payload and
-/// its newline never straddle two TCP segments); `false` on failure.
-fn send(writer: &mut impl Write, response: &Response) -> bool {
-    let Ok(mut out) = serde_json::to_string(response) else {
+/// its newline never straddle two TCP segments), encoded into `out`, a
+/// buffer the connection reuses for every reply; `false` on failure.
+fn send(writer: &mut impl Write, out: &mut String, response: &Response) -> bool {
+    out.clear();
+    if serde_json::to_string_into(out, response).is_err() {
         return false;
-    };
+    }
     out.push('\n');
     writer
         .write_all(out.as_bytes())
@@ -548,7 +561,7 @@ fn next_line(reader: &mut impl BufRead, writer: &mut impl Write, line: &mut Stri
         code: code.into(),
         message: message.into(),
     };
-    send(writer, &error);
+    send(writer, &mut String::new(), &error);
     false
 }
 
@@ -589,6 +602,7 @@ fn handle_ndjson<W: StableWrite>(
     first: &str,
 ) -> bool {
     let mut line = first.to_string();
+    let mut reply = String::new();
     let mut pending = true;
     loop {
         let mut span = Span::begin();
@@ -613,7 +627,7 @@ fn handle_ndjson<W: StableWrite>(
                 SpanRecord::SERVICE,
             ),
         };
-        if !send(writer, &response) {
+        if !send(writer, &mut reply, &response) {
             return false;
         }
         span.mark(Stage::Reply);
@@ -689,6 +703,20 @@ mod tests {
             size: size.to_vec(),
             time,
         }
+    }
+
+    #[test]
+    fn an_empty_size_is_refused_and_the_shard_keeps_serving() {
+        let s = state(1, RouterKind::Hash);
+        match s.handle(&arrive("a", &[], 0)) {
+            Response::Error { code, .. } => assert_eq!(code, error_code::INVALID_ITEM),
+            other => panic!("expected an invalid-item error, got {other:?}"),
+        }
+        assert!(matches!(
+            s.handle(&arrive("a", &[1, 1], 0)),
+            Response::Placed { .. }
+        ));
+        assert_eq!(s.status().arrivals, 1);
     }
 
     #[test]

@@ -165,6 +165,26 @@ pub struct Shard<W: StableWrite> {
     /// shard).
     recovered_events: u64,
     poisoned: bool,
+    /// The arrival group's `Ident` and `Arrival` lines, rewritten in
+    /// place for each arrival so their id string and size vector are
+    /// allocated once per shard, not once per arrival.
+    ident_line: ObsEvent,
+    arrival_line: ObsEvent,
+}
+
+/// The reusable `Ident` and `Arrival` lines of a fresh shard.
+fn arrival_lines() -> (ObsEvent, ObsEvent) {
+    (
+        ObsEvent::Ident {
+            item: 0,
+            id: String::new(),
+        },
+        ObsEvent::Arrival {
+            time: 0,
+            item: 0,
+            size: Vec::new(),
+        },
+    )
 }
 
 impl<W: StableWrite> Shard<W> {
@@ -216,6 +236,7 @@ impl<W: StableWrite> Shard<W> {
         if !wal.emit_durable(&header) {
             return Err(wal_error(&wal));
         }
+        let (ident_line, arrival_line) = arrival_lines();
         Ok(Shard {
             live,
             wal,
@@ -226,6 +247,8 @@ impl<W: StableWrite> Shard<W> {
             departures: 0,
             recovered_events: 0,
             poisoned: false,
+            ident_line,
+            arrival_line,
         })
     }
 
@@ -247,6 +270,7 @@ impl<W: StableWrite> Shard<W> {
             .enumerate()
             .filter(|&(item, _)| live.has_departed(item))
             .count() as u64;
+        let (ident_line, arrival_line) = arrival_lines();
         Shard {
             arrivals: names.len() as u64,
             departures,
@@ -257,6 +281,8 @@ impl<W: StableWrite> Shard<W> {
             names,
             recovered_events,
             poisoned: false,
+            ident_line,
+            arrival_line,
         }
     }
 
@@ -302,19 +328,24 @@ impl<W: StableWrite> Shard<W> {
         if self.ids.contains_key(id) {
             return Err(ShardError::DuplicateId { id: id.to_string() });
         }
-        let size_units = size.as_slice().to_vec();
+        if let ObsEvent::Arrival { size: units, .. } = &mut self.arrival_line {
+            units.clear();
+            units.extend_from_slice(size.as_slice());
+        }
         let mirror_size = self.portfolio.as_ref().map(|_| size.clone());
         let placed = self.live.arrive(size, time)?;
         mark(&mut span, Stage::Dispatch);
-        self.wal.emit(&ObsEvent::Ident {
-            item: placed.item,
-            id: id.to_string(),
-        });
-        self.wal.emit(&ObsEvent::Arrival {
-            time: placed.time,
-            item: placed.item,
-            size: size_units,
-        });
+        if let ObsEvent::Ident { item, id: text } = &mut self.ident_line {
+            *item = placed.item;
+            text.clear();
+            text.push_str(id);
+        }
+        if let ObsEvent::Arrival { time, item, .. } = &mut self.arrival_line {
+            *time = placed.time;
+            *item = placed.item;
+        }
+        self.wal.emit(&self.ident_line);
+        self.wal.emit(&self.arrival_line);
         if placed.opened_new {
             self.wal.emit(&ObsEvent::BinOpen {
                 time: placed.time,
@@ -380,38 +411,34 @@ impl<W: StableWrite> Shard<W> {
             .live
             .depart_with_mark(item, time, || mark(&mut span, Stage::Dispatch))?;
         mark(&mut span, Stage::Repack);
-        // Assemble the whole group, then journal all lines but the
-        // last with `emit` and the last — the commit line — durably.
-        let mut lines = vec![ObsEvent::Depart {
-            time: dep.time,
+        // Journal the group line by line; the commit below makes its
+        // last line the durability point.
+        let time = dep.time;
+        self.wal.emit(&ObsEvent::Depart {
+            time,
             item: dep.item,
             bin: dep.bin.0,
-        }];
+        });
         if dep.closed {
-            lines.push(ObsEvent::BinClose {
-                time: dep.time,
+            self.wal.emit(&ObsEvent::BinClose {
+                time,
                 bin: dep.bin.0,
             });
         }
         for m in &dep.migrations {
-            lines.push(ObsEvent::Migrate {
-                time: dep.time,
+            self.wal.emit(&ObsEvent::Migrate {
+                time,
                 item: m.item,
                 from: m.from.0,
                 to: m.to.0,
             });
             if m.closed_from {
-                lines.push(ObsEvent::BinClose {
-                    time: dep.time,
+                self.wal.emit(&ObsEvent::BinClose {
+                    time,
                     bin: m.from.0,
                 });
             }
         }
-        let commit_line = lines.pop().expect("group has at least the Depart line");
-        for line in &lines {
-            self.wal.emit(line);
-        }
-        self.wal.emit(&commit_line);
         mark(&mut span, Stage::WalAppend);
         let committed = self.wal.commit();
         mark(&mut span, Stage::WalSync);
@@ -779,8 +806,8 @@ mod tests {
             RepackPolicy::NoRepack,
             TraceMode::CostOnly,
             TimeMode::Strict,
-            // One writeln! is one write call; allow the header + one
-            // line, then fail mid-group.
+            // Each line is one write call; allow the header and the
+            // arrival's first line, then fail mid-group.
             FlakysSink {
                 ok_writes: 2,
                 seen: 0,
