@@ -44,7 +44,7 @@ use dvbp_serve::protocol::{Request, Response, ServeStatus, ShardStatus};
 use dvbp_serve::recovery::recover;
 use dvbp_serve::router::RouterKind;
 use dvbp_serve::server::ServeState;
-use dvbp_serve::shard::{PortfolioConfig, Shard, ShardError};
+use dvbp_serve::shard::{ItemId, PortfolioConfig, Shard, ShardError};
 
 /// Which crash points of the WAL to exercise.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,7 +168,7 @@ fn drive(
 
 /// Recovers each shard-local index's instance index from the id table
 /// (`item-{i}`, assigned by [`item_id`]).
-fn back_map(kind: &PolicyKind, names: &[String]) -> Result<Vec<usize>, Divergence> {
+fn back_map(kind: &PolicyKind, names: &[ItemId]) -> Result<Vec<usize>, Divergence> {
     names
         .iter()
         .map(|name| {

@@ -34,6 +34,8 @@
 //! query, tree included, to the scalar per-bin loop (CI builds and tests
 //! that leg), without affecting these primitives or their tests.
 
+use std::ops::ControlFlow;
+
 /// Bins examined per block-scan step. The arena stride is kept a
 /// multiple of this so a block load never runs past the allocation.
 pub const LANES: usize = 8;
@@ -186,75 +188,115 @@ impl ResidualBlocks {
         mask8_dispatch(&self.rows, self.stride, base, need)
     }
 
-    /// Lowest bin id in `lo..=hi` that covers `need`, or `None`.
-    ///
-    /// `lo..=hi` is a hint (callers pass the open-bin id span); because
-    /// closed, never-opened, and padding lanes all read 0 and `need` is
-    /// nonzero in some dimension, any mask hit — even outside the hint —
-    /// is a genuinely feasible open bin.
-    #[must_use]
-    pub fn first_feasible_in(&self, need: &[u64], lo: usize, hi: usize) -> Option<usize> {
-        debug_assert!(need.iter().any(|&n| n > 0), "zero need matches closed bins");
-        if self.bins == 0 {
-            return None;
-        }
-        let hi = hi.min(self.bins - 1);
-        let mut base = lo & !(LANES - 1);
-        while base <= hi {
-            let m = self.mask8(base, need);
-            if m != 0 {
-                return Some(base + m.trailing_zeros() as usize);
-            }
-            base += LANES;
-        }
-        None
-    }
-
-    /// Highest bin id in `lo..=hi` that covers `need`, or `None`.
-    #[must_use]
-    pub fn last_feasible_in(&self, need: &[u64], lo: usize, hi: usize) -> Option<usize> {
-        debug_assert!(need.iter().any(|&n| n > 0), "zero need matches closed bins");
-        if self.bins == 0 {
-            return None;
-        }
-        let lo_block = lo & !(LANES - 1);
-        let mut base = hi.min(self.bins - 1) & !(LANES - 1);
-        loop {
-            let m = self.mask8(base, need);
-            if m != 0 {
-                return Some(base + 7 - m.leading_zeros() as usize);
-            }
-            if base == lo_block {
-                return None;
-            }
-            base -= LANES;
-        }
-    }
-
-    /// Calls `f` for every bin in `lo..=hi` covering `need`, in
-    /// ascending id order (the order the scalar scan visits open bins).
-    pub fn for_each_feasible_in(
+    /// Hands `f` every aligned block meeting `lo..=hi` that holds a bin
+    /// covering `need`, as `(base, mask)` with bit `l` set iff bin
+    /// `base + l` covers it: ascending `base`, or descending when `REV`,
+    /// until `f` breaks. The hint `lo..=hi` is that of
+    /// [`ResidualBlocks::first_feasible_in`].
+    pub(crate) fn walk_in<const REV: bool>(
         &self,
         need: &[u64],
         lo: usize,
         hi: usize,
-        mut f: impl FnMut(usize),
+        mut f: impl FnMut(usize, u8) -> ControlFlow<()>,
     ) {
         debug_assert!(need.iter().any(|&n| n > 0), "zero need matches closed bins");
         if self.bins == 0 {
             return;
         }
-        let hi = hi.min(self.bins - 1);
-        let mut base = lo & !(LANES - 1);
-        while base <= hi {
-            let mut m = self.mask8(base, need);
-            while m != 0 {
-                f(base + m.trailing_zeros() as usize);
-                m &= m - 1;
-            }
-            base += LANES;
+        let last = hi.min(self.bins - 1) & !(LANES - 1);
+        let mut bases = (lo & !(LANES - 1)..last + LANES).step_by(LANES);
+        let visit = |base| match self.mask8(base, need) {
+            0 => ControlFlow::Continue(()),
+            m => f(base, m),
+        };
+        let _ = if REV {
+            bases.rev().try_for_each(visit)
+        } else {
+            bases.try_for_each(visit)
+        };
+    }
+
+    /// Lowest bin id in `lo..=hi` that covers `need`, or `None`.
+    ///
+    /// `lo..=hi` (`lo ≤ hi`) is a hint (callers pass the open-bin id
+    /// span); because closed, never-opened, and padding lanes all read 0
+    /// and `need` is nonzero in some dimension, any mask hit — even
+    /// outside the hint — is a genuinely feasible open bin.
+    #[must_use]
+    pub fn first_feasible_in(&self, need: &[u64], lo: usize, hi: usize) -> Option<usize> {
+        let mut hit = None;
+        self.walk_in::<false>(need, lo, hi, |base, m| {
+            hit = Some(base + m.trailing_zeros() as usize);
+            ControlFlow::Break(())
+        });
+        hit
+    }
+
+    /// Highest bin id in `lo..=hi` that covers `need`, or `None`.
+    #[must_use]
+    pub fn last_feasible_in(&self, need: &[u64], lo: usize, hi: usize) -> Option<usize> {
+        let mut hit = None;
+        self.walk_in::<true>(need, lo, hi, |base, m| {
+            hit = Some(base + 7 - m.leading_zeros() as usize);
+            ControlFlow::Break(())
+        });
+        hit
+    }
+}
+
+/// The bin ids of `mask`'s set lanes in the block at `base`, ascending.
+pub(crate) fn lanes(base: usize, mut mask: u8) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            base + lane
+        })
+    })
+}
+
+/// Fills `scale` with the per-dimension factors of [`linf_keys8`] for
+/// `capacity`: `L / c_j`, where `L` is the lcm of the components. Leaves
+/// it empty when `L` exceeds `u64::MAX` (or a component is 0), and the
+/// L∞ queries then take the per-bin loop.
+pub(crate) fn linf_key_scale(capacity: &[u64], scale: &mut Vec<u64>) {
+    fn gcd(mut a: u64, mut b: u64) -> u64 {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    }
+    scale.clear();
+    let lcm = capacity.iter().try_fold(1u64, |l, &c| {
+        if c == 0 {
+            return None;
+        }
+        (l / gcd(l, c)).checked_mul(c)
+    });
+    if let Some(lcm) = lcm {
+        scale.extend(capacity.iter().map(|&c| lcm / c));
+    }
+}
+
+/// Exact L∞ residual keys of the block starting at `base`: lane `l`
+/// gets `min_j rows[j * stride + base + l] · scale[j]`, that is bin
+/// `base + l`'s smallest residual fraction `r_j / c_j` times `L` (see
+/// [`linf_key_scale`]). Comparing keys compares those fractions
+/// exactly, so the fullest bin under the L∞ load measure
+/// (`max_j load_j / c_j = 1 − min_j r_j / c_j`) has the smallest key. A
+/// residual never exceeds its capacity component, so no product
+/// exceeds `L`; closed and padding lanes read residual 0 and key 0.
+#[inline]
+pub(crate) fn linf_keys8(rows: &[u64], stride: usize, base: usize, scale: &[u64]) -> [u64; LANES] {
+    let mut keys = [u64::MAX; LANES];
+    for (j, &s) in scale.iter().enumerate() {
+        let row = &rows[j * stride + base..j * stride + base + LANES];
+        for (key, &r) in keys.iter_mut().zip(row) {
+            *key = (*key).min(r * s);
         }
     }
+    keys
 }
 
 /// Backend-selecting mask kernel: bit `l` of the result is set iff
@@ -371,6 +413,16 @@ mod tests {
         blocks
     }
 
+    /// Every bin in `lo..=hi` covering `need`, from the block walk.
+    fn all_feasible(blocks: &ResidualBlocks, need: &[u64], lo: usize, hi: usize) -> Vec<usize> {
+        let mut seen = Vec::new();
+        blocks.walk_in::<false>(need, lo, hi, |base, m| {
+            seen.extend(lanes(base, m));
+            ControlFlow::Continue(())
+        });
+        seen
+    }
+
     /// Scalar reference: first open bin covering `need`.
     fn naive_first(residuals: &[Vec<u64>], need: &[u64]) -> Option<usize> {
         residuals
@@ -423,8 +475,7 @@ mod tests {
             let residuals: Vec<Vec<u64>> = (0..m).map(|_| vec![5, 5]).collect();
             let mut blocks = mirror(2, &residuals);
             // Everything feasible: hits must stay within 0..m.
-            let mut seen = Vec::new();
-            blocks.for_each_feasible_in(&[1, 1], 0, m - 1, |b| seen.push(b));
+            let seen = all_feasible(&blocks, &[1, 1], 0, m - 1);
             assert_eq!(seen, (0..m).collect::<Vec<_>>(), "m={m}");
             assert_eq!(blocks.last_feasible_in(&[1, 1], 0, m - 1), Some(m - 1));
             // Close every bin: nothing is feasible, padding included.
@@ -448,6 +499,39 @@ mod tests {
         blocks.reset(5);
         blocks.open(0, &[1, 2, 3, 4, 5]);
         assert_eq!(blocks.residual(0, 4), 5);
+    }
+
+    #[test]
+    fn linf_key_scale_divides_the_lcm_or_stays_empty() {
+        let mut scale = vec![7];
+        linf_key_scale(&[10, 100, 4], &mut scale);
+        assert_eq!(scale, [10, 1, 25]);
+        // Pairwise-coprime components whose lcm exceeds u64::MAX.
+        linf_key_scale(&[(1 << 33) + 1, (1 << 33) + 2], &mut scale);
+        assert!(scale.is_empty());
+        linf_key_scale(&[5, 0], &mut scale);
+        assert!(scale.is_empty());
+        linf_key_scale(&[u64::MAX, u64::MAX], &mut scale);
+        assert_eq!(scale, [1, 1]);
+    }
+
+    #[test]
+    fn linf_keys_rank_the_smallest_residual_fraction() {
+        // Capacity [10, 100]: L = 100, scale [10, 1].
+        let blocks = mirror(
+            2,
+            &[
+                vec![5, 100],
+                vec![10, 40],
+                vec![0, 0],
+                vec![10, 50],
+                vec![3, 30],
+            ],
+        );
+        let keys = linf_keys8(blocks.rows(), blocks.stride(), 0, &[10, 1]);
+        // min(5/10, 100/100) = 0.5 → 50; min(1, 0.4) → 40; closed → 0;
+        // 0.5 → 50 (a tie with bin 0); min(0.3, 0.3) → 30; padding → 0.
+        assert_eq!(keys, [50, 40, 0, 50, 30, 0, 0, 0]);
     }
 
     /// Adversarial boundary values: every backend must agree with the
@@ -556,8 +640,7 @@ mod tests {
                 let expect_last = residuals.iter().rposition(
                     |r| need.iter().enumerate().all(|(j, &n)| r[j] >= n));
                 prop_assert_eq!(blocks.last_feasible_in(&need, 0, m - 1), expect_last);
-                let mut hits = Vec::new();
-                blocks.for_each_feasible_in(&need, 0, m - 1, |b| hits.push(b));
+                let hits = all_feasible(&blocks, &need, 0, m - 1);
                 let expect_all: Vec<usize> = (0..m)
                     .filter(|&b| need.iter().enumerate().all(|(j, &n)| residuals[b][j] >= n))
                     .collect();

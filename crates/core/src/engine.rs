@@ -16,13 +16,14 @@
 //! `u64` arena with stride `d`, per-bin items as an intrusive linked list
 //! over a flat `next` array). The view's feasibility queries
 //! ([`EngineView::first_fit`], [`EngineView::last_fit`],
-//! [`EngineView::for_each_feasible`]) are the one place that decides how
-//! feasible bins are found: a vectorized block scan over a residual
-//! mirror, the scalar per-bin loop, or a fit index (an 8-ary
-//! max-residual tree whose leaves are that mirror) built on the run's
-//! first query at or above the measured crossover. A reusable [`Engine`] keeps
-//! these buffers across runs, so the steady-state hot loop performs
-//! **zero heap allocations per arrival**.
+//! [`EngineView::for_each_feasible`] and the crate's whole-set queries,
+//! which rank or draw from 8-bin feasibility masks) are the one place
+//! that decides how feasible bins are found: a vectorized block scan
+//! over a residual mirror, the scalar per-bin loop, or a fit index (an
+//! 8-ary max-residual tree whose leaves are that mirror) built on the
+//! run's first query at or above the measured crossover. A reusable
+//! [`Engine`] keeps these buffers across runs, so the steady-state hot
+//! loop performs **zero heap allocations per arrival**.
 //!
 //! In [`TraceMode::Full`] the engine records a full decision
 //! [`trace`](Packing::trace) so that analyses (e.g. the Move To Front
@@ -32,7 +33,7 @@
 //! read [`Packing::cost`].
 
 use crate::bin::{BinId, BinUsage};
-use crate::block_scan::ResidualBlocks;
+use crate::block_scan::{lanes, linf_key_scale, linf_keys8, ResidualBlocks, LANES};
 use crate::fit_index::FitIndex;
 use crate::hybrid;
 use crate::item::{Instance, Item};
@@ -44,6 +45,8 @@ use dvbp_sim::timeline::{Event, OnlineTimeline};
 use dvbp_sim::{sweep, Cost, Interval, Time};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, Ref, RefCell};
+use std::cmp::Ordering;
+use std::ops::ControlFlow;
 
 /// Sentinel for "no item" in the flat per-bin item chains.
 const NO_ITEM: usize = usize::MAX;
@@ -160,6 +163,9 @@ pub struct EngineView<'a> {
     /// Dimension-major residual mirror, maintained unconditionally —
     /// the block-scan backend and the tree's leaf level.
     blocks: &'a ResidualBlocks,
+    /// Per-dimension factors of the exact L∞ residual key
+    /// ([`linf_keys8`]); empty when the capacity's lcm exceeds `u64`.
+    key_scale: &'a [u64],
     fit_path: FitPath,
     /// Candidate bins the policy reported examining (see
     /// [`EngineView::note_scanned`]).
@@ -412,33 +418,91 @@ impl EngineView<'_> {
         hit.map(|b| self.confirm(b, size))
     }
 
-    /// Calls `f` for every open bin that fits `size`, in ascending bin
-    /// id (the order the scalar scan visits open bins — Best/Worst Fit
-    /// tie-breaking and Random Fit's RNG stream depend on it). Every
-    /// route counts every open bin as scanned.
-    pub fn for_each_feasible(&self, size: &DimVec, mut f: impl FnMut(BinId)) {
-        let need = size.as_slice();
-        let visit = |b: usize| {
-            let bin = BinId(b);
-            debug_assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
-            f(bin);
+    /// Hands `f` every leaf block holding an open bin that fits `size`
+    /// as `(base, mask)`, in ascending `base`, from the block scan over
+    /// the open-id span or the fit index's walk (never the scalar
+    /// route). Debug builds confirm every bin against the load arena.
+    fn each_block(&self, index: bool, size: &DimVec, mut f: impl FnMut(usize, u8)) {
+        let visit = |base, m| {
+            debug_assert!(
+                lanes(base, m).all(|b| self.fits(BinId(b), size)),
+                "residual mirror out of sync in block {base}"
+            );
+            f(base, m);
+            ControlFlow::Continue(())
         };
-        match self.route() {
+        let need = size.as_slice();
+        if index {
+            self.fit_index().walk::<false>(self.blocks, need, visit);
+        } else {
+            let (lo, hi) = self.span();
+            self.blocks.walk_in::<false>(need, lo, hi, visit);
+        }
+    }
+
+    /// Calls `f(base, mask)` for each block of [`LANES`] bin ids that
+    /// holds an open bin fitting `size`: bit `l` of `mask` is set iff
+    /// bin `base + l` is open and fits. Blocks come in ascending `base`
+    /// on every route (the scalar route hands each feasible bin as its
+    /// own one-bit block), and every route counts every open bin as
+    /// scanned. Random Fit draws from these masks.
+    pub(crate) fn for_each_feasible_block(&self, size: &DimVec, mut f: impl FnMut(usize, u8)) {
+        let index = match self.route() {
             Route::Scalar => {
                 for &b in self.open {
                     if self.probe(b, size) {
-                        f(b);
+                        f(b.0 & !(LANES - 1), 1 << (b.0 % LANES));
                     }
                 }
                 return;
             }
-            Route::Block => {
-                let (lo, hi) = self.span();
-                self.blocks.for_each_feasible_in(need, lo, hi, visit);
-            }
-            Route::Index => self.fit_index().for_each_feasible(self.blocks, need, visit),
-        }
+            Route::Block => false,
+            Route::Index => true,
+        };
+        self.each_block(index, size, f);
         self.note_scanned(self.open.len() as u64);
+    }
+
+    /// Calls `f` for every open bin that fits `size`, in ascending bin
+    /// id (the order the scalar scan visits open bins — Best/Worst Fit
+    /// tie-breaking depends on it). Every route counts every open bin
+    /// as scanned.
+    pub fn for_each_feasible(&self, size: &DimVec, mut f: impl FnMut(BinId)) {
+        self.for_each_feasible_block(size, |base, m| lanes(base, m).for_each(|b| f(BinId(b))));
+    }
+
+    /// Best Fit[L∞]'s choice (`wins == Greater`: the fullest bin) or
+    /// Worst Fit[L∞]'s (`Less`: the emptiest) among the open bins that
+    /// fit `size`, the earliest on ties: the ranking of
+    /// [`LoadMeasure::Linf`](crate::LoadMeasure::Linf) keys, computed
+    /// eight bins at a time from the residual mirror
+    /// ([`linf_keys8`]). `None` when the query takes the per-bin loop
+    /// instead: on the scalar route, and when the key scale does not fit
+    /// a `u64`. Counts every open bin as scanned.
+    pub(crate) fn linf_pick(&self, size: &DimVec, wins: Ordering) -> Option<Option<BinId>> {
+        if self.key_scale.is_empty() {
+            return None;
+        }
+        let index = match self.route() {
+            Route::Scalar => return None,
+            Route::Block => false,
+            Route::Index => true,
+        };
+        // A fuller bin has a smaller residual key.
+        let beats = wins.reverse();
+        let (rows, stride) = (self.blocks.rows(), self.blocks.stride());
+        let mut best: Option<(u64, usize)> = None;
+        self.each_block(index, size, |base, m| {
+            let keys = linf_keys8(rows, stride, base, self.key_scale);
+            for b in lanes(base, m) {
+                let key = keys[b - base];
+                if best.is_none_or(|(k, _)| key.cmp(&k) == beats) {
+                    best = Some((key, b));
+                }
+            }
+        });
+        self.note_scanned(self.open.len() as u64);
+        Some(best.map(|(_, b)| self.confirm(b, size)))
     }
 }
 
@@ -638,6 +702,8 @@ pub struct Engine {
     opened: Vec<Time>,
     /// Per-bin closing tick (valid once the bin has closed).
     closed: Vec<Time>,
+    /// Summed usage periods of the bins closed so far this run.
+    closed_usage: Cost,
     /// Per-bin count of items ever packed (sizes the output item lists).
     item_count: Vec<u32>,
     /// Per-bin head/tail of the intrusive item chain (`NO_ITEM` = empty).
@@ -660,6 +726,8 @@ pub struct Engine {
     /// and keeping it always current means every scan path (and every
     /// replay — batch, live, stream, WAL recovery) sees the same state.
     blocks: ResidualBlocks,
+    /// The run's L∞ key scale (see [`EngineView::linf_pick`]).
+    key_scale: Vec<u64>,
     /// How the view's feasibility queries run; kept across runs.
     fit_path: FitPath,
     /// `dims`-sized scratch for a freshly opened bin's initial residual.
@@ -687,17 +755,19 @@ impl Engine {
         self
     }
 
-    /// Clears all per-run state for a `dims`-dimensional run over `n`
-    /// items. Batch runs pre-size the per-item arrays here so the event
+    /// Clears all per-run state for a run over `n` items in bins of
+    /// `capacity`. Batch runs pre-size the per-item arrays here so the event
     /// loop never grows them; incremental drivers (`LiveEngine`) pass
     /// `n = 0` and let [`step_arrive`](Engine::step_arrive) grow them on
     /// demand.
-    pub(crate) fn reset_for(&mut self, dims: usize, n: usize) {
-        self.dims = dims;
+    pub(crate) fn reset_for(&mut self, capacity: &DimVec, n: usize) {
+        self.dims = capacity.dim();
+        linf_key_scale(capacity.as_slice(), &mut self.key_scale);
         self.loads.clear();
         self.active.clear();
         self.opened.clear();
         self.closed.clear();
+        self.closed_usage = 0;
         self.item_count.clear();
         self.head.clear();
         self.tail.clear();
@@ -776,7 +846,7 @@ impl Engine {
     ) -> Result<Packing, PackError> {
         instance.check_run()?;
         policy.reset();
-        self.reset_for(instance.dim(), instance.len());
+        self.reset_for(&instance.capacity, instance.len());
 
         let full = mode == TraceMode::Full;
         let timeline = OnlineTimeline::build(&instance.intervals());
@@ -877,6 +947,7 @@ impl Engine {
         });
         if closing {
             self.closed[bin.0] = time;
+            self.closed_usage += Cost::from(time - self.opened[bin.0]);
             let idx = self
                 .open
                 .binary_search(&bin)
@@ -992,6 +1063,7 @@ impl Engine {
         }
         if closing {
             self.closed[from.0] = time;
+            self.closed_usage += Cost::from(time - self.opened[from.0]);
             let idx = self
                 .open
                 .binary_search(&from)
@@ -1084,6 +1156,7 @@ impl Engine {
                 open: &self.open,
                 index: &self.index,
                 blocks: &self.blocks,
+                key_scale: &self.key_scale,
                 fit_path: self.fit_path,
                 scanned: Cell::new(0),
                 probes: if O::WANTS_PROBES {
@@ -1209,9 +1282,9 @@ impl Engine {
         self.opened[bin]
     }
 
-    /// Closing tick of `bin` (valid once it has closed).
-    pub(crate) fn closed_at(&self, bin: usize) -> Time {
-        self.closed[bin]
+    /// Summed usage periods of the bins closed so far this run.
+    pub(crate) fn closed_usage(&self) -> Cost {
+        self.closed_usage
     }
 
     /// Currently active items in `bin`.
@@ -1506,10 +1579,10 @@ mod tests {
         assert!(!run(crossover + 1, &mut MoveToFront::new()));
     }
 
-    fn record<O: Observer>(instance: &Instance, path: FitPath, mut obs: O) -> O {
+    fn record<O: Observer>(instance: &Instance, kind: &PolicyKind, path: FitPath, mut obs: O) -> O {
         Engine::new()
             .with_fit_path(path)
-            .run(instance, &mut FirstFit::new(), TraceMode::Full, &mut obs)
+            .run(instance, kind.build().as_mut(), TraceMode::Full, &mut obs)
             .unwrap();
         obs
     }
@@ -1517,38 +1590,56 @@ mod tests {
     #[test]
     fn event_streams_do_not_depend_on_the_fit_path() {
         use dvbp_obs::{ObsEvent, Recorder, WithProvenance};
-        // 100 `(9, 9)` blockers stay open, a `(1, 1)` item lands in bin 0
-        // and a `(5, 5)` item fits nowhere: past the `d = 2` crossover,
-        // so `Auto` sends most of these queries to the tree.
-        let mut items: Vec<Item> = (0..100).map(|t| item(&[9, 9], t, 1000)).collect();
+        // 100 blockers of 6..=9 units per dimension stay open, no two in
+        // one bin, with unequal loads for Best/Worst Fit to rank; a
+        // `(1, 1)` item fits every one of them and a `(5, 5)` item fits
+        // nowhere. Past the `d = 2` crossover, so `Auto` sends most of
+        // these queries to the tree.
+        let mut items: Vec<Item> = (0..100)
+            .map(|t| item(&[6 + (t * 7) % 4, 6 + (t * 5) % 4], t, 1000))
+            .collect();
         items.push(item(&[1, 1], 100, 1000));
         items.push(item(&[5, 5], 101, 1000));
         let instance = inst(&[10, 10], items);
         let count = |events: &[ObsEvent], per_event: fn(&ObsEvent) -> u64| {
             events.iter().map(per_event).sum::<u64>()
         };
-        // Σ_{k<100} k probes by the blockers, 1 by the (1, 1), 100 by the
+        // Σ_{k<100} k probes by the blockers, then First Fit probes 1 for
+        // the (1, 1) and the whole-set queries all 100; 100 for the
         // (5, 5): every rejected candidate is counted and logged.
-        let plain = |path| record(&instance, path, Recorder::new()).events;
-        let scalar = plain(FitPath::Scalar);
-        let scanned = count(&scalar, |e| match e {
-            ObsEvent::Place { scanned, .. } => *scanned,
-            _ => 0,
-        });
-        assert_eq!(scanned, 5051);
-        let provenance = |path| {
-            record(&instance, path, WithProvenance(Recorder::new()))
-                .0
-                .events
-        };
-        let scalar_provenance = provenance(FitPath::Scalar);
-        let probes = count(&scalar_provenance, |e| {
-            u64::from(matches!(e, ObsEvent::Probe { .. }))
-        });
-        assert_eq!(probes, 5051);
-        for path in [FitPath::Auto, FitPath::Index, FitPath::Block] {
-            assert_eq!(plain(path), scalar, "{path:?}");
-            assert_eq!(provenance(path), scalar_provenance, "{path:?} provenance");
+        let kinds = [
+            (PolicyKind::FirstFit, 5051),
+            (PolicyKind::BestFit(LoadMeasure::Linf), 5150),
+            (PolicyKind::WorstFit(LoadMeasure::Linf), 5150),
+            (PolicyKind::RandomFit { seed: 3 }, 5150),
+        ];
+        for (kind, expect) in kinds {
+            let name = kind.name();
+            let plain = |path| record(&instance, &kind, path, Recorder::new()).events;
+            let scalar = plain(FitPath::Scalar);
+            let scanned = count(&scalar, |e| match e {
+                ObsEvent::Place { scanned, .. } => *scanned,
+                _ => 0,
+            });
+            assert_eq!(scanned, expect, "{name}");
+            let provenance = |path| {
+                record(&instance, &kind, path, WithProvenance(Recorder::new()))
+                    .0
+                    .events
+            };
+            let scalar_provenance = provenance(FitPath::Scalar);
+            let probes = count(&scalar_provenance, |e| {
+                u64::from(matches!(e, ObsEvent::Probe { .. }))
+            });
+            assert_eq!(probes, expect, "{name}");
+            for path in [FitPath::Auto, FitPath::Index, FitPath::Block] {
+                assert_eq!(plain(path), scalar, "{name} on {path:?}");
+                assert_eq!(
+                    provenance(path),
+                    scalar_provenance,
+                    "{name} on {path:?} provenance"
+                );
+            }
         }
     }
 

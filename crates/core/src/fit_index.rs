@@ -16,8 +16,10 @@
 //! mask says whether entry `l`'s maxima cover the need in every
 //! dimension — necessary for a feasible bin below it, and sufficient at
 //! a leaf. [`FitIndex::first_fit`], [`FitIndex::last_fit`] and
-//! [`FitIndex::for_each_feasible`] descend from the top block through the
-//! lowest set bit, the highest, or all of them in ascending id order.
+//! the whole-set queries of the engine's view are loops over the leaf
+//! blocks that one walk, [`FitIndex::walk`], hands out as `(base, mask)`:
+//! it descends from the top block through the lowest set bit first (the
+//! highest for Last Fit), and a leaf block's mask is handed over whole.
 //! For `d ≥ 2` a node can cover the need while none of its children
 //! does; the child's mask is then empty and the descent moves on to the
 //! parent's next set bit.
@@ -166,14 +168,16 @@ impl FitIndex {
         }
     }
 
-    /// Depth-first walk over the nodes covering `need`, calling `f` for
-    /// each feasible bin in ascending id order (descending when `REV`)
-    /// until it breaks. Each visit masks one block of 8 entries.
-    fn walk<const REV: bool>(
+    /// Depth-first walk over the nodes covering `need`, handing `f`
+    /// each leaf block that holds a feasible bin as `(base, mask)` (bit
+    /// `l` set iff bin `base + l` covers `need`), in ascending `base`
+    /// (descending when `REV`) until it breaks. Each visit masks one
+    /// block of 8 entries.
+    pub(crate) fn walk<const REV: bool>(
         &self,
         leaves: &ResidualBlocks,
         need: &[u64],
-        mut f: impl FnMut(usize) -> ControlFlow<()>,
+        mut f: impl FnMut(usize, u8) -> ControlFlow<()>,
     ) {
         debug_assert!(need.iter().any(|&n| n > 0), "zero need matches closed bins");
         if !self.is_live() {
@@ -191,6 +195,13 @@ impl FitIndex {
         mask[l] = mask_at(l, 0);
         loop {
             let m = mask[l];
+            if l == 0 && m != 0 {
+                if f(base[0], m).is_break() {
+                    return;
+                }
+                mask[0] = 0;
+                continue;
+            }
             if m == 0 {
                 if l == top {
                     return;
@@ -204,16 +215,9 @@ impl FitIndex {
                 m.trailing_zeros() as usize
             };
             mask[l] = m & !(1 << bit);
-            let node = base[l] + bit;
-            if l == 0 {
-                if f(node).is_break() {
-                    return;
-                }
-            } else {
-                l -= 1;
-                base[l] = node * LANES;
-                mask[l] = mask_at(l, base[l]);
-            }
+            l -= 1;
+            base[l] = (base[l + 1] + bit) * LANES;
+            mask[l] = mask_at(l, base[l]);
         }
     }
 
@@ -222,8 +226,8 @@ impl FitIndex {
     #[must_use]
     pub(crate) fn first_fit(&self, leaves: &ResidualBlocks, need: &[u64]) -> Option<usize> {
         let mut hit = None;
-        self.walk::<false>(leaves, need, |b| {
-            hit = Some(b);
+        self.walk::<false>(leaves, need, |base, m| {
+            hit = Some(base + m.trailing_zeros() as usize);
             ControlFlow::Break(())
         });
         hit
@@ -233,31 +237,18 @@ impl FitIndex {
     #[must_use]
     pub(crate) fn last_fit(&self, leaves: &ResidualBlocks, need: &[u64]) -> Option<usize> {
         let mut hit = None;
-        self.walk::<true>(leaves, need, |b| {
-            hit = Some(b);
+        self.walk::<true>(leaves, need, |base, m| {
+            hit = Some(base + 7 - m.leading_zeros() as usize);
             ControlFlow::Break(())
         });
         hit
-    }
-
-    /// Calls `f(bin)` for every bin whose residual covers `need`, in
-    /// ascending bin-id order.
-    pub(crate) fn for_each_feasible(
-        &self,
-        leaves: &ResidualBlocks,
-        need: &[u64],
-        mut f: impl FnMut(usize),
-    ) {
-        self.walk::<false>(leaves, need, |b| {
-            f(b);
-            ControlFlow::Continue(())
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block_scan::lanes;
 
     /// A mirror and its tree, updated the way the engine updates them.
     struct Model {
@@ -316,8 +307,10 @@ mod tests {
         fn all(&mut self, need: &[u64]) -> Vec<usize> {
             self.live();
             let mut seen = Vec::new();
-            self.index
-                .for_each_feasible(&self.blocks, need, |b| seen.push(b));
+            self.index.walk::<false>(&self.blocks, need, |base, m| {
+                seen.extend(lanes(base, m));
+                ControlFlow::Continue(())
+            });
             seen
         }
     }

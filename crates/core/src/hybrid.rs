@@ -36,6 +36,29 @@
 //! rounds to the nearest lane-friendly step; near the boundary the two
 //! paths time within noise of each other (and are placement-identical),
 //! so a misestimate costs only nanoseconds.
+//!
+//! The same binary also times Best Fit[L∞], whose whole-set query must
+//! see every feasible bin and ranks them a block at a time. One pass on
+//! the same VM, first `m` at which the index won (it stayed ahead at
+//! every larger `m` measured, up to about 2,700):
+//!
+//! | d  | First Fit | Best Fit[L∞] |
+//! |----|-----------|--------------|
+//! | 1  | 58        | 34           |
+//! | 2  | 59        | 109          |
+//! | 3  | 69        | 129          |
+//! | 4  | 74        | 283          |
+//! | 5  | 82        | 316          |
+//! | 8  | 169       | 338          |
+//! | 9  | 181       | 353          |
+//! | 12 | 375       | 375          |
+//! | 16 | 158       | 355          |
+//!
+//! So a whole-set query pays for the tree later than First Fit's, at
+//! `d ≥ 2`. The table below stays First Fit's: sending whole-set queries
+//! to the block scan wherever the block kernel pays halved the
+//! `replay-dense` benchmark's throughput (Best Fit[L∞] at `d = 4`, about
+//! 1,450 open bins over a sparse id span) in a prototype.
 
 use crate::block_scan::LANES;
 

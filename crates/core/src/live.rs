@@ -368,7 +368,7 @@ impl<O: Observer> LiveRequest<O> {
         let mut policy = self.kind.build();
         policy.reset();
         let mut engine = Engine::new();
-        engine.reset_for(capacity.dim(), 0);
+        engine.reset_for(&capacity, 0);
         engine.reserve_items(self.items_hint);
         let mut observer = self.observer;
         observer.on_run_start(dvbp_obs::RunStart {
@@ -851,21 +851,21 @@ impl<O: Observer> LiveEngine<O> {
     }
 
     /// Accumulated usage time at tick `at` (eq. 1, evaluated mid-run):
-    /// closed bins contribute their full usage period, open bins the
-    /// span from opening to `max(at, opened)`.
+    /// closed bins contribute their full usage period (kept as a running
+    /// total), open bins the span from opening to `max(at, opened)`, so
+    /// the cost is O(open bins), not O(bins ever opened).
     #[must_use]
     pub fn usage_time_at(&self, at: Time) -> Cost {
-        let mut total: Cost = 0;
-        for b in 0..self.engine.bins_opened() {
-            let opened = self.engine.opened_at(b);
-            let end = if self.engine.bin_active(b) > 0 {
-                at.max(opened)
-            } else {
-                self.engine.closed_at(b)
-            };
-            total += Cost::from(end - opened);
-        }
-        total
+        let open: Cost = self
+            .engine
+            .open_bins()
+            .iter()
+            .map(|b| {
+                let opened = self.engine.opened_at(b.0);
+                Cost::from(at.max(opened) - opened)
+            })
+            .sum();
+        self.engine.closed_usage() + open
     }
 
     /// Feeds every event of `source` through the live engine, mapping
@@ -1317,6 +1317,72 @@ mod tests {
         assert_eq!(live.usage_time_at(8), 5 + 4);
         let packing = live.into_packing().unwrap();
         assert_eq!(packing.cost(), 9);
+    }
+
+    /// The running closed-bin total against the whole history: a
+    /// `drain:1` repack closes bins through migrations, `TimeMode::Clamp`
+    /// pulls late timestamps forward, and after every operation
+    /// `usage_time_at` must equal the sum over every bin ever opened,
+    /// for an `at` before, at and after the clock.
+    #[test]
+    fn usage_time_matches_the_full_history_sum() {
+        let mut live = LiveRequest::new(PolicyKind::BestFit(crate::LoadMeasure::Linf))
+            .capacity(DimVec::from_slice(&[10, 10]))
+            .time_mode(TimeMode::Clamp)
+            .repack(RepackPolicy::DrainOnDepart { k: 1 })
+            .build()
+            .unwrap();
+        // Per bin ever opened: opening tick and, once closed, closing tick.
+        let mut bins: Vec<(Time, Option<Time>)> = Vec::new();
+        let full_history = |bins: &[(Time, Option<Time>)], at: Time| -> Cost {
+            bins.iter()
+                .map(|&(opened, closed)| Cost::from(closed.unwrap_or(at.max(opened)) - opened))
+                .sum()
+        };
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut active: Vec<usize> = Vec::new();
+        let mut migrations = 0;
+        for step in 0..600u64 {
+            // Timestamps wander up to 3 ticks behind the clock.
+            let time = (step / 2).saturating_sub(next(4));
+            if active.is_empty() || next(5) < 3 {
+                let size = DimVec::from_slice(&[1 + next(6), 1 + next(6)]);
+                let placed = live.arrive(size, time).unwrap();
+                if placed.opened_new {
+                    assert_eq!(placed.bin.0, bins.len());
+                    bins.push((placed.time, None));
+                }
+                active.push(placed.item);
+            } else {
+                let item = active.swap_remove(next(active.len() as u64) as usize);
+                let dep = live.depart(item, time).unwrap();
+                if dep.closed {
+                    bins[dep.bin.0].1 = Some(dep.time);
+                }
+                for m in &dep.migrations {
+                    if m.closed_from {
+                        bins[m.from.0].1 = Some(dep.time);
+                    }
+                }
+                migrations += dep.migrations.len();
+            }
+            let now = live.now();
+            for at in [0, now / 2, now, now + 7] {
+                assert_eq!(
+                    live.usage_time_at(at),
+                    full_history(&bins, at),
+                    "step {step} at {at}"
+                );
+            }
+        }
+        assert!(migrations > 0, "the drive never drained a bin");
+        assert!(bins.iter().filter(|b| b.1.is_some()).count() > 10);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! average-case performance in §7 is nearly as good as First Fit's —
 //! the paper's "theory vs practice" discussion.
 //!
-//! [`EngineView::for_each_feasible`] enumerates the feasible open bins
-//! in ascending id (block scan, scalar loop or fit index — the engine's
-//! choice), so ties resolve to the earliest bin on every path.
+//! Under `L∞` the engine's view ranks the feasible open bins eight at a
+//! time by an exact integer key read from its residual mirror; the other
+//! measures rank the bins of [`EngineView::for_each_feasible`] one by
+//! one. Either way ties resolve to the earliest bin on every path.
 
 use super::{Decision, LoadMeasure, Policy};
 use crate::bin::BinId;

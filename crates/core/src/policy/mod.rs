@@ -100,10 +100,12 @@ pub trait Policy: Send {
 
 /// Best/Worst Fit's shared selection: the feasible open bin whose load
 /// key under `measure` beats every other candidate's by `wins`
-/// (`Greater` for Best Fit, `Less` for Worst Fit). Candidates arrive in
-/// ascending bin id and only a strict win replaces the incumbent, so
-/// ties keep the earliest bin. The winner's key is reported to the view
-/// as the decision's score.
+/// (`Greater` for Best Fit, `Less` for Worst Fit), the earliest bin on
+/// ties. Under L∞ the view ranks whole blocks of the residual mirror
+/// ([`EngineView::linf_pick`]); otherwise, and wherever the view answers
+/// per bin, candidates arrive in ascending bin id and only a strict win
+/// replaces the incumbent. The winner's key is reported to the view as
+/// the decision's score.
 fn pick_by_load(
     view: &EngineView<'_>,
     item: &Item,
@@ -111,15 +113,22 @@ fn pick_by_load(
     wins: Ordering,
 ) -> Decision {
     let cap = view.capacity().as_slice();
-    let mut best: Option<(BinId, LoadKey)> = None;
-    view.for_each_feasible(&item.size, |b| {
-        let key = measure.key(view.load(b), cap);
-        if best.is_none_or(|(_, cur)| key.compare(&cur) == wins) {
-            best = Some((b, key));
-        }
+    let ranked = match measure {
+        LoadMeasure::Linf => view.linf_pick(&item.size, wins),
+        _ => None,
+    };
+    let winner = ranked.unwrap_or_else(|| {
+        let mut best: Option<(BinId, LoadKey)> = None;
+        view.for_each_feasible(&item.size, |b| {
+            let key = measure.key(view.load(b), cap);
+            if best.is_none_or(|(_, cur)| key.compare(&cur) == wins) {
+                best = Some((b, key));
+            }
+        });
+        best.map(|(b, _)| b)
     });
-    best.map_or(Decision::OpenNew, |(b, key)| {
-        view.note_score(key);
+    winner.map_or(Decision::OpenNew, |b| {
+        view.note_score(measure.key(view.load(b), cap));
         Decision::Existing(b)
     })
 }

@@ -7,6 +7,7 @@
 
 use super::{Decision, Policy};
 use crate::bin::BinId;
+use crate::block_scan::lanes;
 use crate::engine::EngineView;
 use crate::item::Item;
 use rand::rngs::StdRng;
@@ -18,8 +19,9 @@ use std::borrow::Cow;
 pub struct RandomFit {
     seed: u64,
     rng: StdRng,
-    /// Scratch buffer of feasible candidates, reused across arrivals.
-    candidates: Vec<BinId>,
+    /// The feasible blocks `(base, mask)` of one query, reused across
+    /// arrivals.
+    blocks: Vec<(usize, u8)>,
 }
 
 impl RandomFit {
@@ -29,7 +31,7 @@ impl RandomFit {
         RandomFit {
             seed,
             rng: StdRng::seed_from_u64(seed),
-            candidates: Vec::new(),
+            blocks: Vec::new(),
         }
     }
 }
@@ -40,23 +42,39 @@ impl Policy for RandomFit {
     }
 
     fn choose(&mut self, view: &EngineView<'_>, item: &Item, _item_idx: usize) -> Decision {
-        self.candidates.clear();
-        // Candidates arrive in ascending bin id on every query path, so
-        // RNG draws land on the same bins whichever path ran.
-        let candidates = &mut self.candidates;
-        view.for_each_feasible(&item.size, |b| candidates.push(b));
-        match self.candidates.len() {
-            0 => Decision::OpenNew,
-            1 => Decision::Existing(self.candidates[0]),
-            n => Decision::Existing(self.candidates[self.rng.random_range(0..n)]),
-        }
+        self.blocks.clear();
+        // Blocks arrive in ascending base on every route, so the k-th
+        // feasible bin, and the RNG stream, are the same whichever
+        // route ran.
+        let blocks = &mut self.blocks;
+        view.for_each_feasible_block(&item.size, |base, m| blocks.push((base, m)));
+        let n: usize = self
+            .blocks
+            .iter()
+            .map(|&(_, m)| m.count_ones() as usize)
+            .sum();
+        let mut k = match n {
+            0 => return Decision::OpenNew,
+            1 => 0,
+            n => self.rng.random_range(0..n),
+        };
+        let bin = self.blocks.iter().find_map(|&(base, m)| {
+            let count = m.count_ones() as usize;
+            if k < count {
+                lanes(base, m).nth(k)
+            } else {
+                k -= count;
+                None
+            }
+        });
+        Decision::Existing(BinId(bin.expect("the draw is below the feasible count")))
     }
 
     fn after_pack(&mut self, _item: &Item, _item_idx: usize, _bin: BinId, _newly_opened: bool) {}
 
     fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.seed);
-        self.candidates.clear();
+        self.blocks.clear();
     }
 }
 

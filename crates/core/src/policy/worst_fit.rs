@@ -4,9 +4,9 @@
 //! Fit; it spreads load thin and, as §7 observes, has the worst average
 //! performance of the seven algorithms.
 //!
-//! Like [`BestFit`](super::best_fit::BestFit), it ranks the candidates
-//! of [`EngineView::for_each_feasible`] (ascending bin id, earliest bin
-//! on ties).
+//! It ranks the feasible open bins the way
+//! [`BestFit`](super::best_fit::BestFit) does, with the order reversed
+//! (earliest bin on ties).
 
 use super::{Decision, LoadMeasure, Policy};
 use crate::bin::BinId;

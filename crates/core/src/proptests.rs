@@ -59,6 +59,60 @@ fn instances_hd() -> impl Strategy<Value = Instance> {
     })
 }
 
+/// One item's random draw: per-dimension raw values, arrival, duration.
+fn item_draw(d: usize) -> impl Strategy<Value = (Vec<u64>, u64, u64)> {
+    (prop::collection::vec(0u64..1 << 20, d), 0u64..50, 1u64..=20)
+}
+
+/// Builds an instance over `cap` whose item `i` has size
+/// `size(c_j, raw_j)` per dimension (at least one unit somewhere).
+fn scaled_instance(
+    cap: &[u64],
+    draws: Vec<(Vec<u64>, u64, u64)>,
+    size: impl Fn(u64, u64) -> u64,
+) -> Instance {
+    let items = draws
+        .into_iter()
+        .map(|(raw, a, dur)| {
+            let mut units: Vec<u64> = cap.iter().zip(raw).map(|(&c, r)| size(c, r)).collect();
+            if units.iter().all(|&u| u == 0) {
+                units[0] = 1;
+            }
+            Item::new(DimVec::from_slice(&units), a, a + dur)
+        })
+        .collect();
+    Instance::new(DimVec::from_slice(cap), items).expect("generated instance valid")
+}
+
+/// Strategy: independent capacity components in `1..=40` at
+/// `d ∈ 1..=4 ∪ {8, 9}` (`d = 9` puts `DimVec` on the heap), so the
+/// exact L∞ key's scale `L / c_j` differs per dimension; sizes in
+/// `0..=c_j`, zero components included.
+fn instances_unequal_cap() -> impl Strategy<Value = Instance> {
+    let dims = (0usize..6).prop_map(|k| [1, 2, 3, 4, 8, 9][k]);
+    (dims, 1usize..=40).prop_flat_map(|(d, n)| {
+        (
+            prop::collection::vec(1u64..=40, d),
+            prop::collection::vec(item_draw(d), n),
+        )
+            .prop_map(|(cap, draws)| scaled_instance(&cap, draws, |c, raw| raw % (c + 1)))
+    })
+}
+
+/// Strategy: pairwise-coprime capacity components `c, c + 1[, c + 2]`
+/// (`c` odd, above 2^33), whose lcm exceeds `u64::MAX`, so the L∞
+/// queries take the per-bin loop; sizes are whole multiples of
+/// `c_j / 40` up to half the capacity, plus up to 3 units, so bins hold
+/// several items.
+fn instances_coprime_cap() -> impl Strategy<Value = Instance> {
+    (2u64..=3, (1u64 << 32)..(1 << 33), 1usize..=40).prop_flat_map(|(d, half, n)| {
+        let cap: Vec<u64> = (0..d).map(|j| 2 * half + 1 + j).collect();
+        prop::collection::vec(item_draw(d as usize), n).prop_map(move |draws| {
+            scaled_instance(&cap, draws, |c, raw| (c / 40) * (raw % 21) + raw % 4)
+        })
+    })
+}
+
 /// The Any-Fit kinds whose bins come from the engine's feasibility
 /// queries, with every load measure for Best/Worst Fit.
 fn query_kinds() -> Vec<PolicyKind> {
@@ -322,10 +376,17 @@ proptest! {
 
     /// The fit-index query path is a pure data-structure change: for every
     /// query policy the indexed and scanning runs produce identical
-    /// packings (assignment, trace, and cost).
+    /// packings (assignment, trace, and cost), with equal capacity
+    /// components, unequal ones, and ones whose L∞ key scale overflows.
     #[test]
-    fn indexed_matches_scan(inst in instances()) {
-        assert_indexed_matches_scan(&inst)?;
+    fn indexed_matches_scan(
+        inst in instances(),
+        unequal in instances_unequal_cap(),
+        coprime in instances_coprime_cap(),
+    ) {
+        for inst in [&inst, &unequal, &coprime] {
+            assert_indexed_matches_scan(inst)?;
+        }
     }
 
     /// Same identity on high-churn d = 1 instances, where bins fill,
@@ -343,10 +404,17 @@ proptest! {
     }
 
     /// Block-scan and tree runs emit byte-identical observer streams to
-    /// scalar runs, `Place.scanned` included.
+    /// scalar runs, `Place.scanned` included, on the three capacity
+    /// families of `indexed_matches_scan`.
     #[test]
-    fn block_scan_events_match_scalar(inst in instances()) {
-        assert_block_scan_events_match_scalar(&inst)?;
+    fn block_scan_events_match_scalar(
+        inst in instances(),
+        unequal in instances_unequal_cap(),
+        coprime in instances_coprime_cap(),
+    ) {
+        for inst in [&inst, &unequal, &coprime] {
+            assert_block_scan_events_match_scalar(inst)?;
+        }
     }
 
     /// Same stream identity at `d ∈ {8, 9}` (remainder rows of the SoA

@@ -582,7 +582,7 @@ impl Engine {
         policy.reset();
         let capacity = source.capacity().clone();
         let hint = source.items_hint().unwrap_or(0);
-        self.reset_for(capacity.dim(), hint);
+        self.reset_for(&capacity, hint);
 
         let full = mode == TraceMode::Full;
         let mut trace: Vec<TraceEvent> = if full {

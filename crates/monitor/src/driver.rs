@@ -29,9 +29,30 @@ use std::sync::Mutex;
 /// # Errors
 ///
 /// Returns a description of the first inconsistency: a placed item with
-/// no arrival, a missing departure, or size/capacity data the engine
-/// would reject.
+/// no arrival, a missing departure, an item count or index that the
+/// run's events cannot back, or size/capacity data the engine would
+/// reject (an empty vector among them).
 pub fn reconstruct_instance(run: &RunLog) -> Result<Instance, String> {
+    // Every item needs an Arrival and a Depart event, so a count or an
+    // index at or above the event count is refused before it sizes a
+    // table.
+    let events = run.events.len();
+    let backed = |what: String, n: usize| {
+        if n < events {
+            Ok(n)
+        } else {
+            Err(format!(
+                "{what} {n} is out of range for a run of {events} events"
+            ))
+        }
+    };
+    let dimvec = |what: String, v: &[u64]| {
+        if v.is_empty() {
+            Err(format!("{what} has no dimensions"))
+        } else {
+            Ok(DimVec::from_slice(v))
+        }
+    };
     let mut capacity: Option<DimVec> = None;
     let mut arrivals: Vec<Option<(DimVec, Time)>> = Vec::new();
     let mut departures: Vec<Option<Time>> = Vec::new();
@@ -41,16 +62,18 @@ pub fn reconstruct_instance(run: &RunLog) -> Result<Instance, String> {
                 capacity: cap,
                 items,
             } => {
-                capacity = Some(DimVec::from_slice(cap));
-                arrivals = vec![None; *items];
-                departures = vec![None; *items];
+                let items = backed("RunStart item count".into(), *items)?;
+                capacity = Some(dimvec("RunStart capacity".into(), cap)?);
+                arrivals = vec![None; items];
+                departures = vec![None; items];
             }
             ObsEvent::Arrival { time, item, size } => {
-                if *item >= arrivals.len() {
-                    arrivals.resize(*item + 1, None);
-                    departures.resize(*item + 1, None);
+                let item = backed("Arrival item index".into(), *item)?;
+                if item >= arrivals.len() {
+                    arrivals.resize(item + 1, None);
+                    departures.resize(item + 1, None);
                 }
-                arrivals[*item] = Some((DimVec::from_slice(size), *time));
+                arrivals[item] = Some((dimvec(format!("item {item}'s size"), size)?, *time));
             }
             ObsEvent::Depart { time, item, .. } => {
                 if let Some(slot) = departures.get_mut(*item) {
@@ -326,6 +349,55 @@ mod tests {
         assert_eq!(agg.arrivals, 4);
         assert_eq!(agg.dispatch_ns.total(), 4);
         assert!(agg.usage_time >= agg.lb_load);
+    }
+
+    /// The four-line run of one item, with `header` and `arrival` as its
+    /// first two lines.
+    fn one_item_run(header: &str, arrival: &str) -> Result<Workload, String> {
+        let text = format!(
+            "{header}\n{arrival}\n{}\n{}\n",
+            r#"{"Depart":{"time":5,"item":0,"bin":0}}"#,
+            r#"{"RunEnd":{"time":5,"items":1,"bins":1}}"#,
+        );
+        Workload::from_trace_jsonl(&text)
+    }
+
+    const HEADER: &str = r#"{"RunStart":{"capacity":[10,10],"items":1}}"#;
+    const ARRIVAL: &str = r#"{"Arrival":{"time":0,"item":0,"size":[3,4]}}"#;
+
+    #[test]
+    fn an_empty_capacity_is_an_error_not_a_panic() {
+        assert!(one_item_run(HEADER, ARRIVAL).is_ok());
+        let header = r#"{"RunStart":{"capacity":[],"items":1}}"#;
+        let err = one_item_run(header, ARRIVAL).err().unwrap();
+        assert!(err.contains("RunStart capacity has no dimensions"), "{err}");
+    }
+
+    #[test]
+    fn an_empty_size_is_an_error_not_a_panic() {
+        let arrival = r#"{"Arrival":{"time":0,"item":0,"size":[]}}"#;
+        let err = one_item_run(HEADER, arrival).err().unwrap();
+        assert!(err.contains("item 0's size has no dimensions"), "{err}");
+    }
+
+    #[test]
+    fn an_item_count_beyond_the_events_is_refused_before_allocating() {
+        let header = r#"{"RunStart":{"capacity":[10,10],"items":1000000000000000}}"#;
+        let err = one_item_run(header, ARRIVAL).err().unwrap();
+        assert!(
+            err.contains("item count 1000000000000000 is out of range"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_item_index_beyond_the_events_is_refused_before_allocating() {
+        let arrival = r#"{"Arrival":{"time":0,"item":1000000000000000,"size":[3,4]}}"#;
+        let err = one_item_run(HEADER, arrival).err().unwrap();
+        assert!(
+            err.contains("item index 1000000000000000 is out of range"),
+            "{err}"
+        );
     }
 
     #[test]

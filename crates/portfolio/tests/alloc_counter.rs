@@ -3,7 +3,9 @@
 //! portfolio drive — live engine plus one cost-only shadow per
 //! candidate plus the shared streaming lower bound — performs **zero**
 //! heap allocations per operation, and therefore no more than the
-//! plain single-policy engine on the identical stream.
+//! plain single-policy engine on the identical stream. The candidates
+//! cover the first-hit query (First Fit), no query (Next Fit) and both
+//! whole-set queries (Best Fit[L∞]'s ranking, Random Fit's block list).
 //!
 //! This file holds exactly one `#[test]` so the global allocation
 //! counter is not polluted by concurrent tests in the same binary.
@@ -44,11 +46,12 @@ const ROUNDS: u64 = 5;
 /// ledgers past any mid-run growth.
 const TOTAL_ITEMS: usize = (1 + N * (ROUNDS + 1)) as usize;
 
-fn candidates() -> [PolicyKind; 3] {
+fn candidates() -> [PolicyKind; 4] {
     [
         PolicyKind::FirstFit,
         PolicyKind::NextFit,
         PolicyKind::BestFit(LoadMeasure::Linf),
+        PolicyKind::RandomFit { seed: 7 },
     ]
 }
 
@@ -105,7 +108,8 @@ fn shadows_add_zero_steady_state_allocations() {
 
     // One pinned resident per engine keeps its bin open for the whole
     // run: transients land in that bin's residual under FirstFit,
-    // NextFit, and BestFit alike, so rounds never open or close bins.
+    // NextFit, BestFit and RandomFit alike, so rounds never open or
+    // close bins.
     plain.arrive(DimVec::from_slice(&[1, 1]), 0).unwrap();
     pf.arrive(DimVec::from_slice(&[1, 1]), 0).unwrap();
 

@@ -31,7 +31,7 @@
 //!   written under another policy, repack or portfolio configuration,
 //!   or is corrupt.
 
-use crate::shard::{PortfolioConfig, Shard, ShardError};
+use crate::shard::{ItemId, PortfolioConfig, Shard, ShardError};
 use dvbp_core::{LiveEngine, LiveError, PolicyKind, RepackPolicy, TimeMode, TraceMode};
 use dvbp_dimvec::DimVec;
 use dvbp_obs::{scan_wal, ObsError, ObsEvent, StableWrite, SyncPolicy};
@@ -114,9 +114,9 @@ pub struct Recovered {
     /// prefix described.
     pub live: LiveEngine,
     /// External id → run-local index for every recovered arrival.
-    pub ids: HashMap<String, usize>,
-    /// Run-local index → external id.
-    pub names: Vec<String>,
+    pub ids: HashMap<ItemId, usize>,
+    /// Run-local index → external id (the keys of `ids`, shared).
+    pub names: Vec<ItemId>,
     /// Events (journal lines, header included) applied by the replay.
     pub events_applied: u64,
     /// Byte length of the acknowledged prefix; the caller truncates the
@@ -426,7 +426,7 @@ mod tests {
         assert_eq!(rec.dropped_events, 0);
         assert_eq!(rec.torn_bytes, 0);
         assert!(rec.has_header);
-        assert_eq!(rec.names, ["a", "b", "c", "d"]);
+        assert_eq!(rec.names, ["a", "b", "c", "d"].map(ItemId::from));
         assert_eq!(rec.ids["d"], 3);
         assert_eq!(rec.live.items_seen(), 4);
         assert_eq!(rec.live.active_items(), 2);

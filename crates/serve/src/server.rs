@@ -156,7 +156,7 @@ impl ServeState<BufWriter<File>> {
             shard_states
                 .iter()
                 .enumerate()
-                .flat_map(|(s, shard)| shard.ids().keys().map(move |id| (id.as_str(), s))),
+                .flat_map(|(s, shard)| shard.ids().keys().map(move |id| (&**id, s))),
         );
         let state = ServeState {
             shards: shard_states.into_iter().map(Mutex::new).collect(),

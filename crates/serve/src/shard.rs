@@ -57,6 +57,7 @@ use dvbp_obs::{JsonlEmitter, ObsEvent, Span, StableWrite, Stage, SyncPolicy};
 use dvbp_portfolio::{MetaPolicy, PortfolioError, PortfolioState};
 use dvbp_sim::Time;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The service-level portfolio configuration: which candidates to
 /// shadow and which [`MetaPolicy`] decides switches. One config is
@@ -147,6 +148,10 @@ impl From<PortfolioError> for ShardError {
     }
 }
 
+/// An external item id: one allocation, shared by a shard's two id
+/// tables.
+pub type ItemId = Arc<str>;
+
 /// One dispatch shard: live engine, WAL, and the id ↔ run-local-index
 /// tables.
 pub struct Shard<W: StableWrite> {
@@ -156,9 +161,10 @@ pub struct Shard<W: StableWrite> {
     /// single-policy shard byte-identically.
     portfolio: Option<PortfolioState>,
     /// External id → run-local item index. Entries are permanent.
-    ids: HashMap<String, usize>,
-    /// Run-local item index → external id.
-    names: Vec<String>,
+    ids: HashMap<ItemId, usize>,
+    /// Run-local item index → external id: the same shared allocation
+    /// as the id's key in `ids`.
+    names: Vec<ItemId>,
     arrivals: u64,
     departures: u64,
     /// Events replayed from the WAL at construction (0 for a fresh
@@ -259,8 +265,8 @@ impl<W: StableWrite> Shard<W> {
     /// replay-identical to the pre-crash process).
     pub fn resume(
         live: LiveEngine,
-        ids: HashMap<String, usize>,
-        names: Vec<String>,
+        ids: HashMap<ItemId, usize>,
+        names: Vec<ItemId>,
         recovered_events: u64,
         wal: JsonlEmitter<W>,
         portfolio: Option<PortfolioState>,
@@ -369,8 +375,9 @@ impl<W: StableWrite> Shard<W> {
         if let (Some(pf), Some(sz)) = (self.portfolio.as_mut(), mirror_size.as_ref()) {
             pf.on_arrive(sz, placed.time);
         }
-        self.ids.insert(id.to_string(), placed.item);
-        self.names.push(id.to_string());
+        let id: ItemId = Arc::from(id);
+        self.ids.insert(Arc::clone(&id), placed.item);
+        self.names.push(id);
         self.arrivals += 1;
         Ok(placed)
     }
@@ -505,13 +512,13 @@ impl<W: StableWrite> Shard<W> {
 
     /// External id → run-local index table.
     #[must_use]
-    pub fn ids(&self) -> &HashMap<String, usize> {
+    pub fn ids(&self) -> &HashMap<ItemId, usize> {
         &self.ids
     }
 
     /// Run-local index → external id table.
     #[must_use]
-    pub fn names(&self) -> &[String] {
+    pub fn names(&self) -> &[ItemId] {
         &self.names
     }
 
@@ -545,8 +552,8 @@ impl<W: StableWrite> Shard<W> {
         self,
     ) -> (
         LiveEngine,
-        HashMap<String, usize>,
-        Vec<String>,
+        HashMap<ItemId, usize>,
+        Vec<ItemId>,
         Option<PortfolioState>,
     ) {
         (self.live, self.ids, self.names, self.portfolio)
