@@ -22,8 +22,10 @@
 //! is compared against the sum of its parts (the plain live drive plus
 //! one standalone cost-only drive per candidate). The difference is
 //! pure dispatch glue — id translation, scoreboard upkeep, meta-policy
-//! checks — and `--check` also fails when it exceeds
-//! [`MAX_OVERHEAD_PCT`].
+//! checks, the shadow worker's queue — and `--check` also fails when it
+//! exceeds [`MAX_OVERHEAD_PCT`]. Both sides are timed in process CPU
+//! time, every thread included, because the shadows run on a worker
+//! thread of their own; wall time is reported beside it.
 //!
 //! Usage (see `dvbp_bench::ledger`):
 //!   bench_portfolio [--scale full|smoke] [--out FILE] [--check]
@@ -68,14 +70,23 @@ struct Entry {
 /// uniform family: the portfolio drive against the sum of its parts.
 #[derive(Debug, Serialize, Deserialize)]
 struct Overhead {
-    /// Min-over-reps nanoseconds for the portfolio drive (live + one
-    /// shadow per candidate, static meta).
-    portfolio_ns: u64,
-    /// Min-over-reps nanoseconds for the plain live drive plus one
-    /// standalone cost-only drive per candidate.
-    components_ns: u64,
-    /// `(portfolio - components) / components`, as a percentage.
+    /// Min-over-reps process CPU nanoseconds for the portfolio drive
+    /// (live + one shadow per candidate, static meta), every thread
+    /// included: the shadows run on a worker thread of their own.
+    portfolio_cpu_ns: u64,
+    /// Min-over-reps process CPU nanoseconds for the plain live drive
+    /// plus one standalone cost-only drive per candidate.
+    components_cpu_ns: u64,
+    /// `(portfolio - components) / components` in CPU time, as a
+    /// percentage: the gated figure.
     overhead_pct: f64,
+    /// Min-over-reps wall nanoseconds for the portfolio drive.
+    portfolio_ns: u64,
+    /// Min-over-reps wall nanoseconds for the components.
+    components_ns: u64,
+    /// The same ratio in wall time, which stops counting the shadows'
+    /// work once it overlaps the live drive; reported, not gated.
+    wall_overhead_pct: f64,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -164,6 +175,9 @@ fn run_meta(inst: &Instance, live_kind: &PolicyKind, meta: MetaPolicy) -> (u64, 
         }
     }
     let switches = pf.switches().len() as u64;
+    // A barrier: the drive ends once the shadow worker has applied every
+    // operation, so the timed overhead covers all of the shadows' work.
+    let _ = pf.lower_bound();
     let packing = pf.into_live().into_packing().expect("all items departed");
     (
         u64::try_from(packing.cost()).expect("bench costs fit in u64"),
@@ -171,44 +185,78 @@ fn run_meta(inst: &Instance, live_kind: &PolicyKind, meta: MetaPolicy) -> (u64, 
     )
 }
 
-/// Min-over-reps wall time of `f`, in nanoseconds.
-fn time_min<F: FnMut()>(reps: u32, mut f: F) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+/// The process's CPU time so far, every thread included, in
+/// nanoseconds (`clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`).
+fn process_cpu_ns() -> u64 {
+    use std::os::raw::{c_int, c_long};
+    #[repr(C)]
+    struct Timespec {
+        sec: c_long,
+        nsec: c_long,
     }
-    best
+    const CLOCK_PROCESS_CPUTIME_ID: c_int = 2;
+    extern "C" {
+        fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+    }
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a live local laid out as Linux's `struct timespec`
+    // (two longs).
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID)");
+    let ns = i128::from(ts.sec) * 1_000_000_000 + i128::from(ts.nsec);
+    u64::try_from(ns).expect("CPU time is non-negative")
+}
+
+/// Min-over-reps `(wall, process CPU)` time of `f`, in nanoseconds,
+/// each minimized on its own.
+fn time_min<F: FnMut()>(reps: u32, mut f: F) -> (u64, u64) {
+    let (mut wall, mut cpu) = (u64::MAX, u64::MAX);
+    for _ in 0..reps {
+        let (start, cpu0) = (Instant::now(), process_cpu_ns());
+        f();
+        cpu = cpu.min(process_cpu_ns() - cpu0);
+        wall = wall.min(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    }
+    (wall, cpu)
+}
+
+/// `(a - b) / b`, as a percentage (0 when `b` is 0).
+#[allow(clippy::cast_precision_loss)]
+fn excess_pct(a: u64, b: u64) -> f64 {
+    if b == 0 {
+        0.0
+    } else {
+        (a as f64 - b as f64) / b as f64 * 100.0
+    }
 }
 
 /// Times the dispatch layer on a smoke-scale uniform instance: the
 /// portfolio drive (static meta, so the live engine does exactly what
 /// the plain drive does) against the plain drive plus one standalone
-/// cost-only drive per candidate.
+/// cost-only drive per candidate. The gate reads CPU time: the shadows
+/// run on a worker thread, so the drive's wall time no longer counts
+/// all of their work.
 fn measure_overhead() -> Overhead {
     let inst = family_instance("uniform", 600);
     let live_kind = PolicyKind::FirstFit;
     const REPS: u32 = 5;
-    let portfolio_ns = time_min(REPS, || {
+    let (portfolio_ns, portfolio_cpu_ns) = time_min(REPS, || {
         let (cost, switches) = run_meta(&inst, &live_kind, MetaPolicy::Static);
         assert!(cost > 0 && switches == 0);
     });
-    let components_ns = time_min(REPS, || {
+    let (components_ns, components_cpu_ns) = time_min(REPS, || {
         assert!(live_cost(&inst, &live_kind, RepackPolicy::NoRepack).0 > 0);
         for kind in candidates() {
             assert!(live_cost(&inst, &kind, RepackPolicy::NoRepack).0 > 0);
         }
     });
-    let overhead_pct = if components_ns == 0 {
-        0.0
-    } else {
-        (portfolio_ns as f64 - components_ns as f64) / components_ns as f64 * 100.0
-    };
     Overhead {
+        portfolio_cpu_ns,
+        components_cpu_ns,
+        overhead_pct: excess_pct(portfolio_cpu_ns, components_cpu_ns),
         portfolio_ns,
         components_ns,
-        overhead_pct,
+        wall_overhead_pct: excess_pct(portfolio_ns, components_ns),
     }
 }
 
@@ -284,8 +332,14 @@ fn main() -> ExitCode {
         let entries = run_grid(scale);
         let overhead = measure_overhead();
         eprintln!(
-            "dispatch overhead: portfolio {} ns vs components {} ns ({:+.2}%)",
-            overhead.portfolio_ns, overhead.components_ns, overhead.overhead_pct
+            "dispatch overhead: portfolio {} ns vs components {} ns of CPU ({:+.2}%); \
+             wall {} ns vs {} ns ({:+.2}%)",
+            overhead.portfolio_cpu_ns,
+            overhead.components_cpu_ns,
+            overhead.overhead_pct,
+            overhead.portfolio_ns,
+            overhead.components_ns,
+            overhead.wall_overhead_pct
         );
         Report {
             schema: "dvbp-bench-portfolio/1".to_string(),

@@ -293,6 +293,17 @@ fn widedim_remainder_d16() -> Instance {
         .expect("some wide-dim seed in 0..256 draws d = 16")
 }
 
+/// A committed huge-unit draw at `d = 2`: capacity components within
+/// 2^16 of `u64::MAX` and tens of concurrent items at fractions of it,
+/// so the sizes active at one tick sum far past `u64` — in every lower
+/// bound, the streaming one of the shadows and the defrag budget.
+fn hugeunits_concurrent_d2() -> Instance {
+    (0..256u64)
+        .map(|s| crate::fuzz::generate(crate::fuzz::Family::HugeUnits, s))
+        .find(|i| i.dim() == 2)
+        .expect("some huge-unit seed in 0..256 draws d = 2")
+}
+
 /// Ramps ~260 concurrent 12-dimensional blockers — through every block
 /// of the SoA mirror's doubling growth and across the hybrid's d ≥ 10
 /// scan-vs-index crossover (256 open bins) — then packs light items via
@@ -374,6 +385,7 @@ pub fn seed_corpus() -> Vec<(&'static str, Instance)> {
             "portfolio-no-switch-hysteresis",
             portfolio_no_switch_hysteresis(),
         ),
+        ("hugeunits-concurrent-d2", hugeunits_concurrent_d2()),
     ];
     entries
         .into_iter()
@@ -548,6 +560,22 @@ mod tests {
     #[test]
     fn committed_high_churn_draw_is_really_d8() {
         assert_eq!(high_churn_with_dim(8).dim(), 8);
+    }
+
+    #[test]
+    fn committed_hugeunit_draw_sums_past_u64() {
+        let inst = hugeunits_concurrent_d2();
+        let mut peak = 0u128;
+        for t in 0..=inst.items.iter().map(|i| i.departure).max().unwrap() {
+            let active: u128 = inst
+                .items
+                .iter()
+                .filter(|i| i.arrival <= t && t < i.departure)
+                .map(|i| u128::from(i.size[0]))
+                .sum();
+            peak = peak.max(active);
+        }
+        assert!(peak > 4 * u128::from(u64::MAX), "peak active load {peak}");
     }
 
     #[test]

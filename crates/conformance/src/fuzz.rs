@@ -82,6 +82,11 @@ pub enum Family {
     /// gaps: every regime boundary is a burst of bin closes, the
     /// switch points of the portfolio meta-policies.
     RegimeShift,
+    /// Capacity components within 2^16 of `u64::MAX` and tens of
+    /// concurrent items sized at fractions of it: the items active at
+    /// one tick sum far past `u64`, which every lower bound and load
+    /// total must add without overflow.
+    HugeUnits,
 }
 
 impl Family {
@@ -97,12 +102,13 @@ impl Family {
             Family::WideDim => "widedim",
             Family::RepackChurn => "repackchurn",
             Family::RegimeShift => "regimeshift",
+            Family::HugeUnits => "hugeunits",
         }
     }
 }
 
 /// All families, in fuzzing order.
-pub const FAMILIES: [Family; 8] = [
+pub const FAMILIES: [Family; 9] = [
     Family::Uniform,
     Family::Adversarial,
     Family::Extended,
@@ -111,6 +117,7 @@ pub const FAMILIES: [Family; 8] = [
     Family::WideDim,
     Family::RepackChurn,
     Family::RegimeShift,
+    Family::HugeUnits,
 ];
 
 /// Small randomized base parameters shared by the uniform and extended
@@ -330,6 +337,26 @@ pub fn generate(family: Family, seed: u64) -> Instance {
                 t += 10;
             }
             Instance::new(DimVec::splat(dims, cap), items).expect("regime-shift instance valid")
+        }
+        Family::HugeUnits => {
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xd6e8_feb8_6659_fd93));
+            let dims = rng.random_range(1..=3usize);
+            let cap = DimVec::from_fn(dims, |_| {
+                u64::MAX - rng.random_range(0..=u64::from(u16::MAX))
+            });
+            let mut items = Vec::new();
+            for _ in 0..rng.random_range(20..=60usize) {
+                let a = rng.random_range(0..=20u64);
+                let dur = rng.random_range(1..=10u64);
+                // A half, third or quarter of the bin, give or take a few
+                // units, so near-fits are decided by the low bits.
+                let size = DimVec::from_fn(dims, |j| {
+                    let share = cap[j] / rng.random_range(2..=4u64);
+                    share - rng.random_range(0..=2u64) + rng.random_range(0..=1u64)
+                });
+                items.push(Item::new(size, a, a + dur));
+            }
+            Instance::new(cap, items).expect("huge-unit instance valid")
         }
     };
     announce_exact(&inst)

@@ -175,7 +175,7 @@ fn model_cost(repack: RepackPolicy, size: &[u64]) -> u64 {
     match repack {
         RepackPolicy::NoRepack => 0,
         RepackPolicy::DrainOnDepart { .. } => 1,
-        RepackPolicy::BudgetedDefrag { .. } => size.iter().sum(),
+        RepackPolicy::BudgetedDefrag { .. } => size.iter().fold(0, |a, &c| a.saturating_add(c)),
     }
 }
 
@@ -261,7 +261,9 @@ pub fn check_policy(
             reported.len()
         )));
     }
-    let cost_sum: u64 = reported.iter().map(|(_, m)| m.cost).sum();
+    let cost_sum = reported
+        .iter()
+        .fold(0u64, |total, (_, m)| total.saturating_add(m.cost));
     if migration_cost_total != cost_sum {
         return Err(fail(format!(
             "migration_cost() reports {migration_cost_total} but moves sum to {cost_sum}"

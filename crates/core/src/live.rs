@@ -241,8 +241,8 @@ pub struct LiveMigration {
     /// Whether this move emptied (and permanently closed) `from`.
     pub closed_from: bool,
     /// The move's charge under the policy's cost model: `1` for
-    /// [`RepackPolicy::DrainOnDepart`], the item's L1 size for
-    /// [`RepackPolicy::BudgetedDefrag`].
+    /// [`RepackPolicy::DrainOnDepart`], the item's L1 size (saturating
+    /// at `u64::MAX`) for [`RepackPolicy::BudgetedDefrag`].
     pub cost: u64,
 }
 
@@ -580,7 +580,9 @@ impl<O: Observer> LiveEngine<O> {
             }
         }
         self.migrations += migrations.len() as u64;
-        self.migration_cost += migrations.iter().map(|m| m.cost).sum::<u64>();
+        self.migration_cost = migrations
+            .iter()
+            .fold(self.migration_cost, |total, m| total.saturating_add(m.cost));
         migrations
     }
 
@@ -656,7 +658,7 @@ impl<O: Observer> LiveEngine<O> {
             let cost = if unit_cost {
                 1
             } else {
-                self.feed.item(item).size.as_slice().iter().sum()
+                l1_units(&self.feed.item(item).size)
             };
             out.push(LiveMigration {
                 item,
@@ -679,10 +681,16 @@ impl<O: Observer> LiveEngine<O> {
             candidates.sort_by_key(|b| (self.engine.bin_active(b.0), b.0));
             let mut executed = false;
             for src in candidates {
-                let drain_cost: u64 = self.active_by_bin[src.0]
+                // Summed across items (and dimensions) in u128: only a
+                // drain that fits the u64 budget runs.
+                let drain_cost: u128 = self.active_by_bin[src.0]
                     .iter()
-                    .map(|&i| self.feed.item(i).size.as_slice().iter().sum::<u64>())
+                    .flat_map(|&i| self.feed.item(i).size.iter())
+                    .map(u128::from)
                     .sum();
+                let Ok(drain_cost) = u64::try_from(drain_cost) else {
+                    continue;
+                };
                 if drain_cost > remaining {
                     continue;
                 }
@@ -773,7 +781,7 @@ impl<O: Observer> LiveEngine<O> {
 
     /// Total migration cost charged over the run so far (unit per move
     /// for [`RepackPolicy::DrainOnDepart`], L1 item size for
-    /// [`RepackPolicy::BudgetedDefrag`]).
+    /// [`RepackPolicy::BudgetedDefrag`]), saturating at `u64::MAX`.
     #[must_use]
     pub fn migration_cost(&self) -> u64 {
         self.migration_cost
@@ -992,6 +1000,13 @@ pub fn live_ops(instance: &Instance) -> Vec<LiveOp> {
             Event::Departure { time, item } => LiveOp::Depart { item, time },
         })
         .collect()
+}
+
+/// An item's L1 size in resource units — the defrag migration cost —
+/// saturating at `u64::MAX`: each component fits the capacity, but
+/// their sum need not fit a `u64`.
+fn l1_units(size: &DimVec) -> u64 {
+    size.iter().fold(0, u64::saturating_add)
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ use crate::item::{check_size, Instance, Item};
 use crate::live::{live_ops, LiveError, LiveOp, TimeMode};
 use crate::policy::{Policy, PolicyKind};
 use crate::request::PackError;
-use dvbp_dimvec::DimVec;
+use dvbp_dimvec::{DimVec, WideSum};
 use dvbp_obs::Observer;
 use dvbp_sim::{Cost, Time};
 use std::collections::hash_map::Entry;
@@ -317,9 +317,13 @@ impl<S: EventSource, F: FnMut(&LiveOp)> EventSource for Tap<S, F> {
 /// Feed it every event (e.g. through a [`Tap`] in front of the engine);
 /// [`value`](Self::value) then equals `lb_load` of the materialized
 /// instance exactly (the `dvbp-traces` property tests pin this).
+///
+/// The load sums many items' sizes, so it is a [`WideSum`]: every item
+/// fits the capacity, but the items active at one tick need not fit a
+/// `u64` together.
 pub struct StreamingLowerBound {
     capacity: DimVec,
-    load: Vec<u64>,
+    load: WideSum,
     sizes: IndexMap<DimVec>,
     last: Time,
     total: Cost,
@@ -332,21 +336,12 @@ impl StreamingLowerBound {
     pub fn new(capacity: &DimVec) -> Self {
         StreamingLowerBound {
             capacity: capacity.clone(),
-            load: vec![0; capacity.dim()],
+            load: WideSum::zeros(capacity.dim()),
             sizes: IndexMap::default(),
             last: 0,
             total: 0,
             started: false,
         }
-    }
-
-    /// The minimum number of bins forced by the current load:
-    /// `max_j ⌈load_j / cap_j⌉`.
-    fn height(&self) -> Cost {
-        (0..self.capacity.dim())
-            .map(|j| Cost::from(self.load[j].div_ceil(self.capacity[j])))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Folds one event into the integral. Events must be observed in
@@ -356,20 +351,16 @@ impl StreamingLowerBound {
             LiveOp::Arrive { time, .. } | LiveOp::Depart { time, .. } => *time,
         };
         if self.started && time > self.last {
-            self.total += self.height() * Cost::from(time - self.last);
+            self.total += self.load.bins_needed(&self.capacity) * Cost::from(time - self.last);
         }
         match op {
             LiveOp::Arrive { item, size, .. } => {
-                for (j, slot) in self.load.iter_mut().enumerate() {
-                    *slot += size[j];
-                }
+                self.load.add(size);
                 self.sizes.insert(*item, size.clone());
             }
             LiveOp::Depart { item, .. } => {
                 if let Some(size) = self.sizes.remove(item) {
-                    for (j, slot) in self.load.iter_mut().enumerate() {
-                        *slot -= size[j];
-                    }
+                    self.load.sub(&size);
                 }
             }
         }
@@ -920,6 +911,23 @@ mod tests {
             lb.observe(&op);
         }
         assert_eq!(lb.value(), 4 + 2 * 2);
+    }
+
+    #[test]
+    fn streaming_lower_bound_sums_past_u64() {
+        // Two concurrent items whose sizes sum to 2^64 under a capacity
+        // of 2^64 − 1: two bins for two ticks (Lemma 1(i)).
+        let cap = DimVec::from_slice(&[u64::MAX]);
+        let mut lb = StreamingLowerBound::new(&cap);
+        for op in [
+            arrive(0, &[u64::MAX], 0),
+            arrive(1, &[1], 0),
+            depart(0, 2),
+            depart(1, 2),
+        ] {
+            lb.observe(&op);
+        }
+        assert_eq!(lb.value(), 4);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 
 mod norms;
 mod vec;
+mod wide;
 
 pub use norms::{linf, lp_f64, lp_slices, ratio_linf, ratio_linf_slices};
 pub use vec::{DimVec, INLINE_DIMS};
+pub use wide::WideSum;
 
 #[cfg(test)]
 mod proptests;

@@ -162,7 +162,8 @@ impl DimVec {
     /// # Panics
     ///
     /// Panics on dimension mismatch or on `u64` overflow (overflow would
-    /// mean a corrupted packing state, never a legitimate load).
+    /// mean a corrupted packing state, never a legitimate load). Sums
+    /// across items, which may exceed `u64`, go to [`crate::WideSum`].
     pub fn add_assign(&mut self, rhs: &DimVec) {
         assert_eq!(self.dim(), rhs.dim(), "dimension mismatch");
         for (a, b) in self.as_mut_slice().iter_mut().zip(rhs.iter()) {

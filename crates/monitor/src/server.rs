@@ -29,7 +29,7 @@ use dvbp_sim::Cost;
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -126,6 +126,8 @@ pub struct Monitor {
     /// the trace carried `PolicySwitch` markers. Fixed at construction —
     /// the trace is, too.
     pub segments: Vec<(String, SegmentStats)>,
+    /// Failed `accept` calls on the listener.
+    pub accept_errors: AtomicU64,
 }
 
 impl Monitor {
@@ -153,6 +155,7 @@ impl Monitor {
                 })
                 .collect(),
             segments: Vec::new(),
+            accept_errors: AtomicU64::new(0),
         }
     }
 
@@ -263,6 +266,11 @@ impl Monitor {
             &self.repack_snapshot(),
         ));
         text.push_str(&prometheus::render_segments(&self.policy, &self.segments));
+        // Every monitor series carries the policy label.
+        let name = "dvbp_monitor_accept_errors_total";
+        expo::family(&mut text, name, expo::Kind::Counter, None);
+        let accept_errors = self.accept_errors.load(Ordering::Relaxed);
+        expo::sample(&mut text, name, &[("policy", &self.policy)], accept_errors);
         text
     }
 }
@@ -298,32 +306,47 @@ impl<'a> MonitorServer<'a> {
     /// Serves until `/shutdown` is requested (or the flag is already
     /// set when a connection arrives), each connection on its own scoped
     /// thread; returns once every connection thread has finished.
-    /// Per-connection I/O errors are logged and skipped; only accept
-    /// errors abort.
+    /// Per-connection I/O errors are logged and skipped; a failed
+    /// `accept` is counted and the loop goes on.
     ///
     /// # Errors
     ///
-    /// Propagates a failed `accept`.
+    /// Only when the listener has no local address.
     pub fn serve(&self) -> io::Result<()> {
         let local = self.listener.local_addr()?;
         std::thread::scope(|scope| {
             for stream in self.listener.incoming() {
-                let stream = stream?;
-                scope.spawn(move || {
-                    if let Err(e) = self.serve_connection(stream) {
-                        eprintln!("dvbp-monitor: connection error: {e}");
-                    }
-                    if self.monitor.shutting_down() {
-                        // Nudge the accept loop out of its blocking accept.
-                        let _ = TcpStream::connect(local);
-                    }
-                });
+                if let Some(stream) = self.accepted(stream) {
+                    scope.spawn(move || {
+                        if let Err(e) = self.serve_connection(stream) {
+                            eprintln!("dvbp-monitor: connection error: {e}");
+                        }
+                        if self.monitor.shutting_down() {
+                            // Nudge the accept loop out of its blocking accept.
+                            let _ = TcpStream::connect(local);
+                        }
+                    });
+                }
                 if self.monitor.shutting_down() {
                     break;
                 }
             }
-            Ok(())
-        })
+        });
+        Ok(())
+    }
+
+    /// One `accept` outcome: the connection to serve, or `None` after a
+    /// failure, counted in `dvbp_monitor_accept_errors_total` and
+    /// followed by a pause of [`expo::ACCEPT_BACKOFF`].
+    fn accepted(&self, stream: io::Result<TcpStream>) -> Option<TcpStream> {
+        match stream {
+            Ok(stream) => Some(stream),
+            Err(_) => {
+                self.monitor.accept_errors.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(expo::ACCEPT_BACKOFF);
+                None
+            }
+        }
     }
 
     fn serve_connection(&self, mut stream: TcpStream) -> io::Result<()> {
@@ -375,6 +398,32 @@ mod tests {
         assert_eq!(parsed.runs, 0);
         assert!(!parsed.shutting_down);
         assert_eq!(parsed.usage_time, "0");
+    }
+
+    #[test]
+    fn a_failed_accept_is_counted_and_the_next_connection_is_served() {
+        use std::io::{BufRead, Write};
+        let monitor = Monitor::new("FirstFit");
+        let server = MonitorServer::bind("127.0.0.1:0", &monitor).unwrap();
+        let addr = server.local_addr().unwrap();
+        // EMFILE: the process is out of file descriptors.
+        assert!(server
+            .accepted(Err(io::Error::from_raw_os_error(24)))
+            .is_none());
+        let client = std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            write!(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+            let mut line = String::new();
+            BufReader::new(conn).read_line(&mut line).unwrap();
+            line
+        });
+        let stream = server.accepted(server.listener.accept().map(|(s, _)| s));
+        server.serve_connection(stream.unwrap()).unwrap();
+        let status = client.join().unwrap();
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        assert!(monitor
+            .metrics_text()
+            .contains("dvbp_monitor_accept_errors_total{policy=\"FirstFit\"} 1"));
     }
 
     #[test]

@@ -235,6 +235,11 @@ pub fn merge_histograms(text: &str, family: &str, by: &str) -> BTreeMap<String, 
 /// long as it keeps sending.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
+/// How long an accept loop pauses after a failed `accept` before it
+/// accepts again, so that a persistent error (out of file descriptors,
+/// say) is counted without spinning a vCPU.
+pub const ACCEPT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(50);
+
 /// Outcome of one guarded line read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LineRead {

@@ -16,7 +16,7 @@
 //!   with identical load vectors, and opening "the" new bin is a single
 //!   branch.
 
-use dvbp_dimvec::DimVec;
+use dvbp_dimvec::{DimVec, WideSum};
 
 /// Hard cap on items per exact solve; beyond this, callers should use the
 /// `[lb, ffd]` sandwich instead (see [`crate::opt::opt_bounds`]).
@@ -83,10 +83,10 @@ pub fn pack_assignment(sizes: &[DimVec], cap: &DimVec, item_limit: usize) -> Opt
 
     // Suffix totals for the volume lower bound.
     let dim = cap.dim();
-    let mut suffix_total: Vec<DimVec> = vec![DimVec::zeros(dim); sorted.len() + 1];
+    let mut suffix_total: Vec<WideSum> = vec![WideSum::zeros(dim); sorted.len() + 1];
     for i in (0..sorted.len()).rev() {
         let mut t = suffix_total[i + 1].clone();
-        t.add_assign(sorted[i]);
+        t.add(sorted[i]);
         suffix_total[i] = t;
     }
 
@@ -96,8 +96,8 @@ pub fn pack_assignment(sizes: &[DimVec], cap: &DimVec, item_limit: usize) -> Opt
     // best_assign lives in *sorted* index space during the search.
     let mut best_assign: Vec<usize> = order.iter().map(|&i| ffd[i]).collect();
 
-    let lb = volume_lb(&suffix_total[0], cap);
-    if lb < best {
+    let lb = suffix_total[0].bins_needed(cap);
+    if lb < best as u128 {
         let mut bins: Vec<DimVec> = Vec::new();
         let mut cur: Vec<usize> = vec![usize::MAX; sorted.len()];
         branch(
@@ -123,21 +123,11 @@ pub fn pack_assignment(sizes: &[DimVec], cap: &DimVec, item_limit: usize) -> Opt
     })
 }
 
-/// `max_j ⌈total_j / cap_j⌉` — bins needed for this aggregate load.
-fn volume_lb(total: &DimVec, cap: &DimVec) -> usize {
-    total
-        .iter()
-        .zip(cap.iter())
-        .map(|(t, c)| t.div_ceil(c) as usize)
-        .max()
-        .unwrap_or(0)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn branch(
     sorted: &[&DimVec],
     cap: &DimVec,
-    suffix_total: &[DimVec],
+    suffix_total: &[WideSum],
     bins: &mut Vec<DimVec>,
     cur: &mut Vec<usize>,
     best: &mut usize,
@@ -157,15 +147,15 @@ fn branch(
     // Free-space-aware volume bound: remaining demand beyond current free
     // space needs fresh bins.
     let remaining = &suffix_total[next];
-    let mut deficit_bins = 0usize;
+    let mut deficit_bins = 0u128;
     for j in 0..cap.dim() {
-        let free: u64 = bins.iter().map(|b| cap[j] - b[j]).sum();
-        let rem = remaining[j];
+        let free: u128 = bins.iter().map(|b| u128::from(cap[j] - b[j])).sum();
+        let rem = remaining.get(j);
         if rem > free {
-            deficit_bins = deficit_bins.max((rem - free).div_ceil(cap[j]) as usize);
+            deficit_bins = deficit_bins.max((rem - free).div_ceil(u128::from(cap[j])));
         }
     }
-    if bins.len() + deficit_bins >= *best {
+    if bins.len() as u128 + deficit_bins >= *best as u128 {
         return;
     }
 
@@ -261,6 +251,12 @@ mod tests {
 
     fn scalars(s: &[u64]) -> Vec<DimVec> {
         s.iter().map(|&x| v(&[x])).collect()
+    }
+
+    #[test]
+    fn volume_bounds_sum_past_u64() {
+        let sizes = vec![v(&[u64::MAX]), v(&[1]), v(&[u64::MAX])];
+        assert_eq!(pack_count(&sizes, &v(&[u64::MAX]), 28), Some(3));
     }
 
     #[test]

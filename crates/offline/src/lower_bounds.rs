@@ -1,7 +1,7 @@
 //! Lower bounds on the optimum cost — Lemma 1 of the paper.
 
 use dvbp_core::Instance;
-use dvbp_dimvec::DimVec;
+use dvbp_dimvec::WideSum;
 use dvbp_sim::{sweep, Cost};
 
 /// Lemma 1(i): `OPT(R) ≥ ∫ ⌈‖s(R,t)‖∞⌉ dt`.
@@ -14,22 +14,16 @@ use dvbp_sim::{sweep, Cost};
 pub fn lb_load(instance: &Instance) -> Cost {
     let intervals = instance.intervals();
     let mut total: Cost = 0;
-    let mut load = DimVec::zeros(instance.dim());
+    let mut load = WideSum::zeros(instance.dim());
     sweep::sweep(&intervals, |slice| {
         // Recompute the slice load from scratch: `sweep` hands us the
         // active set, and n is small enough that incremental maintenance
         // is not worth the bookkeeping here.
-        load.as_mut_slice().fill(0);
+        load.clear();
         for &id in slice.active {
-            load.add_assign(&instance.items[id].size);
+            load.add(&instance.items[id].size);
         }
-        let bins_needed: u64 = load
-            .iter()
-            .zip(instance.capacity.iter())
-            .map(|(l, c)| l.div_ceil(c))
-            .max()
-            .unwrap_or(0);
-        total += Cost::from(bins_needed) * Cost::from(slice.interval.len());
+        total += load.bins_needed(&instance.capacity) * Cost::from(slice.interval.len());
     });
     total
 }
@@ -70,6 +64,7 @@ pub fn opt_lower_bound(instance: &Instance) -> Cost {
 mod tests {
     use super::*;
     use dvbp_core::Item;
+    use dvbp_dimvec::DimVec;
 
     fn item(size: &[u64], a: u64, e: u64) -> Item {
         Item::new(DimVec::from_slice(size), a, e)
@@ -112,6 +107,14 @@ mod tests {
             ],
         );
         assert_eq!(lb_load(&i), 15); // ceil(27/10)=3 bins * 5 ticks
+    }
+
+    #[test]
+    fn lb_load_sums_active_sizes_past_u64() {
+        // Two concurrent items whose sizes sum to 2^64 under a capacity
+        // of 2^64 − 1: two bins for two ticks.
+        let i = inst(&[u64::MAX], vec![item(&[u64::MAX], 0, 2), item(&[1], 0, 2)]);
+        assert_eq!(lb_load(&i), 4);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::exact::pack_count;
 use crate::ffd::ffd_count;
 use dvbp_core::Instance;
-use dvbp_dimvec::DimVec;
+use dvbp_dimvec::{DimVec, WideSum};
 use dvbp_sim::{sweep, Cost};
 
 /// A two-sided estimate of `OPT(R)`.
@@ -80,17 +80,11 @@ pub fn opt_bounds(instance: &Instance, item_limit: usize) -> OptBounds {
             lower += Cost::from(exact as u64) * len;
             upper += Cost::from(exact as u64) * len;
         } else {
-            let mut total = DimVec::zeros(instance.dim());
+            let mut total = WideSum::zeros(instance.dim());
             for s in &sizes {
-                total.add_assign(s);
+                total.add(s);
             }
-            let lb: u64 = total
-                .iter()
-                .zip(instance.capacity.iter())
-                .map(|(t, c)| t.div_ceil(c))
-                .max()
-                .unwrap_or(0);
-            lower += Cost::from(lb) * len;
+            lower += total.bins_needed(&instance.capacity) * len;
             upper += Cost::from(ffd_count(&sizes, &instance.capacity) as u64) * len;
         }
     });
@@ -181,6 +175,16 @@ mod tests {
         let b = opt_bounds(&i, 28);
         assert!(b.lower <= exact && exact <= b.upper);
         assert!(b.is_exact());
+    }
+
+    #[test]
+    fn bounds_sum_active_sizes_past_u64() {
+        // The sizes sum to 2^64, one more than the capacity: two bins for
+        // two ticks, exactly and by the volume fallback alike.
+        let i = inst(&[u64::MAX], vec![item(&[u64::MAX], 0, 2), item(&[1], 0, 2)]);
+        assert_eq!(opt_exact(&i, 28), Some(4));
+        assert_eq!(opt_bounds(&i, 28), OptBounds { lower: 4, upper: 4 });
+        assert_eq!(opt_bounds(&i, 1).lower, 4);
     }
 
     #[test]

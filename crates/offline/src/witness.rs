@@ -12,7 +12,7 @@
 //! have contiguous usage anyway).
 
 use dvbp_core::Instance;
-use dvbp_dimvec::DimVec;
+use dvbp_dimvec::WideSum;
 use dvbp_sim::{span_of, sweep, Cost, Interval};
 
 /// Validates an offline assignment and returns its total usage-time cost.
@@ -48,9 +48,9 @@ pub fn assignment_cost(instance: &Instance, assignment: &[usize]) -> Result<Cost
             if violation.is_some() {
                 return;
             }
-            let mut load = DimVec::zeros(instance.dim());
+            let mut load = WideSum::zeros(instance.dim());
             for &k in slice.active {
-                load.add_assign(&instance.items[items[k]].size);
+                load.add(&instance.items[items[k]].size);
             }
             if !load.fits_within(&instance.capacity) {
                 violation = Some(format!(
@@ -71,6 +71,7 @@ pub fn assignment_cost(instance: &Instance, assignment: &[usize]) -> Result<Cost
 mod tests {
     use super::*;
     use dvbp_core::Item;
+    use dvbp_dimvec::DimVec;
 
     fn item(size: &[u64], a: u64, e: u64) -> Item {
         Item::new(DimVec::from_slice(size), a, e)
@@ -102,6 +103,17 @@ mod tests {
         let inst =
             Instance::new(DimVec::scalar(10), vec![item(&[6], 0, 2), item(&[6], 5, 7)]).unwrap();
         assert_eq!(assignment_cost(&inst, &[0, 0]).unwrap(), 4);
+    }
+
+    #[test]
+    fn overload_past_u64_is_reported_not_a_panic() {
+        let inst = Instance::new(
+            DimVec::scalar(u64::MAX),
+            vec![item(&[u64::MAX], 0, 2), item(&[1], 0, 2)],
+        )
+        .unwrap();
+        assert!(assignment_cost(&inst, &[0, 0]).is_err());
+        assert_eq!(assignment_cost(&inst, &[0, 1]).unwrap(), 4);
     }
 
     #[test]

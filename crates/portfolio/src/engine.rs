@@ -14,6 +14,10 @@ use dvbp_core::{LiveDeparture, LiveEngine, LiveError, LivePlacement, Observer, P
 use dvbp_dimvec::DimVec;
 use dvbp_sim::{Cost, Time};
 
+/// The standalone engine's shadows refuse nothing it accepted; a dead
+/// worker is a bug, and the engine panics on it.
+const SHADOWS_ALIVE: &str = "the shadow worker mirrors the accepted live stream";
+
 /// Outcome of one [`PortfolioEngine::depart`]: the live departure plus
 /// the switch it triggered, if any.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,9 +69,16 @@ impl<O: Observer> PortfolioEngine<O> {
     ///
     /// Exactly as [`LiveEngine::arrive`]; on error the shadows see
     /// nothing, keeping every engine on the same accepted stream.
+    ///
+    /// # Panics
+    ///
+    /// If the shadow worker died (a shadow refused an operation the live
+    /// engine accepted).
     pub fn arrive(&mut self, size: DimVec, time: Time) -> Result<LivePlacement, LiveError> {
         let placed = self.live.arrive(size.clone(), time)?;
-        self.state.on_arrive(&size, placed.time);
+        self.state
+            .on_arrive(&size, placed.time)
+            .expect(SHADOWS_ALIVE);
         Ok(placed)
     }
 
@@ -88,7 +99,10 @@ impl<O: Observer> PortfolioEngine<O> {
                 .iter()
                 .filter(|m| m.closed_from)
                 .count() as u64;
-        let proposal = self.state.on_depart(item, departure.time, closes);
+        let proposal = self
+            .state
+            .on_depart(item, departure.time, closes)
+            .expect(SHADOWS_ALIVE);
         let switched = match proposal {
             None => None,
             Some(kind) => {
@@ -130,9 +144,13 @@ impl<O: Observer> PortfolioEngine<O> {
     }
 
     /// Scoreboard rows at tick `at`, in candidate order.
+    ///
+    /// # Panics
+    ///
+    /// If the shadow worker died, as the operations do.
     #[must_use]
     pub fn scoreboard(&self, at: Time) -> Vec<ShadowScore> {
-        self.state.scoreboard(at)
+        self.state.scoreboard(at).expect(SHADOWS_ALIVE)
     }
 
     /// Applied switches, in order.
@@ -148,9 +166,13 @@ impl<O: Observer> PortfolioEngine<O> {
     }
 
     /// The shared Lemma-1 lower bound of the accepted stream.
+    ///
+    /// # Panics
+    ///
+    /// If the shadow worker died, as the operations do.
     #[must_use]
     pub fn lower_bound(&self) -> Cost {
-        self.state.lower_bound()
+        self.state.lower_bound().expect(SHADOWS_ALIVE)
     }
 
     /// Unwraps the live engine (dropping shadows and meta state), e.g.

@@ -17,7 +17,9 @@
 //!   best shadow by more than a relative threshold).
 //! * [`PortfolioState`] — the shared decision state `dvbp-serve` shards
 //!   journal switches from; WAL recovery re-runs it over the journaled
-//!   operations and checks its switches against the journal.
+//!   operations and checks its switches against the journal. Its
+//!   shadows run on a worker thread of their own, fed through a bounded
+//!   in-order queue; every read of them waits for the queue to drain.
 //! * [`PortfolioEngine`] — the standalone live-engine wrapper used by
 //!   benches, property tests, and the conformance harness.
 //!
@@ -30,6 +32,7 @@ mod engine;
 mod meta;
 mod shadow;
 mod state;
+mod worker;
 
 pub use engine::{PortfolioDeparture, PortfolioEngine};
 pub use meta::{
@@ -38,6 +41,7 @@ pub use meta::{
 };
 pub use shadow::{Shadow, ShadowScore, ShadowSet};
 pub use state::{PortfolioError, PortfolioState, SwitchRecord};
+pub use worker::WAKE_AT;
 
 use dvbp_core::PolicyKind;
 

@@ -131,19 +131,11 @@ impl ShadowSet {
     /// If a shadow rejects the arrival — impossible when the caller
     /// forwards exactly the operations the live engine accepted.
     pub fn arrive(&mut self, size: &DimVec, time: Time) {
-        let item = self.items_seen;
-        self.lb.observe(&LiveOp::Arrive {
-            item,
+        self.apply(&[LiveOp::Arrive {
+            item: self.items_seen,
             size: size.clone(),
             time,
-        });
-        for shadow in &mut self.shadows {
-            shadow
-                .engine
-                .arrive(size.clone(), time)
-                .expect("shadow engines mirror the accepted live stream");
-        }
-        self.items_seen += 1;
+        }]);
     }
 
     /// Mirrors an accepted departure into every shadow and the lower
@@ -154,12 +146,35 @@ impl ShadowSet {
     /// If a shadow rejects the departure — impossible when the caller
     /// forwards exactly the operations the live engine accepted.
     pub fn depart(&mut self, item: usize, time: Time) {
-        self.lb.observe(&LiveOp::Depart { item, time });
+        self.apply(&[LiveOp::Depart { item, time }]);
+    }
+
+    /// Mirrors a batch of accepted operations, in order, shadow by
+    /// shadow: each shadow takes the whole batch before the next starts,
+    /// and the lower bound folds it once. Arrivals carry the dense index
+    /// the set assigns next ([`items_seen`](Self::items_seen) onwards).
+    ///
+    /// # Panics
+    ///
+    /// If a shadow rejects an operation, as [`arrive`](Self::arrive).
+    pub(crate) fn apply(&mut self, ops: &[LiveOp]) {
+        for op in ops {
+            if let LiveOp::Arrive { item, .. } = op {
+                debug_assert_eq!(*item, self.items_seen, "arrivals carry dense indices");
+                self.items_seen += 1;
+            }
+            self.lb.observe(op);
+        }
         for shadow in &mut self.shadows {
-            shadow
-                .engine
-                .depart(item, time)
-                .expect("shadow engines mirror the accepted live stream");
+            for op in ops {
+                let accepted = match op {
+                    LiveOp::Arrive { size, time, .. } => {
+                        shadow.engine.arrive(size.clone(), *time).map(drop)
+                    }
+                    LiveOp::Depart { item, time } => shadow.engine.depart(*item, *time).map(drop),
+                };
+                accepted.expect("shadow engines mirror the accepted live stream");
+            }
         }
     }
 

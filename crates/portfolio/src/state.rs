@@ -3,9 +3,20 @@
 //! [`PortfolioEngine`](crate::PortfolioEngine) and `dvbp-serve`'s
 //! WAL-journaling shards can drive the same logic — and so WAL recovery
 //! can rebuild the exact state by replaying the journaled operations.
+//!
+//! The shadows run on a worker thread of their own ([`crate::worker`]):
+//! forwarding an operation queues it and returns, and every read of
+//! shadow state — the meta-policy's evaluation in
+//! [`on_depart`](PortfolioState::on_depart),
+//! [`scoreboard`](PortfolioState::scoreboard),
+//! [`lower_bound`](PortfolioState::lower_bound),
+//! [`items_seen`](PortfolioState::items_seen) — first waits until the
+//! worker has applied every operation forwarded before it. Decisions
+//! are therefore those of a synchronously fed shadow set.
 
 use crate::meta::MetaPolicy;
 use crate::shadow::{ShadowScore, ShadowSet};
+use crate::worker::{ShadowWorker, WorkerDown};
 use dvbp_core::{LiveError, PolicyKind, TimeMode};
 use dvbp_dimvec::DimVec;
 use dvbp_sim::{Cost, Time};
@@ -22,6 +33,13 @@ pub enum PortfolioError {
         /// The unmatched round-trippable policy spelling.
         spec: String,
     },
+    /// The shadow worker died (a shadow refused an accepted operation,
+    /// which is a bug) or could not start; the state answers nothing
+    /// more.
+    Shadows {
+        /// Why, naming the worker thread.
+        msg: String,
+    },
 }
 
 impl std::fmt::Display for PortfolioError {
@@ -32,6 +50,7 @@ impl std::fmt::Display for PortfolioError {
             PortfolioError::UnknownCandidate { spec } => {
                 write!(f, "switch target {spec} is not a portfolio candidate")
             }
+            PortfolioError::Shadows { msg } => write!(f, "shadows stopped: {msg}"),
         }
     }
 }
@@ -41,6 +60,12 @@ impl std::error::Error for PortfolioError {}
 impl From<LiveError> for PortfolioError {
     fn from(e: LiveError) -> Self {
         PortfolioError::Live(e)
+    }
+}
+
+impl From<WorkerDown> for PortfolioError {
+    fn from(WorkerDown(msg): WorkerDown) -> Self {
+        PortfolioError::Shadows { msg }
     }
 }
 
@@ -63,8 +88,12 @@ pub struct SwitchRecord {
 /// [`on_depart`](PortfolioState::on_depart)), apply a returned switch
 /// proposal to their live engine, then confirm it with
 /// [`record_switch`](PortfolioState::record_switch).
+///
+/// The shadows run on a worker thread that starts with the first
+/// forwarded operation and is joined when the state is dropped (see the
+/// module docs for the barrier rule).
 pub struct PortfolioState {
-    shadows: ShadowSet,
+    shadows: ShadowWorker,
     meta: MetaPolicy,
     candidates: Vec<PolicyKind>,
     /// Index (into `candidates`) of the policy currently live.
@@ -110,7 +139,12 @@ impl PortfolioState {
             .iter()
             .position(|k| k == live_kind)
             .expect("live kind inserted above");
-        let shadows = ShadowSet::new(capacity, time_mode, &candidates, items_hint)?;
+        let shadows = ShadowWorker::new(ShadowSet::new(
+            capacity,
+            time_mode,
+            &candidates,
+            items_hint,
+        )?);
         let n = candidates.len();
         Ok(PortfolioState {
             shadows,
@@ -124,9 +158,21 @@ impl PortfolioState {
         })
     }
 
-    /// Mirrors an accepted arrival into the shadows.
-    pub fn on_arrive(&mut self, size: &DimVec, time: Time) {
-        self.shadows.arrive(size, time);
+    /// Names the shadow worker thread after a shard
+    /// (`dvbp-shadows-<shard>`). Call it before the first operation,
+    /// which starts the thread.
+    pub fn label(&mut self, shard: usize) {
+        self.shadows.label(shard);
+    }
+
+    /// Mirrors an accepted arrival into the shadows: queues it for the
+    /// worker and returns.
+    ///
+    /// # Errors
+    ///
+    /// [`PortfolioError::Shadows`] once the worker has died.
+    pub fn on_arrive(&mut self, size: &DimVec, time: Time) -> Result<(), PortfolioError> {
+        Ok(self.shadows.arrive(size, time)?)
     }
 
     /// Mirrors an accepted departure into the shadows, advances the
@@ -137,11 +183,22 @@ impl PortfolioState {
     ///
     /// The proposal is **not** applied here; the caller switches its
     /// live engine and then confirms with
-    /// [`record_switch`](PortfolioState::record_switch).
-    pub fn on_depart(&mut self, item: usize, time: Time, live_closes: u64) -> Option<PolicyKind> {
-        self.shadows.depart(item, time);
+    /// [`record_switch`](PortfolioState::record_switch). An evaluation
+    /// is a barrier: it waits for the worker to apply every operation
+    /// forwarded so far, this departure included.
+    ///
+    /// # Errors
+    ///
+    /// [`PortfolioError::Shadows`] once the worker has died.
+    pub fn on_depart(
+        &mut self,
+        item: usize,
+        time: Time,
+        live_closes: u64,
+    ) -> Result<Option<PolicyKind>, PortfolioError> {
+        self.shadows.depart(item, time)?;
         if live_closes == 0 {
-            return None;
+            return Ok(None);
         }
         self.closes += live_closes;
         self.closes_since_switch += live_closes;
@@ -155,19 +212,21 @@ impl PortfolioState {
             }
         };
         if !worth_evaluating {
-            return None;
+            return Ok(None);
         }
-        self.costs.clear();
-        self.costs
-            .extend(self.shadows.shadows().iter().map(|s| s.cost_at(time)));
-        self.meta
+        let costs = &mut self.costs;
+        costs.clear();
+        self.shadows
+            .read(|set| costs.extend(set.shadows().iter().map(|s| s.cost_at(time))))?;
+        Ok(self
+            .meta
             .decide(
                 self.current,
                 &self.costs,
                 self.closes,
                 self.closes_since_switch,
             )
-            .map(|idx| self.candidates[idx].clone())
+            .map(|idx| self.candidates[idx].clone()))
     }
 
     /// Confirms that the live engine adopted `to` at tick `time`:
@@ -224,22 +283,39 @@ impl PortfolioState {
         self.closes
     }
 
-    /// Scoreboard rows at tick `at`, in candidate order.
-    #[must_use]
-    pub fn scoreboard(&self, at: Time) -> Vec<ShadowScore> {
-        self.shadows.scoreboard(at)
+    /// Scoreboard rows at tick `at`, in candidate order. A barrier.
+    ///
+    /// # Errors
+    ///
+    /// [`PortfolioError::Shadows`] once the worker has died.
+    pub fn scoreboard(&self, at: Time) -> Result<Vec<ShadowScore>, PortfolioError> {
+        Ok(self.shadows.read(|set| set.scoreboard(at))?)
     }
 
-    /// The shared Lemma-1 lower bound of the observed stream.
-    #[must_use]
-    pub fn lower_bound(&self) -> Cost {
-        self.shadows.lower_bound()
+    /// The shared Lemma-1 lower bound of the observed stream. A
+    /// barrier.
+    ///
+    /// # Errors
+    ///
+    /// [`PortfolioError::Shadows`] once the worker has died.
+    pub fn lower_bound(&self) -> Result<Cost, PortfolioError> {
+        Ok(self.shadows.read(ShadowSet::lower_bound)?)
     }
 
-    /// The shadow set (read-only).
+    /// Arrivals the shadows have applied. A barrier, so it equals the
+    /// arrivals forwarded.
+    ///
+    /// # Errors
+    ///
+    /// [`PortfolioError::Shadows`] once the worker has died.
+    pub fn items_seen(&self) -> Result<usize, PortfolioError> {
+        Ok(self.shadows.read(ShadowSet::items_seen)?)
+    }
+
+    /// Why the shadow worker died, if it has; does not wait for it.
     #[must_use]
-    pub fn shadows(&self) -> &ShadowSet {
-        &self.shadows
+    pub fn failure(&self) -> Option<PortfolioError> {
+        self.shadows.failure().map(PortfolioError::from)
     }
 }
 
@@ -280,8 +356,8 @@ mod tests {
             0,
         )
         .unwrap();
-        state.on_arrive(&dv(&[6]), 0);
-        assert_eq!(state.on_depart(0, 5, 1), None);
+        state.on_arrive(&dv(&[6]), 0).unwrap();
+        assert_eq!(state.on_depart(0, 5, 1), Ok(None));
         assert_eq!(state.closes(), 1);
         assert!(state.switches().is_empty());
     }
@@ -300,11 +376,11 @@ mod tests {
         // NextFit wastes a bin: [6] opens b0, blocker [9] takes b1 and
         // becomes current, [4] then opens b2 under NextFit but rides b0
         // under FirstFit.
-        state.on_arrive(&dv(&[6]), 0);
-        state.on_arrive(&dv(&[9]), 1);
-        state.on_arrive(&dv(&[4]), 2);
+        state.on_arrive(&dv(&[6]), 0).unwrap();
+        state.on_arrive(&dv(&[9]), 1).unwrap();
+        state.on_arrive(&dv(&[4]), 2).unwrap();
         let proposal = state.on_depart(1, 6, 1);
-        assert_eq!(proposal, Some(PolicyKind::FirstFit));
+        assert_eq!(proposal, Ok(Some(PolicyKind::FirstFit)));
         state.record_switch(&PolicyKind::FirstFit, 6).unwrap();
         assert_eq!(state.current_kind(), &PolicyKind::FirstFit);
         assert_eq!(state.switches().len(), 1);
@@ -315,5 +391,64 @@ mod tests {
             state.record_switch(&PolicyKind::LastFit, 7),
             Err(PortfolioError::UnknownCandidate { .. })
         ));
+    }
+
+    #[test]
+    fn a_dead_worker_fails_the_next_barrier_without_waiting() {
+        let mut state = PortfolioState::new(
+            &dv(&[10]),
+            TimeMode::Strict,
+            &[PolicyKind::FirstFit, PolicyKind::NextFit],
+            &PolicyKind::NextFit,
+            MetaPolicy::BestOf { window: 1 },
+            0,
+        )
+        .unwrap();
+        state.label(3);
+        state.on_arrive(&dv(&[6]), 0).unwrap();
+        // A departure of an item that never arrived: queued here, refused
+        // by the first shadow on the worker thread.
+        state.on_depart(5, 1, 0).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let board = state.scoreboard(1);
+            tx.send((board, state)).unwrap();
+        });
+        let (board, mut state) = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("the barrier must fail, not wait for a dead worker");
+        match board {
+            Err(PortfolioError::Shadows { msg }) => {
+                assert!(msg.starts_with("dvbp-shadows-3 panicked: "), "{msg}");
+            }
+            other => panic!("expected a failed barrier, got {other:?}"),
+        }
+        assert!(state.failure().is_some());
+        assert!(state.lower_bound().is_err());
+        assert!(matches!(
+            state.on_arrive(&dv(&[1]), 2),
+            Err(PortfolioError::Shadows { .. })
+        ));
+        assert!(matches!(
+            state.on_depart(0, 2, 1),
+            Err(PortfolioError::Shadows { .. })
+        ));
+    }
+
+    #[test]
+    fn reads_before_the_first_operation_start_no_thread() {
+        let state = PortfolioState::new(
+            &dv(&[10]),
+            TimeMode::Strict,
+            &[PolicyKind::FirstFit],
+            &PolicyKind::FirstFit,
+            MetaPolicy::Static,
+            0,
+        )
+        .unwrap();
+        assert_eq!(state.items_seen(), Ok(0));
+        assert_eq!(state.lower_bound(), Ok(0));
+        assert_eq!(state.scoreboard(0).unwrap().len(), 1);
+        assert!(!state.shadows.started());
     }
 }

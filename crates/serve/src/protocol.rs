@@ -60,6 +60,9 @@ pub mod error_code {
     pub const OUT_OF_ORDER: &str = "out-of-order";
     /// The write-ahead log failed; the shard no longer accepts writes.
     pub const WAL: &str = "wal";
+    /// The shard failed (its shadow worker died, or a request panicked
+    /// while holding its lock); it refuses every request.
+    pub const SHARD_FAILED: &str = "shard-failed";
     /// The portfolio layer rejected the configuration or operation.
     pub const PORTFOLIO: &str = "portfolio";
     /// The request line did not parse.

@@ -157,6 +157,24 @@ pub fn recover(
     time_mode: TimeMode,
     portfolio: Option<&PortfolioConfig>,
 ) -> Result<Recovered, RecoveryError> {
+    recover_shard(
+        bytes, capacity, kind, repack, trace, time_mode, portfolio, None,
+    )
+}
+
+/// [`recover`] for shard `index` of a service, whose shadow worker
+/// thread is named after it.
+#[allow(clippy::too_many_arguments)] // recover's surface plus the index
+pub(crate) fn recover_shard(
+    bytes: &[u8],
+    capacity: &DimVec,
+    kind: &PolicyKind,
+    repack: RepackPolicy,
+    trace: TraceMode,
+    time_mode: TimeMode,
+    portfolio: Option<&PortfolioConfig>,
+    index: Option<usize>,
+) -> Result<Recovered, RecoveryError> {
     let scan = scan_wal(bytes).map_err(RecoveryError::Scan)?;
     match scan.events.first() {
         Some(ObsEvent::RunStart {
@@ -192,6 +210,9 @@ pub fn recover(
             portfolio,
         )
         .map_err(|e| rejected(e, 0))?;
+        if let Some(index) = index {
+            shard.label(index);
+        }
         match replay(&mut shard, &scan.events[..kept], &scan.offsets, &tally)? {
             Pass::Cut(start) => kept = start,
             Pass::Whole => {
@@ -779,7 +800,7 @@ mod tests {
         assert_eq!(pf.switches()[0].from, "NextFit");
         assert_eq!(pf.switches()[0].to, "FirstFit");
         assert_eq!(pf.switches()[0].time, 3);
-        assert_eq!(pf.shadows().items_seen(), 4, "shadows saw the stream");
+        assert_eq!(pf.items_seen(), Ok(4), "shadows saw the stream");
     }
 
     #[test]

@@ -15,7 +15,14 @@
 //!
 //! Handling is thread-per-connection; each shard sits behind its own
 //! mutex, so requests for different shards proceed in parallel while
-//! the router itself stays lock-free on the hash path.
+//! the router itself stays lock-free on the hash path. A portfolio
+//! shard also owns one shadow worker thread (see [`crate::shard`]).
+//!
+//! A shard that has failed — its WAL failed, its shadow worker died, or
+//! a request panicked while holding its lock — answers every request
+//! routed to it with a typed error (`wal` or `shard-failed`) and counts
+//! it in `dvbp_serve_shard_refused_total`; `/healthz` answers 503 while
+//! any shard has failed, and `/status` and `/metrics` keep answering.
 
 use crate::protocol::{error_code, Request, Response, ServeStatus};
 use crate::router::{Router, RouterKind};
@@ -31,10 +38,10 @@ use dvbp_sim::Time;
 use std::fmt::Display;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Default per-connection read timeout: long enough for any interactive
@@ -54,6 +61,10 @@ pub struct ServeState<W: StableWrite> {
     /// Per-connection socket read timeout (ms; 0 disables).
     read_timeout_ms: AtomicU64,
     shutting_down: AtomicBool,
+    /// Per shard: requests refused because the shard had failed.
+    refused: Vec<AtomicU64>,
+    /// Failed `accept` calls on the listener.
+    accept_errors: AtomicU64,
 }
 
 impl ServeState<Vec<u8>> {
@@ -75,8 +86,8 @@ impl ServeState<Vec<u8>> {
         portfolio: Option<&PortfolioConfig>,
     ) -> Result<Self, ShardError> {
         let shard_states = (0..shards)
-            .map(|_| {
-                Shard::create(
+            .map(|s| {
+                let mut shard = Shard::create(
                     capacity.clone(),
                     kind,
                     repack,
@@ -85,10 +96,11 @@ impl ServeState<Vec<u8>> {
                     Vec::new(),
                     sync,
                     portfolio,
-                )
-                .map(Mutex::new)
+                )?;
+                shard.label(s);
+                Ok(Mutex::new(shard))
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, ShardError>>()?;
         Ok(ServeState {
             shards: shard_states,
             router: Router::new(router, shards),
@@ -98,6 +110,8 @@ impl ServeState<Vec<u8>> {
             spans: SpanHub::new(shards),
             read_timeout_ms: AtomicU64::new(DEFAULT_READ_TIMEOUT_MS),
             shutting_down: AtomicBool::new(false),
+            refused: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            accept_errors: AtomicU64::new(0),
         })
     }
 
@@ -107,7 +121,7 @@ impl ServeState<Vec<u8>> {
     pub fn into_shards(self) -> Vec<Shard<Vec<u8>>> {
         self.shards
             .into_iter()
-            .map(|m| m.into_inner().unwrap())
+            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
             .collect()
     }
 }
@@ -149,6 +163,8 @@ impl ServeState<BufWriter<File>> {
             spans: SpanHub::new(shards),
             read_timeout_ms: AtomicU64::new(DEFAULT_READ_TIMEOUT_MS),
             shutting_down: AtomicBool::new(false),
+            refused: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            accept_errors: AtomicU64::new(0),
             shards: Vec::new(),
         };
         // Rebuild the routing directory from the recovered id tables.
@@ -207,9 +223,14 @@ impl<W: StableWrite> ServeState<W> {
             Request::Arrive { id, size, time } => self.arrive(id, size, *time, span),
             Request::Depart { id, time } => self.depart(id, *time, span),
             Request::Query => {
-                let status = self.status();
+                // A shard poisoned mid-request cannot vouch for its
+                // state; the operator's `/status` still shows it.
+                let response = match (0..self.shards.len()).find_map(|s| self.lock(s).err()) {
+                    Some(e) => error_response(&e),
+                    None => Response::Status(self.status()),
+                };
                 mark(&mut span, Stage::Dispatch);
-                (Response::Status(status), SpanRecord::SERVICE)
+                (response, SpanRecord::SERVICE)
             }
             Request::Shutdown => {
                 self.begin_shutdown();
@@ -237,15 +258,19 @@ impl<W: StableWrite> ServeState<W> {
                 SpanRecord::SERVICE,
             );
         }
-        let shard_idx = self
-            .router
-            .route_arrival(id, |s| self.shards[s].lock().unwrap().live().load_l1());
+        // A failed shard reads as full, so least-loaded routing avoids
+        // it.
+        let shard_idx = self.router.route_arrival(id, |s| {
+            self.lock(s)
+                .map_or(u128::MAX, |shard| shard.live().load_l1())
+        });
         mark(&mut span, Stage::Route);
-        let mut shard = self.shards[shard_idx].lock().unwrap();
-        mark(&mut span, Stage::LockWait);
-        let response = match shard.arrive_impl(id, DimVec::from_slice(size), time, span) {
+        let placed = self.lock(shard_idx).and_then(|mut shard| {
+            mark(&mut span, Stage::LockWait);
+            shard.arrive_impl(id, DimVec::from_slice(size), time, span)
+        });
+        let response = match placed {
             Ok(placed) => {
-                drop(shard);
                 self.router.record(id, shard_idx);
                 Response::Placed {
                     id: id.to_string(),
@@ -256,7 +281,7 @@ impl<W: StableWrite> ServeState<W> {
                     time: placed.time,
                 }
             }
-            Err(e) => error_response(&e),
+            Err(e) => self.refuse(shard_idx, &e),
         };
         (response, shard_idx as u32)
     }
@@ -273,9 +298,11 @@ impl<W: StableWrite> ServeState<W> {
                 SpanRecord::SERVICE,
             );
         };
-        let mut shard = self.shards[shard_idx].lock().unwrap();
-        mark(&mut span, Stage::LockWait);
-        let response = match shard.depart_impl(id, time, span) {
+        let departed = self.lock(shard_idx).and_then(|mut shard| {
+            mark(&mut span, Stage::LockWait);
+            shard.depart_impl(id, time, span)
+        });
+        let response = match departed {
             Ok(dep) => Response::Departed {
                 id: id.to_string(),
                 shard: shard_idx,
@@ -285,9 +312,31 @@ impl<W: StableWrite> ServeState<W> {
                 migrations: dep.migrations.len() as u64,
                 time: dep.time,
             },
-            Err(e) => error_response(&e),
+            Err(e) => self.refuse(shard_idx, &e),
         };
         (response, shard_idx as u32)
+    }
+
+    /// Shard `s`, locked. A request that panicked while holding the lock
+    /// poisoned it, and the shard has failed.
+    fn lock(&self, s: usize) -> Result<MutexGuard<'_, Shard<W>>, ShardError> {
+        self.shards[s].lock().map_err(|_| ShardError::Failed {
+            msg: format!("shard {s}: a request panicked while holding its lock"),
+        })
+    }
+
+    /// Whether shard `s` has failed (see the module docs).
+    fn failed(&self, s: usize) -> bool {
+        self.lock(s).map_or(true, |shard| shard.failure().is_some())
+    }
+
+    /// The reply to a request shard `s` refused, counting it when the
+    /// shard has failed.
+    fn refuse(&self, s: usize, e: &ShardError) -> Response {
+        if matches!(e, ShardError::Wal { .. } | ShardError::Failed { .. }) {
+            self.refused[s].fetch_add(1, Ordering::Relaxed);
+        }
+        error_response(e)
     }
 
     /// The service-wide snapshot.
@@ -298,7 +347,7 @@ impl<W: StableWrite> ServeState<W> {
             .iter()
             .enumerate()
             .map(|(i, m)| {
-                let shard = m.lock().unwrap();
+                let shard = m.lock().unwrap_or_else(PoisonError::into_inner);
                 (shard.status(i), shard.recovered_events())
             })
             .collect();
@@ -407,6 +456,34 @@ impl<W: StableWrite> ServeState<W> {
                 }
             }
         }
+        // Failed shards: 1 while the shard refuses requests, and the
+        // requests it refused for that.
+        let failed: Vec<u64> = (0..self.shards.len())
+            .map(|s| u64::from(self.failed(s)))
+            .collect();
+        let refused: Vec<u64> = self
+            .refused
+            .iter()
+            .map(|r| r.load(Ordering::Relaxed))
+            .collect();
+        for (name, kind, values) in [
+            ("shard_failed", Gauge, &failed),
+            ("shard_refused_total", Counter, &refused),
+        ] {
+            let name = format!("dvbp_serve_{name}");
+            expo::family(&mut out, &name, kind, None);
+            for (s, value) in values.iter().enumerate() {
+                expo::sample(&mut out, &name, &[("shard", &s.to_string())], value);
+            }
+        }
+        expo::family(&mut out, "dvbp_serve_accept_errors_total", Counter, None);
+        let accept_errors = self.accept_errors.load(Ordering::Relaxed);
+        expo::sample(
+            &mut out,
+            "dvbp_serve_accept_errors_total",
+            &[],
+            accept_errors,
+        );
         for s in &status.per_shard {
             let shard = s.shard.to_string();
             let series: [(&str, &dyn Display); 7] = [
@@ -455,7 +532,10 @@ impl<W: StableWrite> ServeState<W> {
     pub fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
         for shard in &self.shards {
-            shard.lock().unwrap().persist();
+            // A shard poisoned mid-request keeps the log it has.
+            if let Ok(mut shard) = shard.lock() {
+                shard.persist();
+            }
         }
     }
 
@@ -482,6 +562,7 @@ fn error_response(e: &ShardError) -> Response {
         }
         ShardError::Live(_) => error_code::INVALID_ITEM,
         ShardError::Wal { .. } => error_code::WAL,
+        ShardError::Failed { .. } => error_code::SHARD_FAILED,
         ShardError::Portfolio { .. } => error_code::PORTFOLIO,
     };
     Response::Error {
@@ -495,7 +576,8 @@ fn error_response(e: &ShardError) -> Response {
 ///
 /// # Errors
 ///
-/// Propagates listener failures; per-connection I/O errors only end
+/// Only when the listener has no local address. A failed `accept` is
+/// counted and the loop goes on; per-connection I/O errors only end
 /// that connection.
 pub fn serve<W: StableWrite + Send + 'static>(
     state: &Arc<ServeState<W>>,
@@ -506,22 +588,38 @@ pub fn serve<W: StableWrite + Send + 'static>(
         if state.is_shutting_down() {
             break;
         }
-        let stream = stream?;
-        // Request/response ping-pong over NDJSON: Nagle batching would
-        // stall every round trip on the peer's delayed-ACK timer.
-        let _ = stream.set_nodelay(true);
-        let state = Arc::clone(state);
-        std::thread::spawn(move || {
-            if handle_connection(&state, stream) && !state.is_shutting_down() {
-                state.begin_shutdown();
-            }
-            if state.is_shutting_down() {
-                // Nudge the accept loop out of its blocking accept.
-                let _ = TcpStream::connect(local);
-            }
-        });
+        accept(state, stream, local);
     }
     Ok(())
+}
+
+/// One step of the accept loop: serves an accepted connection on a
+/// thread of its own, or counts a failed `accept` in
+/// `dvbp_serve_accept_errors_total` and backs off for
+/// [`expo::ACCEPT_BACKOFF`].
+fn accept<W: StableWrite + Send + 'static>(
+    state: &Arc<ServeState<W>>,
+    stream: io::Result<TcpStream>,
+    local: SocketAddr,
+) {
+    let Ok(stream) = stream else {
+        state.accept_errors.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(expo::ACCEPT_BACKOFF);
+        return;
+    };
+    // Request/response ping-pong over NDJSON: Nagle batching would
+    // stall every round trip on the peer's delayed-ACK timer.
+    let _ = stream.set_nodelay(true);
+    let state = Arc::clone(state);
+    std::thread::spawn(move || {
+        if handle_connection(&state, stream) && !state.is_shutting_down() {
+            state.begin_shutdown();
+        }
+        if state.is_shutting_down() {
+            // Nudge the accept loop out of its blocking accept.
+            let _ = TcpStream::connect(local);
+        }
+    });
 }
 
 /// Writes one NDJSON response line (one write call, so the payload and
@@ -650,7 +748,18 @@ fn handle_http<W: StableWrite>(
     let (method, path) = expo::read_head(reader, request_line);
     let shutdown = (method, path) == ("POST", "/shutdown");
     let (status, content_type, body) = match (method, path) {
-        ("GET" | "HEAD", "/healthz") => ("200 OK", "text/plain", "ok\n".to_string()),
+        ("GET" | "HEAD", "/healthz") => {
+            let failed: Vec<String> = (0..state.shards())
+                .filter(|&s| state.failed(s))
+                .map(|s| s.to_string())
+                .collect();
+            if failed.is_empty() {
+                ("200 OK", "text/plain", "ok\n".to_string())
+            } else {
+                let body = format!("failed shard(s): {}\n", failed.join(", "));
+                ("503 Service Unavailable", "text/plain", body)
+            }
+        }
         ("GET" | "HEAD", "/status") => (
             "200 OK",
             "application/json",
@@ -905,6 +1014,194 @@ mod tests {
         assert!(!text.contains("dvbp_shadow_cr"));
         assert!(!text.contains("dvbp_serve_meta_info"));
         assert!(text.contains("dvbp_serve_policy_switches_total 0"));
+    }
+
+    /// The raw response to `GET path` on the HTTP surface.
+    fn http_get(s: &ServeState<Vec<u8>>, path: &str) -> String {
+        let mut head = io::Cursor::new(b"Host: x\r\n\r\n".to_vec());
+        let mut out = Vec::new();
+        handle_http(s, &mut head, &mut out, &format!("GET {path} HTTP/1.1"));
+        String::from_utf8(out).unwrap()
+    }
+
+    fn error_code_of(s: &ServeState<Vec<u8>>, req: &Request) -> String {
+        match s.handle(req) {
+            Response::Error { code, .. } => code,
+            other => panic!("expected an error for {req:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_shard_poisoned_by_a_panic_answers_typed_errors() {
+        let s = state(2, RouterKind::RoundRobin);
+        assert!(matches!(
+            s.handle(&arrive("a", &[1, 1], 0)),
+            Response::Placed { shard: 0, .. }
+        ));
+        assert!(matches!(
+            s.handle(&arrive("b", &[1, 1], 0)),
+            Response::Placed { shard: 1, .. }
+        ));
+        assert!(http_get(&s, "/healthz").starts_with("HTTP/1.1 200"));
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = s.shards[0].lock().unwrap();
+                panic!("a request panics while holding shard 0's lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        // Round robin sends "c" to shard 0.
+        let depart_a = Request::Depart {
+            id: "a".into(),
+            time: 2,
+        };
+        for req in [arrive("c", &[1, 1], 1), depart_a, Request::Query] {
+            assert_eq!(error_code_of(&s, &req), error_code::SHARD_FAILED, "{req:?}");
+        }
+        // The other shard keeps serving.
+        assert!(matches!(
+            s.handle(&arrive("d", &[1, 1], 1)),
+            Response::Placed { shard: 1, .. }
+        ));
+        let text = s.metrics_text();
+        for series in [
+            "dvbp_serve_shard_failed{shard=\"0\"} 1",
+            "dvbp_serve_shard_failed{shard=\"1\"} 0",
+            "dvbp_serve_shard_refused_total{shard=\"0\"} 2",
+            "dvbp_serve_shard_refused_total{shard=\"1\"} 0",
+        ] {
+            assert!(text.contains(series), "{series} missing:\n{text}");
+        }
+        let health = http_get(&s, "/healthz");
+        assert!(health.starts_with("HTTP/1.1 503"), "{health}");
+        assert!(health.ends_with("failed shard(s): 0\n"), "{health}");
+        let status = http_get(&s, "/status");
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+    }
+
+    fn portfolio_service(candidates: Vec<PolicyKind>, meta: &str) -> ServeState<Vec<u8>> {
+        let cfg = PortfolioConfig {
+            candidates,
+            meta: meta.parse().unwrap(),
+        };
+        ServeState::in_memory(
+            &DimVec::from_slice(&[10, 10]),
+            &PolicyKind::FirstFit,
+            RepackPolicy::NoRepack,
+            1,
+            RouterKind::Hash,
+            TraceMode::CostOnly,
+            TimeMode::Strict,
+            SyncPolicy::PerEvent,
+            Some(&cfg),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn a_dead_shadow_worker_fails_its_shard() {
+        let s = portfolio_service(vec![PolicyKind::FirstFit, PolicyKind::NextFit], "best-of:1");
+        assert!(matches!(
+            s.handle(&arrive("a", &[3, 3], 0)),
+            Response::Placed { .. }
+        ));
+        // A departure of an item the shadows never saw: the first shadow
+        // refuses it on the worker thread, which dies.
+        s.shards[0]
+            .lock()
+            .unwrap()
+            .portfolio_mut()
+            .unwrap()
+            .on_depart(99, 1, 0)
+            .unwrap();
+        // The status read is a barrier; it must come back, not wait for
+        // a worker that will never drain the queue.
+        let s = Arc::new(s);
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || tx.send(s.status()).unwrap());
+        }
+        let status = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a barrier on a dead worker fails at once");
+        assert!(status.per_shard[0].shadows.is_empty(), "no scoreboard");
+        let depart_a = Request::Depart {
+            id: "a".into(),
+            time: 2,
+        };
+        for req in [arrive("b", &[1, 1], 1), depart_a] {
+            assert_eq!(error_code_of(&s, &req), error_code::SHARD_FAILED, "{req:?}");
+        }
+        let text = s.metrics_text();
+        assert!(
+            text.contains("dvbp_serve_shard_failed{shard=\"0\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("dvbp_serve_shard_refused_total{shard=\"0\"} 2"),
+            "{text}"
+        );
+        assert!(http_get(&s, "/healthz").starts_with("HTTP/1.1 503"));
+    }
+
+    #[test]
+    fn status_after_a_burst_of_arrivals_reports_the_synchronous_scoreboard() {
+        let candidates = dvbp_portfolio::parse_candidates("paper").unwrap();
+        let s = portfolio_service(candidates.clone(), "best-of:8");
+        let mut sync = dvbp_portfolio::ShadowSet::new(
+            &DimVec::from_slice(&[10, 10]),
+            TimeMode::Strict,
+            &candidates,
+            0,
+        )
+        .unwrap();
+        // More arrivals than the worker's wake point, and no departure:
+        // nothing but the status read waits for the worker.
+        let mut time = 0;
+        for i in 0..300u64 {
+            let size = [1 + i % 7, 1 + (i * 3) % 5];
+            time = i / 3;
+            assert!(matches!(
+                s.handle(&arrive(&format!("vm{i}"), &size, time)),
+                Response::Placed { .. }
+            ));
+            sync.arrive(&DimVec::from_slice(&size), time);
+        }
+        let want: Vec<_> = sync
+            .scoreboard(time)
+            .into_iter()
+            .map(|row| (row.policy, row.cost.to_string(), row.lb.to_string()))
+            .collect();
+        let got: Vec<_> = s.status().per_shard[0]
+            .shadows
+            .iter()
+            .map(|row| (row.policy.clone(), row.cost.clone(), row.lb.clone()))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_failed_accept_is_counted_and_the_next_connection_is_served() {
+        use std::io::{BufRead, BufReader, Write};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let local = listener.local_addr().unwrap();
+        let state = Arc::new(state(1, RouterKind::Hash));
+        // EMFILE: the process is out of file descriptors.
+        accept(&state, Err(io::Error::from_raw_os_error(24)), local);
+        let client = std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(local).unwrap();
+            writeln!(conn, "\"Query\"").unwrap();
+            let mut line = String::new();
+            BufReader::new(conn).read_line(&mut line).unwrap();
+            line
+        });
+        accept(&state, listener.accept().map(|(stream, _)| stream), local);
+        let reply = client.join().unwrap();
+        assert!(reply.starts_with("{\"Status\""), "{reply}");
+        assert!(state
+            .metrics_text()
+            .contains("dvbp_serve_accept_errors_total 1"));
     }
 
     #[test]

@@ -46,6 +46,13 @@
 //! between memory and log can never grow; a restart recovers the
 //! pre-operation state, which is correct because the operation was
 //! never acked.
+//!
+//! A portfolio shard hands each journaled operation to its shadow
+//! worker thread and does not wait for it (see
+//! [`dvbp_portfolio::PortfolioState`]); only a meta-policy evaluation or
+//! a status read waits for the worker to catch up. A dead worker fails
+//! the shard like a WAL failure: every later request is refused with
+//! [`ShardError::Failed`].
 
 use crate::protocol::{ShadowStatus, ShardStatus, SwitchEntry};
 use dvbp_core::{
@@ -81,7 +88,8 @@ pub(crate) fn mark(span: &mut Option<&mut Span>, stage: Stage) {
 }
 
 /// A rejected shard operation. The shard state is unchanged except for
-/// [`ShardError::Wal`], which poisons the shard (see module docs).
+/// [`ShardError::Wal`] and [`ShardError::Failed`], which mean the shard
+/// refuses every later request (see module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardError {
     /// The arrival id is already in use (ids are permanent — departed
@@ -114,6 +122,12 @@ pub enum ShardError {
         /// The latched emitter error, rendered.
         msg: String,
     },
+    /// The shard failed: its shadow worker died, or a request panicked
+    /// while holding the shard's lock. It refuses every request.
+    Failed {
+        /// What failed, rendered.
+        msg: String,
+    },
 }
 
 impl std::fmt::Display for ShardError {
@@ -125,6 +139,7 @@ impl std::fmt::Display for ShardError {
             ShardError::Live(e) => write!(f, "{e}"),
             ShardError::Portfolio { msg } => write!(f, "portfolio rejected: {msg}"),
             ShardError::Wal { msg } => write!(f, "write-ahead log failed: {msg}"),
+            ShardError::Failed { msg } => write!(f, "shard failed: {msg}"),
         }
     }
 }
@@ -141,6 +156,7 @@ impl From<PortfolioError> for ShardError {
     fn from(e: PortfolioError) -> Self {
         match e {
             PortfolioError::Live(e) => ShardError::Live(e),
+            PortfolioError::Shadows { .. } => ShardError::Failed { msg: e.to_string() },
             other => ShardError::Portfolio {
                 msg: other.to_string(),
             },
@@ -292,12 +308,27 @@ impl<W: StableWrite> Shard<W> {
         }
     }
 
-    fn check_writable(&self) -> Result<(), ShardError> {
-        if self.poisoned {
-            Err(wal_error(&self.wal))
-        } else {
-            Ok(())
+    /// Names the shard's shadow worker thread after shard `index`
+    /// (`dvbp-shadows-<index>`); call before the first request.
+    pub(crate) fn label(&mut self, index: usize) {
+        if let Some(pf) = self.portfolio.as_mut() {
+            pf.label(index);
         }
+    }
+
+    /// Why the shard refuses requests: a WAL failure or a dead shadow
+    /// worker. `None` while it serves.
+    #[must_use]
+    pub(crate) fn failure(&self) -> Option<ShardError> {
+        if self.poisoned {
+            return Some(wal_error(&self.wal));
+        }
+        let pf = self.portfolio.as_ref()?;
+        pf.failure().map(ShardError::from)
+    }
+
+    fn check_writable(&self) -> Result<(), ShardError> {
+        self.failure().map_or(Ok(()), Err)
     }
 
     /// Admits an item under `id`, journals the arrival group, and
@@ -372,13 +403,13 @@ impl<W: StableWrite> Shard<W> {
             self.poisoned = true;
             return Err(wal_error(&self.wal));
         }
-        if let (Some(pf), Some(sz)) = (self.portfolio.as_mut(), mirror_size.as_ref()) {
-            pf.on_arrive(sz, placed.time);
-        }
         let id: ItemId = Arc::from(id);
         self.ids.insert(Arc::clone(&id), placed.item);
         self.names.push(id);
         self.arrivals += 1;
+        if let (Some(pf), Some(sz)) = (self.portfolio.as_mut(), mirror_size.as_ref()) {
+            pf.on_arrive(sz, placed.time)?;
+        }
         Ok(placed)
     }
 
@@ -462,7 +493,7 @@ impl<W: StableWrite> Shard<W> {
         if let Some(pf) = self.portfolio.as_mut() {
             let closes = u64::from(dep.closed)
                 + dep.migrations.iter().filter(|m| m.closed_from).count() as u64;
-            if let Some(kind) = pf.on_depart(item, dep.time, closes) {
+            if let Some(kind) = pf.on_depart(item, dep.time, closes)? {
                 let from = self.live.kind().spec();
                 self.live
                     .switch_policy(kind.clone())
@@ -522,7 +553,8 @@ impl<W: StableWrite> Shard<W> {
         &self.names
     }
 
-    /// Whether a WAL failure has made the shard read-only.
+    /// Whether a WAL failure has made the shard read-only (a dead
+    /// shadow worker fails the shard too; see the module docs).
     #[must_use]
     pub fn poisoned(&self) -> bool {
         self.poisoned
@@ -544,6 +576,12 @@ impl<W: StableWrite> Shard<W> {
     #[must_use]
     pub fn portfolio(&self) -> Option<&PortfolioState> {
         self.portfolio.as_ref()
+    }
+
+    /// The portfolio state, for tests that break it on purpose.
+    #[cfg(test)]
+    pub(crate) fn portfolio_mut(&mut self) -> Option<&mut PortfolioState> {
+        self.portfolio.as_mut()
     }
 
     /// Consumes the shard into the state [`crate::recovery::recover`]
@@ -573,7 +611,9 @@ impl<W: StableWrite> Shard<W> {
                         to: s.to.clone(),
                     })
                     .collect(),
+                // A dead shadow worker has no scoreboard to report.
                 pf.scoreboard(self.live.now())
+                    .unwrap_or_default()
                     .iter()
                     .map(|s| ShadowStatus {
                         policy: s.policy.clone(),

@@ -2,13 +2,13 @@
 //! `--wal` directory.
 //!
 //! Opening a shard's WAL is the whole crash-recovery cycle in one call:
-//! read the file, [`recover`] the
+//! read the file, [`recover`](crate::recovery::recover) the
 //! acknowledged prefix, **truncate** the file back to that prefix
 //! (dropping torn tails and unacknowledged trailing groups), and reopen
 //! it in append mode so new groups extend the restored log. A fresh
 //! file gets the `RunStart` header instead.
 
-use crate::recovery::{recover, RecoveryError};
+use crate::recovery::{recover_shard, RecoveryError};
 use crate::shard::{PortfolioConfig, Shard, ShardError};
 use dvbp_core::{PolicyKind, RepackPolicy, TimeMode, TraceMode};
 use dvbp_dimvec::DimVec;
@@ -112,8 +112,17 @@ pub fn open_shard(
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e.into()),
     };
-    let rec = recover(&bytes, capacity, kind, repack, trace, time_mode, portfolio)
-        .map_err(WalOpenError::Recovery)?;
+    let rec = recover_shard(
+        &bytes,
+        capacity,
+        kind,
+        repack,
+        trace,
+        time_mode,
+        portfolio,
+        Some(shard),
+    )
+    .map_err(WalOpenError::Recovery)?;
 
     let truncated = rec.valid_bytes < bytes.len() as u64;
     if truncated {
@@ -151,7 +160,7 @@ pub fn open_shard(
             .write(true)
             .truncate(true)
             .open(&path)?;
-        Shard::create(
+        let mut fresh = Shard::create(
             capacity.clone(),
             kind,
             repack,
@@ -161,7 +170,9 @@ pub fn open_shard(
             sync,
             portfolio,
         )
-        .map_err(WalOpenError::Shard)?
+        .map_err(WalOpenError::Shard)?;
+        fresh.label(shard);
+        fresh
     };
     Ok((shard_state, report))
 }

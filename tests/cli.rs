@@ -334,3 +334,59 @@ fn stream_run_rejects_a_zero_capacity_component() {
         "{stderr}"
     );
 }
+
+#[test]
+fn lower_bounds_sum_concurrent_sizes_past_u64() {
+    // Capacity u64::MAX and two concurrent items of sizes u64::MAX and 1,
+    // each staying two ticks: Lemma 1(i) forces two bins for two ticks,
+    // though the two sizes together do not fit a u64.
+    let csv = temp_path("huge_units.csv");
+    std::fs::write(&csv, "0,2,18446744073709551615\n0,2,1\n").unwrap();
+    let cap = u64::MAX.to_string();
+    let streamed = stream(
+        &csv,
+        "csv",
+        &["--policy", "FirstFit", "--cap", &cap],
+        "huge_units_stream.json",
+    );
+    assert_eq!(streamed["lower_bound"].as_u64(), Some(4));
+    assert_eq!(streamed["cost"].as_u64(), Some(4));
+
+    let trace = temp_path("huge_units.json");
+    let import = dvbp()
+        .args(["import", "--csv"])
+        .arg(&csv)
+        .args(["--cap", &cap, "--out"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(import.status.success());
+    let report = temp_path("huge_units_report.json");
+    let run = dvbp()
+        .args(["run", "--trace"])
+        .arg(&trace)
+        .args(["--policy", "FirstFit", "--out"])
+        .arg(&report)
+        .output()
+        .unwrap();
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let batch: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    assert_eq!(batch["lower_bound"].as_u64(), Some(4));
+    for command in ["bounds", "compare"] {
+        let out = dvbp()
+            .args([command, "--trace"])
+            .arg(&trace)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{command}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
