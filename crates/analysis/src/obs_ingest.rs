@@ -11,15 +11,13 @@
 //!   exact step-function time series of concurrently-open bins and L1
 //!   utilization, the ground truth the reservoir-sampled gauges of
 //!   `MetricsObserver` approximate;
-//! * [`split_runs`] / [`summary_table`] — group a multi-run
-//!   JSONL file (as produced by the experiment CLIs' `--metrics` flag,
-//!   with interleaved [`ObsEvent::Meta`] labels) and feed it into the
-//!   report pipeline.
+//! * [`split_runs`] / [`ingest_jsonl`] — group a multi-run JSONL file
+//!   (as produced by the experiment CLIs' `--metrics` flag, with
+//!   interleaved [`ObsEvent::Meta`] labels) into labelled runs.
 
-use crate::report::TextTable;
 use dvbp_core::{BinId, BinUsage, Packing, TraceEvent};
 use dvbp_obs::ObsEvent;
-use dvbp_sim::{Cost, Time};
+use dvbp_sim::Time;
 
 /// A malformed event stream detected during replay.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -382,55 +380,6 @@ pub fn ingest_jsonl(text: &str) -> Result<Vec<RunLog>, dvbp_obs::ObsError> {
     Ok(split_runs(&dvbp_obs::jsonl::parse_str(text)?))
 }
 
-/// Summarizes ingested runs as a report table: one row per run with its
-/// label, item/bin counts, replayed usage-time cost, peak concurrently
-/// open bins, and mean placement scan length.
-///
-/// # Errors
-///
-/// Returns a [`ReplayError`] if any run's stream does not replay.
-pub fn summary_table(runs: &[RunLog]) -> Result<TextTable, ReplayError> {
-    let mut table = TextTable::new([
-        "algorithm",
-        "d",
-        "mu",
-        "seed",
-        "items",
-        "bins",
-        "cost",
-        "peak open",
-        "mean scan",
-    ]);
-    for run in runs {
-        let packing = run.replay()?;
-        let places = packing.assignment.len();
-        let cost: Cost = packing.cost();
-        let peak = run
-            .open_bins_series()
-            .iter()
-            .map(|&(_, v)| v)
-            .max()
-            .unwrap_or(0);
-        let mean_scan = if places == 0 {
-            0.0
-        } else {
-            run.total_scanned() as f64 / places as f64
-        };
-        table.row([
-            run.algorithm.clone(),
-            run.d.to_string(),
-            run.mu.to_string(),
-            run.seed.to_string(),
-            places.to_string(),
-            packing.num_bins().to_string(),
-            cost.to_string(),
-            peak.to_string(),
-            format!("{mean_scan:.2}"),
-        ]);
-    }
-    Ok(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,34 +493,5 @@ mod tests {
             replay_packing(&events),
             Err(ReplayError::DuplicatePlacement { .. } | ReplayError::MissingPlacement { .. })
         ));
-    }
-
-    #[test]
-    fn summary_table_has_one_row_per_run() {
-        let inst = sample_instance();
-        let mut emitter = JsonlEmitter::new(Vec::new());
-        for (i, kind) in [PolicyKind::FirstFit, PolicyKind::NextFit]
-            .iter()
-            .enumerate()
-        {
-            emitter.emit(&dvbp_obs::ObsEvent::Meta {
-                algorithm: kind.name(),
-                d: 2,
-                mu: 6,
-                seed: i as u64,
-            });
-            PackRequest::new(kind.clone())
-                .observer(&mut emitter)
-                .run(&inst)
-                .unwrap();
-        }
-        let text = String::from_utf8(emitter.finish().unwrap()).unwrap();
-        let runs = ingest_jsonl(&text).unwrap();
-        assert_eq!(runs.len(), 2);
-        let table = summary_table(&runs).unwrap();
-        assert_eq!(table.len(), 2);
-        let rendered = table.to_string();
-        assert!(rendered.contains("FirstFit"), "{rendered}");
-        assert!(rendered.contains("NextFit"), "{rendered}");
     }
 }

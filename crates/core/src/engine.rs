@@ -1277,14 +1277,19 @@ impl Engine {
         &self.open
     }
 
-    /// Opening tick of `bin`.
-    pub(crate) fn opened_at(&self, bin: usize) -> Time {
-        self.opened[bin]
-    }
-
-    /// Summed usage periods of the bins closed so far this run.
-    pub(crate) fn closed_usage(&self) -> Cost {
-        self.closed_usage
+    /// Accumulated usage time at tick `at`: the closed bins' running
+    /// total plus, per open bin, the span from opening to `max(at,
+    /// opened)`.
+    pub(crate) fn usage_time_at(&self, at: Time) -> Cost {
+        let open: Cost = self
+            .open
+            .iter()
+            .map(|b| {
+                let opened = self.opened[b.0];
+                Cost::from(at.max(opened) - opened)
+            })
+            .sum();
+        self.closed_usage + open
     }
 
     /// Currently active items in `bin`.

@@ -55,6 +55,7 @@ pub mod billing;
 mod bin;
 mod block_scan;
 mod engine;
+mod engine_set;
 mod fit_index;
 mod hybrid;
 mod item;
@@ -69,6 +70,7 @@ pub use bin::{BinId, BinUsage};
 pub use block_scan::{ResidualBlocks, LANES};
 pub use dvbp_obs::{NoopObserver, Observer};
 pub use engine::{Engine, EngineView, FitPath, Packing, TraceEvent, TraceMode};
+pub use engine_set::EngineSet;
 pub use item::{Instance, Item};
 pub use live::{
     live_ops, LiveDeparture, LiveDriveStats, LiveEngine, LiveError, LiveMigration, LiveOp,

@@ -55,7 +55,7 @@ use crate::item::Instance;
 use crate::policy::{Policy, PolicyKind};
 use crate::repack::RepackPolicy;
 use crate::request::PackError;
-use crate::source::{check_streamable, Feed};
+use crate::source::{check_streamable, streamed_engine, Feed};
 use dvbp_dimvec::DimVec;
 use dvbp_obs::{NoopObserver, Observer};
 use dvbp_sim::timeline::{Event, OnlineTimeline};
@@ -364,12 +364,7 @@ impl<O: Observer> LiveRequest<O> {
         let Some(capacity) = self.capacity else {
             return Err(LiveError::NoCapacity);
         };
-        check_streamable(&self.kind)?;
-        let mut policy = self.kind.build();
-        policy.reset();
-        let mut engine = Engine::new();
-        engine.reset_for(&capacity, 0);
-        engine.reserve_items(self.items_hint);
+        let (engine, policy) = streamed_engine(&self.kind, &capacity, self.items_hint)?;
         let mut observer = self.observer;
         observer.on_run_start(dvbp_obs::RunStart {
             capacity: capacity.as_slice(),
@@ -461,9 +456,8 @@ impl<O: Observer> LiveEngine<O> {
     /// the current tick. The engine state is unchanged on error.
     pub fn arrive(&mut self, size: DimVec, time: Time) -> Result<LivePlacement, LiveError> {
         let item = self.feed.admitted();
-        let (time, entry) = self
-            .feed
-            .admit(&self.engine, &self.capacity, item, size, time)?;
+        let taken = self.engine.assignment_of(item).is_some();
+        let (time, entry) = self.feed.admit(taken, &self.capacity, item, size, time)?;
         let (bin, opened_new) = self.engine.step_arrive(
             &self.capacity,
             time,
@@ -525,7 +519,8 @@ impl<O: Observer> LiveEngine<O> {
         time: Time,
         mark: impl FnOnce(),
     ) -> Result<LiveDeparture, LiveError> {
-        let gone = self.feed.retire(&self.engine, item, time)?;
+        let taken = self.engine.assignment_of(item).is_some();
+        let gone = self.feed.retire(taken, item, time)?;
         let time = gone.departure;
         let step = self
             .engine
@@ -864,16 +859,7 @@ impl<O: Observer> LiveEngine<O> {
     /// the cost is O(open bins), not O(bins ever opened).
     #[must_use]
     pub fn usage_time_at(&self, at: Time) -> Cost {
-        let open: Cost = self
-            .engine
-            .open_bins()
-            .iter()
-            .map(|b| {
-                let opened = self.engine.opened_at(b.0);
-                Cost::from(at.max(opened) - opened)
-            })
-            .sum();
-        self.engine.closed_usage() + open
+        self.engine.usage_time_at(at)
     }
 
     /// Feeds every event of `source` through the live engine, mapping

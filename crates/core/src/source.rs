@@ -309,25 +309,75 @@ impl<S: EventSource, F: FnMut(&LiveOp)> EventSource for Tap<S, F> {
     }
 }
 
-/// Streaming form of the Lemma 1(i) load-integral lower bound
-/// (`dvbp_offline::lb_load`): folds events as they stream by, keeping
-/// only the current per-dimension load and the sizes of active items —
-/// O(active) memory against the offline sweep's O(n).
-///
-/// Feed it every event (e.g. through a [`Tap`] in front of the engine);
-/// [`value`](Self::value) then equals `lb_load` of the materialized
-/// instance exactly (the `dvbp-traces` property tests pin this).
+/// The Lemma 1(i) load integral, folded one event at a time: at every
+/// tick, the bins the active load needs. Shared by
+/// [`StreamingLowerBound`] and [`EngineSet`](crate::EngineSet).
 ///
 /// The load sums many items' sizes, so it is a [`WideSum`]: every item
 /// fits the capacity, but the items active at one tick need not fit a
 /// `u64` together.
-pub struct StreamingLowerBound {
+pub(crate) struct LoadIntegral {
     capacity: DimVec,
     load: WideSum,
-    sizes: IndexMap<DimVec>,
     last: Time,
     total: Cost,
     started: bool,
+}
+
+impl LoadIntegral {
+    pub(crate) fn new(capacity: &DimVec) -> Self {
+        LoadIntegral {
+            capacity: capacity.clone(),
+            load: WideSum::zeros(capacity.dim()),
+            last: 0,
+            total: 0,
+            started: false,
+        }
+    }
+
+    /// Charges the load held since the previous event up to `time`.
+    fn advance(&mut self, time: Time) {
+        if self.started && time > self.last {
+            self.total += self.load.bins_needed(&self.capacity) * Cost::from(time - self.last);
+        }
+        self.last = time;
+        self.started = true;
+    }
+
+    /// Folds an arrival of `size` at `time`.
+    pub(crate) fn arrive(&mut self, time: Time, size: &DimVec) {
+        self.advance(time);
+        self.load.add(size);
+    }
+
+    /// Folds a departure at `time`; `size` is `None` for an item the
+    /// fold never saw arrive.
+    pub(crate) fn depart(&mut self, time: Time, size: Option<&DimVec>) {
+        self.advance(time);
+        if let Some(size) = size {
+            self.load.sub(size);
+        }
+    }
+
+    pub(crate) fn value(&self) -> Cost {
+        self.total
+    }
+}
+
+/// Streaming form of the Lemma 1(i) load-integral lower bound
+/// (`dvbp_offline::lb_load`): folds events as they stream by, keeping
+/// only the current per-dimension load and the sizes of active items —
+/// O(active) memory against the offline sweep's O(n). It keeps the
+/// sizes because a [`LiveOp::Depart`] carries none; an
+/// [`EngineSet`](crate::EngineSet) folds the same integral from the
+/// sizes its feed already holds.
+///
+/// Feed it every event (e.g. through a [`Tap`] in front of the engine);
+/// [`value`](Self::value) then equals `lb_load` of the materialized
+/// instance exactly (the `dvbp-traces` property tests pin this).
+pub struct StreamingLowerBound {
+    fold: LoadIntegral,
+    sizes: IndexMap<DimVec>,
 }
 
 impl StreamingLowerBound {
@@ -335,43 +385,29 @@ impl StreamingLowerBound {
     #[must_use]
     pub fn new(capacity: &DimVec) -> Self {
         StreamingLowerBound {
-            capacity: capacity.clone(),
-            load: WideSum::zeros(capacity.dim()),
+            fold: LoadIntegral::new(capacity),
             sizes: IndexMap::default(),
-            last: 0,
-            total: 0,
-            started: false,
         }
     }
 
     /// Folds one event into the integral. Events must be observed in
     /// stream order.
     pub fn observe(&mut self, op: &LiveOp) {
-        let time = match op {
-            LiveOp::Arrive { time, .. } | LiveOp::Depart { time, .. } => *time,
-        };
-        if self.started && time > self.last {
-            self.total += self.load.bins_needed(&self.capacity) * Cost::from(time - self.last);
-        }
         match op {
-            LiveOp::Arrive { item, size, .. } => {
-                self.load.add(size);
+            LiveOp::Arrive { item, size, time } => {
+                self.fold.arrive(*time, size);
                 self.sizes.insert(*item, size.clone());
             }
-            LiveOp::Depart { item, .. } => {
-                if let Some(size) = self.sizes.remove(item) {
-                    self.load.sub(&size);
-                }
+            LiveOp::Depart { item, time } => {
+                self.fold.depart(*time, self.sizes.remove(item).as_ref());
             }
         }
-        self.last = time;
-        self.started = true;
     }
 
     /// The accumulated lower bound (bin-ticks).
     #[must_use]
     pub fn value(&self) -> Cost {
-        self.total
+        self.fold.value()
     }
 }
 
@@ -386,8 +422,26 @@ pub(crate) fn check_streamable(kind: &PolicyKind) -> Result<(), LiveError> {
     }
 }
 
-/// The event-feed contract, held once for [`Engine::run_source`] and the
-/// [`LiveEngine`](crate::LiveEngine): the tick clock under a [`TimeMode`],
+/// A fresh engine and reset policy for a live or shadow run of `kind`
+/// in bins of `capacity`, the engine's item ledger reserved for
+/// `items_hint` items.
+pub(crate) fn streamed_engine(
+    kind: &PolicyKind,
+    capacity: &DimVec,
+    items_hint: usize,
+) -> Result<(Engine, Box<dyn Policy>), LiveError> {
+    check_streamable(kind)?;
+    let mut policy = kind.build();
+    policy.reset();
+    let mut engine = Engine::new();
+    engine.reset_for(capacity, 0);
+    engine.reserve_items(items_hint);
+    Ok((engine, policy))
+}
+
+/// The event-feed contract, held once for [`Engine::run_source`], the
+/// [`LiveEngine`](crate::LiveEngine) and the
+/// [`EngineSet`](crate::EngineSet): the tick clock under a [`TimeMode`],
 /// every admission and retirement rule, and the active items keyed by the
 /// engine's item index. An item is held from its admission to its
 /// retirement and no longer, so a drained feed holds nothing per item but
@@ -428,17 +482,18 @@ impl Feed {
     }
 
     /// Admits `item` of `size` arriving at `time` and returns the
-    /// effective tick with the stored item. `engine` answers whether the
-    /// index was ever placed: a placed index is never admitted again.
+    /// effective tick with the stored item. `taken` says whether the
+    /// index was given out before: a taken index is never admitted
+    /// again.
     pub(crate) fn admit(
         &mut self,
-        engine: &Engine,
+        taken: bool,
         capacity: &DimVec,
         item: usize,
         size: DimVec,
         time: Time,
     ) -> Result<(Time, &Item), LiveError> {
-        if engine.assignment_of(item).is_some() {
+        if taken {
             return Err(LiveError::DuplicateArrival { item });
         }
         let time = Self::tick(self.mode, self.now, time)?;
@@ -461,19 +516,22 @@ impl Feed {
     }
 
     /// Retires active `item` at `time` and returns it with its effective
-    /// departure. A departure at the clock's tick after an arrival there
-    /// is refused under `Strict`; one not after its arrival is refused
-    /// under `Strict` and given the minimum one-tick stay under `Clamp`.
+    /// departure. `taken`, whether the index was given out, tells an
+    /// inactive index that departed from one that never arrived. A
+    /// departure at the clock's tick after an arrival there is refused
+    /// under `Strict`; one not after its arrival is refused under
+    /// `Strict` and given the minimum one-tick stay under `Clamp`.
     pub(crate) fn retire(
         &mut self,
-        engine: &Engine,
+        taken: bool,
         item: usize,
         time: Time,
     ) -> Result<Item, LiveError> {
         let Entry::Occupied(slot) = self.active.entry(item) else {
-            return Err(match engine.assignment_of(item) {
-                Some(_) => LiveError::AlreadyDeparted { item },
-                None => LiveError::UnknownItem { item },
+            return Err(if taken {
+                LiveError::AlreadyDeparted { item }
+            } else {
+                LiveError::UnknownItem { item }
             });
         };
         let strict = self.mode == TimeMode::Strict;
@@ -590,7 +648,8 @@ impl Engine {
         while let Some(op) = source.next_event()? {
             match op {
                 LiveOp::Arrive { item, size, time } => {
-                    let (time, entry) = feed.admit(self, &capacity, item, size, time)?;
+                    let taken = self.assignment_of(item).is_some();
+                    let (time, entry) = feed.admit(taken, &capacity, item, size, time)?;
                     self.step_arrive(
                         &capacity,
                         time,
@@ -602,7 +661,7 @@ impl Engine {
                     );
                 }
                 LiveOp::Depart { item, time } => {
-                    let gone = feed.retire(self, item, time)?;
+                    let gone = feed.retire(self.assignment_of(item).is_some(), item, time)?;
                     self.step_depart(
                         gone.departure,
                         item,

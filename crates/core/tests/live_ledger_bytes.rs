@@ -1,15 +1,17 @@
 //! A live engine holds per item what the stream path holds: after the
-//! same drained stream, a `Strict` cost-only [`LiveEngine`] keeps at
-//! most 64 KiB more heap than [`PackRequest::run_source`] over the same
-//! events, for every paper-suite policy. Both keep the engine's
-//! two-word per-item ledger and its per-bin arenas; neither keeps a
-//! record of an item once it has departed.
+//! same drained stream, a `Strict` cost-only [`LiveEngine`] and a
+//! one-engine [`EngineSet`] each keep at most 64 KiB more heap than
+//! [`PackRequest::run_source`] over the same events, for every
+//! paper-suite policy. All three keep the engine's two-word per-item
+//! ledger and its per-bin arenas; none keeps a record of an item once
+//! it has departed.
 //!
 //! This file holds exactly one `#[test]` so the global byte counter is
 //! not polluted by concurrent tests in the same binary.
 
 use dvbp_core::{
-    EventSource, LiveOp, LiveRequest, PackRequest, PolicyKind, SourceError, TimeMode, TraceMode,
+    EngineSet, EventSource, LiveOp, LiveRequest, PackRequest, PolicyKind, SourceError, TimeMode,
+    TraceMode,
 };
 use dvbp_dimvec::DimVec;
 use dvbp_sim::Time;
@@ -150,16 +152,37 @@ fn live_engine_holds_what_the_stream_path_holds() {
         let live_held = stream.at_end.expect("every event was applied") - base;
         assert_eq!(live.into_packing().unwrap(), streamed, "{}", kind.name());
 
-        println!(
-            "{}: stream path {stream_held} B, live engine {live_held} B \
-             ({:+.1} B per arrival)",
-            kind.name(),
-            (live_held - stream_held) as f64 / ARRIVALS as f64
-        );
-        assert!(
-            live_held - stream_held <= SLACK,
-            "{}: the live engine holds {live_held} B, the stream path {stream_held} B",
-            kind.name()
-        );
+        let base = live_bytes();
+        let mut stream = Stream::new();
+        let mut set = EngineSet::new(
+            &stream.capacity,
+            TimeMode::Strict,
+            std::slice::from_ref(&kind),
+            0,
+        )
+        .unwrap();
+        let mut last = 0;
+        while let Some(op) = stream.next_event().unwrap() {
+            if let LiveOp::Depart { time, .. } = op {
+                last = time;
+            }
+            set.apply(&[op]).unwrap();
+        }
+        let set_held = stream.at_end.expect("every event was applied") - base;
+        let costs: Vec<_> = set.costs_at(last).collect();
+        assert_eq!(costs, [streamed.cost()], "{}", kind.name());
+
+        for (path, held) in [("live engine", live_held), ("engine set", set_held)] {
+            println!(
+                "{}: stream path {stream_held} B, {path} {held} B ({:+.1} B per arrival)",
+                kind.name(),
+                (held - stream_held) as f64 / ARRIVALS as f64
+            );
+            assert!(
+                held - stream_held <= SLACK,
+                "{}: the {path} holds {held} B, the stream path {stream_held} B",
+                kind.name()
+            );
+        }
     }
 }

@@ -1,21 +1,11 @@
-//! [`HistogramObserver`]: log-bucketed distributions of placement effort
-//! and event spacing.
+//! [`LogHistogram`]: a log-bucketed distribution of `u64` values, for
+//! heavy-tailed, run-length-independent quantities such as latencies
+//! (the serve spans, [`TimingObserver`](crate::TimingObserver)) and
+//! scraped Prometheus histograms ([`crate::expo`]).
 //!
-//! Two quantities with heavy-tailed, run-length-independent
-//! distributions:
-//!
-//! * **placement scan length** — how many candidate bins the policy
-//!   examined per arrival (the empirical cost of bin selection; the
-//!   indexed policies exist to keep this small);
-//! * **inter-event gap** — ticks between consecutive engine events (the
-//!   tempo of the workload; billing-granularity experiments care about
-//!   it).
-//!
-//! Both land in a [`LogHistogram`]: power-of-two buckets, O(1) record,
-//! fixed 65-slot footprint regardless of magnitude.
+//! Power-of-two buckets: O(1) record, fixed 65-slot footprint
+//! regardless of magnitude.
 
-use crate::{Depart, Observer, Place, RunStart};
-use dvbp_sim::Time;
 use serde::{Deserialize, Serialize};
 
 /// Number of buckets: one for zero plus one per power of two of `u64`.
@@ -204,46 +194,6 @@ impl LogHistogram {
     }
 }
 
-/// Observer collecting the scan-length and inter-event-gap histograms.
-#[derive(Clone, Debug, Default)]
-pub struct HistogramObserver {
-    /// Candidate bins examined per placement.
-    pub scan_lengths: LogHistogram,
-    /// Ticks between consecutive engine events.
-    pub event_gaps: LogHistogram,
-    last_time: Option<Time>,
-}
-
-impl HistogramObserver {
-    /// Creates an empty histogram observer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn gap(&mut self, time: Time) {
-        if let Some(last) = self.last_time {
-            self.event_gaps.record(time.saturating_sub(last));
-        }
-        self.last_time = Some(time);
-    }
-}
-
-impl Observer for HistogramObserver {
-    fn on_run_start(&mut self, _run: RunStart<'_>) {
-        *self = Self::new();
-    }
-
-    fn on_place(&mut self, ev: Place) {
-        self.scan_lengths.record(ev.scanned);
-        self.gap(ev.time);
-    }
-
-    fn on_depart(&mut self, ev: Depart) {
-        self.gap(ev.time);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,37 +236,5 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.total(), 6);
         assert_eq!(h.counts()[4], 2);
-    }
-
-    #[test]
-    fn observer_tracks_gaps_across_event_kinds() {
-        let mut o = HistogramObserver::new();
-        o.on_run_start(RunStart {
-            capacity: &[1],
-            items: 2,
-        });
-        o.on_place(Place {
-            time: 0,
-            item: 0,
-            bin: 0,
-            opened_new: true,
-            scanned: 0,
-        });
-        o.on_place(Place {
-            time: 3,
-            item: 1,
-            bin: 0,
-            opened_new: false,
-            scanned: 2,
-        });
-        o.on_depart(Depart {
-            time: 7,
-            item: 0,
-            bin: 0,
-        });
-        assert_eq!(o.scan_lengths.total(), 2);
-        assert_eq!(o.scan_lengths.max(), 2);
-        assert_eq!(o.event_gaps.total(), 2);
-        assert_eq!(o.event_gaps.max(), 4);
     }
 }

@@ -23,8 +23,6 @@
 //!
 //! * [`MetricsObserver`] — counters plus reservoir-sampled open-bin and
 //!   utilization time series;
-//! * [`HistogramObserver`] — log-bucketed placement-scan-length and
-//!   inter-event-gap histograms;
 //! * [`JsonlEmitter`] — streams every event as one JSON object per line
 //!   for offline analysis (`dvbp-analysis` ingests and replays it);
 //! * [`Recorder`] — buffers the [`ObsEvent`] stream in memory (tests,
@@ -51,7 +49,7 @@ pub mod span;
 pub mod timing;
 
 pub use error::ObsError;
-pub use histogram::{HistogramObserver, LogHistogram};
+pub use histogram::LogHistogram;
 pub use jsonl::{scan_wal, JsonlEmitter, StableWrite, SyncPolicy, WalScan};
 pub use metrics::{Gauge, MetricsObserver};
 pub use provenance::{ProvenanceObserver, WithProvenance};

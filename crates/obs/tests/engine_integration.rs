@@ -7,7 +7,7 @@
 
 use dvbp_core::{Instance, Item, PackRequest, PolicyKind};
 use dvbp_dimvec::DimVec;
-use dvbp_obs::{HistogramObserver, MetricsObserver, ObsEvent, ProvenanceObserver, Recorder};
+use dvbp_obs::{MetricsObserver, ObsEvent, ProvenanceObserver, Recorder};
 use proptest::prelude::*;
 
 fn instances() -> impl Strategy<Value = Instance> {
@@ -105,20 +105,6 @@ proptest! {
         prop_assert!(placed.iter().all(|&p| p));
     }
 
-    /// Histogram totals line up with event counts: one scan-length
-    /// sample per placement.
-    #[test]
-    fn histogram_sample_counts(inst in instances()) {
-        let mut hist = HistogramObserver::new();
-        PackRequest::new(PolicyKind::MoveToFront)
-            .observer(&mut hist)
-            .run(&inst)
-            .unwrap();
-        prop_assert_eq!(hist.scan_lengths.total() as usize, inst.len());
-        // Gaps: one per place/depart after the first such event.
-        prop_assert_eq!(hist.event_gaps.total() as usize, 2 * inst.len() - 1);
-    }
-
     /// Probe ≡ scanned, on every policy: the probe events a
     /// `ProvenanceObserver` collects are exactly the candidate
     /// examinations `MetricsObserver` counts from `Place.scanned` —
@@ -175,9 +161,8 @@ fn observation_never_changes_the_packing() {
     for kind in suite() {
         let plain = PackRequest::new(kind.clone()).run(&inst).unwrap();
         let mut metrics = MetricsObserver::new();
-        let mut hist = HistogramObserver::new();
         let mut rec = Recorder::new();
-        let mut stack = (&mut metrics, &mut hist, &mut rec);
+        let mut stack = (&mut metrics, &mut rec);
         let observed = PackRequest::new(kind.clone())
             .observer(&mut stack)
             .run(&inst)

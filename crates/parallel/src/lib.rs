@@ -6,8 +6,7 @@
 //! This crate runs a seeded closure over trial indices on scoped std
 //! threads. [`run_trials_on`] statically splits the output buffer into
 //! per-worker `&mut` chunks, so workers write results without any locks
-//! or atomics on the hot path; [`run_fold`] uses an atomic cursor for
-//! dynamic balancing since it only merges order-insensitive partials.
+//! or atomics on the hot path.
 //!
 //! Determinism contract: the closure receives the **trial index**, derives
 //! its own seed from it, and returns a value; results are written to the
@@ -17,8 +16,6 @@
 
 use std::mem::MaybeUninit;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Number of worker threads used by [`run_trials`]: the machine's
 /// available parallelism, capped by the trial count.
@@ -102,75 +99,6 @@ where
     run_trials_on(trials, default_threads(trials), f)
 }
 
-/// Runs trials in parallel and folds the results into an accumulator via
-/// `fold`, merging per-thread partials with `merge`. Avoids materializing
-/// all trial outputs when only an aggregate is needed.
-///
-/// `fold` is applied in an unspecified trial order within each worker, so
-/// the accumulator must be order-insensitive (e.g. Welford merge, sums,
-/// min/max) for deterministic-in-distribution results; exact bitwise
-/// determinism additionally requires an associative-commutative fold.
-#[must_use]
-pub fn run_fold<T, A, F, Fold, Merge>(
-    trials: usize,
-    threads: NonZeroUsize,
-    init: impl Fn() -> A + Sync,
-    f: F,
-    fold: Fold,
-    merge: Merge,
-) -> A
-where
-    T: Send,
-    A: Send,
-    F: Fn(usize) -> T + Sync,
-    Fold: Fn(&mut A, T) + Sync,
-    Merge: Fn(&mut A, A),
-{
-    if trials == 0 {
-        return init();
-    }
-    let threads = threads.get().min(trials);
-    if threads == 1 {
-        let mut acc = init();
-        for i in 0..trials {
-            fold(&mut acc, f(i));
-        }
-        return acc;
-    }
-    let cursor = AtomicUsize::new(0);
-    let partials: Vec<Mutex<Option<A>>> = (0..threads).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let partials = &partials;
-            let cursor = &cursor;
-            let init = &init;
-            let f = &f;
-            let fold = &fold;
-            scope.spawn(move || {
-                let mut acc = init();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= trials {
-                        break;
-                    }
-                    fold(&mut acc, f(i));
-                }
-                *partials[w].lock().expect("partial lock") = Some(acc);
-            });
-        }
-    });
-    let mut result: Option<A> = None;
-    for p in partials {
-        if let Some(a) = p.into_inner().expect("partial lock") {
-            match &mut result {
-                None => result = Some(a),
-                Some(r) => merge(r, a),
-            }
-        }
-    }
-    result.unwrap_or_else(init)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,45 +141,6 @@ mod tests {
     fn more_threads_than_trials() {
         let out = run_trials_on(3, NonZeroUsize::new(64).unwrap(), |i| i + 1);
         assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn fold_sums_match_sequential() {
-        let total = run_fold(
-            1000,
-            NonZeroUsize::new(8).unwrap(),
-            || 0u64,
-            |i| i as u64,
-            |acc, x| *acc += x,
-            |acc, other| *acc += other,
-        );
-        assert_eq!(total, 999 * 1000 / 2);
-    }
-
-    #[test]
-    fn fold_with_one_thread() {
-        let total = run_fold(
-            10,
-            NonZeroUsize::new(1).unwrap(),
-            || 0u64,
-            |i| i as u64,
-            |acc, x| *acc += x,
-            |acc, other| *acc += other,
-        );
-        assert_eq!(total, 45);
-    }
-
-    #[test]
-    fn fold_zero_trials_returns_init() {
-        let total = run_fold(
-            0,
-            NonZeroUsize::new(4).unwrap(),
-            || 7u64,
-            |_i| 1u64,
-            |acc, x| *acc += x,
-            |acc, other| *acc += other,
-        );
-        assert_eq!(total, 7);
     }
 
     #[test]

@@ -72,8 +72,8 @@ impl<O: Observer> PortfolioEngine<O> {
     ///
     /// # Panics
     ///
-    /// If the shadow worker died (a shadow refused an operation the live
-    /// engine accepted).
+    /// If the shadow worker died (the shadow set refused an operation the
+    /// live engine accepted).
     pub fn arrive(&mut self, size: DimVec, time: Time) -> Result<LivePlacement, LiveError> {
         let placed = self.live.arrive(size.clone(), time)?;
         self.state
@@ -84,41 +84,25 @@ impl<O: Observer> PortfolioEngine<O> {
 
     /// Retires an item: live departure, shadow mirror, then — if the
     /// departure closed at least one live bin — the meta-policy
-    /// evaluation and (possibly) the switch, applied via
-    /// [`LiveEngine::switch_policy`] so the observer journals it.
+    /// evaluation and (possibly) the switch, applied through
+    /// [`PortfolioState::switch`] so the observer journals it.
     ///
     /// # Errors
     ///
     /// Exactly as [`LiveEngine::depart`]; on error nothing reaches the
     /// shadows.
+    ///
+    /// # Panics
+    ///
+    /// If the shadow worker died, as [`arrive`](Self::arrive).
     pub fn depart(&mut self, item: usize, time: Time) -> Result<PortfolioDeparture, LiveError> {
         let departure = self.live.depart(item, time)?;
-        let closes = u64::from(departure.closed)
-            + departure
-                .migrations
-                .iter()
-                .filter(|m| m.closed_from)
-                .count() as u64;
-        let proposal = self
-            .state
-            .on_depart(item, departure.time, closes)
-            .expect(SHADOWS_ALIVE);
-        let switched = match proposal {
-            None => None,
-            Some(kind) => {
-                self.live.switch_policy(kind.clone())?;
-                self.state
-                    .record_switch(&kind, departure.time)
-                    .expect("proposed kinds come from the candidate list");
-                Some(
-                    self.state
-                        .switches()
-                        .last()
-                        .expect("record_switch just appended")
-                        .clone(),
-                )
-            }
-        };
+        let proposal = self.state.on_depart(&departure).expect(SHADOWS_ALIVE);
+        let switched = proposal.map(|kind| {
+            self.state
+                .switch(&mut self.live, kind)
+                .expect("proposals are validated candidates")
+        });
         Ok(PortfolioDeparture {
             departure,
             switched,

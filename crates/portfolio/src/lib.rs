@@ -6,20 +6,22 @@
 //! the family in advance. This crate runs the *whole candidate
 //! portfolio* next to the live engine:
 //!
-//! * [`ShadowSet`] — one cost-only [`LiveEngine`](dvbp_core::LiveEngine)
-//!   per candidate [`PolicyKind`], all fed the
-//!   exact stream the live engine accepted, each scoring a running
-//!   competitive ratio against one shared
-//!   [`StreamingLowerBound`](dvbp_core::StreamingLowerBound) anchor.
+//! * [`ShadowSet`] — the candidate list plus one
+//!   [`EngineSet`](dvbp_core::EngineSet): a bare cost-only engine per
+//!   candidate [`PolicyKind`] behind one feed of the exact stream the
+//!   live engine accepted, each scoring a running competitive ratio
+//!   against the one Lemma-1 lower bound folded from that feed.
 //! * [`MetaPolicy`] — `static` (never switch), `best-of:window`
 //!   (periodic adoption of the cheapest shadow), and `switch:threshold`
 //!   (hysteresis-guarded adoption whenever the live policy trails the
 //!   best shadow by more than a relative threshold).
 //! * [`PortfolioState`] — the shared decision state `dvbp-serve` shards
-//!   journal switches from; WAL recovery re-runs it over the journaled
-//!   operations and checks its switches against the journal. Its
-//!   shadows run on a worker thread of their own, fed through a bounded
-//!   in-order queue; every read of them waits for the queue to drain.
+//!   journal switches from: it counts a departure's bin closes, asks the
+//!   meta-policy, and switches the live engine. WAL recovery re-runs it
+//!   over the journaled operations and checks its switches against the
+//!   journal. Its shadows run on a worker thread of their own, fed
+//!   through a bounded in-order queue; every read of them waits for the
+//!   queue to drain.
 //! * [`PortfolioEngine`] — the standalone live-engine wrapper used by
 //!   benches, property tests, and the conformance harness.
 //!
@@ -39,7 +41,7 @@ pub use meta::{
     MetaPolicy, ParseMetaError, DEFAULT_BEST_OF_WINDOW, DEFAULT_SWITCH_THRESHOLD_PCT,
     SWITCH_COOLDOWN_CLOSES,
 };
-pub use shadow::{Shadow, ShadowScore, ShadowSet};
+pub use shadow::{ShadowScore, ShadowSet};
 pub use state::{PortfolioError, PortfolioState, SwitchRecord};
 pub use worker::WAKE_AT;
 

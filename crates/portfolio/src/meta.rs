@@ -9,11 +9,9 @@
 //! the switches, and lands in exactly the state, the original process
 //! did.
 //!
-//! Because all shadows share one [`StreamingLowerBound`] anchor (see
+//! Because all shadows share one Lemma-1 lower-bound anchor (see
 //! [`crate::ShadowSet`]), comparing running CRs reduces to comparing
 //! raw shadow costs — no ratios, no floats, no rounding.
-//!
-//! [`StreamingLowerBound`]: dvbp_core::StreamingLowerBound
 
 use dvbp_sim::Cost;
 

@@ -1,54 +1,22 @@
 //! [`ShadowSet`]: the portfolio's cost-only mirror engines.
 //!
-//! Every candidate [`PolicyKind`] gets a full [`LiveEngine`] in
-//! [`TraceMode::CostOnly`] that receives the *exact* event stream the
-//! live engine accepted — same sizes, same ticks, same dense item
-//! indices (both sides assign indices in arrival order). A shadow's
-//! accumulated usage time is therefore **bit-identical** to a standalone
-//! cost-only run of its policy over the stream; conformance layer 11
-//! holds every shadow to that.
+//! Every candidate [`PolicyKind`] gets a bare cost-only engine in one
+//! [`EngineSet`], which receives the *exact* event stream the live
+//! engine accepted — same sizes, same ticks, same dense item indices
+//! (both sides number items in arrival order). A shadow's accumulated
+//! usage time is therefore **bit-identical** to a standalone cost-only
+//! run of its policy over the stream; conformance layer 11 holds every
+//! shadow to that.
 //!
-//! One [`StreamingLowerBound`] is shared by the whole set: all shadows
-//! observe the same stream, so their Lemma-1 `lb_load` anchors coincide
-//! — and comparing shadows by competitive ratio reduces to comparing
-//! raw costs, which keeps the meta-policy's decisions in exact integer
-//! arithmetic.
+//! The set's feed holds the active items once for every candidate, and
+//! its Lemma-1 `lb_load` fold reads their sizes from that same table.
+//! All shadows share that anchor, so comparing shadows by competitive
+//! ratio reduces to comparing raw costs, which keeps the meta-policy's
+//! decisions in exact integer arithmetic.
 
-use dvbp_core::{
-    LiveEngine, LiveError, LiveOp, LiveRequest, PolicyKind, StreamingLowerBound, TimeMode,
-    TraceMode,
-};
+use dvbp_core::{EngineSet, LiveError, LiveOp, PolicyKind, TimeMode};
 use dvbp_dimvec::DimVec;
 use dvbp_sim::{Cost, Time};
-
-/// One shadow: a candidate policy running cost-only over the live
-/// stream.
-pub struct Shadow {
-    kind: PolicyKind,
-    engine: LiveEngine,
-}
-
-impl Shadow {
-    /// The candidate policy this shadow evaluates.
-    #[must_use]
-    pub fn kind(&self) -> &PolicyKind {
-        &self.kind
-    }
-
-    /// The shadow's accumulated usage time at tick `at` — identical to
-    /// what a standalone cost-only run of this policy over the same
-    /// stream would report.
-    #[must_use]
-    pub fn cost_at(&self, at: Time) -> Cost {
-        self.engine.usage_time_at(at)
-    }
-
-    /// Bins the shadow has ever opened.
-    #[must_use]
-    pub fn bins_opened(&self) -> usize {
-        self.engine.bins_opened()
-    }
-}
 
 /// A shadow's scoreboard row: cost and the shared lower-bound anchor.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,26 +38,24 @@ impl ShadowScore {
     }
 }
 
-/// The portfolio's shadow engines plus their shared lower-bound anchor.
+/// The portfolio's candidate list and its shadow engines.
 ///
 /// Feed it every operation the live engine *accepted* (after the live
-/// call returned `Ok`); the set forwards the operation to each shadow
-/// and the lower bound. Shadows share the live engine's capacity and
+/// call returned `Ok`). The shadows share the live engine's capacity and
 /// time mode, so an operation the live engine accepted is accepted by
-/// every shadow — a rejection here means the caller fed a different
-/// stream, which is a bug, and panics.
+/// the set — a refusal here means the caller fed a different stream,
+/// which is a bug, and panics.
 pub struct ShadowSet {
-    shadows: Vec<Shadow>,
-    lb: StreamingLowerBound,
-    items_seen: usize,
+    kinds: Vec<PolicyKind>,
+    engines: EngineSet,
 }
 
 impl ShadowSet {
     /// Builds one cost-only shadow per candidate kind.
     ///
     /// `items_hint` pre-reserves each shadow's item ledger (see
-    /// [`LiveRequest::items_hint`]) so steady-state operation stays
-    /// allocation-free.
+    /// [`dvbp_core::LiveRequest::items_hint`]) so steady-state operation
+    /// stays allocation-free.
     ///
     /// # Errors
     ///
@@ -100,25 +66,9 @@ impl ShadowSet {
         kinds: &[PolicyKind],
         items_hint: usize,
     ) -> Result<Self, LiveError> {
-        let shadows = kinds
-            .iter()
-            .map(|kind| {
-                LiveRequest::new(kind.clone())
-                    .capacity(capacity.clone())
-                    .trace_mode(TraceMode::CostOnly)
-                    .time_mode(time_mode)
-                    .items_hint(items_hint)
-                    .build()
-                    .map(|engine| Shadow {
-                        kind: kind.clone(),
-                        engine,
-                    })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(ShadowSet {
-            shadows,
-            lb: StreamingLowerBound::new(capacity),
-            items_seen: 0,
+            kinds: kinds.to_vec(),
+            engines: EngineSet::new(capacity, time_mode, kinds, items_hint)?,
         })
     }
 
@@ -128,11 +78,11 @@ impl ShadowSet {
     ///
     /// # Panics
     ///
-    /// If a shadow rejects the arrival — impossible when the caller
+    /// If the set refuses the arrival — impossible when the caller
     /// forwards exactly the operations the live engine accepted.
     pub fn arrive(&mut self, size: &DimVec, time: Time) {
         self.apply(&[LiveOp::Arrive {
-            item: self.items_seen,
+            item: self.items_seen(),
             size: size.clone(),
             time,
         }]);
@@ -143,93 +93,55 @@ impl ShadowSet {
     ///
     /// # Panics
     ///
-    /// If a shadow rejects the departure — impossible when the caller
+    /// If the set refuses the departure — impossible when the caller
     /// forwards exactly the operations the live engine accepted.
     pub fn depart(&mut self, item: usize, time: Time) {
         self.apply(&[LiveOp::Depart { item, time }]);
     }
 
-    /// Mirrors a batch of accepted operations, in order, shadow by
-    /// shadow: each shadow takes the whole batch before the next starts,
-    /// and the lower bound folds it once. Arrivals carry the dense index
-    /// the set assigns next ([`items_seen`](Self::items_seen) onwards).
+    /// Mirrors a batch of accepted operations, in order, through
+    /// [`EngineSet::apply`]: the feed and the lower bound take the batch
+    /// once, then each shadow takes all of it before the next starts.
+    /// Arrivals carry the dense index the set assigns next
+    /// ([`items_seen`](Self::items_seen) onwards).
     ///
     /// # Panics
     ///
-    /// If a shadow rejects an operation, as [`arrive`](Self::arrive).
+    /// If the set refuses an operation, as [`arrive`](Self::arrive).
     pub(crate) fn apply(&mut self, ops: &[LiveOp]) {
-        for op in ops {
-            if let LiveOp::Arrive { item, .. } = op {
-                debug_assert_eq!(*item, self.items_seen, "arrivals carry dense indices");
-                self.items_seen += 1;
-            }
-            self.lb.observe(op);
-        }
-        for shadow in &mut self.shadows {
-            for op in ops {
-                let accepted = match op {
-                    LiveOp::Arrive { size, time, .. } => {
-                        shadow.engine.arrive(size.clone(), *time).map(drop)
-                    }
-                    LiveOp::Depart { item, time } => shadow.engine.depart(*item, *time).map(drop),
-                };
-                accepted.expect("shadow engines mirror the accepted live stream");
-            }
-        }
-    }
-
-    /// The candidate shadows, in declaration order.
-    #[must_use]
-    pub fn shadows(&self) -> &[Shadow] {
-        &self.shadows
-    }
-
-    /// Number of candidates.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shadows.len()
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shadows.is_empty()
+        self.engines
+            .apply(ops)
+            .expect("shadow engines mirror the accepted live stream");
     }
 
     /// Arrivals mirrored so far (the next dense item index).
     #[must_use]
     pub fn items_seen(&self) -> usize {
-        self.items_seen
+        self.engines.items_seen()
     }
 
     /// The stream's Lemma-1 lower bound so far — shared anchor of every
     /// shadow's running CR.
     #[must_use]
     pub fn lower_bound(&self) -> Cost {
-        self.lb.value()
+        self.engines.lower_bound()
     }
 
-    /// Index of the candidate whose shadow has the lowest cost at `at`
-    /// (ties break to the earliest declared candidate). `None` when the
-    /// set is empty.
-    #[must_use]
-    pub fn best_at(&self, at: Time) -> Option<usize> {
-        self.shadows
-            .iter()
-            .enumerate()
-            .min_by_key(|(idx, s)| (s.cost_at(at), *idx))
-            .map(|(idx, _)| idx)
+    /// Each shadow's cost at tick `at`, in declaration order.
+    pub(crate) fn costs_at(&self, at: Time) -> impl Iterator<Item = Cost> + '_ {
+        self.engines.costs_at(at)
     }
 
     /// Scoreboard rows at tick `at`, in declaration order.
     #[must_use]
     pub fn scoreboard(&self, at: Time) -> Vec<ShadowScore> {
-        let lb = self.lb.value();
-        self.shadows
+        let lb = self.lower_bound();
+        self.kinds
             .iter()
-            .map(|s| ShadowScore {
-                policy: s.kind.spec(),
-                cost: s.cost_at(at),
+            .zip(self.costs_at(at))
+            .map(|(kind, cost)| ShadowScore {
+                policy: kind.spec(),
+                cost,
                 lb,
             })
             .collect()
@@ -239,6 +151,7 @@ impl ShadowSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvbp_core::{LiveEngine, TraceMode};
 
     fn set(kinds: &[PolicyKind]) -> ShadowSet {
         ShadowSet::new(&DimVec::from_slice(&[10]), TimeMode::Strict, kinds, 0).unwrap()
@@ -279,7 +192,7 @@ mod tests {
             shadows.depart(item, 9);
         }
         assert_eq!(
-            shadows.shadows()[1].cost_at(9),
+            shadows.scoreboard(9)[1].cost,
             standalone.usage_time_at(9),
             "shadow cost must equal the standalone cost-only run"
         );
@@ -302,7 +215,6 @@ mod tests {
             board[0].cost < board[1].cost,
             "FirstFit packs tighter here: {board:?}"
         );
-        assert_eq!(shadows.best_at(4), Some(0));
         for s in &board {
             assert!(s.running_cr().is_finite());
         }

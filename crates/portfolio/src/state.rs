@@ -1,8 +1,10 @@
-//! [`PortfolioState`]: shadows + meta-policy + switch bookkeeping,
-//! decoupled from the live engine so both the standalone
+//! [`PortfolioState`]: shadows + meta-policy + switch bookkeeping, kept
+//! beside the live engine so both the standalone
 //! [`PortfolioEngine`](crate::PortfolioEngine) and `dvbp-serve`'s
-//! WAL-journaling shards can drive the same logic — and so WAL recovery
-//! can rebuild the exact state by replaying the journaled operations.
+//! WAL-journaling shards drive the same depart rule — which closes
+//! count, when the meta-policy evaluates, how a switch reaches the live
+//! engine — and so WAL recovery can rebuild the exact state by
+//! replaying the journaled operations.
 //!
 //! The shadows run on a worker thread of their own ([`crate::worker`]):
 //! forwarding an operation queues it and returns, and every read of
@@ -17,7 +19,7 @@
 use crate::meta::MetaPolicy;
 use crate::shadow::{ShadowScore, ShadowSet};
 use crate::worker::{ShadowWorker, WorkerDown};
-use dvbp_core::{LiveError, PolicyKind, TimeMode};
+use dvbp_core::{LiveDeparture, LiveEngine, LiveError, Observer, PolicyKind, TimeMode};
 use dvbp_dimvec::DimVec;
 use dvbp_sim::{Cost, Time};
 
@@ -26,16 +28,14 @@ use dvbp_sim::{Cost, Time};
 pub enum PortfolioError {
     /// A candidate (or the live kind) failed live-engine validation.
     Live(LiveError),
-    /// The candidate list was empty.
-    NoCandidates,
     /// A switch targeted a policy outside the candidate list.
     UnknownCandidate {
         /// The unmatched round-trippable policy spelling.
         spec: String,
     },
-    /// The shadow worker died (a shadow refused an accepted operation,
-    /// which is a bug) or could not start; the state answers nothing
-    /// more.
+    /// The shadow worker died (the shadow set refused an accepted
+    /// operation, which is a bug) or could not start; the state answers
+    /// nothing more.
     Shadows {
         /// Why, naming the worker thread.
         msg: String,
@@ -46,7 +46,6 @@ impl std::fmt::Display for PortfolioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PortfolioError::Live(e) => write!(f, "{e}"),
-            PortfolioError::NoCandidates => write!(f, "portfolio needs at least one candidate"),
             PortfolioError::UnknownCandidate { spec } => {
                 write!(f, "switch target {spec} is not a portfolio candidate")
             }
@@ -83,11 +82,11 @@ pub struct SwitchRecord {
 /// The portfolio's decision state: candidate shadows, the meta-policy,
 /// and the close/switch counters its decisions read.
 ///
-/// The state never touches the live engine. Callers forward every
-/// accepted operation ([`on_arrive`](PortfolioState::on_arrive) /
-/// [`on_depart`](PortfolioState::on_depart)), apply a returned switch
-/// proposal to their live engine, then confirm it with
-/// [`record_switch`](PortfolioState::record_switch).
+/// Callers forward every operation their live engine accepted
+/// ([`on_arrive`](PortfolioState::on_arrive) /
+/// [`on_depart`](PortfolioState::on_depart)) and hand a returned switch
+/// proposal to [`switch`](PortfolioState::switch), which applies it to
+/// the live engine.
 ///
 /// The shadows run on a worker thread that starts with the first
 /// forwarded operation and is joined when the state is dropped (see the
@@ -117,8 +116,6 @@ impl PortfolioState {
     ///
     /// # Errors
     ///
-    /// [`PortfolioError::NoCandidates`] when both `candidates` and the
-    /// live kind are absent (impossible — live kind always exists), and
     /// [`PortfolioError::Live`] for clairvoyant candidates.
     pub fn new(
         capacity: &DimVec,
@@ -131,9 +128,6 @@ impl PortfolioState {
         let mut candidates = candidates.to_vec();
         if !candidates.contains(live_kind) {
             candidates.insert(0, live_kind.clone());
-        }
-        if candidates.is_empty() {
-            return Err(PortfolioError::NoCandidates);
         }
         let current = candidates
             .iter()
@@ -175,28 +169,26 @@ impl PortfolioState {
         Ok(self.shadows.arrive(size, time)?)
     }
 
-    /// Mirrors an accepted departure into the shadows, advances the
-    /// close counters by `live_closes` (bins the *live* engine closed
-    /// processing this departure, including repack-drained ones), and —
-    /// when at least one bin closed — evaluates the meta-policy at tick
-    /// `time`. Returns the candidate to adopt, or `None` to stay.
+    /// Mirrors the live engine's accepted departure `dep` into the
+    /// shadows and advances the close counters by the live bins it
+    /// closed: its own bin's close and every repack migration's. When at
+    /// least one bin closed, evaluates the meta-policy at the
+    /// departure's tick. Returns the candidate to adopt, or `None` to
+    /// stay.
     ///
-    /// The proposal is **not** applied here; the caller switches its
-    /// live engine and then confirms with
-    /// [`record_switch`](PortfolioState::record_switch). An evaluation
-    /// is a barrier: it waits for the worker to apply every operation
-    /// forwarded so far, this departure included.
+    /// The proposal is **not** applied here; the caller hands it to
+    /// [`switch`](PortfolioState::switch). An evaluation is a barrier: it
+    /// waits for the worker to apply every operation forwarded so far,
+    /// this departure included.
     ///
     /// # Errors
     ///
     /// [`PortfolioError::Shadows`] once the worker has died.
-    pub fn on_depart(
-        &mut self,
-        item: usize,
-        time: Time,
-        live_closes: u64,
-    ) -> Result<Option<PolicyKind>, PortfolioError> {
-        self.shadows.depart(item, time)?;
+    pub fn on_depart(&mut self, dep: &LiveDeparture) -> Result<Option<PolicyKind>, PortfolioError> {
+        let time = dep.time;
+        self.shadows.depart(dep.item, time)?;
+        let live_closes =
+            u64::from(dep.closed) + dep.migrations.iter().filter(|m| m.closed_from).count() as u64;
         if live_closes == 0 {
             return Ok(None);
         }
@@ -216,8 +208,7 @@ impl PortfolioState {
         }
         let costs = &mut self.costs;
         costs.clear();
-        self.shadows
-            .read(|set| costs.extend(set.shadows().iter().map(|s| s.cost_at(time))))?;
+        self.shadows.read(|set| costs.extend(set.costs_at(time)))?;
         Ok(self
             .meta
             .decide(
@@ -229,28 +220,37 @@ impl PortfolioState {
             .map(|idx| self.candidates[idx].clone()))
     }
 
-    /// Confirms that the live engine adopted `to` at tick `time`:
-    /// updates the current-candidate index, resets the hysteresis
-    /// counter, and appends the audit record.
+    /// Switches `live` to candidate `to` at its current tick
+    /// ([`LiveEngine::switch_policy`]), then updates the
+    /// current-candidate index, resets the hysteresis counter and appends
+    /// the audit record, which it returns: the `PolicySwitch` line a
+    /// journaling caller writes.
     ///
     /// # Errors
     ///
     /// [`PortfolioError::UnknownCandidate`] when `to` is not in the
-    /// candidate list.
-    pub fn record_switch(&mut self, to: &PolicyKind, time: Time) -> Result<(), PortfolioError> {
+    /// candidate list, and the live engine's refusal as
+    /// [`PortfolioError::Live`]; either leaves both sides unchanged.
+    pub fn switch<O: Observer>(
+        &mut self,
+        live: &mut LiveEngine<O>,
+        to: PolicyKind,
+    ) -> Result<SwitchRecord, PortfolioError> {
         let idx = self
             .candidates
             .iter()
-            .position(|k| k == to)
+            .position(|k| *k == to)
             .ok_or_else(|| PortfolioError::UnknownCandidate { spec: to.spec() })?;
-        self.switches.push(SwitchRecord {
-            time,
-            from: self.candidates[self.current].spec(),
+        let record = SwitchRecord {
+            time: live.now(),
+            from: live.kind().spec(),
             to: to.spec(),
-        });
+        };
+        live.switch_policy(to)?;
+        self.switches.push(record.clone());
         self.current = idx;
         self.closes_since_switch = 0;
-        Ok(())
+        Ok(record)
     }
 
     /// The candidate currently driving the live engine.
@@ -322,9 +322,27 @@ impl PortfolioState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvbp_core::{BinId, TraceMode};
 
     fn dv(units: &[u64]) -> DimVec {
         DimVec::from_slice(units)
+    }
+
+    /// A cost-only live engine of `kind` in bins of capacity 10.
+    fn live(kind: &PolicyKind) -> LiveEngine {
+        LiveEngine::new(dv(&[10]), kind, TraceMode::CostOnly, TimeMode::Strict).unwrap()
+    }
+
+    /// A departure the live engine did not make: item `item` leaves bin
+    /// 0 at `time`, closing it iff `closed`.
+    fn departure(item: usize, time: Time, closed: bool) -> LiveDeparture {
+        LiveDeparture {
+            item,
+            bin: BinId(0),
+            closed,
+            time,
+            migrations: Vec::new(),
+        }
     }
 
     #[test]
@@ -357,7 +375,7 @@ mod tests {
         )
         .unwrap();
         state.on_arrive(&dv(&[6]), 0).unwrap();
-        assert_eq!(state.on_depart(0, 5, 1), Ok(None));
+        assert_eq!(state.on_depart(&departure(0, 5, true)), Ok(None));
         assert_eq!(state.closes(), 1);
         assert!(state.switches().is_empty());
     }
@@ -376,21 +394,29 @@ mod tests {
         // NextFit wastes a bin: [6] opens b0, blocker [9] takes b1 and
         // becomes current, [4] then opens b2 under NextFit but rides b0
         // under FirstFit.
-        state.on_arrive(&dv(&[6]), 0).unwrap();
-        state.on_arrive(&dv(&[9]), 1).unwrap();
-        state.on_arrive(&dv(&[4]), 2).unwrap();
-        let proposal = state.on_depart(1, 6, 1);
+        let mut live = live(&PolicyKind::NextFit);
+        for (size, time) in [(6, 0), (9, 1), (4, 2)] {
+            let placed = live.arrive(dv(&[size]), time).unwrap();
+            state.on_arrive(&dv(&[size]), placed.time).unwrap();
+        }
+        let dep = live.depart(1, 6).unwrap();
+        assert!(dep.closed);
+        let proposal = state.on_depart(&dep);
         assert_eq!(proposal, Ok(Some(PolicyKind::FirstFit)));
-        state.record_switch(&PolicyKind::FirstFit, 6).unwrap();
+        let record = state.switch(&mut live, PolicyKind::FirstFit).unwrap();
         assert_eq!(state.current_kind(), &PolicyKind::FirstFit);
+        assert_eq!(live.kind(), &PolicyKind::FirstFit);
         assert_eq!(state.switches().len(), 1);
+        assert_eq!(state.switches()[0], record);
+        assert_eq!(state.switches()[0].time, 6);
         assert_eq!(state.switches()[0].from, "NextFit");
         assert_eq!(state.switches()[0].to, "FirstFit");
         // Unknown targets are rejected (foreign WAL).
         assert!(matches!(
-            state.record_switch(&PolicyKind::LastFit, 7),
+            state.switch(&mut live, PolicyKind::LastFit),
             Err(PortfolioError::UnknownCandidate { .. })
         ));
+        assert_eq!(live.kind(), &PolicyKind::FirstFit);
     }
 
     #[test]
@@ -407,8 +433,8 @@ mod tests {
         state.label(3);
         state.on_arrive(&dv(&[6]), 0).unwrap();
         // A departure of an item that never arrived: queued here, refused
-        // by the first shadow on the worker thread.
-        state.on_depart(5, 1, 0).unwrap();
+        // by the shadow set on the worker thread.
+        state.on_depart(&departure(5, 1, false)).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let board = state.scoreboard(1);
@@ -430,7 +456,7 @@ mod tests {
             Err(PortfolioError::Shadows { .. })
         ));
         assert!(matches!(
-            state.on_depart(0, 2, 1),
+            state.on_depart(&departure(0, 2, true)),
             Err(PortfolioError::Shadows { .. })
         ));
     }

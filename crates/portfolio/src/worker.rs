@@ -25,10 +25,11 @@
 //! * *Lazy start.* The thread starts with the first push. Until then
 //!   reads answer from the idle set directly, and a state that is built
 //!   and dropped without operations never starts one.
-//! * *Shadow-major batches.* [`ShadowSet::apply`] runs the whole batch
-//!   through one shadow before the next.
-//! * *Failure.* A shadow that refuses an accepted operation panics,
-//!   on the worker or in a barrier. The panic is caught, the queue
+//! * *One feed, shadow-major.* [`ShadowSet::apply`] takes the batch
+//!   through the set's one feed and lower bound once, then through one
+//!   shadow engine after another, each taking all of it.
+//! * *Failure.* A set that refuses an accepted operation panics, on
+//!   the worker or in a barrier. The panic is caught, the queue
 //!   records its message, and every later push or barrier fails at once
 //!   with it instead of waiting.
 //! * *No steady-state allocation.* The pending queue and the worker's

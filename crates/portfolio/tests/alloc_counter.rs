@@ -1,11 +1,12 @@
 //! Counting-allocator bound on shadow overhead: in steady state (items
 //! ledger pre-sized, every bin already open, no bin ever closing) a
 //! portfolio drive — live engine plus one cost-only shadow per
-//! candidate plus the shared streaming lower bound — performs **zero**
-//! heap allocations per operation, and therefore no more than the
-//! plain single-policy engine on the identical stream. The candidates
-//! cover the first-hit query (First Fit), no query (Next Fit) and both
-//! whole-set queries (Best Fit[L∞]'s ranking, Random Fit's block list).
+//! candidate behind the shadow set's one feed and lower bound —
+//! performs **zero** heap allocations per operation, and therefore no
+//! more than the plain single-policy engine on the identical stream.
+//! The candidates cover the first-hit query (First Fit), no query (Next
+//! Fit) and both whole-set queries (Best Fit[L∞]'s ranking, Random
+//! Fit's block list).
 //!
 //! This file holds exactly one `#[test]` so the global allocation
 //! counter is not polluted by concurrent tests in the same binary.

@@ -9,6 +9,12 @@
 //!   is byte-identical to the plain single-policy engine: same
 //!   placements, same departures, same final packing cost.
 //!
+//! * **Clamp fidelity** — under `TimeMode::Clamp`, with ticks behind the
+//!   clock, zero-duration stays and departures after an arrival at their
+//!   tick, every shadow still equals a standalone clamp-mode engine fed
+//!   the same raw operations, and the lower bound equals a
+//!   `StreamingLowerBound` fed the live engine's effective ticks.
+//!
 //! * **Worker transparency** — a [`PortfolioState`], whose shadows run
 //!   on a worker thread, answers every read (the meta-policy's
 //!   evaluations, `scoreboard`, `lower_bound`) exactly as a synchronously
@@ -18,7 +24,11 @@
 //! dense arrival-order indices, so departures go through a translation
 //! map — the same discipline the conformance driver uses.
 
-use dvbp_core::{live_ops, LiveOp, LiveRequest, LoadMeasure, PolicyKind, TimeMode, TraceMode};
+use dvbp_core::{
+    live_ops, LiveOp, LiveRequest, LoadMeasure, PolicyKind, StreamingLowerBound, TimeMode,
+    TraceMode,
+};
+use dvbp_dimvec::DimVec;
 use dvbp_portfolio::{MetaPolicy, PortfolioEngine, PortfolioState, ShadowSet};
 use dvbp_workloads::uniform::UniformParams;
 use proptest::prelude::*;
@@ -148,6 +158,77 @@ proptest! {
     }
 
     #[test]
+    fn clamp_mode_shadows_match_standalone_clamp_runs(
+        d in 1usize..=3,
+        kidx in 0usize..7,
+        ops in proptest::collection::vec(
+            (
+                0u8..3,
+                proptest::collection::vec(1u64..=8, 3),
+                0usize..64,
+                0u64..3,
+                0u64..4,
+                0u8..2,
+            ),
+            1..160,
+        ),
+    ) {
+        // Each op: 0 or 1 arrives, 2 departs the `pick`-th active item.
+        // The clock moves on by `advance`; the op's raw tick lags it by
+        // `lag`, or is its item's raw arrival tick when `at_arrival` is 1.
+        let cap = DimVec::splat(d, 8);
+        let kinds = PolicyKind::paper_suite(3);
+        let build = |kind: &PolicyKind| {
+            LiveRequest::new(kind.clone())
+                .capacity(cap.clone())
+                .trace_mode(TraceMode::CostOnly)
+                .time_mode(TimeMode::Clamp)
+                .build()
+                .unwrap()
+        };
+        let mut pf = PortfolioEngine::new(build(&kinds[kidx]), &kinds, MetaPolicy::Static, 0)
+            .unwrap();
+        let mut alone: Vec<_> = kinds.iter().map(build).collect();
+        let mut lb = StreamingLowerBound::new(&cap);
+        let mut active: Vec<(usize, u64)> = Vec::new();
+        let mut clock: u64 = 0;
+        for (op, size, pick, advance, lag, at_arrival) in ops {
+            clock += advance;
+            let raw = clock.saturating_sub(lag);
+            if op < 2 || active.is_empty() {
+                let size = DimVec::from_slice(&size[..d]);
+                let placed = pf.arrive(size.clone(), raw).unwrap();
+                for eng in &mut alone {
+                    prop_assert_eq!(eng.arrive(size.clone(), raw).unwrap().item, placed.item);
+                }
+                lb.observe(&LiveOp::Arrive { item: placed.item, size, time: placed.time });
+                active.push((placed.item, raw));
+            } else {
+                let (item, arrived) = active.swap_remove(pick % active.len());
+                let raw = if at_arrival == 1 { arrived } else { raw };
+                let dep = pf.depart(item, raw).unwrap();
+                prop_assert!(dep.switched.is_none(), "static meta switched");
+                for eng in &mut alone {
+                    eng.depart(item, raw).unwrap();
+                }
+                lb.observe(&LiveOp::Depart { item, time: dep.departure.time });
+            }
+        }
+        let now = pf.live().now();
+        let rows = pf.scoreboard(now);
+        prop_assert_eq!(rows.len(), alone.len());
+        for (row, eng) in rows.iter().zip(&alone) {
+            prop_assert_eq!(
+                row.cost,
+                eng.usage_time_at(now),
+                "shadow {} diverged from its standalone clamp run",
+                &row.policy
+            );
+        }
+        prop_assert_eq!(pf.lower_bound(), lb.value());
+    }
+
+    #[test]
     fn worker_fed_state_answers_like_synchronous_shadows(
         d in 1usize..=3,
         n in 1usize..=300,
@@ -197,7 +278,7 @@ proptest! {
                 LiveOp::Depart { item, time } => {
                     let dep = live.depart(ids[item], time).unwrap();
                     let n_closes = u64::from(dep.closed);
-                    let got = state.on_depart(dep.item, dep.time, n_closes).unwrap();
+                    let got = state.on_depart(&dep).unwrap();
                     sync.depart(dep.item, dep.time);
                     now = dep.time;
                     let want = if n_closes == 0 {
@@ -206,14 +287,13 @@ proptest! {
                         closes += n_closes;
                         since += n_closes;
                         let costs: Vec<_> =
-                            sync.shadows().iter().map(|s| s.cost_at(dep.time)).collect();
+                            sync.scoreboard(dep.time).iter().map(|s| s.cost).collect();
                         meta.decide(current, &costs, closes, since)
                     };
                     prop_assert_eq!(got.as_ref(), want.map(|i| &kinds[i]));
                     if let Some(kind) = got {
-                        live.switch_policy(kind.clone()).unwrap();
-                        state.record_switch(&kind, dep.time).unwrap();
                         current = kinds.iter().position(|k| *k == kind).unwrap();
+                        state.switch(&mut live, kind).unwrap();
                         since = 0;
                     }
                 }

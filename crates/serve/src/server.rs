@@ -1105,14 +1105,20 @@ mod tests {
             s.handle(&arrive("a", &[3, 3], 0)),
             Response::Placed { .. }
         ));
-        // A departure of an item the shadows never saw: the first shadow
+        // A departure of an item the shadows never saw: the shadow set
         // refuses it on the worker thread, which dies.
         s.shards[0]
             .lock()
             .unwrap()
             .portfolio_mut()
             .unwrap()
-            .on_depart(99, 1, 0)
+            .on_depart(&dvbp_core::LiveDeparture {
+                item: 99,
+                bin: dvbp_core::BinId(0),
+                closed: false,
+                time: 1,
+                migrations: Vec::new(),
+            })
             .unwrap();
         // The status read is a barrier; it must come back, not wait for
         // a worker that will never drain the queue.

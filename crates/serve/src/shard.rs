@@ -491,19 +491,14 @@ impl<W: StableWrite> Shard<W> {
         // crash before that line commits leaves the departure
         // unacknowledged: recovery rolls it back with the switch.
         if let Some(pf) = self.portfolio.as_mut() {
-            let closes = u64::from(dep.closed)
-                + dep.migrations.iter().filter(|m| m.closed_from).count() as u64;
-            if let Some(kind) = pf.on_depart(item, dep.time, closes)? {
-                let from = self.live.kind().spec();
-                self.live
-                    .switch_policy(kind.clone())
-                    .expect("portfolio candidates are validated non-clairvoyant");
-                pf.record_switch(&kind, dep.time)
-                    .expect("proposed kinds come from the candidate list");
+            if let Some(kind) = pf.on_depart(&dep)? {
+                let switch = pf
+                    .switch(&mut self.live, kind)
+                    .expect("proposals are validated candidates");
                 self.wal.emit(&ObsEvent::PolicySwitch {
-                    time: dep.time,
-                    from,
-                    to: kind.spec(),
+                    time: switch.time,
+                    from: switch.from,
+                    to: switch.to,
                 });
                 if !self.wal.commit() {
                     self.poisoned = true;
