@@ -7,17 +7,12 @@
 //! * [`replay_packing`] — reconstruct the run's full
 //!   [`Packing`] from the stream alone (the conformance harness checks
 //!   the reconstruction is bit-identical to the live run's);
-//! * [`RunLog::open_bins_series`] / [`RunLog::utilization_series`] —
-//!   exact step-function time series of concurrently-open bins and L1
-//!   utilization, the ground truth the reservoir-sampled gauges of
-//!   `MetricsObserver` approximate;
 //! * [`split_runs`] / [`ingest_jsonl`] — group a multi-run JSONL file
 //!   (as produced by the experiment CLIs' `--metrics` flag, with
 //!   interleaved [`ObsEvent::Meta`] labels) into labelled runs.
 
 use dvbp_core::{BinId, BinUsage, Packing, TraceEvent};
 use dvbp_obs::ObsEvent;
-use dvbp_sim::Time;
 
 /// A malformed event stream detected during replay.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -225,93 +220,6 @@ impl RunLog {
         replay_packing(&self.events)
     }
 
-    /// Exact step-function series of concurrently-open bins: the value
-    /// after each opening/closing event, as `(time, open_bins)` breaks.
-    /// Consecutive events at one tick collapse to the final value.
-    #[must_use]
-    pub fn open_bins_series(&self) -> Vec<(Time, u64)> {
-        let mut series: Vec<(Time, u64)> = Vec::new();
-        let mut open: u64 = 0;
-        let mut push = |time: Time, open: u64| match series.last_mut() {
-            Some(last) if last.0 == time => last.1 = open,
-            _ => series.push((time, open)),
-        };
-        for ev in &self.events {
-            match ev {
-                ObsEvent::BinOpen { time, .. } => {
-                    open += 1;
-                    push(*time, open);
-                }
-                ObsEvent::BinClose { time, .. } => {
-                    open -= 1;
-                    push(*time, open);
-                }
-                _ => {}
-            }
-        }
-        series
-    }
-
-    /// Exact step-function series of L1 utilization — total active load
-    /// over total open capacity, in `[0, 1]` — after each event that
-    /// changes it. `None` entries (no open bins) are skipped.
-    #[must_use]
-    pub fn utilization_series(&self) -> Vec<(Time, f64)> {
-        let capacity_sum: u64 = self
-            .events
-            .iter()
-            .find_map(|ev| match ev {
-                ObsEvent::RunStart { capacity, .. } => Some(capacity.iter().sum()),
-                _ => None,
-            })
-            .unwrap_or(0);
-        if capacity_sum == 0 {
-            return Vec::new();
-        }
-        let mut item_load: Vec<u64> = Vec::new();
-        let mut load: u64 = 0;
-        let mut open: u64 = 0;
-        let mut series: Vec<(Time, f64)> = Vec::new();
-        let mut push = |time: Time, open: u64, load: u64| {
-            if open == 0 {
-                return;
-            }
-            let u = load as f64 / (open * capacity_sum) as f64;
-            match series.last_mut() {
-                Some(last) if last.0 == time => last.1 = u,
-                _ => series.push((time, u)),
-            }
-        };
-        for ev in &self.events {
-            match ev {
-                ObsEvent::Arrival { item, size, .. } => {
-                    if *item >= item_load.len() {
-                        item_load.resize(*item + 1, 0);
-                    }
-                    item_load[*item] = size.iter().sum();
-                }
-                ObsEvent::BinOpen { time, .. } => {
-                    open += 1;
-                    push(*time, open, load);
-                }
-                ObsEvent::Place { time, item, .. } => {
-                    load += item_load.get(*item).copied().unwrap_or(0);
-                    push(*time, open, load);
-                }
-                ObsEvent::Depart { time, item, .. } => {
-                    load -= item_load.get(*item).copied().unwrap_or(0);
-                    push(*time, open, load);
-                }
-                ObsEvent::BinClose { time, .. } => {
-                    open -= 1;
-                    push(*time, open, load);
-                }
-                _ => {}
-            }
-        }
-        series
-    }
-
     /// Total scan work reported by the run's `Place` events.
     #[must_use]
     pub fn total_scanned(&self) -> u64 {
@@ -438,40 +346,6 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].algorithm, "FirstFit");
         assert_eq!(runs[0].replay().unwrap(), live);
-    }
-
-    #[test]
-    fn open_bins_series_matches_sweep_line_ground_truth() {
-        let inst = sample_instance();
-        let mut rec = Recorder::new();
-        let live = PackRequest::new(PolicyKind::FirstFit)
-            .observer(&mut rec)
-            .run(&inst)
-            .unwrap();
-        let runs = split_runs(&rec.events);
-        let series = runs[0].open_bins_series();
-        let peak = series.iter().map(|&(_, v)| v).max().unwrap();
-        assert_eq!(peak as usize, live.max_concurrent_bins());
-        // The series is a valid step function: ends at zero open bins,
-        // and its breaks are time-ordered.
-        assert_eq!(series.last().unwrap().1, 0);
-        assert!(series.windows(2).all(|w| w[0].0 <= w[1].0));
-    }
-
-    #[test]
-    fn utilization_series_stays_in_unit_interval() {
-        let inst = sample_instance();
-        let mut rec = Recorder::new();
-        PackRequest::new(PolicyKind::MoveToFront)
-            .observer(&mut rec)
-            .run(&inst)
-            .unwrap();
-        let runs = split_runs(&rec.events);
-        let series = runs[0].utilization_series();
-        assert!(!series.is_empty());
-        assert!(series.iter().all(|&(_, u)| (0.0..=1.0).contains(&u)));
-        // First break: one item of L1 size 9 in one bin of capacity 20.
-        assert!((series[0].1 - 9.0 / 20.0).abs() < 1e-12);
     }
 
     #[test]

@@ -94,16 +94,6 @@ impl Accumulator {
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
-
-    /// Half-width of the normal-approximation 95% confidence interval.
-    #[must_use]
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev() / (self.count as f64).sqrt()
-        }
-    }
 }
 
 /// A finalized summary, convenient for serialization into reports.
@@ -161,7 +151,6 @@ mod tests {
         one.push(3.5);
         assert_eq!(one.mean(), 3.5);
         assert_eq!(one.std_dev(), 0.0);
-        assert_eq!(one.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -198,19 +187,6 @@ mod tests {
         let mut c = Accumulator::new();
         c.merge(&a);
         assert_eq!(c, a);
-    }
-
-    #[test]
-    fn ci_shrinks_with_samples() {
-        let mut small = Accumulator::new();
-        let mut large = Accumulator::new();
-        for i in 0..10 {
-            small.push(f64::from(i % 3));
-        }
-        for i in 0..1000 {
-            large.push(f64::from(i % 3));
-        }
-        assert!(large.ci95_half_width() < small.ci95_half_width());
     }
 
     #[test]

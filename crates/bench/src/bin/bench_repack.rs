@@ -1,6 +1,9 @@
 //! CR-vs-migration-cost frontier emitter: every repack policy in a
 //! budget ladder (none → drain:k → budgeted defrag) driven live over
-//! two trace families, written as `BENCH_repack.json`.
+//! two trace families, written as `BENCH_repack.json`. Each (family, n)
+//! cell is one pass of one [`EngineSet`] over the instance, with one
+//! candidate per (kind, repack) row: a candidate's cost and migrations
+//! equal those of a standalone cost-only live engine.
 //!
 //! Each row is one deterministic live run — no wall-clock timing — so
 //! the artifact is exactly reproducible: `cost` (the MinUsageTime
@@ -19,8 +22,8 @@
 //!   bench_repack [--scale full|smoke] [--out FILE] [--check]
 
 use dvbp_bench::ledger::{self, Cli, Provenance, Scale};
-use dvbp_bench::{family_instance, live_cost, FAMILY_SEED};
-use dvbp_core::{PolicyKind, RepackPolicy};
+use dvbp_bench::{family_instance, FAMILY_SEED};
+use dvbp_core::{EngineSet, InstanceSource, PolicyKind, RepackPolicy, TimeMode};
 use dvbp_offline::lower_bounds::lb_load;
 use dvbp_sim::cost_ratio;
 use serde::{Deserialize, Serialize};
@@ -104,33 +107,43 @@ fn run_grid(scale: Scale) -> Vec<Entry> {
         let inst = family_instance(family, n);
         let d = inst.dim();
         let lb = u64::try_from(lb_load(&inst)).expect("bench bounds fit in u64");
-        for kind in kinds() {
-            for repack in REPACKS {
-                let (cost, migrations, migration_cost) = live_cost(&inst, &kind, repack);
-                if repack == RepackPolicy::NoRepack {
-                    assert_eq!(migrations, 0, "NoRepack migrated");
-                }
-                let cr = cost_ratio(cost.into(), lb.into());
-                eprintln!(
-                    "{family}/{}/{} n={n}: cr {cr:.4} ({migrations} moves, cost {migration_cost})",
-                    kind.name(),
-                    repack.name()
-                );
-                entries.push(Entry {
-                    key: format!("{family}/{}/{}/d{d}/n{n}", kind.name(), repack.name()),
-                    family: family.to_string(),
-                    policy: kind.name(),
-                    repack: repack.name(),
-                    d,
-                    n,
-                    seed: FAMILY_SEED,
-                    cost,
-                    lb_load: lb,
-                    cr,
-                    migrations,
-                    migration_cost,
-                });
+        let candidates: Vec<(PolicyKind, RepackPolicy)> = kinds()
+            .into_iter()
+            .flat_map(|kind| REPACKS.map(|repack| (kind.clone(), repack)))
+            .collect();
+        let mut set = EngineSet::new(&inst.capacity, TimeMode::Strict, &candidates, inst.len())
+            .expect("bench kinds are non-clairvoyant");
+        let mut source = InstanceSource::new(&inst).expect("bench instance valid");
+        set.drive_source(&mut source).expect("live drive succeeds");
+        let end = set.end().expect("all items departed");
+        let runs = set.costs_at(end).zip(set.migrations());
+        for ((kind, repack), (cost, (migrations, migration_cost))) in
+            candidates.into_iter().zip(runs)
+        {
+            let cost = u64::try_from(cost).expect("bench costs fit in u64");
+            if repack == RepackPolicy::NoRepack {
+                assert_eq!(migrations, 0, "NoRepack migrated");
             }
+            let cr = cost_ratio(cost.into(), lb.into());
+            eprintln!(
+                "{family}/{}/{} n={n}: cr {cr:.4} ({migrations} moves, cost {migration_cost})",
+                kind.name(),
+                repack.name()
+            );
+            entries.push(Entry {
+                key: format!("{family}/{}/{}/d{d}/n{n}", kind.name(), repack.name()),
+                family: family.to_string(),
+                policy: kind.name(),
+                repack: repack.name(),
+                d,
+                n,
+                seed: FAMILY_SEED,
+                cost,
+                lb_load: lb,
+                cr,
+                migrations,
+                migration_cost,
+            });
         }
     }
     entries

@@ -925,20 +925,7 @@ impl Engine {
             Some(&bin) if bin.0 != usize::MAX => bin,
             _ => return Err(PackError::UnknownDeparture { item }),
         };
-        let d = self.dims;
-        let size = &item_ref.size;
-        let base = bin.0 * d;
-        for j in 0..d {
-            self.loads[base + j] -= size[j];
-        }
-        self.active[bin.0] -= 1;
-        let closing = self.active[bin.0] == 0;
-        if !closing {
-            // A closing bin skips this: `close` below pins the
-            // residual to zero anyway, so one update suffices.
-            self.blocks.unpack(bin.0, size.as_slice());
-            self.index.get_mut().raise(&self.blocks, bin.0);
-        }
+        let closing = self.lift(bin.0, &item_ref.size);
         policy.on_departure(item_ref, item, bin);
         observer.on_depart(dvbp_obs::Depart {
             time,
@@ -946,20 +933,7 @@ impl Engine {
             bin: bin.0,
         });
         if closing {
-            self.closed[bin.0] = time;
-            self.closed_usage += Cost::from(time - self.opened[bin.0]);
-            let idx = self
-                .open
-                .binary_search(&bin)
-                .expect("closing a non-open bin");
-            self.open.remove(idx);
-            self.blocks.close(bin.0);
-            self.index.get_mut().lower(&self.blocks, bin.0);
-            policy.on_close(bin);
-            observer.on_bin_close(time, bin.0);
-            if let Some(trace) = trace {
-                trace.push(TraceEvent::Closed { time, bin });
-            }
+            self.close(time, bin, policy, observer, trace);
         }
         Ok(DepartStep {
             bin,
@@ -967,10 +941,86 @@ impl Engine {
         })
     }
 
+    /// Takes `size` out of `bin`'s load, the residual mirror and the
+    /// tree, one active item fewer; returns whether the bin emptied. An
+    /// emptied bin skips the mirror and the tree: [`close`](Self::close)
+    /// pins its residual to zero anyway, so one update suffices.
+    #[inline(always)]
+    fn lift(&mut self, bin: usize, size: &DimVec) -> bool {
+        let base = bin * self.dims;
+        for j in 0..self.dims {
+            self.loads[base + j] -= size[j];
+        }
+        self.active[bin] -= 1;
+        let closing = self.active[bin] == 0;
+        if !closing {
+            self.blocks.unpack(bin, size.as_slice());
+            self.index.get_mut().raise(&self.blocks, bin);
+        }
+        closing
+    }
+
+    /// Puts `size` into open `bin`'s load, one active item and one
+    /// packed item more. A bin `opened` for this item was registered in
+    /// the mirror and the tree already net of it.
+    #[inline(always)]
+    fn land(&mut self, bin: usize, size: &DimVec, opened: bool) {
+        let base = bin * self.dims;
+        for j in 0..self.dims {
+            self.loads[base + j] += size[j];
+        }
+        if !opened {
+            self.blocks.pack(bin, size.as_slice());
+            self.index.get_mut().lower(&self.blocks, bin);
+        }
+        self.active[bin] += 1;
+        self.item_count[bin] += 1;
+    }
+
+    /// Closes emptied `bin` for good at `time`: its usage period ends,
+    /// it leaves the open list, the mirror and the tree, and the policy,
+    /// the observer and the trace hear of it, in that order.
+    #[inline(always)]
+    fn close<O: Observer>(
+        &mut self,
+        time: Time,
+        bin: BinId,
+        policy: &mut dyn Policy,
+        observer: &mut O,
+        trace: Option<&mut Vec<TraceEvent>>,
+    ) {
+        self.closed[bin.0] = time;
+        self.closed_usage += Cost::from(time - self.opened[bin.0]);
+        let idx = self
+            .open
+            .binary_search(&bin)
+            .expect("closing a non-open bin");
+        self.open.remove(idx);
+        self.blocks.close(bin.0);
+        self.index.get_mut().lower(&self.blocks, bin.0);
+        policy.on_close(bin);
+        observer.on_bin_close(time, bin.0);
+        if let Some(trace) = trace {
+            trace.push(TraceEvent::Closed { time, bin });
+        }
+    }
+
+    /// Appends `item` to `bin`'s intrusive item chain (Full-mode
+    /// bookkeeping).
+    #[inline(always)]
+    fn link(&mut self, bin: usize, item: usize) {
+        if self.head[bin] == NO_ITEM {
+            self.head[bin] = item;
+        } else {
+            self.next_item[self.tail[bin]] = item;
+        }
+        self.tail[bin] = item;
+    }
+
     /// Moves still-active `item` from its current bin into open bin
     /// `to`: the execution half of a repacking move. The caller (the
-    /// live engine's repack planner) chooses item and destination; the
-    /// engine asserts feasibility and keeps every derived structure —
+    /// repack planner, `repack::Repacker`) chooses item and destination;
+    /// the engine asserts feasibility and keeps every derived structure —
     /// loads, fit index, residual mirror, item chains, policy state —
     /// coherent, closing the source bin if the move emptied it.
     ///
@@ -1015,35 +1065,15 @@ impl Engine {
         );
 
         // Departure half: lift the item out of its source bin.
-        let from_base = from.0 * d;
-        for j in 0..d {
-            self.loads[from_base + j] -= size[j];
-        }
-        self.active[from.0] -= 1;
-        let closing = self.active[from.0] == 0;
-        if !closing {
-            self.blocks.unpack(from.0, size.as_slice());
-            self.index.get_mut().raise(&self.blocks, from.0);
-        }
+        let closing = self.lift(from.0, size);
         policy.on_departure(item_ref, item, from);
 
         // Pack half: land it in the destination.
-        for j in 0..d {
-            self.loads[to_base + j] += size[j];
-        }
-        self.blocks.pack(to.0, size.as_slice());
-        self.index.get_mut().lower(&self.blocks, to.0);
-        self.active[to.0] += 1;
+        self.land(to.0, size, false);
         self.item_count[from.0] -= 1;
-        self.item_count[to.0] += 1;
         if trace.is_some() {
             self.unlink_from_chain(from.0, item);
-            if self.head[to.0] == NO_ITEM {
-                self.head[to.0] = item;
-            } else {
-                self.next_item[self.tail[to.0]] = item;
-            }
-            self.tail[to.0] = item;
+            self.link(to.0, item);
         }
         self.assignment[item] = to;
         policy.after_pack(item_ref, item, to, false);
@@ -1062,20 +1092,7 @@ impl Engine {
             });
         }
         if closing {
-            self.closed[from.0] = time;
-            self.closed_usage += Cost::from(time - self.opened[from.0]);
-            let idx = self
-                .open
-                .binary_search(&from)
-                .expect("closing a non-open bin");
-            self.open.remove(idx);
-            self.blocks.close(from.0);
-            self.index.get_mut().lower(&self.blocks, from.0);
-            policy.on_close(from);
-            observer.on_bin_close(time, from.0);
-            if let Some(trace) = trace {
-                trace.push(TraceEvent::Closed { time, bin: from });
-            }
+            self.close(time, from, policy, observer, trace);
         }
         MigrateStep {
             from,
@@ -1221,23 +1238,9 @@ impl Engine {
                 (bin, true)
             }
         };
-        let base = bin.0 * d;
-        for j in 0..d {
-            self.loads[base + j] += item_ref.size[j];
-        }
-        if !opened_new {
-            self.blocks.pack(bin.0, item_ref.size.as_slice());
-            self.index.get_mut().lower(&self.blocks, bin.0);
-        }
-        self.active[bin.0] += 1;
-        self.item_count[bin.0] += 1;
+        self.land(bin.0, &item_ref.size, opened_new);
         if let Some(trace) = trace {
-            if self.head[bin.0] == NO_ITEM {
-                self.head[bin.0] = item;
-            } else {
-                self.next_item[self.tail[bin.0]] = item;
-            }
-            self.tail[bin.0] = item;
+            self.link(bin.0, item);
             trace.push(TraceEvent::Packed {
                 time,
                 item,

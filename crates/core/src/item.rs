@@ -176,12 +176,6 @@ impl Instance {
         let min = self.items.iter().map(Item::duration).min()?;
         Some((max, min))
     }
-
-    /// μ as a float (max/min duration), or `None` for an empty instance.
-    #[must_use]
-    pub fn mu_f64(&self) -> Option<f64> {
-        self.mu().map(|(max, min)| max as f64 / min as f64)
-    }
 }
 
 #[cfg(test)]
@@ -249,7 +243,6 @@ mod tests {
         .unwrap();
         assert_eq!(inst.span(), 7); // [0,6) ∪ [10,11)
         assert_eq!(inst.mu(), Some((4, 1)));
-        assert_eq!(inst.mu_f64(), Some(4.0));
         assert_eq!(inst.dim(), 1);
         assert_eq!(inst.len(), 3);
         assert!(!inst.is_empty());
@@ -259,7 +252,6 @@ mod tests {
     fn empty_instance_mu() {
         let inst = Instance::new(DimVec::scalar(1), vec![]).unwrap();
         assert_eq!(inst.mu(), None);
-        assert_eq!(inst.mu_f64(), None);
         assert_eq!(inst.span(), 0);
         assert!(inst.is_empty());
     }

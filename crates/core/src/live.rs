@@ -50,12 +50,12 @@
 //! the paper's irrevocable model.
 
 use crate::bin::BinId;
-use crate::engine::{Engine, Packing, TraceEvent, TraceMode};
+use crate::engine::{Packing, TraceEvent, TraceMode};
 use crate::item::Instance;
-use crate::policy::{Policy, PolicyKind};
-use crate::repack::RepackPolicy;
+use crate::policy::PolicyKind;
+use crate::repack::{RepackPolicy, Repacker};
 use crate::request::PackError;
-use crate::source::{check_streamable, streamed_engine, Feed};
+use crate::source::{check_streamable, renumbered, Feed};
 use dvbp_dimvec::DimVec;
 use dvbp_obs::{NoopObserver, Observer};
 use dvbp_sim::timeline::{Event, OnlineTimeline};
@@ -364,26 +364,20 @@ impl<O: Observer> LiveRequest<O> {
         let Some(capacity) = self.capacity else {
             return Err(LiveError::NoCapacity);
         };
-        let (engine, policy) = streamed_engine(&self.kind, &capacity, self.items_hint)?;
+        let packer = Repacker::new(&self.kind, self.repack, &capacity, self.items_hint)?;
         let mut observer = self.observer;
         observer.on_run_start(dvbp_obs::RunStart {
             capacity: capacity.as_slice(),
             items: 0,
         });
         Ok(LiveEngine {
-            engine,
-            policy,
+            packer,
             kind: self.kind,
             capacity,
-            repack: self.repack,
             observer,
             full: self.trace == TraceMode::Full,
             feed: Feed::new(self.time_mode),
             trace: Vec::new(),
-            active_by_bin: Vec::new(),
-            migrations: 0,
-            migration_cost: 0,
-            closes_since_sweep: 0,
             policy_switches: 0,
         })
     }
@@ -398,11 +392,10 @@ impl<O: Observer> LiveRequest<O> {
 /// departures may additionally migrate items (see
 /// [`LiveDeparture::migrations`]).
 pub struct LiveEngine<O: Observer = NoopObserver> {
-    engine: Engine,
-    policy: Box<dyn Policy>,
+    /// The engine, its policy and its repack planner.
+    packer: Repacker,
     kind: PolicyKind,
     capacity: DimVec,
-    repack: RepackPolicy,
     observer: O,
     /// Whether the per-bin item chains / trace are recorded
     /// ([`TraceMode::Full`]).
@@ -411,13 +404,6 @@ pub struct LiveEngine<O: Observer = NoopObserver> {
     /// items — the per-item state `Engine::run_source` also holds.
     feed: Feed,
     trace: Vec<TraceEvent>,
-    /// Active item indices per bin — the repack planner's drain lists.
-    /// Maintained only when `repack.is_enabled()` (empty otherwise).
-    active_by_bin: Vec<Vec<usize>>,
-    migrations: u64,
-    migration_cost: u64,
-    /// Natural bin closes since the last defrag sweep.
-    closes_since_sweep: u32,
     /// Accepted [`switch_policy`](LiveEngine::switch_policy) calls.
     policy_switches: u64,
 }
@@ -456,23 +442,15 @@ impl<O: Observer> LiveEngine<O> {
     /// the current tick. The engine state is unchanged on error.
     pub fn arrive(&mut self, size: DimVec, time: Time) -> Result<LivePlacement, LiveError> {
         let item = self.feed.admitted();
-        let taken = self.engine.assignment_of(item).is_some();
+        let taken = self.packer.engine.assignment_of(item).is_some();
         let (time, entry) = self.feed.admit(taken, &self.capacity, item, size, time)?;
-        let (bin, opened_new) = self.engine.step_arrive(
+        let (bin, opened_new) = self.packer.arrive(
             &self.capacity,
-            time,
             item,
             entry,
-            self.policy.as_mut(),
             &mut self.observer,
             self.full.then_some(&mut self.trace),
         );
-        if self.repack.is_enabled() {
-            if bin.0 >= self.active_by_bin.len() {
-                self.active_by_bin.resize_with(bin.0 + 1, Vec::new);
-            }
-            self.active_by_bin[bin.0].push(item);
-        }
         Ok(LivePlacement {
             item,
             bin,
@@ -519,200 +497,33 @@ impl<O: Observer> LiveEngine<O> {
         time: Time,
         mark: impl FnOnce(),
     ) -> Result<LiveDeparture, LiveError> {
-        let taken = self.engine.assignment_of(item).is_some();
+        let taken = self.packer.engine.assignment_of(item).is_some();
         let gone = self.feed.retire(taken, item, time)?;
-        let time = gone.departure;
-        let step = self
-            .engine
-            .step_depart(
-                time,
-                item,
-                &gone,
-                self.policy.as_mut(),
-                &mut self.observer,
-                self.full.then_some(&mut self.trace),
-            )
-            .expect("an active item has an assignment");
-        if self.repack.is_enabled() {
-            self.active_by_bin[step.bin.0].retain(|&i| i != item);
-        }
-        mark();
-        let migrations = self.run_repack(step.bin, step.closed, time);
+        let (step, migrations) = self.packer.depart(
+            &self.capacity,
+            item,
+            &gone,
+            &mut self.observer,
+            self.full.then_some(&mut self.trace),
+            mark,
+        );
         Ok(LiveDeparture {
             item,
             bin: step.bin,
             closed: step.closed,
-            time,
+            time: gone.departure,
             migrations,
         })
-    }
-
-    /// Runs the attached [`RepackPolicy`] after the departure of an item
-    /// from `dep_bin` (which `closed` it or not) at tick `time`, and
-    /// returns the executed moves in order.
-    fn run_repack(&mut self, dep_bin: BinId, closed: bool, time: Time) -> Vec<LiveMigration> {
-        let mut migrations = Vec::new();
-        match self.repack {
-            RepackPolicy::NoRepack => {}
-            RepackPolicy::DrainOnDepart { k } => {
-                if !closed && k > 0 {
-                    let remaining = self.engine.bin_active(dep_bin.0);
-                    if remaining > 0 && remaining <= k {
-                        if let Some(plan) = self.plan_drain(dep_bin) {
-                            self.execute_drain(time, &plan, true, &mut migrations);
-                        }
-                    }
-                }
-            }
-            RepackPolicy::BudgetedDefrag { budget, period } => {
-                if closed && budget > 0 {
-                    self.closes_since_sweep += 1;
-                    if self.closes_since_sweep >= period.max(1) {
-                        self.closes_since_sweep = 0;
-                        self.defrag_sweep(time, budget, &mut migrations);
-                    }
-                }
-            }
-        }
-        self.migrations += migrations.len() as u64;
-        self.migration_cost = migrations
-            .iter()
-            .fold(self.migration_cost, |total, m| total.saturating_add(m.cost));
-        migrations
-    }
-
-    /// Plans a full drain of `src`: each resident item, in ascending
-    /// index order, goes to the first other open bin (ascending id) that
-    /// fits it given the residuals left by the earlier planned moves.
-    /// All-or-nothing: `None` if any resident has no feasible
-    /// destination.
-    fn plan_drain(&self, src: BinId) -> Option<Vec<(usize, BinId)>> {
-        let d = self.capacity.dim();
-        let mut residents: Vec<usize> = self.active_by_bin[src.0].clone();
-        residents.sort_unstable();
-        // Planned additional load per destination, keyed by bin id.
-        let mut extra: Vec<(usize, Vec<u64>)> = Vec::new();
-        let mut plan = Vec::with_capacity(residents.len());
-        for &it in &residents {
-            let size = &self.feed.item(it).size;
-            let mut dest = None;
-            for &b in self.engine.open_bins() {
-                if b == src {
-                    continue;
-                }
-                let load = self.engine.bin_load(b.0);
-                let planned = extra.iter().find(|(id, _)| *id == b.0).map(|(_, e)| e);
-                let fits = (0..d).all(|j| {
-                    let used = load[j] + planned.map_or(0, |e| e[j]);
-                    size[j] <= self.capacity[j] - used
-                });
-                if fits {
-                    dest = Some(b);
-                    break;
-                }
-            }
-            let b = dest?;
-            match extra.iter_mut().find(|(id, _)| *id == b.0) {
-                Some((_, e)) => {
-                    for j in 0..d {
-                        e[j] += size[j];
-                    }
-                }
-                None => extra.push((b.0, size.as_slice().to_vec())),
-            }
-            plan.push((it, b));
-        }
-        Some(plan)
-    }
-
-    /// Executes a drain plan through [`Engine::step_migrate`], charging
-    /// each move `1` (`unit_cost`) or its item's L1 size.
-    fn execute_drain(
-        &mut self,
-        time: Time,
-        plan: &[(usize, BinId)],
-        unit_cost: bool,
-        out: &mut Vec<LiveMigration>,
-    ) {
-        for &(item, to) in plan {
-            let step = self.engine.step_migrate(
-                &self.capacity,
-                time,
-                item,
-                self.feed.item(item),
-                to,
-                self.policy.as_mut(),
-                &mut self.observer,
-                self.full.then_some(&mut self.trace),
-            );
-            self.active_by_bin[step.from.0].retain(|&i| i != item);
-            if to.0 >= self.active_by_bin.len() {
-                self.active_by_bin.resize_with(to.0 + 1, Vec::new);
-            }
-            self.active_by_bin[to.0].push(item);
-            let cost = if unit_cost {
-                1
-            } else {
-                l1_units(&self.feed.item(item).size)
-            };
-            out.push(LiveMigration {
-                item,
-                from: step.from,
-                to,
-                closed_from: step.closed_from,
-                cost,
-            });
-        }
-    }
-
-    /// One defragmentation sweep: repeatedly drain the open bin with the
-    /// fewest active items (ties to the lowest id) whose full drain is
-    /// feasible and affordable within the remaining per-sweep L1-size
-    /// `budget`.
-    fn defrag_sweep(&mut self, time: Time, budget: u64, out: &mut Vec<LiveMigration>) {
-        let mut remaining = budget;
-        loop {
-            let mut candidates: Vec<BinId> = self.engine.open_bins().to_vec();
-            candidates.sort_by_key(|b| (self.engine.bin_active(b.0), b.0));
-            let mut executed = false;
-            for src in candidates {
-                // Summed across items (and dimensions) in u128: only a
-                // drain that fits the u64 budget runs.
-                let drain_cost: u128 = self.active_by_bin[src.0]
-                    .iter()
-                    .flat_map(|&i| self.feed.item(i).size.iter())
-                    .map(u128::from)
-                    .sum();
-                let Ok(drain_cost) = u64::try_from(drain_cost) else {
-                    continue;
-                };
-                if drain_cost > remaining {
-                    continue;
-                }
-                let Some(plan) = self.plan_drain(src) else {
-                    continue;
-                };
-                if plan.is_empty() {
-                    continue;
-                }
-                self.execute_drain(time, &plan, false, out);
-                remaining -= drain_cost;
-                executed = true;
-                break;
-            }
-            if !executed {
-                break;
-            }
-        }
     }
 
     /// Swaps the live policy for a fresh instance of `kind` mid-run.
     ///
     /// The incoming policy adopts the current open-bin set through
-    /// [`Policy::on_adopt`] — a deterministic function of the open bins,
-    /// so replaying the same event/switch sequence (e.g. from a WAL)
-    /// reproduces every subsequent decision bit-for-bit. No placed item
-    /// moves: only future arrivals see the new policy.
+    /// [`Policy::on_adopt`](crate::Policy::on_adopt) — a deterministic
+    /// function of the open bins, so replaying the same event/switch
+    /// sequence (e.g. from a WAL) reproduces every subsequent decision
+    /// bit-for-bit. No placed item moves: only future arrivals see the
+    /// new policy.
     ///
     /// Callers decide *when*; the portfolio meta-policy layer only
     /// switches at bin-close boundaries so the open set handed to
@@ -728,11 +539,11 @@ impl<O: Observer> LiveEngine<O> {
     pub fn switch_policy(&mut self, kind: PolicyKind) -> Result<(), LiveError> {
         check_streamable(&kind)?;
         let mut policy = kind.build();
-        policy.on_adopt(self.engine.open_bins());
+        policy.on_adopt(self.packer.engine.open_bins());
         let from = self.kind.spec();
         self.observer
             .on_policy_switch(self.feed.now(), &from, &kind.spec());
-        self.policy = policy;
+        self.packer.policy = policy;
         self.kind = kind;
         self.policy_switches += 1;
         Ok(())
@@ -762,16 +573,10 @@ impl<O: Observer> LiveEngine<O> {
         self.feed.mode()
     }
 
-    /// The attached repacking policy.
-    #[must_use]
-    pub fn repack_policy(&self) -> RepackPolicy {
-        self.repack
-    }
-
     /// Items migrated by the repacking policy over the run so far.
     #[must_use]
     pub fn migrations(&self) -> u64 {
-        self.migrations
+        self.packer.migrations()
     }
 
     /// Total migration cost charged over the run so far (unit per move
@@ -779,18 +584,13 @@ impl<O: Observer> LiveEngine<O> {
     /// [`RepackPolicy::BudgetedDefrag`]), saturating at `u64::MAX`.
     #[must_use]
     pub fn migration_cost(&self) -> u64 {
-        self.migration_cost
+        self.packer.migration_cost()
     }
 
     /// The owned observer.
     #[must_use]
     pub fn observer(&self) -> &O {
         &self.observer
-    }
-
-    /// The owned observer, mutably.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
     }
 
     /// The engine's current tick (the latest effective timestamp).
@@ -814,24 +614,26 @@ impl<O: Observer> LiveEngine<O> {
     /// Currently open bins.
     #[must_use]
     pub fn open_bins(&self) -> usize {
-        self.engine.open_bins().len()
+        self.packer.engine.open_bins().len()
     }
 
     /// Bins ever opened.
     #[must_use]
     pub fn bins_opened(&self) -> usize {
-        self.engine.bins_opened()
+        self.packer.engine.bins_opened()
     }
 
     /// Sum of all open bins' loads over all dimensions — the
     /// least-loaded router's shard weight.
     #[must_use]
     pub fn load_l1(&self) -> u128 {
-        self.engine
+        self.packer
+            .engine
             .open_bins()
             .iter()
             .map(|b| {
-                self.engine
+                self.packer
+                    .engine
                     .bin_load(b.0)
                     .iter()
                     .map(|&v| u128::from(v))
@@ -844,7 +646,7 @@ impl<O: Observer> LiveEngine<O> {
     /// departure).
     #[must_use]
     pub fn item_bin(&self, item: usize) -> Option<BinId> {
-        self.engine.assignment_of(item)
+        self.packer.engine.assignment_of(item)
     }
 
     /// Whether `item` has departed: admitted and no longer active.
@@ -859,7 +661,7 @@ impl<O: Observer> LiveEngine<O> {
     /// the cost is O(open bins), not O(bins ever opened).
     #[must_use]
     pub fn usage_time_at(&self, at: Time) -> Cost {
-        self.engine.usage_time_at(at)
+        self.packer.engine.usage_time_at(at)
     }
 
     /// Feeds every event of `source` through the live engine, mapping
@@ -882,29 +684,10 @@ impl<O: Observer> LiveEngine<O> {
         &mut self,
         source: &mut S,
     ) -> Result<LiveDriveStats, crate::StreamError> {
-        // Source index → engine index; the source assigns the keys.
-        let mut local = crate::source::IndexMap::<usize>::default();
-        let mut stats = LiveDriveStats::default();
-        while let Some(op) = source.next_event().map_err(crate::StreamError::Source)? {
-            match op {
-                LiveOp::Arrive { item, size, time } => {
-                    if local.contains_key(&item) {
-                        return Err(LiveError::DuplicateArrival { item }.into());
-                    }
-                    let placed = self.arrive(size, time).map_err(crate::StreamError::Feed)?;
-                    local.insert(item, placed.item);
-                    stats.placed += 1;
-                }
-                LiveOp::Depart { item, time } => {
-                    let Some(idx) = local.remove(&item) else {
-                        return Err(LiveError::UnknownItem { item }.into());
-                    };
-                    self.depart(idx, time)?;
-                    stats.departed += 1;
-                }
-            }
-        }
-        Ok(stats)
+        renumbered(source, self.feed.admitted(), |op| match op {
+            LiveOp::Arrive { size, time, .. } => self.arrive(size, time).map(drop),
+            LiveOp::Depart { item, time } => self.depart(item, time).map(drop),
+        })
     }
 
     /// Snapshot of the run as a [`Packing`], consuming the engine.
@@ -926,10 +709,10 @@ impl<O: Observer> LiveEngine<O> {
     ///
     /// [`LiveError::StillActive`] if items remain.
     pub fn into_parts(mut self) -> Result<(Packing, O), LiveError> {
-        let end = self.feed.end(self.engine.bins_opened())?;
+        let end = self.feed.end(self.packer.engine.bins_opened())?;
         self.observer.on_run_end(end);
         Ok((
-            self.engine.snapshot_packing(self.full, self.trace),
+            self.packer.engine.snapshot_packing(self.full, self.trace),
             self.observer,
         ))
     }
@@ -986,13 +769,6 @@ pub fn live_ops(instance: &Instance) -> Vec<LiveOp> {
             Event::Departure { time, item } => LiveOp::Depart { item, time },
         })
         .collect()
-}
-
-/// An item's L1 size in resource units — the defrag migration cost —
-/// saturating at `u64::MAX`: each component fits the capacity, but
-/// their sum need not fit a `u64`.
-fn l1_units(size: &DimVec) -> u64 {
-    size.iter().fold(0, u64::saturating_add)
 }
 
 #[cfg(test)]

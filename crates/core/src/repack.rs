@@ -11,9 +11,11 @@
 //!
 //! A [`RepackPolicy`] is attached to a
 //! [`LiveEngine`](crate::LiveEngine) at construction (via
-//! [`LiveRequest::repack`](crate::LiveRequest::repack)) and is consulted
-//! only at **departure** and **bin-close** boundaries — arrivals stay
-//! byte-identical to the irrevocable engine, so
+//! [`LiveRequest::repack`](crate::LiveRequest::repack)) or paired with a
+//! policy kind as an [`EngineSet`](crate::EngineSet) candidate. Both step
+//! their engines through one planner (`Repacker`), which consults the
+//! policy only at **departure** and **bin-close** boundaries — arrivals
+//! stay byte-identical to the irrevocable engine, so
 //! [`RepackPolicy::NoRepack`] reproduces the paper's model bit for bit
 //! (conformance layer 10 pins that).
 //!
@@ -40,10 +42,19 @@
 //! emitted as [`ObsEvent::Migrate`](dvbp_obs::ObsEvent) provenance that
 //! `dvbp explain` can justify.
 
+use crate::bin::BinId;
+use crate::engine::{DepartStep, Engine, TraceEvent};
+use crate::item::Item;
+use crate::live::{LiveError, LiveMigration};
+use crate::policy::{Policy, PolicyKind};
+use crate::source::streamed_engine;
+use dvbp_dimvec::DimVec;
+use dvbp_obs::Observer;
+use dvbp_sim::Time;
 use serde::{Deserialize, Serialize};
 
-/// A bounded-migration policy run by the live engine at departure and
-/// bin-close boundaries. See the [module docs](self) for semantics.
+/// A bounded-migration policy run at departure and bin-close
+/// boundaries. See the [module docs](self) for semantics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RepackPolicy {
     /// Never migrate: placements stay irrevocable (the paper's model).
@@ -135,6 +146,307 @@ impl std::str::FromStr for RepackPolicy {
         }
         Err(ParseRepackError(s.to_string()))
     }
+}
+
+/// One engine, its placement policy and the planner of its
+/// [`RepackPolicy`]: a [`LiveEngine`](crate::LiveEngine) and every
+/// [`EngineSet`](crate::EngineSet) candidate step their arrivals and
+/// departures through one of these. The caller's feed has admitted or
+/// retired each item before it gets here.
+pub(crate) struct Repacker {
+    pub(crate) engine: Engine,
+    pub(crate) policy: Box<dyn Policy>,
+    repack: RepackPolicy,
+    /// Active items per bin with their records: the drain lists. Kept
+    /// only while the policy can migrate, so a `NoRepack` engine holds
+    /// nothing per bin or per item. The records are the planner's own
+    /// because an `EngineSet` resolves a whole batch through its feed
+    /// before any engine steps: the feed's table may already lack a
+    /// resident that departs later in the batch.
+    residents: Vec<Vec<(usize, Item)>>,
+    migrations: u64,
+    migration_cost: u64,
+    /// Natural bin closes since the last defrag sweep.
+    closes_since_sweep: u32,
+}
+
+impl Repacker {
+    /// A fresh engine placing with `kind` and repacking with `repack` in
+    /// bins of `capacity`, its item ledger reserved for `items_hint`
+    /// items.
+    pub(crate) fn new(
+        kind: &PolicyKind,
+        repack: RepackPolicy,
+        capacity: &DimVec,
+        items_hint: usize,
+    ) -> Result<Self, LiveError> {
+        let (engine, policy) = streamed_engine(kind, capacity, items_hint)?;
+        Ok(Repacker {
+            engine,
+            policy,
+            repack,
+            residents: Vec::new(),
+            migrations: 0,
+            migration_cost: 0,
+            closes_since_sweep: 0,
+        })
+    }
+
+    /// Items migrated so far.
+    pub(crate) fn migrations(&self) -> u64 {
+        self.migrations
+    }
+
+    /// Migration cost charged so far, saturating at `u64::MAX`.
+    pub(crate) fn migration_cost(&self) -> u64 {
+        self.migration_cost
+    }
+
+    /// Places admitted `item`, whose record `entry` carries its size and
+    /// effective arrival tick, and returns the receiving bin and whether
+    /// it was opened for the item.
+    pub(crate) fn arrive<O: Observer>(
+        &mut self,
+        capacity: &DimVec,
+        item: usize,
+        entry: &Item,
+        observer: &mut O,
+        trace: Option<&mut Vec<TraceEvent>>,
+    ) -> (BinId, bool) {
+        let placed = self.engine.step_arrive(
+            capacity,
+            entry.arrival,
+            item,
+            entry,
+            self.policy.as_mut(),
+            observer,
+            trace,
+        );
+        if self.repack.is_enabled() {
+            self.settle(placed.0, item, entry.clone());
+        }
+        placed
+    }
+
+    /// Retires `item`, whose record `gone` carries its effective
+    /// departure tick; then runs `mark`, then the repack policy. Returns
+    /// the departure step and the executed moves, in order.
+    pub(crate) fn depart<O: Observer>(
+        &mut self,
+        capacity: &DimVec,
+        item: usize,
+        gone: &Item,
+        observer: &mut O,
+        mut trace: Option<&mut Vec<TraceEvent>>,
+        mark: impl FnOnce(),
+    ) -> (DepartStep, Vec<LiveMigration>) {
+        let time = gone.departure;
+        let step = self
+            .engine
+            .step_depart(
+                time,
+                item,
+                gone,
+                self.policy.as_mut(),
+                observer,
+                trace.as_deref_mut(),
+            )
+            .expect("an active item has an assignment");
+        if self.repack.is_enabled() {
+            self.unsettle(step.bin, item);
+        }
+        mark();
+        let mut migrations = Vec::new();
+        match self.repack {
+            RepackPolicy::NoRepack => return (step, migrations),
+            RepackPolicy::DrainOnDepart { k } => {
+                let remaining = self.engine.bin_active(step.bin.0);
+                if !step.closed && remaining > 0 && remaining <= k {
+                    if let Some(plan) = self.plan_drain(capacity, step.bin) {
+                        self.execute_drain(capacity, time, &plan, observer, trace, &mut migrations);
+                    }
+                }
+            }
+            RepackPolicy::BudgetedDefrag { budget, period } => {
+                if step.closed && budget > 0 {
+                    self.closes_since_sweep += 1;
+                    if self.closes_since_sweep >= period.max(1) {
+                        self.closes_since_sweep = 0;
+                        self.defrag_sweep(capacity, time, budget, observer, trace, &mut migrations);
+                    }
+                }
+            }
+        }
+        self.migrations += migrations.len() as u64;
+        self.migration_cost = migrations
+            .iter()
+            .fold(self.migration_cost, |total, m| total.saturating_add(m.cost));
+        (step, migrations)
+    }
+
+    /// Adds `item` with its record to `bin`'s drain list.
+    fn settle(&mut self, bin: BinId, item: usize, entry: Item) {
+        if bin.0 >= self.residents.len() {
+            self.residents.resize_with(bin.0 + 1, Vec::new);
+        }
+        self.residents[bin.0].push((item, entry));
+    }
+
+    /// Takes `item`'s record out of `bin`'s drain list. The list of a
+    /// bin its last item leaves is freed: that bin has closed for good.
+    fn unsettle(&mut self, bin: BinId, item: usize) -> Item {
+        let list = &mut self.residents[bin.0];
+        let at = list
+            .iter()
+            .position(|(i, _)| *i == item)
+            .expect("a placed item is on its bin's drain list");
+        let (_, entry) = list.swap_remove(at);
+        if list.is_empty() {
+            *list = Vec::new();
+        }
+        entry
+    }
+
+    /// Plans a full drain of `src`: each resident item, in ascending
+    /// index order, goes to the first other open bin (ascending id) that
+    /// fits it given the residuals left by the earlier planned moves.
+    /// All-or-nothing: `None` if any resident has no feasible
+    /// destination.
+    fn plan_drain(&self, capacity: &DimVec, src: BinId) -> Option<Vec<(usize, BinId)>> {
+        let d = capacity.dim();
+        let mut residents: Vec<&(usize, Item)> = self.residents[src.0].iter().collect();
+        residents.sort_unstable_by_key(|(item, _)| *item);
+        // Planned additional load per destination, keyed by bin id.
+        let mut extra: Vec<(usize, Vec<u64>)> = Vec::new();
+        let mut plan = Vec::with_capacity(residents.len());
+        for (it, entry) in residents {
+            let size = &entry.size;
+            let mut dest = None;
+            for &b in self.engine.open_bins() {
+                if b == src {
+                    continue;
+                }
+                let load = self.engine.bin_load(b.0);
+                let planned = extra.iter().find(|(id, _)| *id == b.0).map(|(_, e)| e);
+                let fits = (0..d).all(|j| {
+                    let used = load[j] + planned.map_or(0, |e| e[j]);
+                    size[j] <= capacity[j] - used
+                });
+                if fits {
+                    dest = Some(b);
+                    break;
+                }
+            }
+            let b = dest?;
+            match extra.iter_mut().find(|(id, _)| *id == b.0) {
+                Some((_, e)) => {
+                    for j in 0..d {
+                        e[j] += size[j];
+                    }
+                }
+                None => extra.push((b.0, size.as_slice().to_vec())),
+            }
+            plan.push((*it, b));
+        }
+        Some(plan)
+    }
+
+    /// Executes a drain plan through [`Engine::step_migrate`], charging
+    /// each move `1` under [`RepackPolicy::DrainOnDepart`] and its
+    /// item's L1 size under [`RepackPolicy::BudgetedDefrag`].
+    fn execute_drain<O: Observer>(
+        &mut self,
+        capacity: &DimVec,
+        time: Time,
+        plan: &[(usize, BinId)],
+        observer: &mut O,
+        mut trace: Option<&mut Vec<TraceEvent>>,
+        out: &mut Vec<LiveMigration>,
+    ) {
+        let unit_cost = matches!(self.repack, RepackPolicy::DrainOnDepart { .. });
+        for &(item, to) in plan {
+            let from = self
+                .engine
+                .assignment_of(item)
+                .expect("a planned item is placed");
+            let entry = self.unsettle(from, item);
+            let step = self.engine.step_migrate(
+                capacity,
+                time,
+                item,
+                &entry,
+                to,
+                self.policy.as_mut(),
+                observer,
+                trace.as_deref_mut(),
+            );
+            let cost = if unit_cost { 1 } else { l1_units(&entry.size) };
+            self.settle(to, item, entry);
+            out.push(LiveMigration {
+                item,
+                from: step.from,
+                to,
+                closed_from: step.closed_from,
+                cost,
+            });
+        }
+    }
+
+    /// One defragmentation sweep: repeatedly drain the open bin with the
+    /// fewest active items (ties to the lowest id) whose full drain is
+    /// feasible and affordable within the remaining per-sweep L1-size
+    /// `budget`.
+    fn defrag_sweep<O: Observer>(
+        &mut self,
+        capacity: &DimVec,
+        time: Time,
+        budget: u64,
+        observer: &mut O,
+        mut trace: Option<&mut Vec<TraceEvent>>,
+        out: &mut Vec<LiveMigration>,
+    ) {
+        let mut remaining = budget;
+        loop {
+            let mut candidates: Vec<BinId> = self.engine.open_bins().to_vec();
+            candidates.sort_by_key(|b| (self.engine.bin_active(b.0), b.0));
+            let mut executed = false;
+            for src in candidates {
+                // Summed across items (and dimensions) in u128: only a
+                // drain that fits the u64 budget runs.
+                let drain_cost: u128 = self.residents[src.0]
+                    .iter()
+                    .flat_map(|(_, entry)| entry.size.iter())
+                    .map(u128::from)
+                    .sum();
+                let Ok(drain_cost) = u64::try_from(drain_cost) else {
+                    continue;
+                };
+                if drain_cost > remaining {
+                    continue;
+                }
+                let Some(plan) = self.plan_drain(capacity, src) else {
+                    continue;
+                };
+                if plan.is_empty() {
+                    continue;
+                }
+                self.execute_drain(capacity, time, &plan, observer, trace.as_deref_mut(), out);
+                remaining -= drain_cost;
+                executed = true;
+                break;
+            }
+            if !executed {
+                break;
+            }
+        }
+    }
+}
+
+/// An item's L1 size in resource units — the defrag migration cost —
+/// saturating at `u64::MAX`: each component fits the capacity, but
+/// their sum need not fit a `u64`.
+fn l1_units(size: &DimVec) -> u64 {
+    size.iter().fold(0, u64::saturating_add)
 }
 
 #[cfg(test)]

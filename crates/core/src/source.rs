@@ -57,7 +57,7 @@
 
 use crate::engine::{Engine, Packing, TraceEvent, TraceMode};
 use crate::item::{check_size, Instance, Item};
-use crate::live::{live_ops, LiveError, LiveOp, TimeMode};
+use crate::live::{live_ops, LiveDriveStats, LiveError, LiveOp, TimeMode};
 use crate::policy::{Policy, PolicyKind};
 use crate::request::PackError;
 use dvbp_dimvec::{DimVec, WideSum};
@@ -439,6 +439,47 @@ pub(crate) fn streamed_engine(
     Ok((engine, policy))
 }
 
+/// Pulls `source` dry through `apply`, each event's item renumbered to
+/// the dense index a live driver assigns: arrivals take `next`,
+/// `next + 1`, … in order, and a departure names its item by that
+/// index. The map holds only active items, so a source that re-uses the
+/// index of a departed item gets a fresh item; re-use of an active index
+/// is a [`LiveError::DuplicateArrival`].
+pub(crate) fn renumbered<S: EventSource + ?Sized>(
+    source: &mut S,
+    mut next: usize,
+    mut apply: impl FnMut(LiveOp) -> Result<(), LiveError>,
+) -> Result<LiveDriveStats, StreamError> {
+    // Source index → dense index; the source assigns the keys.
+    let mut local = IndexMap::<usize>::default();
+    let mut stats = LiveDriveStats::default();
+    while let Some(op) = source.next_event()? {
+        match op {
+            LiveOp::Arrive { item, size, time } => {
+                if local.contains_key(&item) {
+                    return Err(LiveError::DuplicateArrival { item }.into());
+                }
+                apply(LiveOp::Arrive {
+                    item: next,
+                    size,
+                    time,
+                })?;
+                local.insert(item, next);
+                next += 1;
+                stats.placed += 1;
+            }
+            LiveOp::Depart { item, time } => {
+                let Some(item) = local.remove(&item) else {
+                    return Err(LiveError::UnknownItem { item }.into());
+                };
+                apply(LiveOp::Depart { item, time })?;
+                stats.departed += 1;
+            }
+        }
+    }
+    Ok(stats)
+}
+
 /// The event-feed contract, held once for [`Engine::run_source`], the
 /// [`LiveEngine`](crate::LiveEngine) and the
 /// [`EngineSet`](crate::EngineSet): the tick clock under a [`TimeMode`],
@@ -588,11 +629,6 @@ impl Feed {
 
     pub(crate) fn is_active(&self, item: usize) -> bool {
         self.active.contains_key(&item)
-    }
-
-    /// Active `item`; panics if it is not active.
-    pub(crate) fn item(&self, item: usize) -> &Item {
-        &self.active[&item]
     }
 }
 

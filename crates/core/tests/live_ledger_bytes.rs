@@ -10,8 +10,8 @@
 //! not polluted by concurrent tests in the same binary.
 
 use dvbp_core::{
-    EngineSet, EventSource, LiveOp, LiveRequest, PackRequest, PolicyKind, SourceError, TimeMode,
-    TraceMode,
+    EngineSet, EventSource, LiveOp, LiveRequest, PackRequest, PolicyKind, RepackPolicy,
+    SourceError, TimeMode, TraceMode,
 };
 use dvbp_dimvec::DimVec;
 use dvbp_sim::Time;
@@ -157,7 +157,7 @@ fn live_engine_holds_what_the_stream_path_holds() {
         let mut set = EngineSet::new(
             &stream.capacity,
             TimeMode::Strict,
-            std::slice::from_ref(&kind),
+            &[(kind.clone(), RepackPolicy::NoRepack)],
             0,
         )
         .unwrap();

@@ -1,8 +1,11 @@
-//! Workload sources and the per-run observation step.
+//! Workload sources and the per-run observation passes.
 //!
 //! The monitor drives the engine itself — it does not tail a log — so
-//! wall-clock timing and probe counters come from live runs. Two
-//! sources:
+//! wall-clock timing and probe counters come from live runs. Each run is
+//! one pass with the full telemetry stack ([`observe_source_run`]) and,
+//! with a repack suite, one more pass through one
+//! [`EngineSet`] holding the run's policy under every suite entry
+//! ([`observe_repack_suite`]). Two sources:
 //!
 //! * **synthetic** — an endless stream of [`UniformParams`] instances
 //!   with incrementing seeds (the Table 2 workload family);
@@ -15,8 +18,8 @@
 use crate::aggregate::{Aggregate, RepackStats};
 use dvbp_analysis::obs_ingest::RunLog;
 use dvbp_core::{
-    EventSource, Instance, InstanceSource, Item, LiveRequest, PackRequest, PolicyKind,
-    RepackPolicy, StreamError, StreamingLowerBound, Tap, TraceMode,
+    EngineSet, EventSource, Instance, InstanceSource, Item, PackRequest, PolicyKind, RepackPolicy,
+    StreamError, StreamingLowerBound, Tap, TimeMode, TraceMode,
 };
 use dvbp_dimvec::DimVec;
 use dvbp_obs::{MetricsObserver, ObsEvent, TimingObserver};
@@ -215,70 +218,47 @@ pub fn observe_run(kind: &PolicyKind, instance: &Instance, aggregate: &Mutex<Agg
         .expect("instance-backed streams replay without feed errors");
 }
 
-/// Drives one streamed event feed through a *live* engine under the
-/// given [`RepackPolicy`] and folds migration counters plus the
-/// usage-time-vs-Lemma-1 totals into `stats`. This is the monitor's
-/// repack observation path: the same workload the batch aggregate sees
-/// is replayed once per suite policy, so `/metrics` can expose the
-/// CR-vs-migration-cost frontier live.
+/// Packs one streamed event feed once for the whole repack suite and
+/// folds each entry's run into its totals. The pass is one
+/// [`EngineSet`] whose candidates pair `kind` with every policy of the
+/// suite, in suite order: one feed, one Lemma 1 lower bound, and per
+/// policy a cost-only engine with its repack planner, so `/metrics` can
+/// expose the CR-vs-migration-cost frontier live. The source's items
+/// are renumbered densely, as a live engine numbers them, and the stream
+/// must drain.
 ///
 /// # Errors
 ///
-/// The [`StreamError`] of the failing source read, rejected feed
-/// operation, or engine construction (clairvoyant kinds cannot run
-/// live). `stats` is left untouched on error.
+/// The [`StreamError`] of the failing source read, a rejected feed
+/// operation, a stream that ends with items active
+/// ([`LiveError::StillActive`](dvbp_core::LiveError::StillActive)), or
+/// a clairvoyant `kind`, which live engines refuse. `suite` is left
+/// untouched on error.
 ///
 /// # Panics
 ///
-/// Panics if the stats mutex is poisoned.
-pub fn observe_repack_source_run<S: EventSource + ?Sized>(
+/// Panics if the suite mutex is poisoned.
+pub fn observe_repack_suite<S: EventSource + ?Sized>(
     kind: &PolicyKind,
-    repack: RepackPolicy,
     source: &mut S,
-    stats: &Mutex<RepackStats>,
+    suite: &Mutex<Vec<(RepackPolicy, RepackStats)>>,
 ) -> Result<(), StreamError> {
-    let mut live = LiveRequest::new(kind.clone())
-        .capacity(source.capacity().clone())
-        .trace_mode(TraceMode::CostOnly)
-        .repack(repack)
-        .build()
-        .map_err(StreamError::Feed)?;
-    let mut lb = StreamingLowerBound::new(source.capacity());
-    let mut tapped = Tap::new(source, |op| lb.observe(op));
-    live.drive_source(&mut tapped)?;
-    let migrations = live.migrations();
-    let migration_cost = live.migration_cost();
-    let packing = live.into_packing().map_err(StreamError::Feed)?;
-    stats.lock().expect("repack stats mutex poisoned").absorb(
-        migrations,
-        migration_cost,
-        packing.cost(),
-        lb.value(),
-    );
+    let candidates: Vec<(PolicyKind, RepackPolicy)> = suite
+        .lock()
+        .expect("repack suite mutex poisoned")
+        .iter()
+        .map(|(repack, _)| (kind.clone(), *repack))
+        .collect();
+    let hint = source.items_hint().unwrap_or(0);
+    let mut set = EngineSet::new(source.capacity(), TimeMode::Strict, &candidates, hint)?;
+    set.drive_source(source)?;
+    let end = set.end()?;
+    let runs = set.costs_at(end).zip(set.migrations());
+    let mut suite = suite.lock().expect("repack suite mutex poisoned");
+    for ((_, stats), (cost, (migrations, migration_cost))) in suite.iter_mut().zip(runs) {
+        stats.absorb(migrations, migration_cost, cost, set.lower_bound());
+    }
     Ok(())
-}
-
-/// Drives one instance through a live engine under `repack` and folds
-/// the run into `stats` — [`observe_repack_source_run`] over the
-/// instance's canonical event stream.
-///
-/// # Errors
-///
-/// Propagated from [`observe_repack_source_run`] (the policy kind may
-/// be clairvoyant, which live engines reject).
-///
-/// # Panics
-///
-/// Panics if the instance is rejected by the source layer or the stats
-/// mutex is poisoned.
-pub fn observe_repack_run(
-    kind: &PolicyKind,
-    repack: RepackPolicy,
-    instance: &Instance,
-    stats: &Mutex<RepackStats>,
-) -> Result<(), StreamError> {
-    let mut source = InstanceSource::new(instance).expect("workload sources yield valid instances");
-    observe_repack_source_run(kind, repack, &mut source, stats)
 }
 
 #[cfg(test)]
@@ -451,22 +431,41 @@ mod tests {
         assert!(agg.running_cr() >= 1.0);
     }
 
+    /// A suite of `policies`, every entry's totals empty.
+    fn suite(policies: &[RepackPolicy]) -> Mutex<Vec<(RepackPolicy, RepackStats)>> {
+        Mutex::new(policies.iter().map(|&p| (p, RepackStats::new())).collect())
+    }
+
+    fn observe_suite(
+        kind: &PolicyKind,
+        instance: &Instance,
+        policies: &[RepackPolicy],
+    ) -> Vec<RepackStats> {
+        let totals = suite(policies);
+        let mut source = InstanceSource::new(instance).unwrap();
+        observe_repack_suite(kind, &mut source, &totals).unwrap();
+        totals
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .map(|(_, stats)| stats)
+            .collect()
+    }
+
     #[test]
     fn no_repack_observation_matches_the_batch_cost() {
-        // The live NoRepack path must fold exactly the batch cost and
+        // The suite's NoRepack entry must fold exactly the batch cost and
         // lower bound — it is the bit-identical baseline of the suite.
         let inst = sample_instance();
         let batch = Mutex::new(Aggregate::new());
         observe_run(&PolicyKind::FirstFit, &inst, &batch);
-        let live = Mutex::new(RepackStats::new());
-        observe_repack_run(&PolicyKind::FirstFit, RepackPolicy::NoRepack, &inst, &live).unwrap();
+        let live = observe_suite(&PolicyKind::FirstFit, &inst, &[RepackPolicy::NoRepack]);
         let batch = batch.into_inner().unwrap();
-        let live = live.into_inner().unwrap();
-        assert_eq!(live.usage_time, batch.usage_time);
-        assert_eq!(live.lb_load, batch.lb_load);
-        assert_eq!(live.migrations, 0);
-        assert_eq!(live.migration_cost, 0);
-        assert_eq!(live.runs, 1);
+        assert_eq!(live[0].usage_time, batch.usage_time);
+        assert_eq!(live[0].lb_load, batch.lb_load);
+        assert_eq!(live[0].migrations, 0);
+        assert_eq!(live[0].migration_cost, 0);
+        assert_eq!(live[0].runs, 1);
     }
 
     #[test]
@@ -481,18 +480,10 @@ mod tests {
             vec![item(7, 0, 3), item(7, 1, 5), item(2, 2, 5)],
         )
         .unwrap();
-        let none = Mutex::new(RepackStats::new());
-        observe_repack_run(&PolicyKind::FirstFit, RepackPolicy::NoRepack, &inst, &none).unwrap();
-        let drain = Mutex::new(RepackStats::new());
-        observe_repack_run(
-            &PolicyKind::FirstFit,
-            RepackPolicy::DrainOnDepart { k: 1 },
-            &inst,
-            &drain,
-        )
-        .unwrap();
-        let none = none.into_inner().unwrap();
-        let drain = drain.into_inner().unwrap();
+        let policies = [RepackPolicy::NoRepack, RepackPolicy::DrainOnDepart { k: 1 }];
+        let [none, drain] = observe_suite(&PolicyKind::FirstFit, &inst, &policies)[..] else {
+            panic!("one total per suite entry");
+        };
         assert_eq!(drain.migrations, 1);
         assert_eq!(drain.migration_cost, 1);
         assert!(
@@ -505,49 +496,59 @@ mod tests {
     #[test]
     fn clairvoyant_kinds_are_rejected_by_the_repack_path() {
         let inst = sample_instance();
-        let stats = Mutex::new(RepackStats::new());
-        let err = observe_repack_run(
-            &PolicyKind::DurationClassFirstFit,
-            RepackPolicy::NoRepack,
-            &inst,
-            &stats,
-        )
-        .unwrap_err();
+        let totals = suite(&[RepackPolicy::NoRepack]);
+        let mut source = InstanceSource::new(&inst).unwrap();
+        let err = observe_repack_suite(&PolicyKind::DurationClassFirstFit, &mut source, &totals)
+            .unwrap_err();
         assert!(matches!(
             err,
             StreamError::Feed(dvbp_core::LiveError::Clairvoyant { .. })
         ));
-        assert_eq!(stats.into_inner().unwrap().runs, 0);
+        assert_eq!(totals.into_inner().unwrap()[0].1.runs, 0);
+    }
+
+    #[test]
+    fn an_undrained_stream_leaves_the_suite_untouched() {
+        let arrival = dvbp_core::LiveOp::Arrive {
+            item: 0,
+            size: DimVec::scalar(1),
+            time: 5,
+        };
+        let mut source = Script(DimVec::scalar(10), vec![arrival].into_iter());
+        let totals = suite(&[RepackPolicy::NoRepack]);
+        let err = observe_repack_suite(&PolicyKind::FirstFit, &mut source, &totals).unwrap_err();
+        assert_eq!(
+            err,
+            StreamError::Feed(dvbp_core::LiveError::StillActive { active: 1 })
+        );
+        assert_eq!(totals.into_inner().unwrap()[0].1.runs, 0);
+    }
+
+    /// A scripted event feed.
+    struct Script(DimVec, std::vec::IntoIter<dvbp_core::LiveOp>);
+
+    impl EventSource for Script {
+        fn capacity(&self) -> &DimVec {
+            &self.0
+        }
+        fn next_event(&mut self) -> Result<Option<dvbp_core::LiveOp>, dvbp_core::SourceError> {
+            Ok(self.1.next())
+        }
     }
 
     #[test]
     fn failed_stream_leaves_the_aggregate_untouched() {
         // An out-of-order feed is rejected mid-stream; nothing partial
         // may leak into the totals.
-        struct Backwards(DimVec, u8);
-        impl EventSource for Backwards {
-            fn capacity(&self) -> &DimVec {
-                &self.0
-            }
-            fn next_event(&mut self) -> Result<Option<dvbp_core::LiveOp>, dvbp_core::SourceError> {
-                self.1 += 1;
-                Ok(match self.1 {
-                    1 => Some(dvbp_core::LiveOp::Arrive {
-                        item: 0,
-                        size: DimVec::scalar(1),
-                        time: 5,
-                    }),
-                    2 => Some(dvbp_core::LiveOp::Arrive {
-                        item: 1,
-                        size: DimVec::scalar(1),
-                        time: 3,
-                    }),
-                    _ => None,
-                })
-            }
-        }
+        let backwards = [5, 3]
+            .map(|time| dvbp_core::LiveOp::Arrive {
+                item: time as usize,
+                size: DimVec::scalar(1),
+                time,
+            })
+            .to_vec();
+        let mut source = Script(DimVec::scalar(10), backwards.into_iter());
         let agg = Mutex::new(Aggregate::new());
-        let mut source = Backwards(DimVec::scalar(10), 0);
         assert!(observe_source_run(&PolicyKind::FirstFit, &mut source, &agg).is_err());
         let agg = agg.into_inner().unwrap();
         assert_eq!(agg.runs, 0);

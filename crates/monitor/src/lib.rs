@@ -15,9 +15,11 @@
 //!   running competitive-ratio drift), open-bin peaks, probe counts, and
 //!   merged wall-clock latency histograms; plus per-repack-policy
 //!   totals ([`RepackStats`]) when a repack suite is active — each run
-//!   is additionally replayed through live engines under every
-//!   configured [`RepackPolicy`](dvbp_core::RepackPolicy), so
-//!   `/metrics` exposes the CR-vs-migration-cost frontier live;
+//!   is replayed once more through one
+//!   [`EngineSet`](dvbp_core::EngineSet) that packs it under every
+//!   configured [`RepackPolicy`](dvbp_core::RepackPolicy) behind one
+//!   feed and one lower bound, so `/metrics` exposes the
+//!   CR-vs-migration-cost frontier live;
 //! * [`prometheus`] — renders the aggregate in Prometheus text
 //!   exposition format (version 0.0.4);
 //! * [`server`] — serves `/metrics`, `/status` (JSON), `/healthz`, and
@@ -44,8 +46,7 @@ pub mod server;
 
 pub use aggregate::{Aggregate, RepackStats};
 pub use driver::{
-    observe_repack_run, observe_repack_source_run, observe_run, observe_source_run,
-    reconstruct_instance, Workload,
+    observe_repack_suite, observe_run, observe_source_run, reconstruct_instance, Workload,
 };
 pub use scrape::{render_stage_latencies, scrape_serve_status};
-pub use server::{Monitor, MonitorServer, RepackSlot, RepackStatus, Status};
+pub use server::{Monitor, MonitorServer, RepackStatus, Status};

@@ -22,12 +22,14 @@
 //! ratio comes from the streamed Lemma 1 tap. Otherwise uniform
 //! instances are generated with incrementing seeds.
 //!
-//! Non-clairvoyant policies additionally replay each run through live
-//! engines under a repack suite (`--repack-suite`, default
-//! `none,drain:2,defrag:64:8`) so `/metrics` carries per-policy
+//! Non-clairvoyant policies additionally replay each run once under a
+//! whole repack suite (`--repack-suite`, default
+//! `none,drain:2,defrag:64:8`): one engine set packs the run under every
+//! suite policy behind one feed, so `/metrics` carries per-policy
 //! migration counters and running competitive ratios — the
-//! CR-vs-migration-cost frontier, live. `--repack-suite off` disables
-//! the extra replays.
+//! CR-vs-migration-cost frontier, live. A `--stream` file is thus read
+//! twice per run, whatever the suite's length. `--repack-suite off`
+//! disables the extra replay.
 //!
 //! With `--scrape`, the roles flip: instead of serving its own run, the
 //! monitor pulls `/status` from a running `dvbp-serve` dispatch service
@@ -35,15 +37,14 @@
 //! the service topology; `--raw-metrics` dumps the Prometheus text
 //! instead).
 
-use dvbp_core::{PolicyKind, RepackPolicy};
+use dvbp_core::{InstanceSource, PolicyKind, RepackPolicy, StreamError};
 use dvbp_monitor::{
-    observe_repack_run, observe_repack_source_run, observe_run, observe_source_run, Monitor,
-    MonitorServer, Workload,
+    observe_repack_suite, observe_run, observe_source_run, Monitor, MonitorServer, Workload,
 };
 use dvbp_obs::expo::http_get;
-use dvbp_traces::{OpenOptions, TraceFormat};
+use dvbp_traces::{OpenOptions, TraceFormat, TraceSource};
 use dvbp_workloads::UniformParams;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::atomic::Ordering;
@@ -75,7 +76,7 @@ USAGE:
   --ticks-per-day  with --stream --format azure: ticks per day (default 288)
   --runs         stop driving after N runs, keep serving (0 = unbounded)
   --interval-ms  pause between runs (default 100)
-  --repack-suite comma-separated repack policies replayed live per run
+  --repack-suite comma-separated repack policies, replayed together once per run
                  (none | drain:K | defrag:BUDGET:PERIOD; default
                  none,drain:2,defrag:64:8; 'off' disables the suite)
   --scrape       pull /status from a running dvbp-serve and print a summary
@@ -153,6 +154,18 @@ enum Drive {
         format: TraceFormat,
         options: OpenOptions,
     },
+}
+
+/// Opens the trace file afresh and runs one observation pass over it: a
+/// pass consumes its source, and the file is the durable state.
+fn replay_file(
+    path: &Path,
+    format: TraceFormat,
+    options: &OpenOptions,
+    pass: impl FnOnce(&mut (dyn TraceSource + Send)) -> Result<(), StreamError>,
+) -> Result<(), String> {
+    let mut source = format.open_path(path, options).map_err(|e| e.to_string())?;
+    pass(&mut *source).map_err(|e| e.to_string())
 }
 
 /// Builds the streamed drive for `--stream FILE`, validating the flags
@@ -249,6 +262,7 @@ fn run(args: &[String]) -> Result<(), String> {
     );
 
     let driver_monitor = Arc::clone(&monitor);
+    let with_suite = !suite.is_empty();
     let driver = std::thread::spawn(move || {
         let mut completed = 0u64;
         while !driver_monitor.shutting_down() {
@@ -261,11 +275,13 @@ fn run(args: &[String]) -> Result<(), String> {
                 Drive::Instances(workload) => {
                     let instance = workload.next_instance();
                     observe_run(&policy, &instance, &driver_monitor.aggregate);
-                    for slot in &driver_monitor.repack {
+                    if with_suite {
+                        let mut source = InstanceSource::new(&instance)
+                            .expect("workload sources yield valid instances");
                         if let Err(e) =
-                            observe_repack_run(&policy, slot.policy, &instance, &slot.stats)
+                            observe_repack_suite(&policy, &mut source, &driver_monitor.repack)
                         {
-                            eprintln!("dvbp-monitor: repack {}: {e}", slot.policy.name());
+                            eprintln!("dvbp-monitor: repack suite: {e}");
                         }
                     }
                 }
@@ -274,43 +290,21 @@ fn run(args: &[String]) -> Result<(), String> {
                     format,
                     options,
                 } => {
-                    // Re-open per run: the source is consumed by each
-                    // replay, and the file is the durable state.
-                    let replay = format
-                        .open_path(path, options)
-                        .map_err(|e| e.to_string())
-                        .and_then(|mut source| {
-                            observe_source_run(&policy, &mut *source, &driver_monitor.aggregate)
-                                .map_err(|e| e.to_string())
-                        });
+                    let replay = replay_file(path, *format, options, |source| {
+                        observe_source_run(&policy, source, &driver_monitor.aggregate)
+                    });
                     if let Err(e) = replay {
                         eprintln!("dvbp-monitor: stream {}: {e}", path.display());
                         // The file is broken; keep serving what we have.
                         break;
                     }
-                    // One extra streamed replay per suite policy: the
-                    // file is re-opened each time, so memory stays
-                    // constant no matter how long the trace is.
-                    for slot in &driver_monitor.repack {
-                        let replayed = format
-                            .open_path(path, options)
-                            .map_err(|e| e.to_string())
-                            .and_then(|mut source| {
-                                observe_repack_source_run(
-                                    &policy,
-                                    slot.policy,
-                                    &mut *source,
-                                    &slot.stats,
-                                )
-                                .map_err(|e| e.to_string())
-                            });
-                        if let Err(e) = replayed {
-                            eprintln!(
-                                "dvbp-monitor: repack {} stream {}: {e}",
-                                slot.policy.name(),
-                                path.display()
-                            );
-                        }
+                    let replay = with_suite.then(|| {
+                        replay_file(path, *format, options, |source| {
+                            observe_repack_suite(&policy, source, &driver_monitor.repack)
+                        })
+                    });
+                    if let Some(Err(e)) = replay {
+                        eprintln!("dvbp-monitor: repack suite stream {}: {e}", path.display());
                     }
                 }
             }

@@ -100,16 +100,6 @@ pub struct RepackStatus {
     pub cr_running: f64,
 }
 
-/// One repack-suite policy with its totals, shared between the driver
-/// thread and the HTTP handlers.
-#[derive(Debug)]
-pub struct RepackSlot {
-    /// The migration budget being observed.
-    pub policy: RepackPolicy,
-    /// Totals over every live run under `policy`.
-    pub stats: Mutex<RepackStats>,
-}
-
 /// State shared between the driver thread and the HTTP handlers.
 #[derive(Debug)]
 pub struct Monitor {
@@ -119,8 +109,11 @@ pub struct Monitor {
     pub shutdown: AtomicBool,
     /// Display name of the policy being driven (metric label).
     pub policy: String,
-    /// Repack suite observed alongside the batch runs (may be empty).
-    pub repack: Vec<RepackSlot>,
+    /// Repack suite observed alongside the batch runs, in suite order,
+    /// each policy with its totals (empty without a suite). One suite
+    /// pass folds every entry under one lock, so a scrape never sees the
+    /// entries at different run counts.
+    pub repack: Mutex<Vec<(RepackPolicy, RepackStats)>>,
     /// Per-live-policy segment attribution of the replayed trace
     /// ([`crate::aggregate::attribute_policy_segments`]); empty unless
     /// the trace carried `PolicySwitch` markers. Fixed at construction —
@@ -147,13 +140,12 @@ impl Monitor {
             aggregate: Mutex::new(Aggregate::new()),
             shutdown: AtomicBool::new(false),
             policy: policy.into(),
-            repack: suite
-                .iter()
-                .map(|&policy| RepackSlot {
-                    policy,
-                    stats: Mutex::new(RepackStats::new()),
-                })
-                .collect(),
+            repack: Mutex::new(
+                suite
+                    .iter()
+                    .map(|&policy| (policy, RepackStats::new()))
+                    .collect(),
+            ),
             segments: Vec::new(),
             accept_errors: AtomicU64::new(0),
         }
@@ -173,15 +165,14 @@ impl Monitor {
     ///
     /// # Panics
     ///
-    /// Panics if a stats mutex is poisoned.
+    /// Panics if the suite mutex is poisoned.
     #[must_use]
     pub fn repack_snapshot(&self) -> Vec<(String, RepackStats)> {
         self.repack
+            .lock()
+            .expect("repack suite mutex poisoned")
             .iter()
-            .map(|slot| {
-                let stats = *slot.stats.lock().expect("repack stats mutex poisoned");
-                (slot.policy.name(), stats)
-            })
+            .map(|(policy, stats)| (policy.name(), *stats))
             .collect()
     }
 
@@ -440,7 +431,7 @@ mod tests {
             "FirstFit",
             &[RepackPolicy::NoRepack, RepackPolicy::DrainOnDepart { k: 2 }],
         );
-        monitor.repack[1].stats.lock().unwrap().absorb(4, 4, 30, 20);
+        monitor.repack.lock().unwrap()[1].1.absorb(4, 4, 30, 20);
         let status: Status = serde_json::from_str(&monitor.status_json()).unwrap();
         assert_eq!(status.repack.len(), 2);
         assert_eq!(status.repack[0].repack, "none");

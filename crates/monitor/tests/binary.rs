@@ -46,14 +46,16 @@ impl Monitor {
         }
     }
 
-    /// `/status` once the monitor has completed `runs` runs (or after
-    /// 10 s, for the assertions to report).
+    /// `/status` once the monitor has completed `runs` runs, and every
+    /// repack-suite entry as many (or after 10 s, for the assertions to
+    /// report).
     fn settled_status(&self, runs: u64) -> Status {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let body = http_get(&self.addr, "/status").expect("GET /status");
             let status: Status = serde_json::from_str(&body).expect("/status parses");
-            if status.runs >= runs || Instant::now() > deadline {
+            let settled = status.runs >= runs && status.repack.iter().all(|r| r.runs >= runs);
+            if settled || Instant::now() > deadline {
                 return status;
             }
             std::thread::sleep(Duration::from_millis(20));
@@ -133,13 +135,25 @@ fn streamed_azure_fixture_reports_a_finite_running_ratio() {
         "10",
     ]);
     let status = monitor.settled_status(2);
-    assert!(status.runs >= 1, "{status:?}");
+    assert_eq!(status.runs, 2, "{status:?}");
     assert!(status.arrivals > 0, "{status:?}");
     assert_eq!(status.arrivals, status.departures, "{status:?}");
     let lb_load: u128 = status.lb_load.parse().expect("lb_load is an integer");
     assert!(lb_load > 0, "{status:?}");
     assert!(
         status.cr_running.is_finite() && status.cr_running >= 1.0,
+        "{status:?}"
+    );
+    // The default suite, one pass per run over the same stream: its
+    // `none` entry packs what the aggregate pass packed.
+    let suite: Vec<&str> = status.repack.iter().map(|r| r.repack.as_str()).collect();
+    assert_eq!(suite, ["none", "drain:2", "defrag:64:8"], "{status:?}");
+    for entry in &status.repack {
+        assert_eq!(entry.runs, status.runs, "{status:?}");
+    }
+    assert_eq!(
+        status.repack[0].cr_running.to_bits(),
+        status.cr_running.to_bits(),
         "{status:?}"
     );
     monitor.shutdown();

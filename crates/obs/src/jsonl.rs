@@ -174,12 +174,6 @@ impl<W: Write> JsonlEmitter<W> {
         self
     }
 
-    /// The configured durability policy.
-    #[must_use]
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync
-    }
-
     /// Writes one event as a JSON line, encoded into the emitter's
     /// reused line buffer and handed to the writer in one `write_all`.
     /// Harnesses call this directly to interleave [`ObsEvent::Meta`]

@@ -21,8 +21,8 @@
 //!
 //! Built-in observers:
 //!
-//! * [`MetricsObserver`] — counters plus reservoir-sampled open-bin and
-//!   utilization time series;
+//! * [`MetricsObserver`] — counters (arrivals, departures, migrations,
+//!   bins, probes) and the exact open-bin peak;
 //! * [`JsonlEmitter`] — streams every event as one JSON object per line
 //!   for offline analysis (`dvbp-analysis` ingests and replays it);
 //! * [`Recorder`] — buffers the [`ObsEvent`] stream in memory (tests,
@@ -51,7 +51,7 @@ pub mod timing;
 pub use error::ObsError;
 pub use histogram::LogHistogram;
 pub use jsonl::{scan_wal, JsonlEmitter, StableWrite, SyncPolicy, WalScan};
-pub use metrics::{Gauge, MetricsObserver};
+pub use metrics::MetricsObserver;
 pub use provenance::{ProvenanceObserver, WithProvenance};
 pub use span::{AtomicHistogram, FlightRecorder, OpKind, Span, SpanRecord, SpanRing, Stage};
 pub use timing::{TimingObserver, TimingSnapshot};

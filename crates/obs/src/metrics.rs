@@ -1,106 +1,22 @@
-//! [`MetricsObserver`]: counters and reservoir-sampled time-series
-//! gauges over one engine run.
+//! [`MetricsObserver`]: counters over one engine run.
 //!
 //! The paper's average-case study (Table 2 / Figure 4) reasons about
-//! quantities — open-bin counts over time, utilization of the rented
-//! capacity, placement effort — that a cost-only sweep cannot see. This
-//! observer collects them in O(1) per event and O(reservoir) memory,
-//! independent of the run length, so it can ride along production-scale
-//! traces.
+//! quantities — open-bin counts, placement effort — that a cost-only
+//! sweep cannot see. This observer counts them in O(1) per event and
+//! O(1) memory, independent of the run length, so it can ride along
+//! production-scale traces.
 
 use crate::{Arrival, Depart, Migrate, Observer, Place, RunStart};
 use dvbp_sim::Time;
-use serde::{Deserialize, Serialize};
 
-/// One sampled gauge reading.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Sample {
-    /// Tick of the reading.
-    pub time: Time,
-    /// Gauge value at that tick.
-    pub value: f64,
-}
-
-/// A reservoir-sampled time series: a uniform random subset of at most
-/// `capacity` readings from a stream of unknown length (Vitter's
-/// algorithm R), using a deterministic splitmix64 RNG so runs are
-/// reproducible.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Gauge {
-    samples: Vec<Sample>,
-    capacity: usize,
-    seen: u64,
-    rng: u64,
-}
-
-impl Gauge {
-    /// Creates a gauge keeping at most `capacity` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is 0.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "gauge reservoir capacity must be positive");
-        Gauge {
-            samples: Vec::new(),
-            capacity,
-            seen: 0,
-            rng: 0x0b5e_2023_d0b5_e0b5,
-        }
-    }
-
-    fn next_rng(&mut self) -> u64 {
-        // splitmix64: one multiply-xorshift round per draw.
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Offers one reading to the reservoir.
-    pub fn record(&mut self, time: Time, value: f64) {
-        self.seen += 1;
-        if self.samples.len() < self.capacity {
-            self.samples.push(Sample { time, value });
-            return;
-        }
-        let j = self.next_rng() % self.seen;
-        if (j as usize) < self.capacity {
-            self.samples[j as usize] = Sample { time, value };
-        }
-    }
-
-    /// Number of readings offered over the run (≥ `samples().len()`).
-    #[must_use]
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The retained samples, sorted by time (stream order is lost to the
-    /// reservoir's replacements).
-    #[must_use]
-    pub fn sorted_samples(&self) -> Vec<Sample> {
-        let mut out = self.samples.clone();
-        out.sort_by_key(|s| s.time);
-        out
-    }
-}
-
-/// Counters and gauges over one run.
+/// Counters over one run.
 ///
-/// * **Counters** — arrivals, departures, bins opened/closed, total
-///   candidate bins scanned by the policy.
+/// * **Counters** — arrivals, departures, migrations, bins
+///   opened/closed, total candidate bins scanned by the policy.
 /// * **Exact extrema** — [`max_concurrent_bins`](Self::max_concurrent_bins)
 ///   is tracked exactly (a property test pins it to
 ///   `Packing::max_concurrent_bins`).
-/// * **Gauges** — open-bin count and utilization over time as
-///   reservoir-sampled series (default 1024 samples each).
-///
-/// Utilization is the L1 fraction of rented capacity in use at the
-/// moment of the reading: `Σ_j load_j / (open_bins · Σ_j capacity_j)`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MetricsObserver {
     /// Items arrived (= items placed).
     pub arrivals: u64,
@@ -115,56 +31,15 @@ pub struct MetricsObserver {
     pub bins_closed: u64,
     /// Total candidate bins examined by the policy over all placements.
     pub total_scanned: u64,
-    /// Open-bin count over time (reservoir-sampled).
-    pub open_bins_series: Gauge,
-    /// Utilization over time (reservoir-sampled).
-    pub utilization_series: Gauge,
     open_bins: usize,
     max_open: usize,
-    cap_sum: u64,
-    load_sum: u64,
-    item_load: Vec<u64>,
-}
-
-impl Default for MetricsObserver {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl MetricsObserver {
-    /// Default reservoir size of the two gauge series.
-    pub const DEFAULT_RESERVOIR: usize = 1024;
-
-    /// Creates a metrics observer with the default reservoir size.
+    /// Creates a metrics observer with every counter at zero.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_reservoir(Self::DEFAULT_RESERVOIR)
-    }
-
-    /// Creates a metrics observer keeping at most `reservoir` samples per
-    /// gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reservoir` is 0.
-    #[must_use]
-    pub fn with_reservoir(reservoir: usize) -> Self {
-        MetricsObserver {
-            arrivals: 0,
-            departures: 0,
-            migrations: 0,
-            bins_opened: 0,
-            bins_closed: 0,
-            total_scanned: 0,
-            open_bins_series: Gauge::new(reservoir),
-            utilization_series: Gauge::new(reservoir),
-            open_bins: 0,
-            max_open: 0,
-            cap_sum: 0,
-            load_sum: 0,
-            item_load: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Bins currently open (0 after a completed run: every bin closes).
@@ -189,36 +64,15 @@ impl MetricsObserver {
             self.total_scanned as f64 / self.arrivals as f64
         }
     }
-
-    fn utilization(&self) -> f64 {
-        let rented = self.open_bins as u64 * self.cap_sum;
-        if rented == 0 {
-            0.0
-        } else {
-            self.load_sum as f64 / rented as f64
-        }
-    }
-
-    fn sample(&mut self, time: Time) {
-        let util = self.utilization();
-        #[allow(clippy::cast_precision_loss)]
-        self.open_bins_series.record(time, self.open_bins as f64);
-        self.utilization_series.record(time, util);
-    }
 }
 
 impl Observer for MetricsObserver {
-    fn on_run_start(&mut self, run: RunStart<'_>) {
-        *self = Self::with_reservoir(self.open_bins_series.capacity);
-        self.cap_sum = run.capacity.iter().sum();
-        self.item_load = vec![0; run.items];
+    fn on_run_start(&mut self, _run: RunStart<'_>) {
+        *self = Self::new();
     }
 
-    fn on_arrival(&mut self, ev: Arrival<'_>) {
+    fn on_arrival(&mut self, _ev: Arrival<'_>) {
         self.arrivals += 1;
-        if let Some(slot) = self.item_load.get_mut(ev.item) {
-            *slot = ev.size.iter().sum();
-        }
     }
 
     fn on_bin_open(&mut self, _time: Time, _bin: usize) {
@@ -229,27 +83,19 @@ impl Observer for MetricsObserver {
 
     fn on_place(&mut self, ev: Place) {
         self.total_scanned += ev.scanned;
-        self.load_sum += self.item_load.get(ev.item).copied().unwrap_or(0);
-        self.sample(ev.time);
     }
 
-    fn on_depart(&mut self, ev: Depart) {
+    fn on_depart(&mut self, _ev: Depart) {
         self.departures += 1;
-        self.load_sum -= self.item_load.get(ev.item).copied().unwrap_or(0);
-        self.sample(ev.time);
     }
 
-    fn on_migrate(&mut self, ev: Migrate) {
-        // Load stays rented (the item is still active), only its bin
-        // changed; the counter is the only state that moves.
+    fn on_migrate(&mut self, _ev: Migrate) {
         self.migrations += 1;
-        self.sample(ev.time);
     }
 
-    fn on_bin_close(&mut self, time: Time, _bin: usize) {
+    fn on_bin_close(&mut self, _time: Time, _bin: usize) {
         self.bins_closed += 1;
         self.open_bins -= 1;
-        self.sample(time);
     }
 }
 
@@ -257,35 +103,6 @@ impl Observer for MetricsObserver {
 mod tests {
     use super::*;
     use crate::RunEnd;
-
-    #[test]
-    fn reservoir_keeps_everything_below_capacity() {
-        let mut g = Gauge::new(16);
-        for t in 0..10u64 {
-            g.record(t, t as f64);
-        }
-        let s = g.sorted_samples();
-        assert_eq!(s.len(), 10);
-        assert_eq!(g.seen(), 10);
-        assert!(s.windows(2).all(|w| w[0].time <= w[1].time));
-    }
-
-    #[test]
-    fn reservoir_caps_and_stays_deterministic() {
-        let run = |n: u64| {
-            let mut g = Gauge::new(8);
-            for t in 0..n {
-                g.record(t, 1.0);
-            }
-            g.sorted_samples()
-        };
-        let a = run(1000);
-        let b = run(1000);
-        assert_eq!(a, b, "reservoir must be deterministic");
-        assert_eq!(a.len(), 8);
-        // Samples come from the whole stream, not just its head.
-        assert!(a.last().unwrap().time >= 100, "tail never sampled");
-    }
 
     #[test]
     fn counters_track_a_tiny_run() {
@@ -307,7 +124,6 @@ mod tests {
             opened_new: true,
             scanned: 0,
         });
-        assert!((m.utilization() - 0.5).abs() < 1e-12);
         m.on_arrival(Arrival {
             time: 1,
             item: 1,
@@ -320,7 +136,6 @@ mod tests {
             opened_new: false,
             scanned: 1,
         });
-        assert!((m.utilization() - 1.0).abs() < 1e-12);
         m.on_depart(Depart {
             time: 4,
             item: 0,
@@ -346,7 +161,6 @@ mod tests {
         assert_eq!(m.max_concurrent_bins(), 1);
         assert_eq!(m.total_scanned, 1);
         assert!((m.mean_scan_length() - 0.5).abs() < 1e-12);
-        assert_eq!(m.open_bins_series.seen(), 5);
     }
 
     #[test]

@@ -31,5 +31,5 @@ mod proptests;
 
 pub use exact::{pack_assignment, pack_count, ExactPacking};
 pub use ffd::ffd_count;
-pub use lower_bounds::{lb_load, lb_span, lb_utilization, opt_lower_bound};
+pub use lower_bounds::{lb_load, lb_span, lb_utilization};
 pub use opt::{opt_bounds, opt_exact, OptBounds};

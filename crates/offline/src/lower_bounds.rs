@@ -50,16 +50,6 @@ pub fn lb_span(instance: &Instance) -> Cost {
     instance.span()
 }
 
-/// The best integer lower bound available: `max(lb_load, lb_span)`.
-///
-/// (`lb_load ≥ lb_span` always — every active instant needs ≥ 1 bin — so
-/// this equals [`lb_load`]; the max is kept for clarity and as a guard
-/// should the bounds ever be computed over different models.)
-#[must_use]
-pub fn opt_lower_bound(instance: &Instance) -> Cost {
-    lb_load(instance).max(lb_span(instance))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,7 +71,6 @@ mod tests {
         assert_eq!(lb_span(&i), 4);
         let u = lb_utilization(&i);
         assert!((u - 2.0).abs() < 1e-12); // 0.5 * 4
-        assert_eq!(opt_lower_bound(&i), 4);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! [`ShadowSet`]: the portfolio's cost-only mirror engines.
 //!
 //! Every candidate [`PolicyKind`] gets a bare cost-only engine in one
-//! [`EngineSet`], which receives the *exact* event stream the live
+//! [`EngineSet`], paired with [`RepackPolicy::NoRepack`]: a shadow never
+//! migrates. The set receives the *exact* event stream the live
 //! engine accepted — same sizes, same ticks, same dense item indices
 //! (both sides number items in arrival order). A shadow's accumulated
 //! usage time is therefore **bit-identical** to a standalone cost-only
@@ -14,7 +15,7 @@
 //! ratio reduces to comparing raw costs, which keeps the meta-policy's
 //! decisions in exact integer arithmetic.
 
-use dvbp_core::{EngineSet, LiveError, LiveOp, PolicyKind, TimeMode};
+use dvbp_core::{EngineSet, LiveError, LiveOp, PolicyKind, RepackPolicy, TimeMode};
 use dvbp_dimvec::DimVec;
 use dvbp_sim::{Cost, Time};
 
@@ -66,9 +67,13 @@ impl ShadowSet {
         kinds: &[PolicyKind],
         items_hint: usize,
     ) -> Result<Self, LiveError> {
+        let candidates: Vec<_> = kinds
+            .iter()
+            .map(|kind| (kind.clone(), RepackPolicy::NoRepack))
+            .collect();
         Ok(ShadowSet {
             kinds: kinds.to_vec(),
-            engines: EngineSet::new(capacity, time_mode, kinds, items_hint)?,
+            engines: EngineSet::new(capacity, time_mode, &candidates, items_hint)?,
         })
     }
 

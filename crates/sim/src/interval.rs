@@ -168,16 +168,6 @@ impl IntervalSet {
         let idx = self.segments.partition_point(|s| s.end <= t);
         self.segments.get(idx).is_some_and(|s| s.contains(t))
     }
-
-    /// The smallest single interval containing the whole set, or `None` if
-    /// the set is empty.
-    #[must_use]
-    pub fn bounding_interval(&self) -> Option<Interval> {
-        match (self.segments.first(), self.segments.last()) {
-            (Some(first), Some(last)) => Some(Interval::new(first.start, last.end)),
-            _ => None,
-        }
-    }
 }
 
 impl FromIterator<Interval> for IntervalSet {
@@ -301,13 +291,6 @@ mod tests {
         assert!(set.contains(5));
         assert!(set.contains(7));
         assert!(!set.contains(8));
-    }
-
-    #[test]
-    fn bounding_interval() {
-        let set = IntervalSet::from_intervals([Interval::new(3, 4), Interval::new(9, 12)]);
-        assert_eq!(set.bounding_interval(), Some(Interval::new(3, 12)));
-        assert_eq!(IntervalSet::new().bounding_interval(), None);
     }
 
     #[test]

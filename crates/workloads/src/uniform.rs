@@ -57,18 +57,6 @@ impl UniformParams {
         p
     }
 
-    /// The full Table 2 grid: `(d, μ)` for `d ∈ {1,2,5}`, `μ ∈ {1,2,5,10,100,200}`.
-    #[must_use]
-    pub fn table2_grid() -> Vec<UniformParams> {
-        let mut grid = Vec::new();
-        for &d in &PAPER_DIMS {
-            for &mu in &PAPER_MUS {
-                grid.push(Self::table2(d, mu));
-            }
-        }
-        grid
-    }
-
     /// Generates the instance for `seed`. Identical `(params, seed)`
     /// always yields the identical instance, independent of platform and
     /// thread schedule.
@@ -94,15 +82,6 @@ impl UniformParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table2_grid_is_18_points() {
-        let grid = UniformParams::table2_grid();
-        assert_eq!(grid.len(), 18);
-        assert!(grid
-            .iter()
-            .all(|p| p.items == 1000 && p.span == 1000 && p.bin_size == 100));
-    }
 
     #[test]
     fn generation_is_deterministic() {
